@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 
 from .model import (
-    CONCAVE_EDGE_MARGIN_REL,
     VACUUM_PERMITTIVITY,
     ArcProfile,
     FaceKind,
     PlanarProfile,
+    side_gap_bounds,
 )
 
 __all__ = [
@@ -43,10 +43,13 @@ class GeometryDomainError(ValueError):
         self.gap_m = gap_m
 
 
-def _require_positive_gap(kind: FaceKind, gap_m: float) -> None:
-    if gap_m <= 0.0:
+def _require_admissible_gap(
+    kind: FaceKind, profile: ArcProfile | PlanarProfile, gap_m: float
+) -> None:
+    lo, hi = side_gap_bounds(kind, profile)
+    if not lo < gap_m < hi:
         raise GeometryDomainError(
-            f"{kind.value} face needs a positive gap, got {gap_m} m",
+            f"{kind.value} face needs a gap in ({lo}, {hi}) m, got {gap_m} m",
             kind=kind,
             gap_m=gap_m,
         )
@@ -62,9 +65,9 @@ def cap_convex(
     arc edges, so the result never exceeds the flat-face value eps*h*R*phi/d.
 
     Raises:
-        GeometryDomainError: if gap_m <= 0.
+        GeometryDomainError: if gap_m is outside side_gap_bounds (not > 0).
     """
-    _require_positive_gap(FaceKind.CONVEX, gap_m)
+    _require_admissible_gap(FaceKind.CONVEX, profile, gap_m)
     r = profile.radius_m
     t = profile.half_tan()
     p = gap_m * (2.0 * r + gap_m)
@@ -90,27 +93,12 @@ def cap_concave(
     (d = 2R*sin^2(phi/4)), where the form diverges.
 
     Raises:
-        GeometryDomainError: if the edge gap d - sagitta is not positive
-            with a relative margin of CONCAVE_EDGE_MARGIN_REL * R, or if
-            gap_m >= 2R (outside the real domain of the formula).
+        GeometryDomainError: if gap_m is outside side_gap_bounds, the single
+            rule for every face (edge contact within a small guard margin,
+            or gap_m >= 2R, outside the real domain of the formula).
     """
-    _require_positive_gap(FaceKind.CONCAVE, gap_m)
+    _require_admissible_gap(FaceKind.CONCAVE, profile, gap_m)
     r = profile.radius_m
-    sag = profile.sagitta()
-    edge_gap = gap_m - sag
-    if edge_gap <= CONCAVE_EDGE_MARGIN_REL * r:
-        raise GeometryDomainError(
-            "concave edge contact: gap must exceed the sagitta "
-            f"({sag} m) by more than {CONCAVE_EDGE_MARGIN_REL * r} m, got gap {gap_m} m",
-            kind=FaceKind.CONCAVE,
-            gap_m=gap_m,
-        )
-    if gap_m >= 2.0 * r:
-        raise GeometryDomainError(
-            f"concave gap must stay below 2R = {2.0 * r} m, got {gap_m} m",
-            kind=FaceKind.CONCAVE,
-            gap_m=gap_m,
-        )
     t = profile.half_tan()
     q = gap_m * (2.0 * r - gap_m)
     arg = t * math.sqrt((2.0 * r - gap_m) / gap_m)  # < 1 whenever edge gap > 0
@@ -125,14 +113,14 @@ def cap_planar(
     """Parallel-plate capacitance eps*h*b/d (F).
 
     Raises:
-        GeometryDomainError: if gap_m <= 0.
+        GeometryDomainError: if gap_m is outside side_gap_bounds (not > 0).
     """
-    _require_positive_gap(FaceKind.FLAT, gap_m)
+    _require_admissible_gap(FaceKind.FLAT, face, gap_m)
     return permittivity * face.thickness_m * face.length_m / gap_m
 
 
 def _dcap_convex(profile: ArcProfile, gap_m: float, permittivity: float) -> float:
-    _require_positive_gap(FaceKind.CONVEX, gap_m)
+    _require_admissible_gap(FaceKind.CONVEX, profile, gap_m)
     r = profile.radius_m
     t = profile.half_tan()
     n = 2.0 * r + gap_m
@@ -145,8 +133,7 @@ def _dcap_convex(profile: ArcProfile, gap_m: float, permittivity: float) -> floa
 
 
 def _dcap_concave(profile: ArcProfile, gap_m: float, permittivity: float) -> float:
-    # reuse the domain guards of the capacitance itself
-    cap_concave(profile, gap_m, permittivity)
+    _require_admissible_gap(FaceKind.CONCAVE, profile, gap_m)
     r = profile.radius_m
     t = profile.half_tan()
     m = 2.0 * r - gap_m
@@ -185,7 +172,7 @@ def dcap_dgap(
         assert isinstance(profile, ArcProfile)
         return _dcap_concave(profile, gap_m, permittivity)
     assert isinstance(profile, PlanarProfile)
-    _require_positive_gap(FaceKind.FLAT, gap_m)
+    _require_admissible_gap(FaceKind.FLAT, profile, gap_m)
     return -permittivity * profile.thickness_m * profile.length_m / gap_m**2
 
 

@@ -18,7 +18,8 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 from . import _svg
 from .capacitance import (
@@ -203,15 +204,29 @@ _SCHEMA = {
 }
 
 
+def _json_matches(value, hint) -> bool:
+    """Whether a JSON leaf fits a RunConfig field annotation."""
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...] arrives as a list
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_json_matches(v, item) for v in value)
+    allowed = typing.get_args(hint) or (hint,)  # T | None gives (T, NoneType)
+    if float in allowed:
+        allowed += (int,)  # a JSON number without a fraction parses as int
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
 def _config_from_file(path: str) -> dict:
     """Flatten a JSON config document to RunConfig field overrides.
 
-    Unknown keys are rejected with their full path.
+    Unknown keys and leaves whose JSON type does not fit the RunConfig
+    field annotation are rejected with their full path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    hints = typing.get_type_hints(RunConfig)
+    declared = {f.name: f.type for f in fields(RunConfig)}
     overrides: dict = {}
 
     def walk(node: dict, schema: dict, prefix: str) -> None:
@@ -224,14 +239,13 @@ def _config_from_file(path: str) -> dict:
                 if not isinstance(value, dict):
                     raise ValueError(f"config key {where} must be an object")
                 walk(value, target, where + ".")
+            elif not _json_matches(value, hints[target]):
+                raise ValueError(
+                    f"config key {where} must be {declared[target]}, "
+                    f"got {json.dumps(value)}"
+                )
             else:
-                if key == "variants":
-                    if not isinstance(value, list) or not all(
-                        isinstance(v, str) for v in value
-                    ):
-                        raise ValueError(f"config key {where} must be a list of strings")
-                    value = tuple(value)
-                overrides[target] = value
+                overrides[target] = tuple(value) if isinstance(value, list) else value
 
     walk(doc, _SCHEMA, "")
     # a file that pins phi_rad should not fight the built-in arc default
@@ -728,6 +742,8 @@ def _suite_symmetry(rng: random.Random, points: int) -> float:
 
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
     _validate_config_geometry(cfg)
     rng = random.Random(20260816)
     n = max(10, args.points)

@@ -20,6 +20,11 @@ POLYSILICON_DENSITY = 2320.0  # kg/m^3, for the non-normative mass estimate
 CONCAVE_EDGE_MARGIN_REL = 1e-12
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class FaceKind(Enum):
     """Shape of one fixed-electrode face as seen by the movable plane."""
 
@@ -91,10 +96,8 @@ class ArcProfile:
     thickness_m: float
 
     def __post_init__(self) -> None:
-        if self.radius_m <= 0.0:
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
-        if self.thickness_m <= 0.0:
-            raise ValueError(f"thickness_m must be positive, got {self.thickness_m}")
+        _require_positive_finite("radius_m", self.radius_m)
+        _require_positive_finite("thickness_m", self.thickness_m)
         if not 0.0 <= self.angular_extent_rad < math.pi:
             raise ValueError(
                 f"angular_extent_rad must lie in [0, pi), got {self.angular_extent_rad}"
@@ -121,10 +124,8 @@ class PlanarProfile:
     thickness_m: float
 
     def __post_init__(self) -> None:
-        if self.length_m <= 0.0:
-            raise ValueError(f"length_m must be positive, got {self.length_m}")
-        if self.thickness_m <= 0.0:
-            raise ValueError(f"thickness_m must be positive, got {self.thickness_m}")
+        _require_positive_finite("length_m", self.length_m)
+        _require_positive_finite("thickness_m", self.thickness_m)
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,9 @@ class GapState:
     displacement_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gap_m <= 0.0:
-            raise ValueError(f"gap_m must be positive, got {self.gap_m}")
+        _require_positive_finite("gap_m", self.gap_m)
+        if not -math.inf < self.displacement_m < math.inf:
+            raise ValueError(f"displacement_m must be finite, got {self.displacement_m}")
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,11 @@ class MechanicalModel:
     comb_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.mass_kg <= 0.0:
-            raise ValueError(f"mass_kg must be positive, got {self.mass_kg}")
-        if self.spring_n_per_m <= 0.0:
-            raise ValueError(
-                f"spring_n_per_m must be positive, got {self.spring_n_per_m}"
-            )
-        if self.comb_count < 1:
-            raise ValueError(f"comb_count must be >= 1, got {self.comb_count}")
+        _require_positive_finite("mass_kg", self.mass_kg)
+        _require_positive_finite("spring_n_per_m", self.spring_n_per_m)
+        n = self.comb_count
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n:
+            raise ValueError(f"comb_count must be an int >= 1, got {n!r}")
 
 
 class FeedbackMode(Enum):
@@ -214,12 +213,8 @@ class DriveModel:
     permittivity_f_per_m: float = VACUUM_PERMITTIVITY
 
     def __post_init__(self) -> None:
-        if self.v_in_volts <= 0.0:
-            raise ValueError(f"v_in_volts must be positive, got {self.v_in_volts}")
-        if self.permittivity_f_per_m <= 0.0:
-            raise ValueError(
-                f"permittivity_f_per_m must be positive, got {self.permittivity_f_per_m}"
-            )
+        _require_positive_finite("v_in_volts", self.v_in_volts)
+        _require_positive_finite("permittivity_f_per_m", self.permittivity_f_per_m)
 
 
 def displacement(mech: MechanicalModel, accel_m_s2: float) -> float:
@@ -303,12 +298,30 @@ class ValidityReport:
         return self.ok
 
 
-def side_gap_bounds(kind: FaceKind, profile: ArcProfile) -> tuple[float, float]:
-    """Open interval of admissible closed-form gaps for one face kind."""
+def side_gap_bounds(
+    kind: FaceKind, profile: ArcProfile | PlanarProfile
+) -> tuple[float, float]:
+    """Open interval (lo, hi) of admissible closed-form gaps for one face.
+
+    The one domain rule: closed forms, validate_geometry and the travel
+    check all test a gap as lo < g < hi, which NaN fails. Convex and flat
+    faces need g > 0, concave ones sagitta + CONCAVE_EDGE_MARGIN_REL*R < g < 2R.
+    """
     if kind is FaceKind.CONCAVE:
         lo = profile.sagitta() + CONCAVE_EDGE_MARGIN_REL * profile.radius_m
         return lo, 2.0 * profile.radius_m
     return 0.0, math.inf
+
+
+# validate_geometry rule names: (gap <= lo, gap >= hi) of side_gap_bounds
+_RULES = {
+    FaceKind.CONVEX: ("gap not positive", "gap not finite"),
+    FaceKind.FLAT: ("gap not positive", "gap not finite"),
+    FaceKind.CONCAVE: (
+        "concave edge contact (gap <= sagitta + margin)",
+        "concave gap outside formula domain (gap >= 2R)",
+    ),
+}
 
 
 def validate_geometry(
@@ -318,13 +331,13 @@ def validate_geometry(
 ) -> ValidityReport:
     """Check that both displaced gaps are physically and analytically valid.
 
-    Rules per side (g is the side's displaced closed-form gap):
-    convex and flat faces need g > 0; concave faces need
-    sagitta + margin < g < 2R, where the margin is CONCAVE_EDGE_MARGIN_REL
-    times R (closer than that, the closed form diverges at the arc edge).
+    Each side's displaced closed-form gap g must lie inside
+    side_gap_bounds for its face kind; a side that fails gets one
+    violation naming the bound it crossed. The report is ok exactly when
+    both closed forms evaluate at the displaced gaps.
 
     Never raises; returns a structured report with per-side minimum
-    physical gaps and, for concave sides, the atanh argument whose
+    physical gaps and, for valid concave sides, the atanh argument whose
     approach to 1 signals edge contact.
 
     Args:
@@ -338,26 +351,18 @@ def validate_geometry(
     sides: list[SideReport] = []
     prof = config.profile
     for side, (kind, g) in enumerate(zip(config.side_kinds(), gaps), start=1):
+        lo, hi = side_gap_bounds(kind, prof)
+        valid = lo < g < hi
+        if not valid:
+            above = g >= hi
+            margin = g - hi if above else lo - g
+            violations.append(Violation(side, _RULES[kind][above], margin))
         arg = None
         if kind is FaceKind.CONCAVE:
-            sag = prof.sagitta()
-            min_gap = g - sag  # edge gap
-            lo, hi = side_gap_bounds(kind, prof)
-            if g <= lo:
-                violations.append(
-                    Violation(side, "concave edge contact (gap <= sagitta + margin)", lo - g)
-                )
-            elif g >= hi:
-                violations.append(
-                    Violation(side, "concave gap outside formula domain (gap >= 2R)", g - hi)
-                )
-            if 0.0 < g < 2.0 * prof.radius_m:
-                arg = prof.half_tan() * math.sqrt((2.0 * prof.radius_m - g) / g)
-            elif g <= 0.0:
-                violations.append(Violation(side, "gap not positive", -g))
+            min_gap = g - prof.sagitta()  # edge gap
+            if valid:
+                arg = prof.half_tan() * math.sqrt((hi - g) / g)
         else:
             min_gap = g  # apex (convex) or uniform (flat) gap
-            if g <= 0.0:
-                violations.append(Violation(side, "gap not positive", -g))
         sides.append(SideReport(side, kind, g, min_gap, arg))
     return ValidityReport(not violations, tuple(violations), tuple(sides))

@@ -31,7 +31,6 @@ from .model import (
     GapState,
     MechanicalModel,
     Variant,
-    side_nominal_gaps,
     validate_geometry,
 )
 from .transduction import (
@@ -183,13 +182,20 @@ def _echo(plan: SweepPlan) -> dict:
     }
 
 
-def _validity_reason(
-    config: ElectrodeConfig, gap: GapState, anchor: GapAnchor
-) -> str | None:
-    report = validate_geometry(config, gap, anchor)
-    if report.ok:
-        return None
-    return "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
+def _resolve_cell(
+    plan: SweepPlan, variant: Variant, profile: ArcProfile
+) -> tuple[ElectrodeConfig, float, float]:
+    """Config and per-side nominal gaps of one plan cell; raises ValueError
+    carrying the skip reason when the rest geometry is invalid."""
+    config = ElectrodeConfig.for_variant(variant, profile)
+    report = validate_geometry(config, plan.gap, plan.gap_anchor)
+    if not report.ok:
+        raise ValueError(
+            "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
+        )
+    # the plan gap is at rest, so each reported side gap is its nominal gap
+    side1, side2 = report.sides
+    return config, side1.closed_form_gap_m, side2.closed_form_gap_m
 
 
 def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
@@ -208,19 +214,12 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
         for arc in arcs:
             try:
                 prof = _profile_at(plan, arc)
+                config, d1, d2 = _resolve_cell(plan, variant, prof)
             except ValueError as err:
                 skipped.append(
                     {"variant": variant.value, "arc_length_m": arc, "reason": str(err)}
                 )
                 continue
-            config = ElectrodeConfig.for_variant(variant, prof)
-            reason = _validity_reason(config, plan.gap, plan.gap_anchor)
-            if reason is not None:
-                skipped.append(
-                    {"variant": variant.value, "arc_length_m": arc, "reason": reason}
-                )
-                continue
-            d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
             s = sensitivity_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
             bridge = bridge_at_side_nominals(config, d1, d2, 0.0, plan.drive)
             g0 = -(bridge.c2_f - bridge.c1_f) / bridge.c_fb_f
@@ -262,14 +261,13 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     over_range: list[dict] = []
     slopes: dict[str, float] = {}
     for variant in _ordered_variants(plan.variants):
-        config = ElectrodeConfig.for_variant(variant, prof)
-        reason = _validity_reason(config, plan.gap, plan.gap_anchor)
-        if reason is not None:
+        try:
+            config, d1, d2 = _resolve_cell(plan, variant, prof)
+        except ValueError as err:
             over_range.append(
-                {"variant": variant.value, "accel_g": None, "reason": reason}
+                {"variant": variant.value, "accel_g": None, "reason": str(err)}
             )
             continue
-        d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
         xs: list[float] = []
         ys: list[float] = []
         for a_g in accels_g:
@@ -331,13 +329,12 @@ _ARC_TOL_M = 1e-10
 
 def _sensitivity_at_arc(plan: SweepPlan, variant: Variant, arc_length_m: float) -> float:
     prof = _profile_at(plan, arc_length_m)
-    config = ElectrodeConfig.for_variant(variant, prof)
-    reason = _validity_reason(config, plan.gap, plan.gap_anchor)
-    if reason is not None:
+    try:
+        config, d1, d2 = _resolve_cell(plan, variant, prof)
+    except ValueError as err:
         raise ValueError(
-            f"invalid geometry for {variant.value} at arc {arc_length_m} m: {reason}"
-        )
-    d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+            f"invalid geometry for {variant.value} at arc {arc_length_m} m: {err}"
+        ) from None
     return sensitivity_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
 
 

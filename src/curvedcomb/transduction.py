@@ -84,21 +84,17 @@ class OverRangeError(ValueError):
         self.displacement_m = displacement_m
 
 
-def _side_faces(
-    config: ElectrodeConfig,
-) -> tuple[tuple[FaceKind, ArcProfile | PlanarProfile], ...]:
-    out = []
-    for kind in config.side_kinds():
-        prof: ArcProfile | PlanarProfile
-        prof = config.planar_face if kind is FaceKind.FLAT else config.profile
-        out.append((kind, prof))
-    return tuple(out)
+_Faces = tuple[tuple[FaceKind, ArcProfile | PlanarProfile], ...]
 
 
-def _face_cap(
-    config: ElectrodeConfig, side: int, gap_m: float, permittivity: float
-) -> float:
-    kind, prof = _side_faces(config)[side - 1]
+def _side_faces(config: ElectrodeConfig) -> _Faces:
+    flat, arc = config.planar_face, config.profile
+    faces = [(k, flat if k is FaceKind.FLAT else arc) for k in config.side_kinds()]
+    return tuple(faces)
+
+
+def _face_cap(faces: _Faces, side: int, gap_m: float, permittivity: float) -> float:
+    kind, prof = faces[side - 1]
     try:
         return face_capacitance(kind, prof, gap_m, permittivity)
     except GeometryDomainError as err:
@@ -115,36 +111,34 @@ def allowed_displacement_interval(
     d1 and d2 are the per-side closed-form nominal gaps; side 1 sees
     d1 - delta and side 2 sees d2 + delta.
     """
-    faces = _side_faces(config)
-    lo1, hi1 = _bounds_for(faces[0])
-    lo2, hi2 = _bounds_for(faces[1])
+    (k1, p1), (k2, p2) = _side_faces(config)
+    lo1, hi1 = side_gap_bounds(k1, p1)
+    lo2, hi2 = side_gap_bounds(k2, p2)
     lo = max(d1 - hi1, lo2 - d2)
     hi = min(d1 - lo1, hi2 - d2)
     return lo, hi
 
 
-def _bounds_for(face: tuple[FaceKind, ArcProfile | PlanarProfile]) -> tuple[float, float]:
-    kind, prof = face
-    if kind is FaceKind.FLAT:
-        return 0.0, float("inf")
-    assert isinstance(prof, ArcProfile)
-    return side_gap_bounds(kind, prof)
-
-
 def _check_range(
     config: ElectrodeConfig,
+    faces: _Faces,
     d1: float,
     d2: float,
     mech: MechanicalModel,
     delta: float,
     accel: float,
 ) -> None:
-    lo, hi = allowed_displacement_interval(config, d1, d2)
-    if lo < delta < hi:
+    # test the displaced gaps the closed forms will see, so a passing check
+    # always evaluates; the open intervals also reject a NaN displacement
+    (k1, p1), (k2, p2) = faces
+    lo1, hi1 = side_gap_bounds(k1, p1)
+    lo2, hi2 = side_gap_bounds(k2, p2)
+    if lo1 < d1 - delta < hi1 and lo2 < d2 + delta < hi2:
         return
-    # first acceleration at which the travel leaves the valid interval,
-    # approached from rest along the sign of the request
-    bound = hi if delta >= hi else lo
+    lo, hi = allowed_displacement_interval(config, d1, d2)
+    # first invalid acceleration: the interval bound nearer the request (the
+    # gap test can fail a displacement the interval still holds by an ulp)
+    bound = hi if hi - delta <= delta - lo else lo
     first_bad = bound * mech.spring_n_per_m / mech.mass_kg
     raise OverRangeError(
         f"displacement {delta} m leaves the valid interval ({lo}, {hi}) m for "
@@ -163,14 +157,15 @@ def bridge_at_side_nominals(
     drive: DriveModel,
 ) -> BridgeState:
     """Bridge capacitances with independently placed sides."""
+    faces = _side_faces(config)
     eps = drive.permittivity_f_per_m
-    c1 = _face_cap(config, 1, d1 - delta_m, eps)
-    c2 = _face_cap(config, 2, d2 + delta_m, eps)
+    c1 = _face_cap(faces, 1, d1 - delta_m, eps)
+    c2 = _face_cap(faces, 2, d2 + delta_m, eps)
     if drive.feedback_mode is FeedbackMode.MATCHED_SUM:
         c_fb = c1 + c2
     else:
         # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
-        c_fb = _face_cap(config, 1, d1, eps) + _face_cap(config, 2, d2, eps)
+        c_fb = _face_cap(faces, 1, d1, eps) + _face_cap(faces, 2, d2, eps)
     return BridgeState(c1, c2, c_fb)
 
 
@@ -198,7 +193,7 @@ def gain_at_side_nominals(
 ) -> TransductionPoint:
     """Gain evaluation with independently placed sides."""
     delta = displacement(mech, accel_m_s2)
-    _check_range(config, d1, d2, mech, delta, accel_m_s2)
+    _check_range(config, _side_faces(config), d1, d2, mech, delta, accel_m_s2)
     bridge = bridge_at_side_nominals(config, d1, d2, delta, drive)
     g = -(bridge.c2_f - bridge.c1_f) / bridge.c_fb_f
     return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
@@ -235,20 +230,18 @@ def sensitivity_at_side_nominals(
 ) -> float:
     """Analytic sensitivity with independently placed sides (V per g)."""
     delta = displacement(mech, accel_m_s2)
-    _check_range(config, d1, d2, mech, delta, accel_m_s2)
-    eps = drive.permittivity_f_per_m
     faces = _side_faces(config)
-    g1 = d1 - delta
-    g2 = d2 + delta
-    c1 = _face_cap(config, 1, g1, eps)
-    c2 = _face_cap(config, 2, g2, eps)
-    # dC1/ddelta = -dC/dd at g1; dC2/ddelta = +dC/dd at g2
-    c1_slope = -dcap_dgap(faces[0][0], faces[0][1], g1, eps)
-    c2_slope = dcap_dgap(faces[1][0], faces[1][1], g2, eps)
-    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:
-        dg_ddelta = -2.0 * (c2_slope * c1 - c1_slope * c2) / (c1 + c2) ** 2
+    (k1, p1), (k2, p2) = faces
+    _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
+    bridge = bridge_at_side_nominals(config, d1, d2, delta, drive)
+    c1, c2, c_fb = bridge.c1_f, bridge.c2_f, bridge.c_fb_f
+    eps = drive.permittivity_f_per_m
+    # dC1/ddelta = -dC/dd at d1 - delta; dC2/ddelta = +dC/dd at d2 + delta
+    c1_slope = -dcap_dgap(k1, p1, d1 - delta, eps)
+    c2_slope = dcap_dgap(k2, p2, d2 + delta, eps)
+    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:  # c_fb = c1 + c2
+        dg_ddelta = -2.0 * (c2_slope * c1 - c1_slope * c2) / c_fb**2
     else:
-        c_fb = _face_cap(config, 1, d1, eps) + _face_cap(config, 2, d2, eps)
         dg_ddelta = -(c2_slope - c1_slope) / c_fb
     per_ms2 = drive.v_in_volts * (mech.mass_kg / mech.spring_n_per_m) * dg_ddelta
     return per_ms2 * STANDARD_GRAVITY
@@ -303,10 +296,9 @@ def fd_sensitivity(
     """
     delta = displacement(mech, accel_m_s2)
     if spec is None:
+        _check_range(config, _side_faces(config), d1, d2, mech, delta, accel_m_s2)
         lo, hi = allowed_displacement_interval(config, d1, d2)
         margin = min(hi - delta, delta - lo)
-        if margin <= 0.0:
-            _check_range(config, d1, d2, mech, delta, accel_m_s2)
         a_margin = margin * mech.spring_n_per_m / mech.mass_kg
         rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
         spec = FiniteDiffSpec(FiniteDiffScheme.RICHARDSON_CENTRAL, rel_step)

@@ -99,6 +99,24 @@ class TestConfigFile:
         code, _, err = run(capsys, "compare", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"geometry": {"r_um": "100"}}, "geometry.r_um"),
+            ({"gap_um": None}, "gap_um"),
+            ({"mech": {"combs": 2.5}}, "mech.combs"),
+            ({"mech": {"combs": True}}, "mech.combs"),
+            ({"sweep": {"variants": "Biconvex"}}, "sweep.variants"),
+            ({"output": {"csv": 3}}, "output.csv"),
+        ],
+    )
+    def test_leaf_of_wrong_type_names_its_path(self, tmp_path, capsys, doc, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == 2
+        assert path in err
+
     def test_phi_and_arc_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"geometry": {"phi_rad": 0.2, "arc_um": 20.0}}')
@@ -216,6 +234,13 @@ class TestValidateCommand:
         )
         assert code == 3
         assert "verification failure" in err
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_points_below_one_is_usage_error(self, capsys, points):
+        code, out, err = run(capsys, "validate", "--points", points)
+        assert code == 1
+        assert "--points" in err
+        assert out == ""
 
     def test_contact_config_rejected_before_suites(self, capsys):
         code, _, err = run(capsys, "validate", "--arc-um", "60", "--gap-um", "0.4")

@@ -4,6 +4,7 @@ import pytest
 
 from curvedcomb import (
     ArcProfile,
+    DriveModel,
     ElectrodeConfig,
     FaceKind,
     GapAnchor,
@@ -18,6 +19,8 @@ from curvedcomb import (
     validate_geometry,
 )
 
+NAN = float("nan")
+INF = float("inf")
 ALL_VARIANTS = tuple(Variant)
 CURVED_VARIANTS = tuple(v for v in Variant if v is not Variant.PLANAR)
 
@@ -36,7 +39,9 @@ class TestArcProfile:
     @pytest.mark.parametrize(
         "r, phi, h",
         [(0.0, 0.2, 2e-6), (-1e-6, 0.2, 2e-6), (100e-6, -0.1, 2e-6),
-         (100e-6, math.pi, 2e-6), (100e-6, 0.2, 0.0)],
+         (100e-6, math.pi, 2e-6), (100e-6, 0.2, 0.0),
+         (NAN, 0.2, 2e-6), (INF, 0.2, 2e-6), (100e-6, NAN, 2e-6),
+         (100e-6, 0.2, NAN), (100e-6, 0.2, INF)],
     )
     def test_rejects_bad_parameters(self, r, phi, h):
         with pytest.raises(ValueError):
@@ -54,7 +59,9 @@ class TestPlanarProfile:
         f = PlanarProfile(20e-6, 2e-6)
         assert f.length_m == 20e-6
 
-    @pytest.mark.parametrize("b, h", [(0.0, 2e-6), (20e-6, -1e-6)])
+    @pytest.mark.parametrize(
+        "b, h", [(0.0, 2e-6), (20e-6, -1e-6), (NAN, 2e-6), (INF, 2e-6), (20e-6, NAN)]
+    )
     def test_rejects_bad_parameters(self, b, h):
         with pytest.raises(ValueError):
             PlanarProfile(b, h)
@@ -66,6 +73,13 @@ class TestGapState:
             GapState(0.0)
         with pytest.raises(ValueError):
             GapState(-1e-6)
+
+    @pytest.mark.parametrize(
+        "gap_m, delta", [(NAN, 0.0), (INF, 0.0), (2e-6, NAN), (2e-6, -INF)]
+    )
+    def test_rejects_non_finite(self, gap_m, delta):
+        with pytest.raises(ValueError):
+            GapState(gap_m, delta)
 
     def test_displacement_is_free(self):
         # over-range displacement is caught downstream, not here
@@ -205,3 +219,18 @@ class TestMechanics:
             MechanicalModel(2.6e-10, -1.0)
         with pytest.raises(ValueError):
             MechanicalModel(2.6e-10, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "m, k, n",
+        [(NAN, 1.0, 1), (2.6e-10, INF, 1), (2.6e-10, 1.0, 2.5),
+         (2.6e-10, 1.0, True), (2.6e-10, 1.0, "21")],
+    )
+    def test_mech_rejects_non_finite_and_non_int(self, m, k, n):
+        with pytest.raises(ValueError):
+            MechanicalModel(m, k, n)
+
+    @pytest.mark.parametrize("v, eps", [(0.0, 8.854e-12), (NAN, 8.854e-12),
+                                        (INF, 8.854e-12), (1.0, -1.0), (1.0, NAN)])
+    def test_drive_validation(self, v, eps):
+        with pytest.raises(ValueError):
+            DriveModel(v, permittivity_f_per_m=eps)

@@ -220,18 +220,10 @@ class TestMaximizeSensitivity:
         lo, hi = DEFAULT_ARC_BOUNDS_M
         arc_best, s_best = maximize_sensitivity(variant, (lo, hi), plan)
         n = 200
-        grid_best = max(
-            abs(
-                sensitivity_sweep(
-                    make_plan(
-                        variants=(variant,), arc_range_m=(lo, hi), arc_points=n
-                    )
-                )
-                .rows[i]
-                .s_mv_per_g
-            )
-            for i in range(n)
-        )
+        rows = sensitivity_sweep(
+            make_plan(variants=(variant,), arc_range_m=(lo, hi), arc_points=n)
+        ).rows
+        grid_best = max(abs(rows[i].s_mv_per_g) for i in range(n))
         assert abs(s_best) * 1e3 >= grid_best * (1 - 1e-12)
         assert lo <= arc_best <= hi
 
