@@ -6,9 +6,12 @@ apex-to-plane distance for a convex face and the center distance for a
 concave face. Face placement conventions (see model.GapAnchor) are
 resolved by callers before these functions are reached.
 
-The gap derivatives are hand-differentiated from the closed forms and are
-cross-checked against Richardson finite differences in the test suite;
-all sensitivity math downstream is built on them via the chain rule.
+One private kernel, _face_eval, returns C and dC/dd of a face together,
+with one domain guard and one shared square root and atan/atanh term; the
+public functions each return one half of it. The derivatives are hand-
+differentiated from the closed forms, cross-checked against Richardson
+finite differences in the test suite, and carry all sensitivity math
+downstream via the chain rule.
 """
 
 from __future__ import annotations
@@ -43,9 +46,14 @@ class GeometryDomainError(ValueError):
         self.gap_m = gap_m
 
 
-def _require_admissible_gap(
-    kind: FaceKind, profile: ArcProfile | PlanarProfile, gap_m: float
-) -> None:
+def _face_eval(
+    kind: FaceKind,
+    profile: ArcProfile | PlanarProfile,
+    gap_m: float,
+    permittivity: float,
+) -> tuple[float, float]:
+    """(C, dC/dd) of one face at its closed-form gap, in F and F/m; raises
+    GeometryDomainError if gap_m is outside side_gap_bounds."""
     lo, hi = side_gap_bounds(kind, profile)
     if not lo < gap_m < hi:
         raise GeometryDomainError(
@@ -53,6 +61,27 @@ def _require_admissible_gap(
             kind=kind,
             gap_m=gap_m,
         )
+    if kind is FaceKind.FLAT:
+        k = permittivity * profile.thickness_m * profile.length_m
+        return k / gap_m, -k / gap_m**2
+    r = profile.radius_m
+    t = profile.half_tan()
+    lead = 4.0 * permittivity * profile.thickness_m * r
+    if kind is FaceKind.CONVEX:
+        n = 2.0 * r + gap_m
+        p = gap_m * n
+        atan_term = math.atan(t * math.sqrt(n / gap_m))
+        return lead / math.sqrt(p) * atan_term, -lead * (
+            t * r / (p * (gap_m + t * t * n)) + (r + gap_m) * atan_term / p**1.5
+        )
+    m = 2.0 * r - gap_m
+    q = gap_m * m
+    # the atanh argument is < 1 whenever the edge gap is > 0, and
+    # gap - t^2 * m > 0 is its squared form, so both denominators are safe
+    atanh_term = math.atanh(t * math.sqrt(m / gap_m))
+    return lead / math.sqrt(q) * atanh_term, -lead * (
+        t * r / (q * (gap_m - t * t * m)) + (r - gap_m) * atanh_term / q**1.5
+    )
 
 
 def cap_convex(
@@ -65,21 +94,9 @@ def cap_convex(
     arc edges, so the result never exceeds the flat-face value eps*h*R*phi/d.
 
     Raises:
-        GeometryDomainError: if gap_m is outside side_gap_bounds (not > 0).
+        GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
-    _require_admissible_gap(FaceKind.CONVEX, profile, gap_m)
-    r = profile.radius_m
-    t = profile.half_tan()
-    p = gap_m * (2.0 * r + gap_m)
-    root = math.sqrt(p)
-    return (
-        4.0
-        * permittivity
-        * profile.thickness_m
-        * r
-        / root
-        * math.atan(t * math.sqrt((2.0 * r + gap_m) / gap_m))
-    )
+    return _face_eval(FaceKind.CONVEX, profile, gap_m, permittivity)[0]
 
 
 def cap_concave(
@@ -97,14 +114,7 @@ def cap_concave(
             rule for every face (edge contact within a small guard margin,
             or gap_m >= 2R, outside the real domain of the formula).
     """
-    _require_admissible_gap(FaceKind.CONCAVE, profile, gap_m)
-    r = profile.radius_m
-    t = profile.half_tan()
-    q = gap_m * (2.0 * r - gap_m)
-    arg = t * math.sqrt((2.0 * r - gap_m) / gap_m)  # < 1 whenever edge gap > 0
-    return (
-        4.0 * permittivity * profile.thickness_m * r / math.sqrt(q) * math.atanh(arg)
-    )
+    return _face_eval(FaceKind.CONCAVE, profile, gap_m, permittivity)[0]
 
 
 def cap_planar(
@@ -113,38 +123,9 @@ def cap_planar(
     """Parallel-plate capacitance eps*h*b/d (F).
 
     Raises:
-        GeometryDomainError: if gap_m is outside side_gap_bounds (not > 0).
+        GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
-    _require_admissible_gap(FaceKind.FLAT, face, gap_m)
-    return permittivity * face.thickness_m * face.length_m / gap_m
-
-
-def _dcap_convex(profile: ArcProfile, gap_m: float, permittivity: float) -> float:
-    _require_admissible_gap(FaceKind.CONVEX, profile, gap_m)
-    r = profile.radius_m
-    t = profile.half_tan()
-    n = 2.0 * r + gap_m
-    p = gap_m * n
-    lead = 4.0 * permittivity * profile.thickness_m * r
-    return -lead * (
-        t * r / (p * (gap_m + t * t * n))
-        + (r + gap_m) * math.atan(t * math.sqrt(n / gap_m)) / p**1.5
-    )
-
-
-def _dcap_concave(profile: ArcProfile, gap_m: float, permittivity: float) -> float:
-    _require_admissible_gap(FaceKind.CONCAVE, profile, gap_m)
-    r = profile.radius_m
-    t = profile.half_tan()
-    m = 2.0 * r - gap_m
-    q = gap_m * m
-    lead = 4.0 * permittivity * profile.thickness_m * r
-    # gap - t^2 * m > 0 is the squared atanh-argument condition, so the
-    # first denominator is safe everywhere the capacitance is defined.
-    return -lead * (
-        t * r / (q * (gap_m - t * t * m))
-        + (r - gap_m) * math.atanh(t * math.sqrt(m / gap_m)) / q**1.5
-    )
+    return _face_eval(FaceKind.FLAT, face, gap_m, permittivity)[0]
 
 
 def dcap_dgap(
@@ -165,15 +146,7 @@ def dcap_dgap(
         gap_m: closed-form gap of the face (m).
         permittivity: dielectric permittivity (F/m).
     """
-    if kind is FaceKind.CONVEX:
-        assert isinstance(profile, ArcProfile)
-        return _dcap_convex(profile, gap_m, permittivity)
-    if kind is FaceKind.CONCAVE:
-        assert isinstance(profile, ArcProfile)
-        return _dcap_concave(profile, gap_m, permittivity)
-    assert isinstance(profile, PlanarProfile)
-    _require_admissible_gap(FaceKind.FLAT, profile, gap_m)
-    return -permittivity * profile.thickness_m * profile.length_m / gap_m**2
+    return _face_eval(kind, profile, gap_m, permittivity)[1]
 
 
 def face_capacitance(
@@ -183,11 +156,4 @@ def face_capacitance(
     permittivity: float = VACUUM_PERMITTIVITY,
 ) -> float:
     """Capacitance of one face by kind; profile type must match the kind."""
-    if kind is FaceKind.CONVEX:
-        assert isinstance(profile, ArcProfile)
-        return cap_convex(profile, gap_m, permittivity)
-    if kind is FaceKind.CONCAVE:
-        assert isinstance(profile, ArcProfile)
-        return cap_concave(profile, gap_m, permittivity)
-    assert isinstance(profile, PlanarProfile)
-    return cap_planar(profile, gap_m, permittivity)
+    return _face_eval(kind, profile, gap_m, permittivity)[0]

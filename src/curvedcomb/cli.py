@@ -26,7 +26,7 @@ from .capacitance import (
     GeometryDomainError,
     cap_concave,
     cap_convex,
-    cap_planar,
+    face_capacitance,
 )
 from .model import (
     STANDARD_GRAVITY,
@@ -432,15 +432,11 @@ def cmd_capacitance(cfg: RunConfig, args: argparse.Namespace) -> int:
     kind = FaceKind(args.kind)
     eps = cfg.permittivity
     gap = cfg.gap_um * UM
-    if kind is FaceKind.FLAT:
-        face = cfg.planar_face()
-        value = cap_planar(face, gap, eps)
-        profile: ArcProfile | PlanarProfile = face
-        print(f"flat face: b = {face.length_m / UM:g} um, h = {face.thickness_m / UM:g} um")
+    prof = cfg.planar_face() if kind is FaceKind.FLAT else cfg.profile()
+    value = face_capacitance(kind, prof, gap, eps)
+    if isinstance(prof, PlanarProfile):
+        print(f"flat face: b = {prof.length_m / UM:g} um, h = {prof.thickness_m / UM:g} um")
     else:
-        prof = cfg.profile()
-        value = (cap_convex if kind is FaceKind.CONVEX else cap_concave)(prof, gap, eps)
-        profile = prof
         print(
             f"{kind.value} face: R = {prof.radius_m / UM:g} um, "
             f"phi = {prof.angular_extent_rad:g} rad, "
@@ -449,7 +445,7 @@ def cmd_capacitance(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"gap = {cfg.gap_um:g} um")
     print(f"C = {_sci(value)} F")
     if args.verify:
-        oracle = quad_capacitance(kind, profile, gap, eps)
+        oracle = quad_capacitance(kind, prof, gap, eps)
         rel = abs(value - oracle.value) / abs(oracle.value)
         print(
             f"quadrature oracle = {_sci(oracle.value)} F "

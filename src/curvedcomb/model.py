@@ -304,16 +304,22 @@ def side_gap_bounds(
     """Open interval (lo, hi) of admissible closed-form gaps for one face.
 
     The one domain rule: closed forms, validate_geometry and the travel
-    check all test a gap as lo < g < hi, which NaN fails. Convex and flat
-    faces need g > 0, concave ones sagitta + CONCAVE_EDGE_MARGIN_REL*R < g < 2R.
+    check all test a gap as lo < g < hi, which NaN fails. Concave faces
+    need sagitta + CONCAVE_EDGE_MARGIN_REL*R < g < 2R. Convex and flat
+    faces need g above the floor 2**-340 (about 4.5e-103 m): the flat form
+    divides by g**2 and the convex one by p*(g + T**2*n) and p**1.5, with
+    n = 2R + g and p = g*n, all >= g**3; 2**-340 is the smallest power of
+    two whose cube is a normal float, so above it no divisor underflows,
+    whatever the profile.
     """
     if kind is FaceKind.CONCAVE:
         lo = profile.sagitta() + CONCAVE_EDGE_MARGIN_REL * profile.radius_m
         return lo, 2.0 * profile.radius_m
-    return 0.0, math.inf
+    return 2.0**-340, math.inf
 
 
-# validate_geometry rule names: (gap <= lo, gap >= hi) of side_gap_bounds
+# validate_geometry rule names: (gap <= lo, gap >= hi) of side_gap_bounds;
+# "gap not positive" also covers the positive gaps up to the gap floor
 _RULES = {
     FaceKind.CONVEX: ("gap not positive", "gap not finite"),
     FaceKind.FLAT: ("gap not positive", "gap not finite"),

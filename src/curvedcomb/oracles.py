@@ -76,12 +76,13 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be >= 0 and finite, got {self.abs_tol}")
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n:
+            raise ValueError(f"max_subdivisions must be an int >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +237,9 @@ class FiniteDiffSpec:
     base_step: float | None = None
 
     def __post_init__(self) -> None:
-        if self.base_step is not None and self.base_step <= 0.0:
-            raise ValueError(f"base_step must be positive, got {self.base_step}")
+        step = self.base_step
+        if step is not None and not 0.0 < step < math.inf:
+            raise ValueError(f"base_step must be positive and finite, got {step}")
 
 
 @dataclass(frozen=True)

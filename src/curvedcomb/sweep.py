@@ -31,12 +31,15 @@ from .model import (
     GapState,
     MechanicalModel,
     Variant,
+    side_gap_bounds,
+    side_nominal_gaps,
     validate_geometry,
 )
 from .transduction import (
     OverRangeError,
-    bridge_at_side_nominals,
-    gain_at_side_nominals,
+    _gain_point,
+    _operating_point,
+    _sensitivity,
     net_sensitivity,
     sensitivity_at_side_nominals,
 )
@@ -182,20 +185,49 @@ def _echo(plan: SweepPlan) -> dict:
     }
 
 
-def _resolve_cell(
-    plan: SweepPlan, variant: Variant, profile: ArcProfile
-) -> tuple[ElectrodeConfig, float, float]:
+# a resolved plan cell: config and the per-side nominal gaps d1, d2
+_Cell = tuple[ElectrodeConfig, float, float]
+
+
+def _resolve_cell(plan: SweepPlan, variant: Variant, profile: ArcProfile) -> _Cell:
     """Config and per-side nominal gaps of one plan cell; raises ValueError
-    carrying the skip reason when the rest geometry is invalid."""
+    carrying the skip reason when the rest geometry is invalid. At rest,
+    side_gap_bounds on the nominal gaps is validate_geometry's rule; the
+    report is built only to word the reason of a rejected cell."""
     config = ElectrodeConfig.for_variant(variant, profile)
-    report = validate_geometry(config, plan.gap, plan.gap_anchor)
-    if not report.ok:
+    d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+    (k1, k2), prof = config.side_kinds(), config.profile
+    (lo1, hi1), (lo2, hi2) = side_gap_bounds(k1, prof), side_gap_bounds(k2, prof)
+    if not (lo1 < d1 < hi1 and lo2 < d2 < hi2):
+        report = validate_geometry(config, plan.gap, plan.gap_anchor)
         raise ValueError(
             "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
         )
-    # the plan gap is at rest, so each reported side gap is its nominal gap
-    side1, side2 = report.sides
-    return config, side1.closed_form_gap_m, side2.closed_form_gap_m
+    return config, d1, d2
+
+
+def _row(plan: SweepPlan, cell: _Cell, arc_length_m: float, accel_g: float) -> SweepRow:
+    """One row from one evaluation of a resolved cell at one acceleration;
+    raises OverRangeError when the travel leaves the valid gap range."""
+    a = accel_g * STANDARD_GRAVITY
+    delta, ev = _operating_point(*cell, plan.mech, plan.drive, a)
+    point = _gain_point(a, delta, ev, plan.drive)
+    s = _sensitivity(ev, plan.mech, plan.drive)
+    config = cell[0]
+    return SweepRow(
+        variant=config.variant,
+        arc_length_m=arc_length_m,
+        radius_m=config.profile.radius_m,
+        phi_rad=config.profile.angular_extent_rad,
+        accel_g=accel_g,
+        displacement_m=point.displacement_m,
+        c1_f=point.bridge.c1_f,
+        c2_f=point.bridge.c2_f,
+        gain=point.gain,
+        v_out_v=point.v_out_volts,
+        s_mv_per_g=s * 1e3,
+        s_net_mv_per_g=net_sensitivity(s, plan.mech) * 1e3,
+    )
 
 
 def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
@@ -214,31 +246,13 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
         for arc in arcs:
             try:
                 prof = _profile_at(plan, arc)
-                config, d1, d2 = _resolve_cell(plan, variant, prof)
+                cell = _resolve_cell(plan, variant, prof)
             except ValueError as err:
                 skipped.append(
                     {"variant": variant.value, "arc_length_m": arc, "reason": str(err)}
                 )
                 continue
-            s = sensitivity_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
-            bridge = bridge_at_side_nominals(config, d1, d2, 0.0, plan.drive)
-            g0 = -(bridge.c2_f - bridge.c1_f) / bridge.c_fb_f
-            rows.append(
-                SweepRow(
-                    variant=variant,
-                    arc_length_m=arc,
-                    radius_m=prof.radius_m,
-                    phi_rad=prof.angular_extent_rad,
-                    accel_g=0.0,
-                    displacement_m=0.0,
-                    c1_f=bridge.c1_f,
-                    c2_f=bridge.c2_f,
-                    gain=g0,
-                    v_out_v=plan.drive.v_in_volts * g0,
-                    s_mv_per_g=s * 1e3,
-                    s_net_mv_per_g=net_sensitivity(s, plan.mech) * 1e3,
-                )
-            )
+            rows.append(_row(plan, cell, arc, 0.0))
     if not rows:
         raise ValueError(
             "no valid grid points in the sweep plan; first reason: "
@@ -262,7 +276,7 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     slopes: dict[str, float] = {}
     for variant in _ordered_variants(plan.variants):
         try:
-            config, d1, d2 = _resolve_cell(plan, variant, prof)
+            cell = _resolve_cell(plan, variant, prof)
         except ValueError as err:
             over_range.append(
                 {"variant": variant.value, "accel_g": None, "reason": str(err)}
@@ -271,35 +285,16 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
         xs: list[float] = []
         ys: list[float] = []
         for a_g in accels_g:
-            a = a_g * STANDARD_GRAVITY
             try:
-                point = gain_at_side_nominals(config, d1, d2, plan.mech, plan.drive, a)
-                s = sensitivity_at_side_nominals(
-                    config, d1, d2, plan.mech, plan.drive, a
-                )
+                row = _row(plan, cell, prof.arc_length(), a_g)
             except OverRangeError as err:
                 over_range.append(
                     {"variant": variant.value, "accel_g": a_g, "reason": str(err)}
                 )
                 continue
             xs.append(a_g)
-            ys.append(point.v_out_volts)
-            rows.append(
-                SweepRow(
-                    variant=variant,
-                    arc_length_m=prof.arc_length(),
-                    radius_m=prof.radius_m,
-                    phi_rad=prof.angular_extent_rad,
-                    accel_g=a_g,
-                    displacement_m=point.displacement_m,
-                    c1_f=point.bridge.c1_f,
-                    c2_f=point.bridge.c2_f,
-                    gain=point.gain,
-                    v_out_v=point.v_out_volts,
-                    s_mv_per_g=s * 1e3,
-                    s_net_mv_per_g=net_sensitivity(s, plan.mech) * 1e3,
-                )
-            )
+            ys.append(row.v_out_v)
+            rows.append(row)
         if len(xs) >= 2:
             slopes[variant.value] = _least_squares_slope(xs, ys) * 1e3  # mV per g
     if not rows:

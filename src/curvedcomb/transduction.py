@@ -12,13 +12,17 @@ Every operation here takes the closed-form gap of each side. Placement
 conventions (model.GapAnchor) map a shared nominal gap to per-side
 values, which the *_at_side_nominals forms accept directly; the plain
 forms apply one gap to both sides.
+
+Each public call checks the travel range once, then reads bridge, gain
+and sensitivity off one evaluation: one fused (C, dC/dd) kernel call per
+side, plus one per side at rest under nominal feedback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .capacitance import GeometryDomainError, dcap_dgap, face_capacitance
+from .capacitance import GeometryDomainError, _face_eval
 from .model import (
     STANDARD_GRAVITY,
     ArcProfile,
@@ -85,6 +89,8 @@ class OverRangeError(ValueError):
 
 
 _Faces = tuple[tuple[FaceKind, ArcProfile | PlanarProfile], ...]
+# (C1, dC1/dd, C2, dC2/dd, C_fb) of one bridge evaluation
+_Evaluation = tuple[float, float, float, float, float]
 
 
 def _side_faces(config: ElectrodeConfig) -> _Faces:
@@ -93,14 +99,30 @@ def _side_faces(config: ElectrodeConfig) -> _Faces:
     return tuple(faces)
 
 
-def _face_cap(faces: _Faces, side: int, gap_m: float, permittivity: float) -> float:
+def _face(faces: _Faces, side: int, gap_m: float, eps: float) -> tuple[float, float]:
     kind, prof = faces[side - 1]
     try:
-        return face_capacitance(kind, prof, gap_m, permittivity)
+        return _face_eval(kind, prof, gap_m, eps)
     except GeometryDomainError as err:
         raise GeometryDomainError(
             f"side {side}: {err}", kind=err.kind, gap_m=err.gap_m
         ) from None
+
+
+def _evaluate(
+    faces: _Faces, d1: float, d2: float, delta_m: float, drive: DriveModel
+) -> _Evaluation:
+    """C1, dC1/dd, C2, dC2/dd and C_fb with side 1 at d1 - delta and side 2
+    at d2 + delta. Domain errors name the offending side."""
+    eps = drive.permittivity_f_per_m
+    c1, dc1 = _face(faces, 1, d1 - delta_m, eps)
+    c2, dc2 = _face(faces, 2, d2 + delta_m, eps)
+    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:
+        c_fb = c1 + c2
+    else:
+        # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
+        c_fb = _face(faces, 1, d1, eps)[0] + _face(faces, 2, d2, eps)[0]
+    return c1, dc1, c2, dc2, c_fb
 
 
 def allowed_displacement_interval(
@@ -157,15 +179,7 @@ def bridge_at_side_nominals(
     drive: DriveModel,
 ) -> BridgeState:
     """Bridge capacitances with independently placed sides."""
-    faces = _side_faces(config)
-    eps = drive.permittivity_f_per_m
-    c1 = _face_cap(faces, 1, d1 - delta_m, eps)
-    c2 = _face_cap(faces, 2, d2 + delta_m, eps)
-    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:
-        c_fb = c1 + c2
-    else:
-        # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
-        c_fb = _face_cap(faces, 1, d1, eps) + _face_cap(faces, 2, d2, eps)
+    c1, _, c2, _, c_fb = _evaluate(_side_faces(config), d1, d2, delta_m, drive)
     return BridgeState(c1, c2, c_fb)
 
 
@@ -183,6 +197,43 @@ def bridge_capacitances(
     )
 
 
+def _operating_point(
+    config: ElectrodeConfig,
+    d1: float,
+    d2: float,
+    mech: MechanicalModel,
+    drive: DriveModel,
+    accel_m_s2: float,
+) -> tuple[float, _Evaluation]:
+    """Displacement and bridge evaluation at one acceleration, after the
+    one range check of the call."""
+    delta = displacement(mech, accel_m_s2)
+    faces = _side_faces(config)
+    _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
+    return delta, _evaluate(faces, d1, d2, delta, drive)
+
+
+def _gain_point(
+    accel_m_s2: float, delta: float, ev: _Evaluation, drive: DriveModel
+) -> TransductionPoint:
+    c1, _, c2, _, c_fb = ev
+    g = -(c2 - c1) / c_fb
+    bridge = BridgeState(c1, c2, c_fb)
+    return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
+
+
+def _sensitivity(ev: _Evaluation, mech: MechanicalModel, drive: DriveModel) -> float:
+    """dV_out/da in volts per g by the chain rule over one evaluation."""
+    c1, dc1, c2, dc2, c_fb = ev
+    # dC1/ddelta = -dc1 (side 1 narrows), dC2/ddelta = +dc2 (side 2 widens)
+    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:  # c_fb = c1 + c2
+        dg_ddelta = -2.0 * (dc2 * c1 + dc1 * c2) / c_fb**2
+    else:
+        dg_ddelta = -(dc2 + dc1) / c_fb
+    per_ms2 = drive.v_in_volts * (mech.mass_kg / mech.spring_n_per_m) * dg_ddelta
+    return per_ms2 * STANDARD_GRAVITY
+
+
 def gain_at_side_nominals(
     config: ElectrodeConfig,
     d1: float,
@@ -192,11 +243,8 @@ def gain_at_side_nominals(
     accel_m_s2: float,
 ) -> TransductionPoint:
     """Gain evaluation with independently placed sides."""
-    delta = displacement(mech, accel_m_s2)
-    _check_range(config, _side_faces(config), d1, d2, mech, delta, accel_m_s2)
-    bridge = bridge_at_side_nominals(config, d1, d2, delta, drive)
-    g = -(bridge.c2_f - bridge.c1_f) / bridge.c_fb_f
-    return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
+    delta, ev = _operating_point(config, d1, d2, mech, drive, accel_m_s2)
+    return _gain_point(accel_m_s2, delta, ev, drive)
 
 
 def gain(
@@ -229,22 +277,8 @@ def sensitivity_at_side_nominals(
     accel_m_s2: float = 0.0,
 ) -> float:
     """Analytic sensitivity with independently placed sides (V per g)."""
-    delta = displacement(mech, accel_m_s2)
-    faces = _side_faces(config)
-    (k1, p1), (k2, p2) = faces
-    _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
-    bridge = bridge_at_side_nominals(config, d1, d2, delta, drive)
-    c1, c2, c_fb = bridge.c1_f, bridge.c2_f, bridge.c_fb_f
-    eps = drive.permittivity_f_per_m
-    # dC1/ddelta = -dC/dd at d1 - delta; dC2/ddelta = +dC/dd at d2 + delta
-    c1_slope = -dcap_dgap(k1, p1, d1 - delta, eps)
-    c2_slope = dcap_dgap(k2, p2, d2 + delta, eps)
-    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:  # c_fb = c1 + c2
-        dg_ddelta = -2.0 * (c2_slope * c1 - c1_slope * c2) / c_fb**2
-    else:
-        dg_ddelta = -(c2_slope - c1_slope) / c_fb
-    per_ms2 = drive.v_in_volts * (mech.mass_kg / mech.spring_n_per_m) * dg_ddelta
-    return per_ms2 * STANDARD_GRAVITY
+    _, ev = _operating_point(config, d1, d2, mech, drive, accel_m_s2)
+    return _sensitivity(ev, mech, drive)
 
 
 def sensitivity(

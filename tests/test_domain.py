@@ -58,10 +58,8 @@ def around(x: float) -> list[float]:
 
 
 def finite_bounds(kind: FaceKind, face) -> list[float]:
-    """The bounds of side_gap_bounds to probe: finite, and not the 0 of
-    convex and flat faces, whose upper neighbour is a subnormal gap (see
-    test_subnormal_gap_underflows)."""
-    return [b for b in side_gap_bounds(kind, face) if 0.0 < b < math.inf]
+    """The finite bounds of side_gap_bounds, the ones to probe."""
+    return [b for b in side_gap_bounds(kind, face) if b < math.inf]
 
 
 def evaluates(kind: FaceKind, face, gap_m: float) -> bool:
@@ -157,19 +155,22 @@ def test_travel_limit_is_over_range_never_domain_error(
                 assert err.first_invalid_accel_m_s2 in (lo, hi)
 
 
-@pytest.mark.xfail(raises=ZeroDivisionError, strict=True)
+@pytest.mark.parametrize("radius_m", [100e-6, 1e-300, 1e3])
 @pytest.mark.parametrize("kind", [FaceKind.CONVEX, FaceKind.FLAT])
-def test_subnormal_gap_underflows(kind, profile):
-    # Known defect: side_gap_bounds admits every gap > 0, but at the
-    # smallest positive float an intermediate of the closed form
-    # underflows to 0 and the division raises ZeroDivisionError.
-    face = profile
+def test_gap_floor_keeps_closed_forms_finite_and_nonzero(kind, radius_m):
+    # at a subnormal gap g**2 underflows to 0, so convex and flat faces
+    # admit gaps only above a positive floor; one ulp above it both
+    # closed forms are finite and nonzero, at any radius
+    face = ArcProfile(radius_m, 0.2, 2e-6)
     if kind is FaceKind.FLAT:
-        face = PlanarProfile(profile.arc_length(), profile.thickness_m)
-    gap = math.nextafter(0.0, 1.0)
-    assert side_gap_bounds(kind, face)[0] < gap
-    face_capacitance(kind, face, gap)
-    dcap_dgap(kind, face, gap)
+        face = PlanarProfile(face.arc_length(), face.thickness_m)
+    floor = side_gap_bounds(kind, face)[0]
+    assert 0.0 < floor < 1e-100
+    for gap in (math.nextafter(0.0, 1.0), floor):
+        assert not evaluates(kind, face, gap)
+    gap = math.nextafter(floor, 1.0)
+    c, dc = face_capacitance(kind, face, gap), dcap_dgap(kind, face, gap)
+    assert 0.0 < c < math.inf and -math.inf < dc < 0.0
 
 
 class TestNanIsRejected:

@@ -1,0 +1,91 @@
+"""How often the fused (C, dC/dd) face kernel runs per result.
+
+A row, curve point or optimizer step evaluates each face once: two
+kernel calls, plus the two rest capacitances of nominal feedback. Skipped
+cells and over-range points cost none. Counting calls rather than timing
+keeps this deterministic.
+"""
+
+import sys
+
+import pytest
+
+from curvedcomb import (
+    ArcProfile,
+    DriveModel,
+    FeedbackMode,
+    GapAnchor,
+    GapState,
+    MechanicalModel,
+    SweepPlan,
+    Variant,
+    capacitance,
+    gain_curve,
+    maximize_sensitivity,
+    sensitivity_sweep,
+    sweep,
+)
+from conftest import STD_GAP, STD_H, STD_PHI, STD_R
+
+CALLS_PER_POINT = {FeedbackMode.MATCHED_SUM: 2, FeedbackMode.NOMINAL: 4}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """Records every _face_eval call, at each module that binds it."""
+    calls: list = []
+    original = capacitance._face_eval
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvedcomb") and vars(module).get("_face_eval") is original:
+            monkeypatch.setattr(module, "_face_eval", counted)
+    return calls
+
+
+def make_plan(feedback: FeedbackMode) -> SweepPlan:
+    # under the face-plane anchor the long convex arcs leave no gap, and
+    # +-700 g passes the convex travel limit: both kinds of rejection occur
+    return SweepPlan(
+        variants=tuple(Variant),
+        profile=ArcProfile(STD_R, STD_PHI, STD_H),
+        gap=GapState(STD_GAP),
+        mech=MechanicalModel(2.6e-10, 1.0, 21),
+        drive=DriveModel(1.0, feedback),
+        gap_anchor=GapAnchor.FACE_PLANE,
+        arc_points=8,
+        accel_range_g=(-700.0, 700.0),
+        accel_points=5,
+    )
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_sensitivity_sweep_row(kernel_calls, feedback):
+    result = sensitivity_sweep(make_plan(feedback))
+    assert result.metadata["skipped"]
+    assert len(kernel_calls) == CALLS_PER_POINT[feedback] * len(result.rows)
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_gain_curve_point(kernel_calls, feedback):
+    result = gain_curve(make_plan(feedback))
+    assert result.metadata["over_range"]
+    assert len(kernel_calls) == CALLS_PER_POINT[feedback] * len(result.rows)
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_maximize_sensitivity_evaluation(kernel_calls, monkeypatch, feedback):
+    evaluations = []
+    evaluate = sweep.sensitivity_at_side_nominals
+
+    def counted(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(sweep, "sensitivity_at_side_nominals", counted)
+    maximize_sensitivity(Variant.BICONCAVE, (5e-6, 30e-6), make_plan(feedback))
+    assert len(evaluations) > 10
+    assert len(kernel_calls) == CALLS_PER_POINT[feedback] * len(evaluations)

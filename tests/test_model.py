@@ -150,9 +150,10 @@ class TestSideGapBounds:
         assert lo == pytest.approx(profile.sagitta(), rel=1e-9)
         assert hi == 2 * profile.radius_m
 
-    def test_convex_and_flat_only_need_positive_gap(self, profile):
-        assert side_gap_bounds(FaceKind.CONVEX, profile) == (0.0, math.inf)
-        assert side_gap_bounds(FaceKind.FLAT, profile) == (0.0, math.inf)
+    def test_convex_and_flat_only_need_a_gap_above_the_floor(self, profile):
+        # 2**-340 m: the smallest power of two whose cube is a normal float
+        assert side_gap_bounds(FaceKind.CONVEX, profile) == (2.0**-340, math.inf)
+        assert side_gap_bounds(FaceKind.FLAT, profile) == (2.0**-340, math.inf)
 
 
 class TestValidateGeometry:

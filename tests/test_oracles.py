@@ -62,6 +62,25 @@ class TestAdaptiveQuadrature:
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rel_tol", math.nan),
+            ("rel_tol", math.inf),
+            ("rel_tol", 0.0),
+            ("abs_tol", math.nan),
+            ("abs_tol", math.inf),
+            ("abs_tol", -1e-30),
+            ("max_subdivisions", 2.5),
+            ("max_subdivisions", 10.0),
+            ("max_subdivisions", True),
+            ("max_subdivisions", math.nan),
+        ],
+    )
+    def test_spec_rejects_non_finite_and_wrong_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: value})
+
 
 class TestQuadCapacitance:
     def test_matches_closed_forms_on_random_cells(self, profile):
@@ -156,3 +175,8 @@ class TestFiniteDifferences:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             FiniteDiffSpec(base_step=0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="base_step"):
+            FiniteDiffSpec(base_step=step)
