@@ -1,12 +1,10 @@
 """Sensitivity versus electrode arc length, the design-space headline:
 longer convex arcs help, longer concave arcs hurt, planar sits between.
 
-Writes demos/arc_length_trends.svg next to this script.
+Writes arc_length_trends.svg to the current directory.
 
     python3 demos/03_arc_length_trends.py
 """
-
-import os
 
 from curvedcomb import (
     ArcMode,
@@ -54,7 +52,7 @@ for row in result.rows:
     if row.arc_length_m == max(arcs) * UM:
         print(f"  {row.variant.value:15s} {row.s_net_mv_per_g:8.3f} mV/g")
 
-out = os.path.join(os.path.dirname(__file__), "arc_length_trends.svg")
+out = "arc_length_trends.svg"
 with open(out, "w", encoding="utf-8", newline="") as fh:
     fh.write(
         line_chart(

@@ -6,9 +6,12 @@ apex-to-plane distance for a convex face and the center distance for a
 concave face. Face placement conventions (see model.GapAnchor) are
 resolved by callers before these functions are reached.
 
-One private kernel, _face_eval, returns C and dC/dd of a face together,
-with one domain guard and one shared square root and atan/atanh term; the
-public functions each return one half of it. The derivatives are hand-
+One private kernel, _face_eval, returns C and dC/dd of a resolved face
+(kind, profile, side_gap_bounds interval, T = tan(phi/4)) together, with
+one domain guard and one shared square root and atan/atanh term; the
+public functions resolve the face and return one half of it, while the
+bridge and the sweeps resolve each face once per cell or arc length and
+call the kernel directly. The derivatives are hand-
 differentiated from the closed forms, cross-checked against Richardson
 finite differences in the test suite, and carry all sensitivity math
 downstream via the chain rule.
@@ -46,15 +49,20 @@ class GeometryDomainError(ValueError):
         self.gap_m = gap_m
 
 
-def _face_eval(
-    kind: FaceKind,
-    profile: ArcProfile | PlanarProfile,
-    gap_m: float,
-    permittivity: float,
-) -> tuple[float, float]:
-    """(C, dC/dd) of one face at its closed-form gap, in F and F/m; raises
-    GeometryDomainError if gap_m is outside side_gap_bounds."""
+# a resolved face: kind, profile, side_gap_bounds (lo, hi), T (None if flat)
+_Face = tuple[FaceKind, ArcProfile | PlanarProfile, float, float, float | None]
+
+
+def _resolve_face(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> _Face:
     lo, hi = side_gap_bounds(kind, profile)
+    t = None if kind is FaceKind.FLAT else profile.half_tan()
+    return kind, profile, lo, hi, t
+
+
+def _face_eval(face: _Face, gap_m: float, permittivity: float) -> tuple[float, float]:
+    """(C, dC/dd) of one resolved face at its closed-form gap, in F and F/m;
+    raises GeometryDomainError if gap_m is outside side_gap_bounds."""
+    kind, profile, lo, hi, t = face
     if not lo < gap_m < hi:
         raise GeometryDomainError(
             f"{kind.value} face needs a gap in ({lo}, {hi}) m, got {gap_m} m",
@@ -65,7 +73,6 @@ def _face_eval(
         k = permittivity * profile.thickness_m * profile.length_m
         return k / gap_m, -k / gap_m**2
     r = profile.radius_m
-    t = profile.half_tan()
     lead = 4.0 * permittivity * profile.thickness_m * r
     if kind is FaceKind.CONVEX:
         n = 2.0 * r + gap_m
@@ -96,7 +103,7 @@ def cap_convex(
     Raises:
         GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
-    return _face_eval(FaceKind.CONVEX, profile, gap_m, permittivity)[0]
+    return _face_eval(_resolve_face(FaceKind.CONVEX, profile), gap_m, permittivity)[0]
 
 
 def cap_concave(
@@ -114,7 +121,7 @@ def cap_concave(
             rule for every face (edge contact within a small guard margin,
             or gap_m >= 2R, outside the real domain of the formula).
     """
-    return _face_eval(FaceKind.CONCAVE, profile, gap_m, permittivity)[0]
+    return _face_eval(_resolve_face(FaceKind.CONCAVE, profile), gap_m, permittivity)[0]
 
 
 def cap_planar(
@@ -125,7 +132,7 @@ def cap_planar(
     Raises:
         GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
-    return _face_eval(FaceKind.FLAT, face, gap_m, permittivity)[0]
+    return _face_eval(_resolve_face(FaceKind.FLAT, face), gap_m, permittivity)[0]
 
 
 def dcap_dgap(
@@ -146,7 +153,7 @@ def dcap_dgap(
         gap_m: closed-form gap of the face (m).
         permittivity: dielectric permittivity (F/m).
     """
-    return _face_eval(kind, profile, gap_m, permittivity)[1]
+    return _face_eval(_resolve_face(kind, profile), gap_m, permittivity)[1]
 
 
 def face_capacitance(
@@ -156,4 +163,4 @@ def face_capacitance(
     permittivity: float = VACUUM_PERMITTIVITY,
 ) -> float:
     """Capacitance of one face by kind; profile type must match the kind."""
-    return _face_eval(kind, profile, gap_m, permittivity)[0]
+    return _face_eval(_resolve_face(kind, profile), gap_m, permittivity)[0]

@@ -257,15 +257,18 @@ def side_nominal_gaps(
     if anchor is GapAnchor.APEX:
         return gap_m, gap_m
     s = config.profile.sagitta()
-    out = []
-    for kind in config.side_kinds():
-        if kind is FaceKind.CONVEX:
-            out.append(gap_m - s)
-        elif kind is FaceKind.CONCAVE:
-            out.append(gap_m + s)
-        else:
-            out.append(gap_m)
-    return out[0], out[1]
+    k1, k2 = config.side_kinds()
+    return _bowed_gap(k1, gap_m, s), _bowed_gap(k2, gap_m, s)
+
+
+def _bowed_gap(kind: FaceKind, gap_m: float, sagitta_m: float) -> float:
+    """Closed-form gap of a face bowed sagitta_m out of a plane at gap_m;
+    a sagitta of 0 gives gap_m for every kind."""
+    if kind is FaceKind.CONVEX:
+        return gap_m - sagitta_m
+    if kind is FaceKind.CONCAVE:
+        return gap_m + sagitta_m
+    return gap_m
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,9 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     """One Gauss-Kronrod 7/15 panel: returns (K15 value, |K15 - G7|)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    resk = _WGK[7] * f(center)
-    resg = _WG[3] * f(center)
+    f_center = f(center)
+    resk = _WGK[7] * f_center
+    resg = _WG[3] * f_center
     for i in range(7):
         dx = half * _XGK[i]
         fsum = f(center - dx) + f(center + dx)

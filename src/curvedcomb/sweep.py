@@ -13,6 +13,11 @@ Arc length can be swept two ways: VARY_PHI_FIXED_R widens the angular
 extent at fixed radius (the bow deepens with arc length and eventually
 reaches the gap), VARY_R_FIXED_ARC scales the radius at fixed angular
 extent (a similarity family whose bow stays proportional to arc length).
+
+At one arc length every variant shares one profile and one flat face,
+and at rest each face kind sits at one nominal gap, so sensitivity_sweep
+resolves and evaluates each face once per arc length and every variant's
+row reads its two sides from those evaluations.
 """
 
 from __future__ import annotations
@@ -22,24 +27,31 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+from .capacitance import _face_eval, _resolve_face
 from .model import (
+    SIDE_KINDS,
     STANDARD_GRAVITY,
     ArcProfile,
     DriveModel,
     ElectrodeConfig,
+    FaceKind,
     GapAnchor,
     GapState,
     MechanicalModel,
+    PlanarProfile,
     Variant,
-    side_gap_bounds,
+    _bowed_gap,
     side_nominal_gaps,
     validate_geometry,
 )
 from .transduction import (
     OverRangeError,
-    _gain_point,
+    _Evaluation,
+    _Faces,
+    _gain,
     _operating_point,
     _sensitivity,
+    _side_faces,
     net_sensitivity,
     sensitivity_at_side_nominals,
 )
@@ -96,14 +108,16 @@ class SweepPlan:
             raise ValueError("plan needs at least one variant")
         if self.gap.displacement_m != 0.0:
             raise ValueError("plan gap must be at rest (displacement 0)")
-        for name, (lo, hi), count in (
-            ("arc", self.arc_range_m, self.arc_points),
-            ("accel", self.accel_range_g, self.accel_points),
+        for name, (lo, hi), count_name, count in (
+            ("arc_range_m", self.arc_range_m, "arc_points", self.arc_points),
+            ("accel_range_g", self.accel_range_g, "accel_points", self.accel_points),
         ):
-            if not lo < hi:
-                raise ValueError(f"{name} range must satisfy min < max, got [{lo}, {hi}]")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"{name} needs finite min < max, got [{lo}, {hi}]")
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"{count_name} must be an int, got {count!r}")
             if count < 2:
-                raise ValueError(f"{name} point count must be >= 2, got {count}")
+                raise ValueError(f"{count_name} must be >= 2, got {count}")
         if self.arc_range_m[0] <= 0.0:
             raise ValueError("arc lengths must be positive")
         if (
@@ -185,46 +199,51 @@ def _echo(plan: SweepPlan) -> dict:
     }
 
 
-# a resolved plan cell: config and the per-side nominal gaps d1, d2
-_Cell = tuple[ElectrodeConfig, float, float]
+# a resolved plan cell: config, resolved side faces, per-side nominal gaps
+_Cell = tuple[ElectrodeConfig, _Faces, float, float]
+
+
+def _skip_reason(plan: SweepPlan, config: ElectrodeConfig) -> str:
+    """Why a cell's rest geometry is invalid, worded by validate_geometry."""
+    report = validate_geometry(config, plan.gap, plan.gap_anchor)
+    return "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
 
 
 def _resolve_cell(plan: SweepPlan, variant: Variant, profile: ArcProfile) -> _Cell:
-    """Config and per-side nominal gaps of one plan cell; raises ValueError
-    carrying the skip reason when the rest geometry is invalid. At rest,
-    side_gap_bounds on the nominal gaps is validate_geometry's rule; the
-    report is built only to word the reason of a rejected cell."""
+    """Resolve one plan cell; raises ValueError carrying the skip reason
+    when the rest geometry is invalid, by validate_geometry's rule."""
     config = ElectrodeConfig.for_variant(variant, profile)
+    faces = _side_faces(config)
     d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
-    (k1, k2), prof = config.side_kinds(), config.profile
-    (lo1, hi1), (lo2, hi2) = side_gap_bounds(k1, prof), side_gap_bounds(k2, prof)
+    (_, _, lo1, hi1, _), (_, _, lo2, hi2, _) = faces
     if not (lo1 < d1 < hi1 and lo2 < d2 < hi2):
-        report = validate_geometry(config, plan.gap, plan.gap_anchor)
-        raise ValueError(
-            "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
-        )
-    return config, d1, d2
+        raise ValueError(_skip_reason(plan, config))
+    return config, faces, d1, d2
 
 
-def _row(plan: SweepPlan, cell: _Cell, arc_length_m: float, accel_g: float) -> SweepRow:
-    """One row from one evaluation of a resolved cell at one acceleration;
-    raises OverRangeError when the travel leaves the valid gap range."""
-    a = accel_g * STANDARD_GRAVITY
-    delta, ev = _operating_point(*cell, plan.mech, plan.drive, a)
-    point = _gain_point(a, delta, ev, plan.drive)
+def _row(
+    plan: SweepPlan,
+    variant: Variant,
+    profile: ArcProfile,
+    arc_length_m: float,
+    accel_g: float,
+    delta: float,
+    ev: _Evaluation,
+) -> SweepRow:
+    """One row from one bridge evaluation at displacement delta."""
+    g = _gain(ev)
     s = _sensitivity(ev, plan.mech, plan.drive)
-    config = cell[0]
     return SweepRow(
-        variant=config.variant,
+        variant=variant,
         arc_length_m=arc_length_m,
-        radius_m=config.profile.radius_m,
-        phi_rad=config.profile.angular_extent_rad,
+        radius_m=profile.radius_m,
+        phi_rad=profile.angular_extent_rad,
         accel_g=accel_g,
-        displacement_m=point.displacement_m,
-        c1_f=point.bridge.c1_f,
-        c2_f=point.bridge.c2_f,
-        gain=point.gain,
-        v_out_v=point.v_out_volts,
+        displacement_m=delta,
+        c1_f=ev[0],
+        c2_f=ev[2],
+        gain=g,
+        v_out_v=plan.drive.v_in_volts * g,
         s_mv_per_g=s * 1e3,
         s_net_mv_per_g=net_sensitivity(s, plan.mech) * 1e3,
     )
@@ -240,19 +259,48 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     byte-identical CSV downstream.
     """
     arcs = _linspace(*plan.arc_range_m, plan.arc_points)
+    variants = _ordered_variants(plan.variants)
+    kinds = list(dict.fromkeys(k for v in variants for k in SIDE_KINDS[v]))
+    sides = [[kinds.index(k) for k in SIDE_KINDS[v]] for v in variants]
+    bowed = plan.gap_anchor is GapAnchor.FACE_PLANE
+    eps = plan.drive.permittivity_f_per_m
+    # per arc: the profile and each kind's (C, dC/dd) at its rest nominal
+    # gap (side_nominal_gaps' rule), or None where no valid cell uses the
+    # kind; or, for an unrealizable arc, the reason every variant skips it
+    cells: list = []
+    for arc in arcs:
+        try:
+            prof = _profile_at(plan, arc)
+            flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
+        except ValueError as err:
+            cells.append(str(err))
+            continue
+        faces = [_resolve_face(k, flat if k is FaceKind.FLAT else prof) for k in kinds]
+        bow = prof.sagitta() if bowed else 0.0  # APEX: every face at the plan gap
+        gaps = [_bowed_gap(k, plan.gap.gap_m, bow) for k in kinds]
+        ok = [f[2] < g < f[3] for f, g in zip(faces, gaps)]
+        used = {i for pair in sides if ok[pair[0]] and ok[pair[1]] for i in pair}
+        evals = [None] * len(kinds)
+        for i in used:
+            evals[i] = _face_eval(faces[i], gaps[i], eps)
+        cells.append((prof, evals))
     rows: list[SweepRow] = []
     skipped: list[dict] = []
-    for variant in _ordered_variants(plan.variants):
-        for arc in arcs:
-            try:
-                prof = _profile_at(plan, arc)
-                cell = _resolve_cell(plan, variant, prof)
-            except ValueError as err:
-                skipped.append(
-                    {"variant": variant.value, "arc_length_m": arc, "reason": str(err)}
-                )
-                continue
-            rows.append(_row(plan, cell, arc, 0.0))
+    for variant, (i1, i2) in zip(variants, sides):
+        for arc, cell in zip(arcs, cells):
+            reason = cell
+            if not isinstance(cell, str):
+                prof, evals = cell
+                if evals[i1] is not None and evals[i2] is not None:
+                    (c1, dc1), (c2, dc2) = evals[i1], evals[i2]
+                    # at rest the nominal feedback 2*C0 is c1 + c2 as well
+                    ev = (c1, dc1, c2, dc2, c1 + c2)
+                    rows.append(_row(plan, variant, prof, arc, 0.0, 0.0, ev))
+                    continue
+                reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
+            skipped.append(
+                {"variant": variant.value, "arc_length_m": arc, "reason": reason}
+            )
     if not rows:
         raise ValueError(
             "no valid grid points in the sweep plan; first reason: "
@@ -271,6 +319,7 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     """
     accels_g = _linspace(*plan.accel_range_g, plan.accel_points)
     prof = plan.profile
+    arc = prof.arc_length()
     rows: list[SweepRow] = []
     over_range: list[dict] = []
     slopes: dict[str, float] = {}
@@ -286,12 +335,15 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
         ys: list[float] = []
         for a_g in accels_g:
             try:
-                row = _row(plan, cell, prof.arc_length(), a_g)
+                delta, ev = _operating_point(
+                    *cell, plan.mech, plan.drive, a_g * STANDARD_GRAVITY
+                )
             except OverRangeError as err:
                 over_range.append(
                     {"variant": variant.value, "accel_g": a_g, "reason": str(err)}
                 )
                 continue
+            row = _row(plan, variant, prof, arc, a_g, delta, ev)
             xs.append(a_g)
             ys.append(row.v_out_v)
             rows.append(row)
@@ -325,7 +377,7 @@ _ARC_TOL_M = 1e-10
 def _sensitivity_at_arc(plan: SweepPlan, variant: Variant, arc_length_m: float) -> float:
     prof = _profile_at(plan, arc_length_m)
     try:
-        config, d1, d2 = _resolve_cell(plan, variant, prof)
+        config, _, d1, d2 = _resolve_cell(plan, variant, prof)
     except ValueError as err:
         raise ValueError(
             f"invalid geometry for {variant.value} at arc {arc_length_m} m: {err}"

@@ -13,8 +13,9 @@ conventions (model.GapAnchor) map a shared nominal gap to per-side
 values, which the *_at_side_nominals forms accept directly; the plain
 forms apply one gap to both sides.
 
-Each public call checks the travel range once, then reads bridge, gain
-and sensitivity off one evaluation: one fused (C, dC/dd) kernel call per
+Each public call resolves the two side faces once, checks the travel
+range against their gap intervals, then reads bridge, gain and
+sensitivity off one evaluation: one fused (C, dC/dd) kernel call per
 side, plus one per side at rest under nominal feedback.
 """
 
@@ -22,19 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .capacitance import GeometryDomainError, _face_eval
+from .capacitance import GeometryDomainError, _Face, _face_eval, _resolve_face
 from .model import (
     STANDARD_GRAVITY,
-    ArcProfile,
     DriveModel,
     ElectrodeConfig,
     FaceKind,
     FeedbackMode,
     GapState,
     MechanicalModel,
-    PlanarProfile,
     displacement,
-    side_gap_bounds,
 )
 from .oracles import FiniteDiffScheme, FiniteDiffSpec, fd_derivative
 
@@ -88,21 +86,24 @@ class OverRangeError(ValueError):
         self.displacement_m = displacement_m
 
 
-_Faces = tuple[tuple[FaceKind, ArcProfile | PlanarProfile], ...]
+# the resolved faces of side 1 and side 2
+_Faces = tuple[_Face, _Face]
 # (C1, dC1/dd, C2, dC2/dd, C_fb) of one bridge evaluation
 _Evaluation = tuple[float, float, float, float, float]
 
 
 def _side_faces(config: ElectrodeConfig) -> _Faces:
     flat, arc = config.planar_face, config.profile
-    faces = [(k, flat if k is FaceKind.FLAT else arc) for k in config.side_kinds()]
-    return tuple(faces)
+    k1, k2 = config.side_kinds()
+    return (
+        _resolve_face(k1, flat if k1 is FaceKind.FLAT else arc),
+        _resolve_face(k2, flat if k2 is FaceKind.FLAT else arc),
+    )
 
 
 def _face(faces: _Faces, side: int, gap_m: float, eps: float) -> tuple[float, float]:
-    kind, prof = faces[side - 1]
     try:
-        return _face_eval(kind, prof, gap_m, eps)
+        return _face_eval(faces[side - 1], gap_m, eps)
     except GeometryDomainError as err:
         raise GeometryDomainError(
             f"side {side}: {err}", kind=err.kind, gap_m=err.gap_m
@@ -133,12 +134,12 @@ def allowed_displacement_interval(
     d1 and d2 are the per-side closed-form nominal gaps; side 1 sees
     d1 - delta and side 2 sees d2 + delta.
     """
-    (k1, p1), (k2, p2) = _side_faces(config)
-    lo1, hi1 = side_gap_bounds(k1, p1)
-    lo2, hi2 = side_gap_bounds(k2, p2)
-    lo = max(d1 - hi1, lo2 - d2)
-    hi = min(d1 - lo1, hi2 - d2)
-    return lo, hi
+    return _displacement_interval(_side_faces(config), d1, d2)
+
+
+def _displacement_interval(faces: _Faces, d1: float, d2: float) -> tuple[float, float]:
+    (_, _, lo1, hi1, _), (_, _, lo2, hi2, _) = faces
+    return max(d1 - hi1, lo2 - d2), min(d1 - lo1, hi2 - d2)
 
 
 def _check_range(
@@ -152,12 +153,10 @@ def _check_range(
 ) -> None:
     # test the displaced gaps the closed forms will see, so a passing check
     # always evaluates; the open intervals also reject a NaN displacement
-    (k1, p1), (k2, p2) = faces
-    lo1, hi1 = side_gap_bounds(k1, p1)
-    lo2, hi2 = side_gap_bounds(k2, p2)
+    (_, _, lo1, hi1, _), (_, _, lo2, hi2, _) = faces
     if lo1 < d1 - delta < hi1 and lo2 < d2 + delta < hi2:
         return
-    lo, hi = allowed_displacement_interval(config, d1, d2)
+    lo, hi = _displacement_interval(faces, d1, d2)
     # first invalid acceleration: the interval bound nearer the request (the
     # gap test can fail a displacement the interval still holds by an ulp)
     bound = hi if hi - delta <= delta - lo else lo
@@ -199,6 +198,7 @@ def bridge_capacitances(
 
 def _operating_point(
     config: ElectrodeConfig,
+    faces: _Faces,
     d1: float,
     d2: float,
     mech: MechanicalModel,
@@ -208,18 +208,14 @@ def _operating_point(
     """Displacement and bridge evaluation at one acceleration, after the
     one range check of the call."""
     delta = displacement(mech, accel_m_s2)
-    faces = _side_faces(config)
     _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
     return delta, _evaluate(faces, d1, d2, delta, drive)
 
 
-def _gain_point(
-    accel_m_s2: float, delta: float, ev: _Evaluation, drive: DriveModel
-) -> TransductionPoint:
+def _gain(ev: _Evaluation) -> float:
+    """G = -(C2 - C1)/C_fb of one evaluation."""
     c1, _, c2, _, c_fb = ev
-    g = -(c2 - c1) / c_fb
-    bridge = BridgeState(c1, c2, c_fb)
-    return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
+    return -(c2 - c1) / c_fb
 
 
 def _sensitivity(ev: _Evaluation, mech: MechanicalModel, drive: DriveModel) -> float:
@@ -243,8 +239,10 @@ def gain_at_side_nominals(
     accel_m_s2: float,
 ) -> TransductionPoint:
     """Gain evaluation with independently placed sides."""
-    delta, ev = _operating_point(config, d1, d2, mech, drive, accel_m_s2)
-    return _gain_point(accel_m_s2, delta, ev, drive)
+    faces = _side_faces(config)
+    delta, ev = _operating_point(config, faces, d1, d2, mech, drive, accel_m_s2)
+    g, bridge = _gain(ev), BridgeState(ev[0], ev[2], ev[4])
+    return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
 
 
 def gain(
@@ -277,7 +275,8 @@ def sensitivity_at_side_nominals(
     accel_m_s2: float = 0.0,
 ) -> float:
     """Analytic sensitivity with independently placed sides (V per g)."""
-    _, ev = _operating_point(config, d1, d2, mech, drive, accel_m_s2)
+    faces = _side_faces(config)
+    _, ev = _operating_point(config, faces, d1, d2, mech, drive, accel_m_s2)
     return _sensitivity(ev, mech, drive)
 
 
@@ -330,8 +329,9 @@ def fd_sensitivity(
     """
     delta = displacement(mech, accel_m_s2)
     if spec is None:
-        _check_range(config, _side_faces(config), d1, d2, mech, delta, accel_m_s2)
-        lo, hi = allowed_displacement_interval(config, d1, d2)
+        faces = _side_faces(config)
+        _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
+        lo, hi = _displacement_interval(faces, d1, d2)
         margin = min(hi - delta, delta - lo)
         a_margin = margin * mech.spring_n_per_m / mech.mass_kg
         rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)

@@ -202,6 +202,17 @@ class TestGainCurveCommand:
         assert len(lines) == 1 + 5
         assert "1.274864" in out  # fitted slope report
 
+    def test_infinite_accel_bound_is_rejected(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "gain-curve",
+            "--csv", str(tmp_path / "g.csv"),
+            "--accel-min-g=-inf",
+        )
+        assert code == 2
+        assert "accel_range_g" in err
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestCompareCommand:
     def test_biconvex_leads_at_reference_cell(self, capsys):

@@ -49,6 +49,24 @@ class TestAdaptiveQuadrature:
         assert err.value.value == pytest.approx(2.0, rel=1e-2)
         assert err.value.error_estimate > 0
 
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (math.exp, 0.0, 1.0),  # converges on the first panel
+            (lambda x: 1.0 / math.sqrt(x + 1e-8), 0.0, 1.0),  # subdivides
+        ],
+    )
+    def test_each_panel_evaluates_15_points(self, f, a, b):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        res = integrate_adaptive(counted, a, b)
+        # the first panel, then two new panels per subdivision
+        assert len(calls) == 15 * (1 + 2 * res.subdivisions)
+
     def test_deterministic_replay(self):
         f = lambda x: math.sin(37.0 * x) / (1.0 + x * x)
         a = integrate_adaptive(f, 0.0, 3.0)

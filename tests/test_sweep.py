@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from curvedcomb import (
@@ -6,14 +8,23 @@ from curvedcomb import (
     ArcProfile,
     DEFAULT_ARC_BOUNDS_M,
     DriveModel,
+    ElectrodeConfig,
+    FeedbackMode,
     GapAnchor,
     GapState,
     MechanicalModel,
     SweepPlan,
+    SweepRow,
     Variant,
+    bridge_at_side_nominals,
+    gain_at_side_nominals,
     gain_curve,
     maximize_sensitivity,
+    net_sensitivity,
+    sensitivity_at_side_nominals,
     sensitivity_sweep,
+    side_nominal_gaps,
+    validate_geometry,
 )
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
@@ -46,6 +57,23 @@ class TestPlanValidation:
             make_plan(arc_points=1)
         with pytest.raises(ValueError):
             make_plan(accel_points=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arc_range_m", (5e-6, math.inf)),
+            ("arc_range_m", (math.nan, 60e-6)),
+            ("accel_range_g", (-math.inf, 1.0)),
+            ("accel_range_g", (-1.0, math.nan)),
+            ("arc_points", 2.5),
+            ("arc_points", True),
+            ("accel_points", 3.0),
+            ("accel_points", "21"),
+        ],
+    )
+    def test_rejects_non_finite_ranges_and_non_int_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_plan(**{field: value})
 
     def test_fixed_arc_mode_needs_positive_angle(self):
         prof = ArcProfile(STD_R, 0.0, STD_H)
@@ -167,6 +195,64 @@ class TestSensitivitySweep:
         )
         with pytest.raises(ValueError):
             sensitivity_sweep(plan)
+
+
+def _cell_profile(plan: SweepPlan, arc: float) -> ArcProfile:
+    h = plan.profile.thickness_m
+    if plan.arc_mode is ArcMode.VARY_PHI_FIXED_R:
+        return ArcProfile(plan.profile.radius_m, arc / plan.profile.radius_m, h)
+    phi = plan.profile.angular_extent_rad
+    return ArcProfile(arc / phi, phi, h)
+
+
+def _per_cell_row(plan: SweepPlan, variant: Variant, arc: float) -> SweepRow:
+    """The sweep row of one cell through the public per-cell path."""
+    prof = _cell_profile(plan, arc)
+    config = ElectrodeConfig.for_variant(variant, prof)
+    d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+    bridge = bridge_at_side_nominals(config, d1, d2, 0.0, plan.drive)
+    point = gain_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
+    s = sensitivity_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
+    return SweepRow(
+        variant=variant,
+        arc_length_m=arc,
+        radius_m=prof.radius_m,
+        phi_rad=prof.angular_extent_rad,
+        accel_g=0.0,
+        displacement_m=point.displacement_m,
+        c1_f=bridge.c1_f,
+        c2_f=bridge.c2_f,
+        gain=point.gain,
+        v_out_v=point.v_out_volts,
+        s_mv_per_g=s * 1e3,
+        s_net_mv_per_g=net_sensitivity(s, plan.mech) * 1e3,
+    )
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+@pytest.mark.parametrize("anchor", list(GapAnchor))
+@pytest.mark.parametrize("mode", list(ArcMode))
+def test_sweep_rows_equal_the_per_cell_path(feedback, anchor, mode):
+    """The arc-major sweep shares face evaluations between variants; every
+    row must still equal, bit for bit, what the public per-cell functions
+    give, and every skip must carry validate_geometry's reason."""
+    plan = make_plan(
+        drive=DriveModel(1.0, feedback), gap_anchor=anchor, arc_mode=mode
+    )
+    result = sensitivity_sweep(plan)
+    cells = {(r.variant, r.arc_length_m) for r in result.rows}
+    for row in result.rows:
+        assert row == _per_cell_row(plan, row.variant, row.arc_length_m)
+    for skip in result.metadata["skipped"]:
+        variant, arc = Variant(skip["variant"]), skip["arc_length_m"]
+        cells.add((variant, arc))
+        config = ElectrodeConfig.for_variant(variant, _cell_profile(plan, arc))
+        report = validate_geometry(config, plan.gap, plan.gap_anchor)
+        assert not report.ok
+        assert skip["reason"] == "; ".join(
+            f"side {v.side}: {v.rule}" for v in report.violations
+        )
+    assert len(cells) == len(Variant) * plan.arc_points
 
 
 class TestGainCurve:
