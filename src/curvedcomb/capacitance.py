@@ -54,6 +54,13 @@ _Face = tuple[FaceKind, ArcProfile | PlanarProfile, float, float, float | None]
 
 
 def _resolve_face(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> _Face:
+    """The face of kind on profile; raises ValueError if the profile type
+    does not fit the kind (PlanarProfile for FLAT, ArcProfile otherwise)."""
+    want = PlanarProfile if kind is FaceKind.FLAT else ArcProfile
+    if not isinstance(profile, want):
+        raise ValueError(
+            f"{kind.value} face needs {want.__name__}, got {type(profile).__name__}"
+        )
     lo, hi = side_gap_bounds(kind, profile)
     t = None if kind is FaceKind.FLAT else profile.half_tan()
     return kind, profile, lo, hi, t
@@ -162,5 +169,11 @@ def face_capacitance(
     gap_m: float,
     permittivity: float = VACUUM_PERMITTIVITY,
 ) -> float:
-    """Capacitance of one face by kind; profile type must match the kind."""
+    """Capacitance (F) of one face by kind.
+
+    Raises:
+        ValueError: if the profile type does not fit the kind: FLAT takes
+            a PlanarProfile, CONVEX and CONCAVE an ArcProfile.
+        GeometryDomainError: if gap_m is outside side_gap_bounds.
+    """
     return _face_eval(_resolve_face(kind, profile), gap_m, permittivity)[0]

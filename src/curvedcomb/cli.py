@@ -4,6 +4,11 @@ Subcommands: capacitance, gain-curve, sensitivity-sweep, compare,
 validate. Lengths on the command line and in config files are
 micrometers (1 um = 1e-6 m); everything internal is SI meters.
 
+Each shared parameter is declared once, as a RunConfig field that states
+its default, type, config-file section, flag, help text and choices; the
+config-file keys, the flags of every subcommand and resolve_config are
+derived from those fields when this module is imported.
+
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure. CSV output uses '.' decimals, 17-significant-digit
 scientific notation, LF line endings, and a fixed row order, so identical
@@ -11,15 +16,13 @@ configurations produce byte-identical files. Set CURVEDCOMB_NO_COLOR to
 disable ANSI styling.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
 import random
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 
 from . import _svg
 from .capacitance import (
@@ -61,9 +64,6 @@ from .transduction import (
 UM = 1e-6
 
 _VARIANT_BY_NAME = {v.value.lower(): v for v in Variant}
-_ANCHOR_BY_NAME = {a.value: a for a in GapAnchor}
-_MODE_BY_NAME = {m.value: m for m in ArcMode}
-_FEEDBACK_BY_NAME = {f.value: f for f in FeedbackMode}
 
 _QUAD_TOL = 1e-9
 _FD_TOL = 1e-6
@@ -78,33 +78,60 @@ class VerifyFailure(Exception):
     """An oracle cross-check missed its tolerance; maps to exit code 3."""
 
 
+def _param(default, section: str, text: str | None = None, *, flag=None, choices=None):
+    """A RunConfig field. The config-file key is the field name inside
+    section ("" for the top level); the flag is --field-name unless flag
+    names it; choices is the Enum whose values the field may take."""
+    meta = {"section": section, "help": text, "flag": flag, "choices": choices}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters (SI units except the _um echo names)."""
+    """Run parameters, one field per shared CLI parameter (see _param).
 
-    r_um: float = 100.0
-    arc_um: float | None = 20.0
-    phi_rad: float | None = None
-    h_um: float = 2.0
-    b_um: float | None = None
-    gap_um: float = 2.0
-    gap_anchor: str = "face-plane"
-    m_kg: float = 2.6e-10
-    k_n_per_m: float = 1.0
-    combs: int = 21
-    v_in_v: float = 1.0
-    feedback_mode: str = "matched-sum"
-    permittivity: float = 8.854e-12
-    arc_mode: str = "vary-phi-fixed-r"
-    arc_min_um: float = 5.0
-    arc_max_um: float = 60.0
-    arc_points: int = 20
-    accel_min_g: float = -5.0
-    accel_max_g: float = 5.0
-    accel_points: int = 21
-    variants: tuple[str, ...] = tuple(v.value for v in Variant)
-    csv: str | None = None
-    svg: str | None = None
+    Lengths are micrometers as the user gives them; the methods build the
+    SI model objects.
+    """
+
+    r_um: float = _param(100.0, "geometry", "arc radius R")
+    phi_rad: float | None = _param(None, "geometry", "angular extent (rad)", flag="phi")
+    arc_um: float | None = _param(20.0, "geometry", "arc length R*phi")
+    h_um: float = _param(2.0, "geometry", "structure thickness h")
+    b_um: float | None = _param(None, "geometry", "flat face length b")
+    gap_um: float = _param(2.0, "", "nominal gap d")
+    gap_anchor: str = _param(
+        "face-plane",
+        "",
+        "how d places curved faces (default face-plane)",
+        choices=GapAnchor,
+    )
+    m_kg: float = _param(2.6e-10, "mech", "proof mass (kg)")
+    k_n_per_m: float = _param(1.0, "mech", "stiffness (N/m)")
+    combs: int = _param(21, "mech", "comb count N")
+    v_in_v: float = _param(1.0, "drive", "drive amplitude (V)", flag="v-in")
+    feedback_mode: str = _param(
+        "matched-sum",
+        "drive",
+        "feedback capacitance mode",
+        flag="feedback",
+        choices=FeedbackMode,
+    )
+    permittivity: float = _param(8.854e-12, "drive", "epsilon (F/m)")
+    arc_mode: str = _param(
+        "vary-phi-fixed-r", "sweep", "how arc length varies", choices=ArcMode
+    )
+    arc_min_um: float = _param(5.0, "sweep")
+    arc_max_um: float = _param(60.0, "sweep")
+    arc_points: int = _param(20, "sweep")
+    accel_min_g: float = _param(-5.0, "sweep")
+    accel_max_g: float = _param(5.0, "sweep")
+    accel_points: int = _param(21, "sweep")
+    variants: tuple[str, ...] = _param(
+        tuple(v.value for v in Variant), "sweep", "comma-separated variant names"
+    )
+    csv: str | None = _param(None, "output", "CSV output path")
+    svg: str | None = _param(None, "output", "SVG chart output path")
 
     def resolved_phi(self) -> float:
         if self.phi_rad is not None and self.arc_um is not None:
@@ -114,6 +141,8 @@ class RunConfig:
         if self.phi_rad is not None:
             return self.phi_rad
         if self.arc_um is not None:
+            if self.r_um == 0.0:  # arc_um / r_um has no value
+                raise ValueError(f"geometry.r_um must be positive, got {self.r_um}")
             return self.arc_um / self.r_um
         raise ValueError("geometry needs phi_rad or arc_um")
 
@@ -127,15 +156,26 @@ class RunConfig:
     def gap_state(self) -> GapState:
         return GapState(self.gap_um * UM)
 
+    def _choice(self, name: str):
+        """The enum member that the choice field `name` holds."""
+        f = self.__dataclass_fields__[name]
+        enum, value = f.metadata["choices"], getattr(self, name)
+        try:
+            return enum(value)
+        except ValueError:
+            raise ValueError(
+                f"{_path(f)}: unknown value {value!r}; choose from "
+                + ", ".join(sorted(m.value for m in enum))
+            ) from None
+
     def anchor(self) -> GapAnchor:
-        return _parse_choice(self.gap_anchor, _ANCHOR_BY_NAME, "gap_anchor")
+        return self._choice("gap_anchor")
 
     def mech(self) -> MechanicalModel:
         return MechanicalModel(self.m_kg, self.k_n_per_m, self.combs)
 
     def drive(self) -> DriveModel:
-        mode = _parse_choice(self.feedback_mode, _FEEDBACK_BY_NAME, "drive.feedback_mode")
-        return DriveModel(self.v_in_v, mode, self.permittivity)
+        return DriveModel(self.v_in_v, self._choice("feedback_mode"), self.permittivity)
 
     def variant_list(self) -> tuple[Variant, ...]:
         out = []
@@ -156,7 +196,7 @@ class RunConfig:
             gap=self.gap_state(),
             mech=self.mech(),
             drive=self.drive(),
-            arc_mode=_parse_choice(self.arc_mode, _MODE_BY_NAME, "sweep.arc_mode"),
+            arc_mode=self._choice("arc_mode"),
             gap_anchor=self.anchor(),
             arc_range_m=(self.arc_min_um * UM, self.arc_max_um * UM),
             arc_points=self.arc_points,
@@ -165,43 +205,15 @@ class RunConfig:
         )
 
 
-def _parse_choice(value: str, table: dict, path: str):
-    if value not in table:
-        raise ValueError(
-            f"{path}: unknown value {value!r}; choose from " + ", ".join(sorted(table))
-        )
-    return table[value]
+def _path(f: Field) -> str:
+    """Key path of a RunConfig field in a config file."""
+    section = f.metadata["section"]
+    return f"{section}.{f.name}" if section else f.name
 
 
-# JSON schema: nested key -> RunConfig field (None marks a subtree).
-_SCHEMA = {
-    "geometry": {
-        "r_um": "r_um",
-        "phi_rad": "phi_rad",
-        "arc_um": "arc_um",
-        "h_um": "h_um",
-        "b_um": "b_um",
-    },
-    "gap_um": "gap_um",
-    "gap_anchor": "gap_anchor",
-    "mech": {"m_kg": "m_kg", "k_n_per_m": "k_n_per_m", "combs": "combs"},
-    "drive": {
-        "v_in_v": "v_in_v",
-        "feedback_mode": "feedback_mode",
-        "permittivity": "permittivity",
-    },
-    "sweep": {
-        "arc_mode": "arc_mode",
-        "arc_min_um": "arc_min_um",
-        "arc_max_um": "arc_max_um",
-        "arc_points": "arc_points",
-        "accel_min_g": "accel_min_g",
-        "accel_max_g": "accel_max_g",
-        "accel_points": "accel_points",
-        "variants": "variants",
-    },
-    "output": {"csv": "csv", "svg": "svg"},
-}
+_FIELDS = fields(RunConfig)
+_BY_PATH = {_path(f): f for f in _FIELDS}
+_SECTIONS = {f.metadata["section"] for f in _FIELDS} - {""}
 
 
 def _json_matches(value, hint) -> bool:
@@ -225,60 +237,34 @@ def _config_from_file(path: str) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    hints = typing.get_type_hints(RunConfig)
-    declared = {f.name: f.type for f in fields(RunConfig)}
     overrides: dict = {}
 
-    def walk(node: dict, schema: dict, prefix: str) -> None:
-        for key, value in node.items():
-            where = f"{prefix}{key}"
-            if key not in schema:
-                raise ValueError(f"unknown config key: {where}")
-            target = schema[key]
-            if isinstance(target, dict):
-                if not isinstance(value, dict):
-                    raise ValueError(f"config key {where} must be an object")
-                walk(value, target, where + ".")
-            elif not _json_matches(value, hints[target]):
-                raise ValueError(
-                    f"config key {where} must be {declared[target]}, "
-                    f"got {json.dumps(value)}"
-                )
-            else:
-                overrides[target] = tuple(value) if isinstance(value, list) else value
+    def leaf(where: str, value) -> None:
+        f = _BY_PATH.get(where)
+        if f is None:
+            raise ValueError(f"unknown config key: {where}")
+        if not _json_matches(value, f.type):
+            kind = str(f.type) if typing.get_args(f.type) else f.type.__name__
+            raise ValueError(f"config key {where} must be {kind}, got {json.dumps(value)}")
+        overrides[f.name] = tuple(value) if isinstance(value, list) else value
 
-    walk(doc, _SCHEMA, "")
-    # a file that pins phi_rad should not fight the built-in arc default
-    if "phi_rad" in overrides and "arc_um" not in overrides:
-        overrides["arc_um"] = None
+    for key, value in doc.items():
+        if key not in _SECTIONS:
+            leaf(key, value)
+        elif not isinstance(value, dict):
+            raise ValueError(f"config key {key} must be an object")
+        else:
+            for sub, item in value.items():
+                leaf(f"{key}.{sub}", item)
     return overrides
 
 
-_FLAG_TO_FIELD = {
-    "r_um": "r_um",
-    "phi": "phi_rad",
-    "arc_um": "arc_um",
-    "h_um": "h_um",
-    "b_um": "b_um",
-    "gap_um": "gap_um",
-    "gap_anchor": "gap_anchor",
-    "m_kg": "m_kg",
-    "k_n_per_m": "k_n_per_m",
-    "combs": "combs",
-    "v_in": "v_in_v",
-    "feedback": "feedback_mode",
-    "permittivity": "permittivity",
-    "arc_mode": "arc_mode",
-    "arc_min_um": "arc_min_um",
-    "arc_max_um": "arc_max_um",
-    "arc_points": "arc_points",
-    "accel_min_g": "accel_min_g",
-    "accel_max_g": "accel_max_g",
-    "accel_points": "accel_points",
-    "variants": "variants",
-    "csv": "csv",
-    "svg": "svg",
-}
+def _one_angle(overrides: dict) -> dict:
+    """A source (the file or the flags) that sets only one of phi_rad and
+    arc_um clears the other, so a pinned phi does not fight the default arc."""
+    if ("phi_rad" in overrides) != ("arc_um" in overrides):
+        return {"phi_rad": None, "arc_um": None, **overrides}
+    return overrides
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -286,22 +272,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None)
     if path:
-        cfg = replace(cfg, **_config_from_file(path))
-    flag_overrides = {}
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if flag == "variants":
-            value = tuple(s.strip() for s in value.split(",") if s.strip())
-            if not value:
-                raise UsageError("--variants needs at least one name")
-        flag_overrides[fieldname] = value
-    if "phi_rad" in flag_overrides and "arc_um" not in flag_overrides:
-        flag_overrides["arc_um"] = None
-    if "arc_um" in flag_overrides and "phi_rad" not in flag_overrides:
-        flag_overrides["phi_rad"] = None
-    return replace(cfg, **flag_overrides)
+        cfg = replace(cfg, **_one_angle(_config_from_file(path)))
+    flags = {
+        f.name: value
+        for f in _FIELDS
+        if (value := getattr(args, f.name, None)) is not None
+    }
+    if flags.get("variants") == ():
+        raise UsageError("--variants needs at least one name")
+    return replace(cfg, **_one_angle(flags))
 
 
 def _sci(x: float) -> str:
@@ -330,52 +309,53 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated --variants value as a tuple of names."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# argparse group of each config-file section ("" is the top level)
+_GROUP_OF_SECTION = {
+    "geometry": "geometry (micrometers)",
+    "": "geometry (micrometers)",
+    "mech": "mechanics and drive",
+    "drive": "mechanics and drive",
+    "sweep": "sweep grids",
+    "output": "outputs",
+}
+
+
+def _flag_groups() -> dict[str, list[tuple[str, dict]]]:
+    """Group title -> (flag, add_argument keywords) of each RunConfig field."""
+    groups: dict[str, list[tuple[str, dict]]] = {}
+    for f in _FIELDS:
+        meta = f.metadata
+        flag = meta["flag"] or f.name.replace("_", "-")
+        kwargs = {"dest": f.name, "help": meta["help"]}
+        if meta["choices"]:
+            kwargs["choices"] = sorted(m.value for m in meta["choices"])
+        else:
+            kwargs["metavar"] = flag.replace("-", "_").upper()
+            if typing.get_origin(f.type) is tuple:
+                kwargs["type"] = _names
+            else:  # T or T | None
+                kwargs["type"] = (typing.get_args(f.type) or (f.type,))[0]
+        groups.setdefault(_GROUP_OF_SECTION[meta["section"]], []).append(
+            ("--" + flag, kwargs)
+        )
+    return groups
+
+
+# built once: build_parser runs on every main() call
+_FLAG_GROUPS = _flag_groups()
+
+
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
-    g = p.add_argument_group("geometry (micrometers)")
-    g.add_argument("--r-um", dest="r_um", type=float, help="arc radius R")
-    g.add_argument("--phi", dest="phi", type=float, help="angular extent (rad)")
-    g.add_argument("--arc-um", dest="arc_um", type=float, help="arc length R*phi")
-    g.add_argument("--h-um", dest="h_um", type=float, help="structure thickness h")
-    g.add_argument("--b-um", dest="b_um", type=float, help="flat face length b")
-    g.add_argument("--gap-um", dest="gap_um", type=float, help="nominal gap d")
-    g.add_argument(
-        "--gap-anchor",
-        dest="gap_anchor",
-        choices=sorted(_ANCHOR_BY_NAME),
-        help="how d places curved faces (default face-plane)",
-    )
-    m = p.add_argument_group("mechanics and drive")
-    m.add_argument("--m-kg", dest="m_kg", type=float, help="proof mass (kg)")
-    m.add_argument("--k-n-per-m", dest="k_n_per_m", type=float, help="stiffness (N/m)")
-    m.add_argument("--combs", dest="combs", type=int, help="comb count N")
-    m.add_argument("--v-in", dest="v_in", type=float, help="drive amplitude (V)")
-    m.add_argument(
-        "--feedback",
-        dest="feedback",
-        choices=sorted(_FEEDBACK_BY_NAME),
-        help="feedback capacitance mode",
-    )
-    m.add_argument(
-        "--permittivity", dest="permittivity", type=float, help="epsilon (F/m)"
-    )
-    s = p.add_argument_group("sweep grids")
-    s.add_argument(
-        "--arc-mode", dest="arc_mode", choices=sorted(_MODE_BY_NAME),
-        help="how arc length varies",
-    )
-    s.add_argument("--arc-min-um", dest="arc_min_um", type=float)
-    s.add_argument("--arc-max-um", dest="arc_max_um", type=float)
-    s.add_argument("--arc-points", dest="arc_points", type=int)
-    s.add_argument("--accel-min-g", dest="accel_min_g", type=float)
-    s.add_argument("--accel-max-g", dest="accel_max_g", type=float)
-    s.add_argument("--accel-points", dest="accel_points", type=int)
-    s.add_argument(
-        "--variants", dest="variants", help="comma-separated variant names"
-    )
-    o = p.add_argument_group("outputs")
-    o.add_argument("--csv", dest="csv", help="CSV output path")
-    o.add_argument("--svg", dest="svg", help="SVG chart output path")
+    for title, flags in _FLAG_GROUPS.items():
+        group = p.add_argument_group(title)
+        for flag, kwargs in flags:
+            group.add_argument(flag, **kwargs)
 
 
 def build_parser() -> _Parser:
@@ -659,14 +639,7 @@ def _suite_quadrature(rng: random.Random, points: int, fault_rel: float) -> floa
     return worst
 
 
-_CURVED_VARIANTS = (
-    Variant.BICONVEX,
-    Variant.BICONCAVE,
-    Variant.CONCAVO_CONVEX,
-    Variant.CONVEXO_CONCAVE,
-    Variant.PLANO_CONVEX,
-    Variant.PLANO_CONCAVE,
-)
+_CURVED_VARIANTS = tuple(v for v in Variant if v is not Variant.PLANAR)
 
 
 def _random_valid_setup(
@@ -797,8 +770,13 @@ def main(argv: list[str] | None = None) -> int:
     except (GeometryDomainError, OverRangeError) as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ArithmeticError as err:
+        # an input so large or small that a result overflows, or that a
+        # capacitance underflows to 0 and is then divided by
+        print(f"error: out of floating-point range: {err}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,6 @@ from enum import Enum
 
 VACUUM_PERMITTIVITY = 8.854e-12  # F/m, air/vacuum
 STANDARD_GRAVITY = 9.80665  # m/s^2, exact by convention
-POLYSILICON_DENSITY = 2320.0  # kg/m^3, for the non-normative mass estimate
 
 # A concave face is evaluated only while its edge gap exceeds this fraction
 # of the radius; closer than that the closed form is one ulp from divergence.
@@ -223,22 +222,6 @@ def displacement(mech: MechanicalModel, accel_m_s2: float) -> float:
     Validity against the gap is checked where the displacement is consumed.
     """
     return mech.mass_kg * accel_m_s2 / mech.spring_n_per_m
-
-
-def estimate_plate_mass(
-    length_m: float,
-    width_m: float,
-    thickness_m: float,
-    density_kg_m3: float = POLYSILICON_DENSITY,
-) -> float:
-    """Estimate a proof-mass value from plate volume times density.
-
-    This is a convenience estimate only (no etch-hole or spring-mass
-    correction); measured or modal masses should be preferred when known.
-    """
-    if min(length_m, width_m, thickness_m, density_kg_m3) <= 0.0:
-        raise ValueError("plate dimensions and density must be positive")
-    return length_m * width_m * thickness_m * density_kg_m3
 
 
 def side_nominal_gaps(

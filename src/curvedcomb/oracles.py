@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .model import (
@@ -30,7 +29,6 @@ __all__ = [
     "QuadratureNonConvergence",
     "integrate_adaptive",
     "quad_capacitance",
-    "FiniteDiffScheme",
     "FiniteDiffSpec",
     "FDResult",
     "fd_derivative",
@@ -215,18 +213,12 @@ def quad_capacitance(
     return integrate_adaptive(integrand, -half_phi, half_phi, spec)
 
 
-class FiniteDiffScheme(Enum):
-    CENTRAL2 = "central2"
-    CENTRAL4 = "central4"
-    RICHARDSON_CENTRAL = "richardson-central"
-
-
 _CBRT_EPS = (2.0**-52) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
 class FiniteDiffSpec:
-    """Scheme and step control for fd_derivative.
+    """Step control for fd_derivative.
 
     base_step is relative: the trial step is base_step * max(|x|, 1).
     When None, the classic cube root of machine epsilon is used. Steps
@@ -234,7 +226,6 @@ class FiniteDiffSpec:
     function's domain (signalled by ValueError), up to 40 attempts.
     """
 
-    scheme: FiniteDiffScheme = FiniteDiffScheme.RICHARDSON_CENTRAL
     base_step: float | None = None
 
     def __post_init__(self) -> None:
@@ -262,14 +253,6 @@ def _central(f: Callable[[float], float], x: float, h: float) -> float | None:
         return None
 
 
-def _central4(f: Callable[[float], float], x: float, h: float) -> float | None:
-    try:
-        num = -f(x + 2.0 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2.0 * h)
-    except ValueError:
-        return None
-    return num / (12.0 * h)
-
-
 def fd_derivative(
     f: Callable[[float], float],
     x: float,
@@ -277,36 +260,25 @@ def fd_derivative(
 ) -> FDResult:
     """Finite-difference estimate of f'(x) with an error estimate.
 
-    CENTRAL2 and CENTRAL4 report the half-step refinement as the value and
-    the inter-step difference (suitably scaled) as the error estimate;
-    RICHARDSON_CENTRAL combines the two central estimates into a
-    fourth-order extrapolation.
+    Two central differences, at steps h and h/2, are combined into a
+    fourth-order Richardson extrapolation; a third of their difference is
+    the error estimate.
 
     Raises:
         ValueError: if no admissible step exists after 40 geometric
             shrinks (every trial stencil left the function's domain).
     """
-    h0 = (spec.base_step if spec.base_step is not None else _CBRT_EPS) * max(
-        abs(x), 1.0
-    )
-    h = h0
+    step = spec.base_step if spec.base_step is not None else _CBRT_EPS
+    h = step * max(abs(x), 1.0)
     for _ in range(_MAX_SHRINKS):
         if x + 0.5 * h == x:  # stencil no longer resolvable in floating point
             break
-        if spec.scheme is FiniteDiffScheme.CENTRAL4:
-            d_full = _central4(f, x, h)
-            d_half = _central4(f, x, 0.5 * h) if d_full is not None else None
-            order_factor = 15.0  # next term is O(h^4)
-        else:
-            d_full = _central(f, x, h)
-            d_half = _central(f, x, 0.5 * h) if d_full is not None else None
-            order_factor = 3.0  # central difference error is O(h^2)
+        d_full = _central(f, x, h)
+        d_half = _central(f, x, 0.5 * h) if d_full is not None else None
         if d_full is not None and d_half is not None:
-            diff = abs(d_half - d_full)
-            if spec.scheme is FiniteDiffScheme.RICHARDSON_CENTRAL:
-                value = (4.0 * d_half - d_full) / 3.0
-                return FDResult(value, diff / 3.0, h)
-            return FDResult(d_half, diff / order_factor, 0.5 * h)
+            # the central error is O(h^2): this weighting cancels its lead term
+            value = (4.0 * d_half - d_full) / 3.0
+            return FDResult(value, abs(d_half - d_full) / 3.0, h)
         h *= 0.5
     raise ValueError(
         f"no admissible finite-difference step at x={x} after {_MAX_SHRINKS} shrinks"

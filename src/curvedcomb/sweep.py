@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+from . import __version__
 from .capacitance import _face_eval, _resolve_face
 from .model import (
     SIDE_KINDS,
@@ -53,7 +54,6 @@ from .transduction import (
     _sensitivity,
     _side_faces,
     net_sensitivity,
-    sensitivity_at_side_nominals,
 )
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
     "maximize_sensitivity",
     "DEFAULT_ARC_BOUNDS_M",
 ]
-
-ARTIFACT_VERSION = "0.1.0"
 
 # Default optimization interval for maximize_sensitivity (m).
 DEFAULT_ARC_BOUNDS_M = (5e-6, 60e-6)
@@ -195,7 +193,7 @@ def _echo(plan: SweepPlan) -> dict:
         "arc_points": plan.arc_points,
         "accel_range_g": list(plan.accel_range_g),
         "accel_points": plan.accel_points,
-        "version": ARTIFACT_VERSION,
+        "version": __version__,
     }
 
 
@@ -315,7 +313,8 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     Over-range grid points are collected in metadata["over_range"]
     instead of aborting the sweep. metadata["fitted_slope_mv_per_g"]
     carries the least-squares slope of each variant's curve, the
-    swept-range counterpart of the analytic point sensitivity.
+    swept-range counterpart of the analytic point sensitivity; a variant
+    whose valid accelerations have no spread in floating point has none.
     """
     accels_g = _linspace(*plan.accel_range_g, plan.accel_points)
     prof = plan.profile
@@ -347,8 +346,8 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
             xs.append(a_g)
             ys.append(row.v_out_v)
             rows.append(row)
-        if len(xs) >= 2:
-            slopes[variant.value] = _least_squares_slope(xs, ys) * 1e3  # mV per g
+        if len(xs) >= 2 and (slope := _least_squares_slope(xs, ys)) is not None:
+            slopes[variant.value] = slope * 1e3  # mV per g
     if not rows:
         raise ValueError("no valid grid points in the gain-curve plan")
     return SweepResult(
@@ -361,13 +360,14 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     )
 
 
-def _least_squares_slope(xs: list[float], ys: list[float]) -> float:
+def _least_squares_slope(xs: list[float], ys: list[float]) -> float | None:
+    """Fitted slope, or None when the x spread is 0 (or underflows to 0)."""
     n = len(xs)
     x_mean = sum(xs) / n
     y_mean = sum(ys) / n
     sxx = sum((x - x_mean) ** 2 for x in xs)
     sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    return sxy / sxx
+    return sxy / sxx if sxx else None
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -377,12 +377,13 @@ _ARC_TOL_M = 1e-10
 def _sensitivity_at_arc(plan: SweepPlan, variant: Variant, arc_length_m: float) -> float:
     prof = _profile_at(plan, arc_length_m)
     try:
-        config, _, d1, d2 = _resolve_cell(plan, variant, prof)
+        cell = _resolve_cell(plan, variant, prof)
     except ValueError as err:
         raise ValueError(
             f"invalid geometry for {variant.value} at arc {arc_length_m} m: {err}"
         ) from None
-    return sensitivity_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
+    _, ev = _operating_point(*cell, plan.mech, plan.drive, 0.0)
+    return _sensitivity(ev, plan.mech, plan.drive)
 
 
 def maximize_sensitivity(

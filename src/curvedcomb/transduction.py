@@ -34,7 +34,7 @@ from .model import (
     MechanicalModel,
     displacement,
 )
-from .oracles import FiniteDiffScheme, FiniteDiffSpec, fd_derivative
+from .oracles import FiniteDiffSpec, fd_derivative
 
 __all__ = [
     "BridgeState",
@@ -335,7 +335,7 @@ def fd_sensitivity(
         margin = min(hi - delta, delta - lo)
         a_margin = margin * mech.spring_n_per_m / mech.mass_kg
         rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
-        spec = FiniteDiffSpec(FiniteDiffScheme.RICHARDSON_CENTRAL, rel_step)
+        spec = FiniteDiffSpec(rel_step)
 
     def gain_of_accel(a: float) -> float:
         return gain_at_side_nominals(config, d1, d2, mech, drive, a).gain

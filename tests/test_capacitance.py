@@ -158,3 +158,10 @@ class TestDispatch:
         assert face_capacitance(FaceKind.FLAT, face, STD_GAP) == cap_planar(
             face, STD_GAP
         )
+
+    def test_profile_of_wrong_type_is_rejected(self, profile):
+        face = PlanarProfile(profile.arc_length(), STD_H)
+        with pytest.raises(ValueError, match="flat face needs PlanarProfile, got ArcProfile"):
+            face_capacitance(FaceKind.FLAT, profile, STD_GAP)
+        with pytest.raises(ValueError, match="convex face needs ArcProfile, got PlanarProfile"):
+            face_capacitance(FaceKind.CONVEX, face, STD_GAP)

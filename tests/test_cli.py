@@ -1,8 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvedcomb.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -55,6 +61,12 @@ class TestUsageErrors:
     def test_empty_variant_list(self, capsys):
         code, _, err = run(capsys, "compare", "--variants", ",,")
         assert code == 1
+
+    @pytest.mark.parametrize("radius", ["0", "-0.0"])
+    def test_zero_radius_names_the_radius(self, capsys, radius):
+        code, _, err = run(capsys, "compare", f"--r-um={radius}")
+        assert code == 2
+        assert "r_um" in err
 
     def test_unknown_variant_name(self, capsys):
         code, _, err = run(capsys, "compare", "--variants", "Triconvex")
@@ -116,6 +128,30 @@ class TestConfigFile:
         code, _, err = run(capsys, "compare", "--config", str(cfg))
         assert code == 2
         assert path in err
+
+    def test_zero_radius_names_the_radius(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"geometry": {"r_um": 0}}')
+        code, _, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == 2
+        assert "r_um" in err
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param("README.md", id="readme"),
+            pytest.param("demos/reference-cell.json", id="reference-cell"),
+        ],
+    )
+    def test_documented_config_runs(self, tmp_path, monkeypatch, capsys, source):
+        text = (ROOT / source).read_text(encoding="utf-8")
+        if source == "README.md":  # the JSON block of the "Config files" section
+            section = text.split("### Config files", 1)[1]
+            text = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        (tmp_path / "cfg.json").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "compare", "--config", "cfg.json")
+        assert code == 0, err
 
     def test_phi_and_arc_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -202,6 +238,20 @@ class TestGainCurveCommand:
         assert len(lines) == 1 + 5
         assert "1.274864" in out  # fitted slope report
 
+    def test_accelerations_without_float_spread_get_no_slope(self, tmp_path, capsys):
+        # the x spread of 0 and 1e-200 g squares to 0: rows, but no fitted slope
+        code, out, _ = run(
+            capsys,
+            "gain-curve",
+            "--csv", str(tmp_path / "g.csv"),
+            "--accel-min-g", "0",
+            "--accel-max-g", "1e-200",
+            "--accel-points", "2",
+            "--variants", "Planar",
+        )
+        assert code == 0
+        assert out.splitlines()[-1].startswith("fitted slope")
+
     def test_infinite_accel_bound_is_rejected(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -221,6 +271,13 @@ class TestCompareCommand:
         first_data_line = out.splitlines()[1]
         assert first_data_line.split()[0] == "1"
         assert "Biconvex" in first_data_line
+
+    @pytest.mark.parametrize("permittivity", ["1e308", "5e-324"])
+    def test_float_range_is_domain_error(self, capsys, permittivity):
+        # C * C overflows, or C underflows to 0 and divides the gain
+        code, _, err = run(capsys, "compare", "--permittivity", permittivity)
+        assert code == 2
+        assert "floating-point range" in err
 
     def test_ordering_spans_planar(self, capsys):
         code, out, _ = run(capsys, "compare")
@@ -272,3 +329,96 @@ class TestDeterminism:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# Property test: whatever the config document and shared flags, main()
+# returns a documented exit code and never raises. Point counts stay <= 5
+# so each example runs in milliseconds.
+WORDS = st.sampled_from(
+    ["apex", "face-plane", "matched-sum", "nominal", "vary-r-fixed-arc",
+     "vary-phi-fixed-r", "Planar", "biconvex", "bogus", ""]
+)
+NUMBERS = st.one_of(
+    st.floats(),  # nan, +-inf, +-0.0, subnormals and huge values included
+    st.integers(-3, 50),
+    st.sampled_from([0, -1, 10**400]),
+)
+COUNTS = st.integers(-1, 5)
+PATHS = st.sampled_from(["out.csv", "", "missing/out.csv", "."])
+LEAF = st.one_of(NUMBERS, WORDS, st.booleans(), st.none(), st.lists(WORDS, max_size=2))
+COUNT_LEAF = st.one_of(COUNTS, st.floats(), WORDS, st.none())
+SECTIONS = {
+    "geometry": ["r_um", "phi_rad", "arc_um", "h_um", "b_um"],
+    "mech": ["m_kg", "k_n_per_m", "combs"],
+    "drive": ["v_in_v", "feedback_mode", "permittivity"],
+    "sweep": ["arc_mode", "arc_min_um", "arc_max_um", "accel_min_g", "accel_max_g",
+              "variants", "arc_points", "accel_points"],
+    "output": ["csv", "svg"],
+}
+
+
+def _leaf(key: str):
+    if key.endswith("_points"):
+        return COUNT_LEAF
+    return st.one_of(PATHS, st.none(), NUMBERS) if key in ("csv", "svg") else LEAF
+
+
+CONFIG_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            **{
+                name: st.one_of(
+                    st.fixed_dictionaries({}, optional={k: _leaf(k) for k in keys}),
+                    LEAF,
+                )
+                for name, keys in SECTIONS.items()
+            },
+            "gap_um": LEAF,
+            "gap_anchor": LEAF,
+            "unknown": LEAF,
+        },
+    ),
+    st.lists(NUMBERS, max_size=2),
+)
+FLAGS = {
+    **{flag: st.one_of(NUMBERS.map(str), WORDS) for flag in (
+        "r-um", "phi", "arc-um", "h-um", "b-um", "gap-um", "m-kg", "k-n-per-m",
+        "combs", "v-in", "permittivity", "arc-min-um", "arc-max-um",
+        "accel-min-g", "accel-max-g",
+    )},
+    **{flag: WORDS for flag in ("gap-anchor", "feedback", "arc-mode")},
+    "variants": st.sampled_from(["Planar,Biconvex", "biconcave", ",,", "bogus"]),
+    "arc-points": st.one_of(COUNTS.map(str), WORDS),
+    "accel-points": st.one_of(COUNTS.map(str), WORDS),
+    "csv": PATHS,
+    "svg": PATHS,
+}
+FLAG_SETS = st.dictionaries(st.sampled_from(sorted(FLAGS)), st.none(), max_size=4).flatmap(
+    lambda chosen: st.fixed_dictionaries({f: FLAGS[f] for f in chosen})
+)
+COMMANDS = st.one_of(
+    st.just(["compare"]),
+    st.just(["gain-curve"]),
+    st.sampled_from(["convex", "concave", "flat", "bogus"]).map(
+        lambda kind: ["capacitance", f"--kind={kind}"]
+    ),
+)
+
+
+class TestExitCodes:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(command=COMMANDS, doc=st.none() | CONFIG_DOCS, flags=FLAG_SETS)
+    def test_main_never_raises(self, tmp_path, monkeypatch, command, doc, flags):
+        monkeypatch.chdir(tmp_path)
+        argv = list(command)
+        if doc is not None:
+            Path("cfg.json").write_text(json.dumps(doc))
+            argv += ["--config", "cfg.json"]
+        argv += [f"--{flag}={value}" for flag, value in flags.items()]
+        assert main(argv) in (0, 1, 2, 3)

@@ -4,7 +4,8 @@ A sensitivity sweep evaluates each distinct face (kind, profile, gap)
 once: at one arc length every variant shares its faces, so an arc costs
 at most three kernel calls (convex, concave, flat) under either feedback
 mode. A curve point or optimizer step evaluates each face once: two
-kernel calls, plus the two rest capacitances of nominal feedback. Skipped
+kernel calls, plus the two rest capacitances of nominal feedback, and an
+optimizer step resolves each of its two faces once. Skipped
 cells and over-range points cost none. Counting calls rather than timing
 keeps this deterministic.
 """
@@ -87,13 +88,25 @@ def test_gain_curve_point(kernel_calls, feedback):
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
 def test_maximize_sensitivity_evaluation(kernel_calls, monkeypatch, feedback):
     evaluations = []
-    evaluate = sweep.sensitivity_at_side_nominals
+    evaluate = sweep._sensitivity_at_arc
 
     def counted(*args):
         evaluations.append(args)
         return evaluate(*args)
 
-    monkeypatch.setattr(sweep, "sensitivity_at_side_nominals", counted)
+    resolved = []
+    resolve = capacitance._resolve_face
+
+    def counted_resolve(*args):
+        resolved.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(sweep, "_sensitivity_at_arc", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvedcomb") and vars(module).get("_resolve_face") is resolve:
+            monkeypatch.setattr(module, "_resolve_face", counted_resolve)
     maximize_sensitivity(Variant.BICONCAVE, (5e-6, 30e-6), make_plan(feedback))
     assert len(evaluations) > 10
     assert len(kernel_calls) == CALLS_PER_POINT[feedback] * len(evaluations)
+    # each evaluation resolves its cell's two faces once
+    assert len(resolved) == 2 * len(evaluations)

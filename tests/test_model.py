@@ -13,7 +13,6 @@ from curvedcomb import (
     PlanarProfile,
     Variant,
     displacement,
-    estimate_plate_mass,
     side_gap_bounds,
     side_nominal_gaps,
     validate_geometry,
@@ -208,10 +207,6 @@ class TestMechanics:
         assert displacement(mech, 9.80665) == pytest.approx(
             2.6e-10 * 9.80665 / 1.0, rel=1e-15
         )
-
-    def test_plate_mass_is_density_times_volume(self):
-        m = estimate_plate_mass(400e-6, 400e-6, 2e-6)
-        assert m == pytest.approx(2320.0 * 400e-6 * 400e-6 * 2e-6, rel=1e-15)
 
     def test_mech_validation(self):
         with pytest.raises(ValueError):

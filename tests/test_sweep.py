@@ -3,7 +3,7 @@ import math
 import pytest
 
 from curvedcomb import (
-    ARTIFACT_VERSION,
+    __version__,
     ArcMode,
     ArcProfile,
     DEFAULT_ARC_BOUNDS_M,
@@ -141,7 +141,7 @@ class TestSensitivitySweep:
     def test_metadata_echo(self):
         plan = make_plan(variants=(Variant.PLANAR,))
         echo = sensitivity_sweep(plan).metadata["plan"]
-        assert echo["version"] == ARTIFACT_VERSION
+        assert echo["version"] == __version__
         assert echo["arc_mode"] == ArcMode.VARY_R_FIXED_ARC.value
         assert echo["gap_anchor"] == GapAnchor.FACE_PLANE.value
         assert echo["comb_count"] == 21
