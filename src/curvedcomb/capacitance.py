@@ -26,6 +26,7 @@ from .model import (
     ArcProfile,
     FaceKind,
     PlanarProfile,
+    _check_profile,
     side_gap_bounds,
 )
 
@@ -56,11 +57,7 @@ _Face = tuple[FaceKind, ArcProfile | PlanarProfile, float, float, float | None]
 def _resolve_face(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> _Face:
     """The face of kind on profile; raises ValueError if the profile type
     does not fit the kind (PlanarProfile for FLAT, ArcProfile otherwise)."""
-    want = PlanarProfile if kind is FaceKind.FLAT else ArcProfile
-    if not isinstance(profile, want):
-        raise ValueError(
-            f"{kind.value} face needs {want.__name__}, got {type(profile).__name__}"
-        )
+    _check_profile(kind, profile)
     lo, hi = side_gap_bounds(kind, profile)
     t = None if kind is FaceKind.FLAT else profile.half_tan()
     return kind, profile, lo, hi, t

@@ -284,6 +284,16 @@ class ValidityReport:
         return self.ok
 
 
+def _check_profile(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> None:
+    """Raise ValueError unless the profile type fits the kind: PlanarProfile
+    for FLAT, ArcProfile for CONVEX and CONCAVE."""
+    want = PlanarProfile if kind is FaceKind.FLAT else ArcProfile
+    if not isinstance(profile, want):
+        raise ValueError(
+            f"{kind.value} face needs {want.__name__}, got {type(profile).__name__}"
+        )
+
+
 def side_gap_bounds(
     kind: FaceKind, profile: ArcProfile | PlanarProfile
 ) -> tuple[float, float]:

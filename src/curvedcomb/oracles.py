@@ -21,15 +21,14 @@ from .model import (
     ArcProfile,
     FaceKind,
     PlanarProfile,
+    _check_profile,
 )
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureResult",
     "QuadratureNonConvergence",
     "integrate_adaptive",
     "quad_capacitance",
-    "FiniteDiffSpec",
     "FDResult",
     "fd_derivative",
 ]
@@ -65,22 +64,9 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for adaptive integration."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-30
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if not 0.0 <= self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be >= 0 and finite, got {self.abs_tol}")
-        n = self.max_subdivisions
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n:
-            raise ValueError(f"max_subdivisions must be an int >= 1, got {n!r}")
+_REL_TOL = 1e-12
+_ABS_TOL = 1e-30
+_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -116,22 +102,24 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
+    f: Callable[[float], float], a: float, b: float
 ) -> QuadratureResult:
-    """Adaptive integral of f over [a, b].
+    """Adaptive integral of f over [a, b], to a relative error of 1e-12
+    (or an absolute error of 1e-30) within 2000 subdivisions.
 
     Each interval carries an embedded low/high order rule pair; the
     interval with the largest error estimate is bisected first, with
     insertion order breaking ties, so refinement is reproducible.
 
     Raises:
+        ValueError: if a or b is not finite.
         QuadratureNonConvergence: if the subdivision budget is exhausted
-            before the requested tolerance is met. The partial value and
-            its error estimate ride along on the exception.
+            before the tolerance is met. The partial value and its error
+            estimate ride along on the exception.
     """
+    for name, end in (("a", a), ("b", b)):
+        if not -math.inf < end < math.inf:
+            raise ValueError(f"integration bound {name} must be finite, got {end}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     val, err = _gk15(f, a, b)
@@ -140,8 +128,8 @@ def integrate_adaptive(
     seq = 1
     total_val, total_err = val, err
     splits = 0
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        if splits >= spec.max_subdivisions:
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
+        if splits >= _MAX_SUBDIVISIONS:
             raise QuadratureNonConvergence(
                 f"no convergence after {splits} subdivisions "
                 f"(value {total_val}, error estimate {total_err})",
@@ -166,7 +154,6 @@ def quad_capacitance(
     profile: ArcProfile | PlanarProfile,
     gap_m: float,
     permittivity: float = VACUUM_PERMITTIVITY,
-    spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadratureResult:
     """Capacitance of one face by direct integration of its gap profile.
 
@@ -175,63 +162,50 @@ def quad_capacitance(
     gap + R*cos(theta) - R for a concave face; the flat face integrates
     the constant eps*h/gap along its length. Domain requirements match
     the closed forms.
-    """
-    if kind is FaceKind.FLAT:
-        assert isinstance(profile, PlanarProfile)
-        if gap_m <= 0.0:
-            raise ValueError(f"flat face needs a positive gap, got {gap_m} m")
-        h = profile.thickness_m
 
-        def flat_integrand(_x: float) -> float:
+    Raises:
+        ValueError: if the profile type does not fit the kind, the gap is
+            not positive and finite, or a concave gap is outside the
+            closed form's domain.
+        QuadratureNonConvergence: as integrate_adaptive; the message names
+            the face kind and the gap.
+    """
+    _check_profile(kind, profile)
+    if not 0.0 < gap_m < math.inf:
+        raise ValueError(f"{kind.value} face needs a positive finite gap, got {gap_m} m")
+    h = profile.thickness_m
+    if kind is FaceKind.FLAT:
+
+        def integrand(_x: float) -> float:
             return permittivity * h / gap_m
 
-        return integrate_adaptive(flat_integrand, 0.0, profile.length_m, spec)
-
-    assert isinstance(profile, ArcProfile)
-    if gap_m <= 0.0:
-        raise ValueError(f"{kind.value} face needs a positive gap, got {gap_m} m")
-    r = profile.radius_m
-    h = profile.thickness_m
-    if kind is FaceKind.CONCAVE:
-        if gap_m - profile.sagitta() <= CONCAVE_EDGE_MARGIN_REL * r:
-            raise ValueError(
-                f"concave edge contact: gap {gap_m} m within margin of sagitta "
-                f"{profile.sagitta()} m"
-            )
-        if gap_m >= 2.0 * r:
-            raise ValueError(f"concave gap must stay below 2R, got {gap_m} m")
-
-        def integrand(theta: float) -> float:
-            return permittivity * h * r / (gap_m + r * math.cos(theta) - r)
-
+        a, b = 0.0, profile.length_m
     else:
+        r = profile.radius_m
+        if kind is FaceKind.CONCAVE:
+            if gap_m - profile.sagitta() <= CONCAVE_EDGE_MARGIN_REL * r:
+                raise ValueError(
+                    f"concave edge contact: gap {gap_m} m within margin of sagitta "
+                    f"{profile.sagitta()} m"
+                )
+            if gap_m >= 2.0 * r:
+                raise ValueError(f"concave gap must stay below 2R, got {gap_m} m")
 
-        def integrand(theta: float) -> float:
-            return permittivity * h * r / (gap_m + r - r * math.cos(theta))
+            def integrand(theta: float) -> float:
+                return permittivity * h * r / (gap_m + r * math.cos(theta) - r)
 
-    half_phi = 0.5 * profile.angular_extent_rad
-    return integrate_adaptive(integrand, -half_phi, half_phi, spec)
+        else:
 
+            def integrand(theta: float) -> float:
+                return permittivity * h * r / (gap_m + r - r * math.cos(theta))
 
-_CBRT_EPS = (2.0**-52) ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class FiniteDiffSpec:
-    """Step control for fd_derivative.
-
-    base_step is relative: the trial step is base_step * max(|x|, 1).
-    When None, the classic cube root of machine epsilon is used. Steps
-    shrink geometrically when a stencil point falls outside the
-    function's domain (signalled by ValueError), up to 40 attempts.
-    """
-
-    base_step: float | None = None
-
-    def __post_init__(self) -> None:
-        step = self.base_step
-        if step is not None and not 0.0 < step < math.inf:
-            raise ValueError(f"base_step must be positive and finite, got {step}")
+        b = 0.5 * profile.angular_extent_rad
+        a = -b
+    try:
+        return integrate_adaptive(integrand, a, b)
+    except QuadratureNonConvergence as err:
+        err.args = (f"{kind.value} face at gap {gap_m} m: {err}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -254,22 +228,26 @@ def _central(f: Callable[[float], float], x: float, h: float) -> float | None:
 
 
 def fd_derivative(
-    f: Callable[[float], float],
-    x: float,
-    spec: FiniteDiffSpec = FiniteDiffSpec(),
+    f: Callable[[float], float], x: float, rel_step: float
 ) -> FDResult:
     """Finite-difference estimate of f'(x) with an error estimate.
 
-    Two central differences, at steps h and h/2, are combined into a
-    fourth-order Richardson extrapolation; a third of their difference is
-    the error estimate.
+    The trial step is rel_step * max(|x|, 1). Two central differences, at
+    steps h and h/2, are combined into a fourth-order Richardson
+    extrapolation; a third of their difference is the error estimate.
+    The step halves whenever a stencil point falls outside the function's
+    domain (signalled by ValueError), up to 40 times.
 
     Raises:
-        ValueError: if no admissible step exists after 40 geometric
-            shrinks (every trial stencil left the function's domain).
+        ValueError: if x is not finite, rel_step is not positive and
+            finite, or no admissible step exists after 40 shrinks (every
+            trial stencil left the function's domain).
     """
-    step = spec.base_step if spec.base_step is not None else _CBRT_EPS
-    h = step * max(abs(x), 1.0)
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"x must be finite, got {x}")
+    if not 0.0 < rel_step < math.inf:
+        raise ValueError(f"rel_step must be positive and finite, got {rel_step}")
+    h = rel_step * max(abs(x), 1.0)
     for _ in range(_MAX_SHRINKS):
         if x + 0.5 * h == x:  # stencil no longer resolvable in floating point
             break

@@ -151,7 +151,11 @@ class SweepResult:
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n - 1)] + [hi]
+    if step < math.inf:
+        return [lo + i * step for i in range(n - 1)] + [hi]
+    # hi - lo overflows, so lo < 0 < hi: the two weighted ends sum finitely
+    m = n - 1
+    return [lo * ((m - i) / m) + hi * (i / m) for i in range(m)] + [hi]
 
 
 def _ordered_variants(variants: Iterable[Variant]) -> list[Variant]:

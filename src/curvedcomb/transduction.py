@@ -34,7 +34,7 @@ from .model import (
     MechanicalModel,
     displacement,
 )
-from .oracles import FiniteDiffSpec, fd_derivative
+from .oracles import fd_derivative
 
 __all__ = [
     "BridgeState",
@@ -316,7 +316,6 @@ def fd_sensitivity(
     mech: MechanicalModel,
     drive: DriveModel,
     accel_m_s2: float = 0.0,
-    spec: FiniteDiffSpec | None = None,
 ) -> float:
     """Finite-difference sensitivity (V per g): the verification route.
 
@@ -324,21 +323,18 @@ def fd_sensitivity(
     stencil and scales by V_in * g0. Independent of dcap_dgap by
     construction; tests and --verify compare it against sensitivity().
 
-    The default step is a small fraction of the distance to contact so
-    the stencil stays inside the valid travel range.
+    The step is a small fraction of the distance to contact so the
+    stencil stays inside the valid travel range.
     """
+    faces = _side_faces(config)
     delta = displacement(mech, accel_m_s2)
-    if spec is None:
-        faces = _side_faces(config)
-        _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
-        lo, hi = _displacement_interval(faces, d1, d2)
-        margin = min(hi - delta, delta - lo)
-        a_margin = margin * mech.spring_n_per_m / mech.mass_kg
-        rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
-        spec = FiniteDiffSpec(rel_step)
+    _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
+    lo, hi = _displacement_interval(faces, d1, d2)
+    a_margin = min(hi - delta, delta - lo) * mech.spring_n_per_m / mech.mass_kg
+    rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
 
     def gain_of_accel(a: float) -> float:
         return gain_at_side_nominals(config, d1, d2, mech, drive, a).gain
 
-    slope = fd_derivative(gain_of_accel, accel_m_s2, spec).value
+    slope = fd_derivative(gain_of_accel, accel_m_s2, rel_step).value
     return drive.v_in_volts * slope * STANDARD_GRAVITY

@@ -13,7 +13,7 @@ from curvedcomb import (
     dcap_dgap,
     face_capacitance,
     fd_derivative,
-    FiniteDiffSpec,
+    quad_capacitance,
 )
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
@@ -118,11 +118,10 @@ class TestDerivatives:
             if kind is FaceKind.FLAT
             else profile
         )
-        # micron-scale argument: ask for a ~1 nm absolute trial step
-        spec = FiniteDiffSpec(base_step=1e-9)
         for gap in gaps:
             exact = dcap_dgap(kind, prof, gap)
-            fd = fd_derivative(lambda g: face_capacitance(kind, prof, g), gap, spec)
+            # micron-scale argument: a ~1 nm absolute trial step
+            fd = fd_derivative(lambda g: face_capacitance(kind, prof, g), gap, 1e-9)
             assert exact == pytest.approx(fd.value, rel=1e-9)
             assert exact < 0  # capacitance always falls as the gap opens
 
@@ -159,9 +158,12 @@ class TestDispatch:
             face, STD_GAP
         )
 
-    def test_profile_of_wrong_type_is_rejected(self, profile):
+    @pytest.mark.parametrize("evaluate", [face_capacitance, quad_capacitance])
+    def test_profile_of_wrong_type_is_rejected(self, profile, evaluate):
         face = PlanarProfile(profile.arc_length(), STD_H)
         with pytest.raises(ValueError, match="flat face needs PlanarProfile, got ArcProfile"):
-            face_capacitance(FaceKind.FLAT, profile, STD_GAP)
+            evaluate(FaceKind.FLAT, profile, STD_GAP)
         with pytest.raises(ValueError, match="convex face needs ArcProfile, got PlanarProfile"):
-            face_capacitance(FaceKind.CONVEX, face, STD_GAP)
+            evaluate(FaceKind.CONVEX, face, STD_GAP)
+        with pytest.raises(ValueError, match="concave face needs ArcProfile, got str"):
+            evaluate(FaceKind.CONCAVE, "profile", STD_GAP)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from curvedcomb import cli
 from curvedcomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +28,17 @@ class TestCapacitance:
         code, out, _ = run(capsys, "capacitance", "--kind", "concave", "--verify")
         assert code == 0
         assert "rel diff" in out
+
+    def test_verify_that_cannot_converge_is_verification_failure(self, capsys):
+        # 7e-15 m above the edge-contact bound 0.4995834722974 um: the
+        # quadrature spends its whole subdivision budget
+        code, _, err = run(
+            capsys, "capacitance", "--kind", "concave", "--r-um", "100",
+            "--phi", "0.2", "--gap-um", "0.49958348", "--verify",
+        )
+        assert code == 3
+        assert err.startswith("verification failure: concave face at gap 4.9958348e-07 m")
+        assert "error estimate" in err
 
     def test_flat_kind_uses_face_length(self, capsys):
         code, out, _ = run(
@@ -252,6 +264,23 @@ class TestGainCurveCommand:
         assert code == 0
         assert out.splitlines()[-1].startswith("fitted slope")
 
+    def test_accel_span_that_overflows_evaluates_zero_g(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows; the midpoint of the grid is still 0 g
+        out_csv = tmp_path / "g.csv"
+        code, out, _ = run(
+            capsys,
+            "gain-curve",
+            "--csv", str(out_csv),
+            "--accel-min-g=-1e308",
+            "--accel-max-g=1e308",
+            "--accel-points", "3",
+        )
+        assert code == 0
+        rows = out_csv.read_text().splitlines()[1:]
+        assert len(rows) == 7
+        assert {float(row.split(",")[1]) for row in rows} == {0.0}
+        assert "14 grid point(s) over-range" in out
+
     def test_infinite_accel_bound_is_rejected(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -296,10 +325,10 @@ class TestValidateCommand:
         assert len(doc["suites"]) == 3
         assert all(s["max_rel_err"] < s["tolerance"] for s in doc["suites"])
 
-    def test_injected_fault_is_caught(self, capsys):
-        code, out, err = run(
-            capsys, "validate", "--points", "15", "--inject-fault", "1e-6"
-        )
+    def test_injected_fault_is_caught(self, capsys, monkeypatch):
+        exact = cli.cap_convex
+        monkeypatch.setattr(cli, "cap_convex", lambda p, d: exact(p, d) * (1.0 + 1e-6))
+        code, out, err = run(capsys, "validate", "--points", "15")
         assert code == 3
         assert "verification failure" in err
 
@@ -397,11 +426,17 @@ FLAGS = {
 FLAG_SETS = st.dictionaries(st.sampled_from(sorted(FLAGS)), st.none(), max_size=4).flatmap(
     lambda chosen: st.fixed_dictionaries({f: FLAGS[f] for f in chosen})
 )
+KINDS = st.sampled_from(["convex", "concave", "flat", "bogus"])
+# gaps from the reference cell's concave edge-contact bound (about
+# 0.4995834722974 um) to 1e-3 um above it; within about 3e-5 um of the
+# bound the quadrature cannot converge
+EDGE_GAPS = st.floats(-20.0, -3.0).map(lambda e: repr(0.4995834722974 + 10.0**e))
 COMMANDS = st.one_of(
     st.just(["compare"]),
     st.just(["gain-curve"]),
-    st.sampled_from(["convex", "concave", "flat", "bogus"]).map(
-        lambda kind: ["capacitance", f"--kind={kind}"]
+    KINDS.map(lambda kind: ["capacitance", f"--kind={kind}"]),
+    st.tuples(KINDS, EDGE_GAPS).map(
+        lambda kg: ["capacitance", f"--kind={kg[0]}", "--verify", f"--gap-um={kg[1]}"]
     ),
 )
 

@@ -30,6 +30,7 @@ from curvedcomb import (
     dcap_dgap,
     face_capacitance,
     gain_at_side_nominals,
+    quad_capacitance,
     sensitivity_at_side_nominals,
     side_gap_bounds,
     side_nominal_gaps,
@@ -186,6 +187,15 @@ class TestNanIsRejected:
         ):
             with pytest.raises(GeometryDomainError):
                 call()
+
+    @pytest.mark.parametrize("gap_m", [NAN, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", list(FaceKind))
+    def test_quadrature(self, kind, gap_m, profile):
+        face = profile
+        if kind is FaceKind.FLAT:
+            face = PlanarProfile(profile.arc_length(), profile.thickness_m)
+        with pytest.raises(ValueError, match="positive finite gap"):
+            quad_capacitance(kind, face, gap_m)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_validate_geometry_without_the_constructor_check(self, variant, profile):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from curvedcomb import (
     side_nominal_gaps,
     validate_geometry,
 )
+from curvedcomb.sweep import _linspace
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
 
@@ -286,6 +288,14 @@ class TestGainCurve:
         )
         accels = [r.accel_g for r in gain_curve(plan).rows]
         assert accels == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+    def test_grid_whose_span_overflows_stays_finite_and_ordered(self):
+        big = sys.float_info.max  # big - (-big) overflows to inf
+        grid = _linspace(-big, big, 1001)
+        assert all(math.isfinite(x) for x in grid) and grid == sorted(grid)
+        assert (grid[0], grid[500], grid[-1]) == (-big, 0.0, big)
+        assert _linspace(-1e308, 1e308, 3) == [-1e308, 0.0, 1e308]
+        assert _linspace(-big, big, 2) == [-big, big]
 
 
 class TestMaximizeSensitivity:
