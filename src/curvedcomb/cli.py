@@ -414,9 +414,9 @@ def cmd_capacitance(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"quadrature oracle = {_sci(oracle.value)} F "
             f"(error estimate {oracle.error_estimate:.3e}), rel diff = {rel:.3e}"
         )
-        if rel >= _QUAD_TOL:
+        if not rel < _QUAD_TOL:
             raise VerifyFailure(
-                f"closed form vs quadrature rel diff {rel:.3e} >= {_QUAD_TOL}"
+                f"closed form vs quadrature rel diff {rel:.3e} not below {_QUAD_TOL}"
             )
     return 0
 
@@ -506,7 +506,7 @@ def cmd_sensitivity_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             fd = fd_sensitivity(config, d1, d2, plan.mech, plan.drive, 0.0) * 1e3
             row.append(_sci(fd))
             rel = abs(fd - r.s_mv_per_g) / max(abs(r.s_mv_per_g), 1e-300)
-            if rel >= _FD_TOL:
+            if not rel < _FD_TOL:
                 verify_failures.append(
                     f"{r.variant.value} at arc {r.arc_length_m:.3e} m: rel diff {rel:.3e}"
                 )
@@ -597,6 +597,11 @@ def _validate_config_geometry(cfg: RunConfig) -> None:
             )
 
 
+def _worse(worst: float, rel: float) -> float:
+    """max(worst, rel), except that a NaN in either is kept (and fails)."""
+    return rel if rel > worst or rel != rel else worst
+
+
 def _suite_quadrature(rng: random.Random, points: int) -> float:
     """Max rel diff between closed forms and quadrature on random geometry."""
     worst = 0.0
@@ -607,11 +612,11 @@ def _suite_quadrature(rng: random.Random, points: int) -> float:
         prof = ArcProfile(r, phi, 2e-6)
         convex = cap_convex(prof, d)
         oracle = quad_capacitance(FaceKind.CONVEX, prof, d)
-        worst = max(worst, abs(convex - oracle.value) / abs(oracle.value))
+        worst = _worse(worst, abs(convex - oracle.value) / abs(oracle.value))
         if d - prof.sagitta() > 1e-3 * d:  # keep clear of the edge divergence
             concave = cap_concave(prof, d)
             oracle = quad_capacitance(FaceKind.CONCAVE, prof, d)
-            worst = max(worst, abs(concave - oracle.value) / abs(oracle.value))
+            worst = _worse(worst, abs(concave - oracle.value) / abs(oracle.value))
     return worst
 
 
@@ -643,7 +648,7 @@ def _suite_derivative(rng: random.Random, points: int) -> float:
             config, d, mech, drive, accel = _random_valid_setup(rng, variant)
             s = sensitivity_at_side_nominals(config, d, d, mech, drive, accel)
             fd = fd_sensitivity(config, d, d, mech, drive, accel)
-            worst = max(worst, abs(fd - s) / abs(s))
+            worst = _worse(worst, abs(fd - s) / abs(s))
     return worst
 
 
@@ -663,24 +668,24 @@ def _suite_symmetry(rng: random.Random, points: int) -> float:
                 continue
             plus = gain_at_side_nominals(config, d, d, mech, drive, accel).gain
             minus = gain_at_side_nominals(config, d, d, mech, drive, -accel).gain
-            worst = max(worst, abs(plus + minus) / max(abs(plus), 1e-300))
+            worst = _worse(worst, abs(plus + minus) / max(abs(plus), 1e-300))
         cc = ElectrodeConfig.for_variant(Variant.CONCAVO_CONVEX, prof)
         vc = ElectrodeConfig.for_variant(Variant.CONVEXO_CONCAVE, prof)
         if validate_geometry(cc, GapState(d)).ok:
             g_cc = gain_at_side_nominals(cc, d, d, mech, drive, accel).gain
             g_vc = gain_at_side_nominals(vc, d, d, mech, drive, -accel).gain
-            worst = max(worst, abs(g_cc + g_vc) / max(abs(g_cc), 1e-300))
+            worst = _worse(worst, abs(g_cc + g_vc) / max(abs(g_cc), 1e-300))
         planar = ElectrodeConfig.for_variant(Variant.PLANAR, prof)
         # delta/d = 1/4 so the c2 - c1 cancellation stays below the tolerance
         accel_p = 0.25 * d * mech.spring_n_per_m / mech.mass_kg
         point = gain_at_side_nominals(planar, d, d, mech, drive, accel_p)
         exact = point.displacement_m / d
-        worst = max(worst, abs(point.gain - exact) / abs(exact))
+        worst = _worse(worst, abs(point.gain - exact) / abs(exact))
         s = sensitivity_at_side_nominals(planar, d, d, mech, drive, 0.0)
         s_exact = drive.v_in_volts * mech.mass_kg * STANDARD_GRAVITY / (
             mech.spring_n_per_m * d
         )
-        worst = max(worst, abs(s - s_exact) / abs(s_exact))
+        worst = _worse(worst, abs(s - s_exact) / abs(s_exact))
     return worst
 
 

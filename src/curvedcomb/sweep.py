@@ -17,7 +17,8 @@ extent (a similarity family whose bow stays proportional to arc length).
 At one arc length every variant shares one profile and one flat face,
 and at rest each face kind sits at one nominal gap, so sensitivity_sweep
 resolves and evaluates each face once per arc length and every variant's
-row reads its two sides from those evaluations.
+row reads its two sides from those evaluations. An optimizer step reads S
+the same way: each distinct face once, at rest, with C_fb = c1 + c2.
 """
 
 from __future__ import annotations
@@ -379,15 +380,29 @@ _ARC_TOL_M = 1e-10
 
 
 def _sensitivity_at_arc(plan: SweepPlan, variant: Variant, arc_length_m: float) -> float:
+    # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode
     prof = _profile_at(plan, arc_length_m)
+    k1, k2 = SIDE_KINDS[variant]
+    bow = prof.sagitta() if plan.gap_anchor is GapAnchor.FACE_PLANE else 0.0
     try:
-        cell = _resolve_cell(plan, variant, prof)
+        flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
+        f1 = _resolve_face(k1, flat if k1 is FaceKind.FLAT else prof)
+        d1 = _bowed_gap(k1, plan.gap.gap_m, bow)
+        f2, d2 = f1, d1
+        if k2 is not k1:
+            f2 = _resolve_face(k2, flat if k2 is FaceKind.FLAT else prof)
+            d2 = _bowed_gap(k2, plan.gap.gap_m, bow)
+        if not (f1[2] < d1 < f1[3] and f2[2] < d2 < f2[3]):
+            config = ElectrodeConfig.for_variant(variant, prof)
+            raise ValueError(_skip_reason(plan, config))
     except ValueError as err:
         raise ValueError(
             f"invalid geometry for {variant.value} at arc {arc_length_m} m: {err}"
         ) from None
-    _, ev = _operating_point(*cell, plan.mech, plan.drive, 0.0)
-    return _sensitivity(ev, plan.mech, plan.drive)
+    eps = plan.drive.permittivity_f_per_m
+    c1, dc1 = _face_eval(f1, d1, eps)
+    c2, dc2 = (c1, dc1) if k2 is k1 else _face_eval(f2, d2, eps)
+    return _sensitivity((c1, dc1, c2, dc2, c1 + c2), plan.mech, plan.drive)
 
 
 def maximize_sensitivity(

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,16 @@ class TestCapacitance:
         assert code == 3
         assert err.startswith("verification failure: concave face at gap 4.9958348e-07 m")
         assert "error estimate" in err
+
+    def test_nan_relative_difference_is_verification_failure(self, capsys):
+        # the quadrature overflows to inf, so the relative difference is NaN
+        code, out, err = run(
+            capsys, "capacitance", "--kind", "flat", "--permittivity", "1e308",
+            "--verify",
+        )
+        assert code == 3
+        assert "rel diff = nan" in out
+        assert err.startswith("verification failure")
 
     def test_flat_kind_uses_face_length(self, capsys):
         code, out, _ = run(
@@ -192,6 +204,15 @@ class TestSensitivitySweepCommand:
         assert first[0] == "Planar"
         assert "e-" in first[1]  # 17-significant-digit scientific notation
 
+    def test_nan_oracle_is_verification_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fd_sensitivity", lambda *args: math.nan)
+        code, _, err = run(
+            capsys, "sensitivity-sweep", "--verify", "--csv", str(tmp_path / "s.csv"),
+            "--arc-points", "3", "--variants", "Planar",
+        )
+        assert code == 3
+        assert err.startswith("verification failure")
+
     def test_requires_csv_path(self, capsys):
         code, _, err = run(capsys, "sensitivity-sweep")
         assert code == 1
@@ -331,6 +352,33 @@ class TestValidateCommand:
         code, out, err = run(capsys, "validate", "--points", "15")
         assert code == 3
         assert "verification failure" in err
+
+    @pytest.mark.parametrize(
+        "suite, nan_of",
+        [
+            ("cap_convex", lambda c: math.nan),
+            ("fd_sensitivity", lambda s: math.nan),
+            ("gain_at_side_nominals", lambda p: replace(p, gain=math.nan)),
+        ],
+        ids=["quadrature", "derivative", "symmetry"],
+    )
+    def test_nan_in_a_suite_is_caught(self, capsys, monkeypatch, suite, nan_of):
+        # only the first call is NaN: the finite relative differences after
+        # it must not replace it as the suite's worst
+        original = getattr(cli, suite)
+        calls = []
+
+        def first_nan(*args):
+            calls.append(args)
+            out = original(*args)
+            return nan_of(out) if len(calls) == 1 else out
+
+        monkeypatch.setattr(cli, suite, first_nan)
+        code, out, err = run(capsys, "validate", "--points", "15", "--json")
+        assert code == 3
+        assert "verification failure" in err
+        failed = [s for s in json.loads(out)["suites"] if not s["pass"]]
+        assert len(failed) == 1 and math.isnan(failed[0]["max_rel_err"])
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_points_below_one_is_usage_error(self, capsys, points):

@@ -3,11 +3,13 @@
 A sensitivity sweep evaluates each distinct face (kind, profile, gap)
 once: at one arc length every variant shares its faces, so an arc costs
 at most three kernel calls (convex, concave, flat) under either feedback
-mode. A curve point or optimizer step evaluates each face once: two
-kernel calls, plus the two rest capacitances of nominal feedback, and an
-optimizer step resolves each of its two faces once. Skipped
-cells and over-range points cost none. Counting calls rather than timing
-keeps this deterministic.
+mode. A curve point evaluates each face once: two kernel calls, plus the
+two rest capacitances of nominal feedback. An optimizer step is at rest,
+where C_fb = c1 + c2 under either feedback mode, so it resolves and
+evaluates each distinct face kind of its pairing once: one call for a
+symmetric pairing, two for a mixed one. Skipped cells and over-range
+points cost none. Counting calls rather than timing keeps this
+deterministic.
 """
 
 import sys
@@ -105,8 +107,11 @@ def test_maximize_sensitivity_evaluation(kernel_calls, monkeypatch, feedback):
     for name, module in list(sys.modules.items()):
         if name.startswith("curvedcomb") and vars(module).get("_resolve_face") is resolve:
             monkeypatch.setattr(module, "_resolve_face", counted_resolve)
-    maximize_sensitivity(Variant.BICONCAVE, (5e-6, 30e-6), make_plan(feedback))
-    assert len(evaluations) > 10
-    assert len(kernel_calls) == CALLS_PER_POINT[feedback] * len(evaluations)
-    # each evaluation resolves its cell's two faces once
-    assert len(resolved) == 2 * len(evaluations)
+    # each step resolves and evaluates each distinct face kind once
+    for variant, kinds in ((Variant.BICONCAVE, 1), (Variant.PLANO_CONCAVE, 2)):
+        for calls in (evaluations, resolved, kernel_calls):
+            calls.clear()
+        maximize_sensitivity(variant, (5e-6, 30e-6), make_plan(feedback))
+        assert len(evaluations) > 10
+        assert len(kernel_calls) == kinds * len(evaluations)
+        assert len(resolved) == kinds * len(evaluations)

@@ -27,7 +27,7 @@ from curvedcomb import (
     side_nominal_gaps,
     validate_geometry,
 )
-from curvedcomb.sweep import _linspace
+from curvedcomb.sweep import _linspace, _sensitivity_at_arc
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
 
@@ -255,6 +255,52 @@ def test_sweep_rows_equal_the_per_cell_path(feedback, anchor, mode):
             f"side {v.side}: {v.rule}" for v in report.violations
         )
     assert len(cells) == len(Variant) * plan.arc_points
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+@pytest.mark.parametrize("anchor", list(GapAnchor))
+@pytest.mark.parametrize("mode", list(ArcMode))
+def test_optimizer_step_equals_the_per_cell_path(feedback, anchor, mode):
+    """An optimizer step reads S at rest from each distinct face, as the
+    sweep reads a row; it must equal, bit for bit, what the public
+    per-cell function gives, and an invalid cell must carry
+    validate_geometry's reason under the step's prefix."""
+    plan = make_plan(
+        drive=DriveModel(1.0, feedback), gap_anchor=anchor, arc_mode=mode
+    )
+    outcomes = set()
+    for variant in Variant:
+        for arc in _linspace(1e-6, 120e-6, 25):
+            config = ElectrodeConfig.for_variant(variant, _cell_profile(plan, arc))
+            report = validate_geometry(config, plan.gap, plan.gap_anchor)
+            outcomes.add(report.ok)
+            if report.ok:
+                d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+                s = sensitivity_at_side_nominals(
+                    config, d1, d2, plan.mech, plan.drive, 0.0
+                )
+                assert _sensitivity_at_arc(plan, variant, arc) == s
+                continue
+            reason = "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
+            with pytest.raises(ValueError) as info:
+                _sensitivity_at_arc(plan, variant, arc)
+            assert str(info.value) == (
+                f"invalid geometry for {variant.value} at arc {arc} m: {reason}"
+            )
+    assert outcomes == {True, False}
+
+
+def test_optimizer_step_on_unrealizable_arc_keeps_the_profile_message():
+    # at R = 10 um a 60 um arc needs phi = 6 rad, outside [0, pi)
+    plan = make_plan(
+        profile=ArcProfile(10e-6, 0.2, STD_H), arc_mode=ArcMode.VARY_PHI_FIXED_R
+    )
+    with pytest.raises(ValueError) as expected:
+        ArcProfile(10e-6, 60e-6 / 10e-6, STD_H)
+    for variant in Variant:
+        with pytest.raises(ValueError) as info:
+            maximize_sensitivity(variant, (1e-6, 60e-6), plan)
+        assert str(info.value) == str(expected.value)
 
 
 class TestGainCurve:
