@@ -18,7 +18,9 @@ At one arc length every variant shares one profile and one flat face,
 and at rest each face kind sits at one nominal gap, so sensitivity_sweep
 resolves and evaluates each face once per arc length and every variant's
 row reads its two sides from those evaluations. An optimizer step reads S
-the same way: each distinct face once, at rest, with C_fb = c1 + c2.
+the same way: each distinct face once, at rest, with C_fb = c1 + c2; both
+refuse an arc whose C underflows. A gain-curve point makes two kernel
+calls: nominal feedback's rest pair is evaluated once per variant.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .capacitance import _face_eval, _resolve_face
@@ -37,6 +39,7 @@ from .model import (
     DriveModel,
     ElectrodeConfig,
     FaceKind,
+    FeedbackMode,
     GapAnchor,
     GapState,
     MechanicalModel,
@@ -52,6 +55,7 @@ from .transduction import (
     _Faces,
     _gain,
     _operating_point,
+    _rest_feedback,
     _sensitivity,
     _side_faces,
     net_sensitivity,
@@ -128,8 +132,7 @@ class SweepPlan:
             )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     variant: Variant
     arc_length_m: float
     radius_m: float
@@ -236,20 +239,22 @@ def _row(
     """One row from one bridge evaluation at displacement delta."""
     g = _gain(ev)
     s = _sensitivity(ev, plan.mech, plan.drive)
-    return SweepRow(
-        variant=variant,
-        arc_length_m=arc_length_m,
-        radius_m=profile.radius_m,
-        phi_rad=profile.angular_extent_rad,
-        accel_g=accel_g,
-        displacement_m=delta,
-        c1_f=ev[0],
-        c2_f=ev[2],
-        gain=g,
-        v_out_v=plan.drive.v_in_volts * g,
-        s_mv_per_g=s * 1e3,
-        s_net_mv_per_g=net_sensitivity(s, plan.mech) * 1e3,
+    return SweepRow(  # positional, in field order: keywords take twice as long
+        variant, arc_length_m, profile.radius_m, profile.angular_extent_rad,
+        accel_g, delta, ev[0], ev[2], g, plan.drive.v_in_volts * g,
+        s * 1e3, net_sensitivity(s, plan.mech) * 1e3,
     )
+
+
+def _at_rest(e1: tuple, e2: tuple, drive: DriveModel) -> _Evaluation:
+    """Rest evaluation of two sides' (C, dC/dd), C_fb = c1 + c2 in either mode;
+    ValueError where C underflows until G or S would divide by c_fb (or c_fb**2)."""
+    (c1, dc1), (c2, dc2) = e1, e2
+    c_fb = c1 + c2
+    if c_fb < 1e-150:  # (1e-150)**2 is still a normal float
+        if (c_fb**2 if drive.feedback_mode is FeedbackMode.MATCHED_SUM else c_fb) == 0:
+            raise ValueError(f"rest capacitance {c_fb} F underflows the readout")
+    return c1, dc1, c2, dc2, c_fb
 
 
 def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
@@ -291,19 +296,20 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     skipped: list[dict] = []
     for variant, (i1, i2) in zip(variants, sides):
         for arc, cell in zip(arcs, cells):
-            reason = cell
-            if not isinstance(cell, str):
+            try:
+                if isinstance(cell, str):
+                    raise ValueError(cell)
                 prof, evals = cell
-                if evals[i1] is not None and evals[i2] is not None:
-                    (c1, dc1), (c2, dc2) = evals[i1], evals[i2]
-                    # at rest the nominal feedback 2*C0 is c1 + c2 as well
-                    ev = (c1, dc1, c2, dc2, c1 + c2)
-                    rows.append(_row(plan, variant, prof, arc, 0.0, 0.0, ev))
-                    continue
-                reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
-            skipped.append(
-                {"variant": variant.value, "arc_length_m": arc, "reason": reason}
-            )
+                if evals[i1] is None or evals[i2] is None:
+                    config = ElectrodeConfig.for_variant(variant, prof)
+                    raise ValueError(_skip_reason(plan, config))
+                ev = _at_rest(evals[i1], evals[i2], plan.drive)
+            except ValueError as err:
+                skipped.append(
+                    {"variant": variant.value, "arc_length_m": arc, "reason": str(err)}
+                )
+                continue
+            rows.append(_row(plan, variant, prof, arc, 0.0, 0.0, ev))
     if not rows:
         raise ValueError(
             "no valid grid points in the sweep plan; first reason: "
@@ -322,6 +328,8 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     whose valid accelerations have no spread in floating point has none.
     """
     accels_g = _linspace(*plan.accel_range_g, plan.accel_points)
+    nominal = plan.drive.feedback_mode is FeedbackMode.NOMINAL
+    eps = plan.drive.permittivity_f_per_m
     prof = plan.profile
     arc = prof.arc_length()
     rows: list[SweepRow] = []
@@ -335,12 +343,14 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
                 {"variant": variant.value, "accel_g": None, "reason": str(err)}
             )
             continue
+        _, faces, d1, d2 = cell  # valid at rest: nominal C_fb evaluates once
+        rest_fb = _rest_feedback(faces, d1, d2, eps) if nominal else None
         xs: list[float] = []
         ys: list[float] = []
         for a_g in accels_g:
             try:
                 delta, ev = _operating_point(
-                    *cell, plan.mech, plan.drive, a_g * STANDARD_GRAVITY
+                    *cell, plan.mech, plan.drive, a_g * STANDARD_GRAVITY, rest_fb
                 )
             except OverRangeError as err:
                 over_range.append(
@@ -395,14 +405,14 @@ def _sensitivity_at_arc(plan: SweepPlan, variant: Variant, arc_length_m: float) 
         if not (f1[2] < d1 < f1[3] and f2[2] < d2 < f2[3]):
             config = ElectrodeConfig.for_variant(variant, prof)
             raise ValueError(_skip_reason(plan, config))
+        eps = plan.drive.permittivity_f_per_m
+        e1 = _face_eval(f1, d1, eps)
+        ev = _at_rest(e1, e1 if k2 is k1 else _face_eval(f2, d2, eps), plan.drive)
     except ValueError as err:
         raise ValueError(
             f"invalid geometry for {variant.value} at arc {arc_length_m} m: {err}"
         ) from None
-    eps = plan.drive.permittivity_f_per_m
-    c1, dc1 = _face_eval(f1, d1, eps)
-    c2, dc2 = (c1, dc1) if k2 is k1 else _face_eval(f2, d2, eps)
-    return _sensitivity((c1, dc1, c2, dc2, c1 + c2), plan.mech, plan.drive)
+    return _sensitivity(ev, plan.mech, plan.drive)
 
 
 def maximize_sensitivity(
@@ -413,9 +423,9 @@ def maximize_sensitivity(
     """Arc length maximizing |S| for one variant, with the S it achieves.
 
     Golden-section search on |S(arc length)| to an absolute argument
-    tolerance of 1e-10 m, sharing the plan's geometry mode, anchor, and
-    readout parameters (the plan's own grids are not used). Every
-    evaluation is remembered and both bounds are evaluated, so for
+    tolerance of 1e-10 m, or as far as float spacing allows, sharing the
+    plan's geometry mode, anchor and readout parameters (not its grids).
+    Every evaluation is remembered and both bounds are evaluated, so for
     monotone variants the returned point is the better interval endpoint
     rather than an interior golden point.
 
@@ -429,7 +439,8 @@ def maximize_sensitivity(
         (arc_length_m, sensitivity_volts_per_g) at the maximizing point.
 
     Raises:
-        ValueError: if a bound is outside the geometric validity region.
+        ValueError: if a bound is outside the geometric validity region,
+            or so short that C underflows.
     """
     lo, hi = arc_bounds_m
     if not 0.0 < lo <= hi:
@@ -449,7 +460,9 @@ def maximize_sensitivity(
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
+    stalled = set()  # floats sparser than the tolerance can stall the bracket
     while (b - a) > _ARC_TOL_M:
+        width = b - a
         if f1 > f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
@@ -458,5 +471,9 @@ def maximize_sensitivity(
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)
             f2 = f(x2)
+        if b - a >= width:  # a state that recurs after a stall recurs forever
+            if (state := (a, b, x1, x2)) in stalled:
+                break
+            stalled.add(state)
     best_arc = max(evals, key=lambda arc: abs(evals[arc]))
     return best_arc, evals[best_arc]

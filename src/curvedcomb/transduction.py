@@ -16,7 +16,9 @@ forms apply one gap to both sides.
 Each public call resolves the two side faces once, checks the travel
 range against their gap intervals, then reads bridge, gain and
 sensitivity off one evaluation: one fused (C, dC/dd) kernel call per
-side, plus one per side at rest under nominal feedback.
+side, plus one per side at rest under nominal feedback; a gain curve
+evaluates that rest pair once per variant, so each of its points makes
+two kernel calls under either mode.
 """
 
 from __future__ import annotations
@@ -110,19 +112,24 @@ def _face(faces: _Faces, side: int, gap_m: float, eps: float) -> tuple[float, fl
         ) from None
 
 
+def _rest_feedback(faces: _Faces, d1: float, d2: float, eps: float) -> float:
+    # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
+    return _face(faces, 1, d1, eps)[0] + _face(faces, 2, d2, eps)[0]
+
+
 def _evaluate(
-    faces: _Faces, d1: float, d2: float, delta_m: float, drive: DriveModel
+    faces: _Faces, d1: float, d2: float, delta_m: float, drive: DriveModel, c_fb=None
 ) -> _Evaluation:
     """C1, dC1/dd, C2, dC2/dd and C_fb with side 1 at d1 - delta and side 2
-    at d2 + delta. Domain errors name the offending side."""
+    at d2 + delta; a given c_fb is nominal feedback's _rest_feedback, which
+    is then not evaluated again. Domain errors name the offending side."""
     eps = drive.permittivity_f_per_m
     c1, dc1 = _face(faces, 1, d1 - delta_m, eps)
     c2, dc2 = _face(faces, 2, d2 + delta_m, eps)
     if drive.feedback_mode is FeedbackMode.MATCHED_SUM:
         c_fb = c1 + c2
-    else:
-        # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
-        c_fb = _face(faces, 1, d1, eps)[0] + _face(faces, 2, d2, eps)[0]
+    elif c_fb is None:
+        c_fb = _rest_feedback(faces, d1, d2, eps)
     return c1, dc1, c2, dc2, c_fb
 
 
@@ -204,12 +211,13 @@ def _operating_point(
     mech: MechanicalModel,
     drive: DriveModel,
     accel_m_s2: float,
+    c_fb: float | None = None,
 ) -> tuple[float, _Evaluation]:
     """Displacement and bridge evaluation at one acceleration, after the
-    one range check of the call."""
+    one range check of the call; c_fb as in _evaluate."""
     delta = displacement(mech, accel_m_s2)
     _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
-    return delta, _evaluate(faces, d1, d2, delta, drive)
+    return delta, _evaluate(faces, d1, d2, delta, drive, c_fb)
 
 
 def _gain(ev: _Evaluation) -> float:

@@ -53,7 +53,7 @@ def _plan(feedback: FeedbackMode, anchor: GapAnchor) -> SweepPlan:
 
 def _rows(result) -> list[list]:
     return [
-        [row.variant.value] + [v for k, v in vars(row).items() if k != "variant"]
+        [row.variant.value] + [v for k, v in row._asdict().items() if k != "variant"]
         for row in result.rows
     ]
 

@@ -3,8 +3,9 @@
 A sensitivity sweep evaluates each distinct face (kind, profile, gap)
 once: at one arc length every variant shares its faces, so an arc costs
 at most three kernel calls (convex, concave, flat) under either feedback
-mode. A curve point evaluates each face once: two kernel calls, plus the
-two rest capacitances of nominal feedback. An optimizer step is at rest,
+mode. A curve point evaluates each face once: two kernel calls under
+either feedback mode; nominal feedback adds the two rest capacitances
+once per variant whose cell is valid. An optimizer step is at rest,
 where C_fb = c1 + c2 under either feedback mode, so it resolves and
 evaluates each distinct face kind of its pairing once: one call for a
 symmetric pairing, two for a mixed one. Skipped cells and over-range
@@ -33,7 +34,7 @@ from curvedcomb import (
 )
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
-CALLS_PER_POINT = {FeedbackMode.MATCHED_SUM: 2, FeedbackMode.NOMINAL: 4}
+REST_CALLS_PER_CELL = {FeedbackMode.MATCHED_SUM: 0, FeedbackMode.NOMINAL: 2}
 
 
 @pytest.fixture
@@ -82,9 +83,15 @@ def test_sensitivity_sweep_row(kernel_calls, feedback):
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
 def test_gain_curve_point(kernel_calls, feedback):
-    result = gain_curve(make_plan(feedback))
+    plan = make_plan(feedback)
+    result = gain_curve(plan)
     assert result.metadata["over_range"]
-    assert len(kernel_calls) == CALLS_PER_POINT[feedback] * len(result.rows)
+    # an invalid cell is one over-range entry with no acceleration
+    invalid = [o for o in result.metadata["over_range"] if o["accel_g"] is None]
+    valid_cells = len(plan.variants) - len(invalid)
+    assert len(kernel_calls) == (
+        2 * len(result.rows) + REST_CALLS_PER_CELL[feedback] * valid_cells
+    )
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))

@@ -14,6 +14,8 @@ from curvedcomb import (
     GapAnchor,
     GapState,
     MechanicalModel,
+    OverRangeError,
+    STANDARD_GRAVITY,
     SweepPlan,
     SweepRow,
     Variant,
@@ -27,6 +29,7 @@ from curvedcomb import (
     side_nominal_gaps,
     validate_geometry,
 )
+from curvedcomb import sweep
 from curvedcomb.sweep import _linspace, _sensitivity_at_arc
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
@@ -301,6 +304,173 @@ def test_optimizer_step_on_unrealizable_arc_keeps_the_profile_message():
         with pytest.raises(ValueError) as info:
             maximize_sensitivity(variant, (1e-6, 60e-6), plan)
         assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+@pytest.mark.parametrize("anchor", list(GapAnchor))
+def test_curve_rows_equal_the_per_point_path(feedback, anchor):
+    """A curve evaluates nominal feedback's rest capacitances once per
+    variant; every row must still equal, bit for bit, what the public
+    per-point functions give at its acceleration, and every over-range
+    point must carry the OverRangeError message."""
+    # +-900 g passes the travel limit of every variant under both anchors
+    plan = make_plan(
+        drive=DriveModel(1.0, feedback),
+        gap_anchor=anchor,
+        accel_range_g=(-900.0, 900.0),
+        accel_points=13,
+    )
+    result = gain_curve(plan)
+    rows, over_range = iter(result.rows), iter(result.metadata["over_range"])
+    prof = plan.profile
+    for variant in Variant:
+        config = ElectrodeConfig.for_variant(variant, prof)
+        d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+        args = (config, d1, d2, plan.mech, plan.drive)
+        for a_g in _linspace(*plan.accel_range_g, plan.accel_points):
+            accel = a_g * STANDARD_GRAVITY
+            try:
+                point = gain_at_side_nominals(*args, accel)
+            except OverRangeError as err:
+                reason = str(err)
+                assert next(over_range) == {
+                    "variant": variant.value, "accel_g": a_g, "reason": reason
+                }
+                continue
+            s = sensitivity_at_side_nominals(*args, accel)
+            assert next(rows) == SweepRow(
+                variant=variant,
+                arc_length_m=prof.arc_length(),
+                radius_m=prof.radius_m,
+                phi_rad=prof.angular_extent_rad,
+                accel_g=a_g,
+                displacement_m=point.displacement_m,
+                c1_f=point.bridge.c1_f,
+                c2_f=point.bridge.c2_f,
+                gain=point.gain,
+                v_out_v=point.v_out_volts,
+                s_mv_per_g=s * 1e3,
+                s_net_mv_per_g=net_sensitivity(s, plan.mech) * 1e3,
+            )
+    assert next(rows, None) is None and next(over_range, None) is None
+    assert result.rows and result.metadata["over_range"]
+
+
+def test_sweep_row_is_an_immutable_hashable_record():
+    plan = make_plan(
+        variants=(Variant.BICONVEX,), accel_range_g=(-1.0, 1.0), accel_points=2
+    )
+    row = gain_curve(plan).rows[-1]
+    with pytest.raises(AttributeError):
+        row.gain = 0.0
+    assert {row, row._replace()} == {row}
+    assert SweepRow._fields == (
+        "variant",
+        "arc_length_m",
+        "radius_m",
+        "phi_rad",
+        "accel_g",
+        "displacement_m",
+        "c1_f",
+        "c2_f",
+        "gain",
+        "v_out_v",
+        "s_mv_per_g",
+        "s_net_mv_per_g",
+    )
+    assert repr(row) == (
+        "SweepRow(variant=<Variant.BICONVEX: 'Biconvex'>, arc_length_m=2e-05, "
+        "radius_m=0.0001, phi_rad=0.2, accel_g=1.0, "
+        "displacement_m=2.5497289999999997e-09, c1_f=2.1441226512443576e-16, "
+        "c2_f=2.1374757712936698e-16, gain=0.0015524295589467477, "
+        "v_out_v=0.0015524295589467477, s_mv_per_g=1.5524296587111084, "
+        "s_net_mv_per_g=32.601022832933275)"
+    )
+
+
+UNDERFLOW = "rest capacitance 0.0 F underflows the readout"
+
+
+@pytest.mark.parametrize("mode", list(ArcMode))
+def test_sweep_skips_arcs_whose_capacitance_underflows(mode):
+    # at a subnormal arc length C underflows to 0 and G and S would divide by 0
+    plan = make_plan(
+        variants=(Variant.PLANAR,), arc_mode=mode, arc_range_m=(1e-320, 2e-320)
+    )
+    with pytest.raises(ValueError) as info:
+        sensitivity_sweep(plan)
+    assert str(info.value) == (
+        "no valid grid points in the sweep plan; first reason: " + UNDERFLOW
+    )
+    result = sensitivity_sweep(
+        make_plan(
+            variants=(Variant.PLANAR,),
+            arc_mode=mode,
+            arc_range_m=(1e-320, 20e-6),
+            arc_points=2,
+        )
+    )
+    assert [r.arc_length_m for r in result.rows] == [20e-6]
+    assert result.metadata["skipped"] == [
+        {"variant": "Planar", "arc_length_m": 1e-320, "reason": UNDERFLOW}
+    ]
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+@pytest.mark.parametrize("bounds", [(1e-320, 1e-6), (5e-324, 5e-324)])
+def test_optimizer_rejects_arcs_whose_capacitance_underflows(feedback, bounds):
+    plan = make_plan(drive=DriveModel(1.0, feedback))
+    for variant in Variant:
+        with pytest.raises(ValueError) as info:
+            maximize_sensitivity(variant, bounds, plan)
+        prefix = f"invalid geometry for {variant.value} at arc {bounds[0]} m: "
+        assert str(info.value).startswith(prefix)
+    with pytest.raises(ValueError) as info:
+        maximize_sensitivity(Variant.PLANAR, bounds, plan)
+    assert str(info.value) == (
+        f"invalid geometry for Planar at arc {bounds[0]} m: {UNDERFLOW}"
+    )
+
+
+def test_optimizer_rejects_a_feedback_square_that_underflows():
+    # matched-sum S divides by C_fb**2, which underflows long before C_fb
+    for feedback in FeedbackMode:
+        plan = make_plan(drive=DriveModel(1.0, feedback))
+        if feedback is FeedbackMode.NOMINAL:
+            arc, s = maximize_sensitivity(Variant.PLANAR, (1e-155, 1e-6), plan)
+            assert 1e-155 <= arc <= 1e-6 and math.isfinite(s)
+            continue
+        with pytest.raises(ValueError) as info:
+            maximize_sensitivity(Variant.PLANAR, (1e-155, 1e-6), plan)
+        assert str(info.value).startswith(
+            "invalid geometry for Planar at arc 1e-155 m: rest capacitance "
+        )
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1e7), (1e-6, 1e308)])
+def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
+    monkeypatch, bounds
+):
+    """Above about 5e5 m adjacent floats lie more than the 1e-10 m
+    tolerance apart, so the bracket stops shrinking before it closes:
+    the search must end there rather than loop."""
+    calls = []
+
+    def capped(*args):
+        calls.append(args)
+        if len(calls) > 10_000:
+            raise RuntimeError("the golden-section search does not end")
+        return _sensitivity_at_arc(*args)
+
+    monkeypatch.setattr(sweep, "_sensitivity_at_arc", capped)
+    # the planar faces fix S to rounding, so the search wanders to the far end
+    plan = make_plan(
+        profile=ArcProfile(1e-3, 2.0, STD_H),
+        drive=DriveModel(1.0, FeedbackMode.NOMINAL),
+    )
+    arc, s = maximize_sensitivity(Variant.PLANAR, bounds, plan)
+    assert bounds[0] <= arc <= bounds[1]
+    assert s == _sensitivity_at_arc(plan, Variant.PLANAR, arc)
 
 
 class TestGainCurve:
