@@ -5,7 +5,9 @@ integrands (never the closed forms), and finite-difference
 differentiation for checking analytic derivatives and sensitivities.
 Both are deterministic: the quadrature refines intervals
 largest-error-first with a fixed tie-break, so a given input always
-produces bit-identical output on a given platform.
+produces bit-identical output on a given platform. A quadrature check
+spends most of its time in the 15-point panel and its integrand calls, so
+the panel is unrolled and the integrands hoist their constants.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ __all__ = [
 ]
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre, positive half
-# (standard published abscissae/weights, 16 significant digits).
-_XGK = (
+# (standard published abscissae/weights, 16 significant digits): node
+# _Xi carries Kronrod weight _Ki, and the Gauss weight _Gi where i is odd.
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = (
     0.9914553711208126,
     0.9491079123427585,
     0.8648644233597691,
@@ -43,9 +46,8 @@ _XGK = (
     0.5860872354676911,
     0.4058451513773972,
     0.2077849550078985,
-    0.0,
-)
-_WGK = (
+)  # the centre node is 0
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = (
     0.0229353220105292,
     0.0630920926299786,
     0.1047900103222502,
@@ -55,8 +57,7 @@ _WGK = (
     0.2044329400752989,
     0.2094821410847278,
 )
-# 7-point Gauss weights, matching _XGK[1], _XGK[3], _XGK[5], _XGK[7]
-_WG = (
+_G1, _G3, _G5, _G7 = (
     0.1294849661688697,
     0.2797053914892767,
     0.3818300505051189,
@@ -87,17 +88,22 @@ class QuadratureNonConvergence(RuntimeError):
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod 7/15 panel: returns (K15 value, |K15 - G7|)."""
+    # unrolled: a loop over the node tables cost more in indexing than in
+    # arithmetic. Centre first, then each symmetric pair from the outermost
+    # in; both sums add their terms in that order, which fixes their bits
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    f_center = f(center)
-    resk = _WGK[7] * f_center
-    resg = _WG[3] * f_center
-    for i in range(7):
-        dx = half * _XGK[i]
-        fsum = f(center - dx) + f(center + dx)
-        resk += _WGK[i] * fsum
-        if i % 2 == 1:  # Kronrod nodes 1,3,5 are the Gauss nodes
-            resg += _WG[i // 2] * fsum
+    fc = f(center)
+    f0 = f(center - (dx := half * _X0)) + f(center + dx)
+    f1 = f(center - (dx := half * _X1)) + f(center + dx)
+    f2 = f(center - (dx := half * _X2)) + f(center + dx)
+    f3 = f(center - (dx := half * _X3)) + f(center + dx)
+    f4 = f(center - (dx := half * _X4)) + f(center + dx)
+    f5 = f(center - (dx := half * _X5)) + f(center + dx)
+    f6 = f(center - (dx := half * _X6)) + f(center + dx)
+    resk = (_K7 * fc + _K0 * f0 + _K1 * f1 + _K2 * f2 + _K3 * f3 + _K4 * f4
+            + _K5 * f5 + _K6 * f6)
+    resg = _G7 * fc + _G1 * f1 + _G3 * f3 + _G5 * f5
     return resk * half, abs((resk - resg) * half)
 
 
@@ -182,6 +188,8 @@ def quad_capacitance(
         a, b = 0.0, profile.length_m
     else:
         r = profile.radius_m
+        num = permittivity * h * r  # a * b * c / d is (a * b * c) / d: same bits
+        cos = math.cos
         if kind is FaceKind.CONCAVE:
             if gap_m - profile.sagitta() <= CONCAVE_EDGE_MARGIN_REL * r:
                 raise ValueError(
@@ -192,12 +200,13 @@ def quad_capacitance(
                 raise ValueError(f"concave gap must stay below 2R, got {gap_m} m")
 
             def integrand(theta: float) -> float:
-                return permittivity * h * r / (gap_m + r * math.cos(theta) - r)
+                return num / (gap_m + r * cos(theta) - r)
 
         else:
+            gr = gap_m + r
 
             def integrand(theta: float) -> float:
-                return permittivity * h * r / (gap_m + r - r * math.cos(theta))
+                return num / (gr - r * cos(theta))
 
         b = 0.5 * profile.angular_extent_rad
         a = -b

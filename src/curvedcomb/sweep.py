@@ -19,8 +19,9 @@ and at rest each face kind sits at one nominal gap, so sensitivity_sweep
 resolves and evaluates each face once per arc length and every variant's
 row reads its two sides from those evaluations. An optimizer step reads S
 the same way: each distinct face once, at rest, with C_fb = c1 + c2; both
-refuse an arc whose C underflows. A gain-curve point makes two kernel
-calls: nominal feedback's rest pair is evaluated once per variant.
+refuse an arc whose C underflows, or whose C_fb squared overflows. A
+gain-curve point makes two kernel calls: nominal feedback's rest pair is
+evaluated once per variant.
 """
 
 from __future__ import annotations
@@ -248,11 +249,16 @@ def _row(
 
 def _at_rest(e1: tuple, e2: tuple, drive: DriveModel) -> _Evaluation:
     """Rest evaluation of two sides' (C, dC/dd), C_fb = c1 + c2 in either mode;
-    ValueError where C underflows until G or S would divide by c_fb (or c_fb**2)."""
+    ValueError where C underflows until G or S would divide by c_fb (or c_fb**2),
+    or where c_fb**2 overflows."""
     (c1, dc1), (c2, dc2) = e1, e2
     c_fb = c1 + c2
-    if c_fb < 1e-150:  # (1e-150)**2 is still a normal float
-        if (c_fb**2 if drive.feedback_mode is FeedbackMode.MATCHED_SUM else c_fb) == 0:
+    if not 1e-150 < c_fb < 1e150:  # inside, c_fb**2 is a normal float
+        try:
+            sq = c_fb**2 if drive.feedback_mode is FeedbackMode.MATCHED_SUM else c_fb
+        except OverflowError:
+            raise ValueError(f"rest capacitance {c_fb} F overflows the readout") from None
+        if sq == 0:
             raise ValueError(f"rest capacitance {c_fb} F underflows the readout")
     return c1, dc1, c2, dc2, c_fb
 

@@ -13,12 +13,13 @@ conventions (model.GapAnchor) map a shared nominal gap to per-side
 values, which the *_at_side_nominals forms accept directly; the plain
 forms apply one gap to both sides.
 
-Each public call resolves the two side faces once, checks the travel
-range against their gap intervals, then reads bridge, gain and
-sensitivity off one evaluation: one fused (C, dC/dd) kernel call per
-side, plus one per side at rest under nominal feedback; a gain curve
-evaluates that rest pair once per variant, so each of its points makes
-two kernel calls under either mode.
+Each public call, fd_sensitivity included, resolves the two side faces
+once, checks the travel range against their gap intervals, then reads
+bridge, gain and sensitivity off one evaluation: one fused (C, dC/dd)
+kernel call per side, plus one per side at rest under nominal feedback.
+A gain curve evaluates that rest pair once per variant and
+fd_sensitivity once per call, so each curve point and each stencil gain
+makes two kernel calls under either mode.
 """
 
 from __future__ import annotations
@@ -341,8 +342,15 @@ def fd_sensitivity(
     a_margin = min(hi - delta, delta - lo) * mech.spring_n_per_m / mech.mass_kg
     rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
 
+    c_fb = None
+    if drive.feedback_mode is FeedbackMode.NOMINAL:
+        try:
+            c_fb = _rest_feedback(faces, d1, d2, drive.permittivity_f_per_m)
+        except (ArithmeticError, ValueError):
+            pass  # each stencil gain evaluates it again and fails as before
+
     def gain_of_accel(a: float) -> float:
-        return gain_at_side_nominals(config, d1, d2, mech, drive, a).gain
+        return _gain(_operating_point(config, faces, d1, d2, mech, drive, a, c_fb)[1])
 
     slope = fd_derivative(gain_of_accel, accel_m_s2, rel_step).value
     return drive.v_in_volts * slope * STANDARD_GRAVITY

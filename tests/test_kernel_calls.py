@@ -8,9 +8,12 @@ either feedback mode; nominal feedback adds the two rest capacitances
 once per variant whose cell is valid. An optimizer step is at rest,
 where C_fb = c1 + c2 under either feedback mode, so it resolves and
 evaluates each distinct face kind of its pairing once: one call for a
-symmetric pairing, two for a mixed one. Skipped cells and over-range
-points cost none. Counting calls rather than timing keeps this
-deterministic.
+symmetric pairing, two for a mixed one. fd_sensitivity resolves its two
+faces once and each of its four stencil gains evaluates both sides: 2
+resolves and 8 kernel calls, plus the nominal rest pair once per call
+(10), where routing each gain through the public gain made 10 resolves
+and 8 or 16 kernel calls. Skipped cells and over-range points cost none.
+Counting calls rather than timing keeps this deterministic.
 """
 
 import sys
@@ -20,6 +23,7 @@ import pytest
 from curvedcomb import (
     ArcProfile,
     DriveModel,
+    ElectrodeConfig,
     FeedbackMode,
     GapAnchor,
     GapState,
@@ -27,6 +31,7 @@ from curvedcomb import (
     SweepPlan,
     Variant,
     capacitance,
+    fd_sensitivity,
     gain_curve,
     maximize_sensitivity,
     sensitivity_sweep,
@@ -37,20 +42,29 @@ from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 REST_CALLS_PER_CELL = {FeedbackMode.MATCHED_SUM: 0, FeedbackMode.NOMINAL: 2}
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch) -> list:
-    """Records every _face_eval call, at each module that binds it."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Records every call of capacitance.<name>, at each module that binds it."""
     calls: list = []
-    original = capacitance._face_eval
+    original = getattr(capacitance, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("curvedcomb") and vars(module).get("_face_eval") is original:
-            monkeypatch.setattr(module, "_face_eval", counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("curvedcomb") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    return count_calls(monkeypatch, "_face_eval")
+
+
+@pytest.fixture
+def resolve_calls(monkeypatch) -> list:
+    return count_calls(monkeypatch, "_resolve_face")
 
 
 def make_plan(feedback: FeedbackMode) -> SweepPlan:
@@ -95,7 +109,9 @@ def test_gain_curve_point(kernel_calls, feedback):
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
-def test_maximize_sensitivity_evaluation(kernel_calls, monkeypatch, feedback):
+def test_maximize_sensitivity_evaluation(
+    kernel_calls, resolve_calls, monkeypatch, feedback
+):
     evaluations = []
     evaluate = sweep._sensitivity_at_arc
 
@@ -103,22 +119,22 @@ def test_maximize_sensitivity_evaluation(kernel_calls, monkeypatch, feedback):
         evaluations.append(args)
         return evaluate(*args)
 
-    resolved = []
-    resolve = capacitance._resolve_face
-
-    def counted_resolve(*args):
-        resolved.append(args)
-        return resolve(*args)
-
     monkeypatch.setattr(sweep, "_sensitivity_at_arc", counted)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("curvedcomb") and vars(module).get("_resolve_face") is resolve:
-            monkeypatch.setattr(module, "_resolve_face", counted_resolve)
     # each step resolves and evaluates each distinct face kind once
     for variant, kinds in ((Variant.BICONCAVE, 1), (Variant.PLANO_CONCAVE, 2)):
-        for calls in (evaluations, resolved, kernel_calls):
+        for calls in (evaluations, resolve_calls, kernel_calls):
             calls.clear()
         maximize_sensitivity(variant, (5e-6, 30e-6), make_plan(feedback))
         assert len(evaluations) > 10
         assert len(kernel_calls) == kinds * len(evaluations)
-        assert len(resolved) == kinds * len(evaluations)
+        assert len(resolve_calls) == kinds * len(evaluations)
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+@pytest.mark.parametrize("variant", [Variant.BICONVEX, Variant.PLANO_CONCAVE])
+def test_fd_sensitivity_stencil(kernel_calls, resolve_calls, variant, feedback):
+    config = ElectrodeConfig.for_variant(variant, ArcProfile(STD_R, STD_PHI, STD_H))
+    mech, drive = MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0, feedback)
+    fd_sensitivity(config, STD_GAP, STD_GAP, mech, drive, 0.0)
+    assert len(resolve_calls) == 2
+    assert len(kernel_calls) == 8 + REST_CALLS_PER_CELL[feedback]

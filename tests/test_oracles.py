@@ -1,13 +1,16 @@
+import heapq
 import math
 import random
 
 import pytest
 
 from curvedcomb import (
+    VACUUM_PERMITTIVITY,
     ArcProfile,
     FaceKind,
     PlanarProfile,
     QuadratureNonConvergence,
+    QuadratureResult,
     cap_concave,
     cap_convex,
     cap_planar,
@@ -82,6 +85,106 @@ class TestAdaptiveQuadrature:
         b = integrate_adaptive(f, 0.0, 3.0)
         assert a.value == b.value
         assert a.subdivisions == b.subdivisions
+
+
+# The panel and the adaptive loop in their loop form, as they stood before
+# the panel was unrolled: the unrolled code must agree with them bit for bit.
+_XGK = (
+    0.9914553711208126,
+    0.9491079123427585,
+    0.8648644233597691,
+    0.7415311855993944,
+    0.5860872354676911,
+    0.4058451513773972,
+    0.2077849550078985,
+    0.0,
+)
+_WGK = (
+    0.0229353220105292,
+    0.0630920926299786,
+    0.1047900103222502,
+    0.1406532597155259,
+    0.1690047266392679,
+    0.1903505780647854,
+    0.2044329400752989,
+    0.2094821410847278,
+)
+_WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189, 0.4179591836734694)
+
+
+def loop_gk15(f, a, b):
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    f_center = f(center)
+    resk = _WGK[7] * f_center
+    resg = _WG[3] * f_center
+    for i in range(7):
+        dx = half * _XGK[i]
+        fsum = f(center - dx) + f(center + dx)
+        resk += _WGK[i] * fsum
+        if i % 2 == 1:
+            resg += _WG[i // 2] * fsum
+    return resk * half, abs((resk - resg) * half)
+
+
+def loop_integrate(f, a, b):
+    if a == b:
+        return QuadratureResult(0.0, 0.0, 0)
+    val, err = loop_gk15(f, a, b)
+    heap = [(-err, 0, a, b, val, err)]
+    seq = 1
+    total_val, total_err = val, err
+    splits = 0
+    while total_err > max(1e-30, 1e-12 * abs(total_val)):
+        assert splits < 2000, "the reference did not converge"
+        _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = loop_gk15(f, lo, mid)
+        v2, e2 = loop_gk15(f, mid, hi)
+        total_val += v1 + v2 - v_old
+        total_err += e1 + e2 - e_old
+        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+        seq += 2
+        splits += 1
+    return QuadratureResult(total_val, total_err, splits)
+
+
+class TestUnrolledPanel:
+    def test_generic_integrands_match_the_loop_form(self):
+        rng = random.Random(23)
+        for f in (
+            math.exp,
+            lambda x: 1.0 / math.sqrt(abs(x) + 1e-7),  # subdivides toward 0
+            lambda x: math.sin(9.0 * x) / (1.0 + x * x),
+        ):
+            for _ in range(20):
+                a = rng.uniform(-3.0, 1.0)
+                b = a + rng.uniform(-2.0, 4.0)
+                assert integrate_adaptive(f, a, b) == loop_integrate(f, a, b)
+
+    def test_capacitance_integrands_match_the_loop_form(self):
+        # the raw integrands as written before their constants were hoisted
+        rng = random.Random(29)
+        eps = VACUUM_PERMITTIVITY
+        for _ in range(60):
+            r = math.exp(math.log(10e-6) + rng.random() * math.log(100.0))
+            prof = ArcProfile(r, 0.2 + rng.random() * 1.3, 1e-6 + rng.random() * 4e-6)
+            h, half_phi = prof.thickness_m, 0.5 * prof.angular_extent_rad
+            d = 10.0 ** rng.uniform(-7.5, -4.5)
+            assert quad_capacitance(FaceKind.CONVEX, prof, d) == loop_integrate(
+                lambda t: eps * h * r / (d + r - r * math.cos(t)), -half_phi, half_phi
+            )
+            # the edge gap walks down to 1e-3 of the sagitta
+            sag = prof.sagitta()
+            g = sag + sag * 10.0 ** -(3.0 * rng.random())
+            assert quad_capacitance(FaceKind.CONCAVE, prof, g) == loop_integrate(
+                lambda t: eps * h * r / (g + r * math.cos(t) - r), -half_phi, half_phi
+            )
+            face = PlanarProfile(prof.arc_length(), h)
+            assert quad_capacitance(FaceKind.FLAT, face, d) == loop_integrate(
+                lambda _x: eps * h / d, 0.0, face.length_m
+            )
 
 
 class TestQuadCapacitance:

@@ -447,6 +447,32 @@ def test_optimizer_rejects_a_feedback_square_that_underflows():
         )
 
 
+def test_sweep_and_optimizer_refuse_a_feedback_square_that_overflows():
+    # matched-sum S divides by C_fb**2, which overflows long before C_fb;
+    # nominal feedback divides by C_fb alone
+    overflow = "rest capacitance 1.7708e+297 F overflows the readout"
+    for feedback in FeedbackMode:
+        plan = make_plan(
+            variants=(Variant.PLANAR,),
+            profile=ArcProfile(STD_R, 2.0, STD_H),
+            drive=DriveModel(1.0, feedback),
+            arc_range_m=(1e-6, 1e308),
+            arc_points=2,
+        )
+        result = sensitivity_sweep(plan)
+        if feedback is FeedbackMode.NOMINAL:
+            assert len(result.rows) == 2 and not result.metadata["skipped"]
+            assert maximize_sensitivity(Variant.PLANAR, (1e-6, 1e308), plan)
+            continue
+        assert [r.arc_length_m for r in result.rows] == [1e-6]
+        assert result.metadata["skipped"] == [
+            {"variant": "Planar", "arc_length_m": 1e308, "reason": overflow}
+        ]
+        with pytest.raises(ValueError) as info:
+            maximize_sensitivity(Variant.PLANAR, (1e-6, 1e308), plan)
+        assert str(info.value) == f"invalid geometry for Planar at arc 1e+308 m: {overflow}"
+
+
 @pytest.mark.parametrize("bounds", [(1.0, 1e7), (1e-6, 1e308)])
 def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
     monkeypatch, bounds

@@ -19,6 +19,7 @@ from curvedcomb import (
     bridge_at_side_nominals,
     bridge_capacitances,
     displacement,
+    fd_derivative,
     fd_sensitivity,
     gain,
     gain_at_side_nominals,
@@ -141,6 +142,37 @@ class TestSensitivity:
         fd = fd_sensitivity(config, STD_GAP, STD_GAP, mech, drive, 0.0)
         assert s == pytest.approx(fd, rel=1e-9)
 
+    @pytest.mark.parametrize("feedback", list(FeedbackMode))
+    @pytest.mark.parametrize("anchor", list(GapAnchor))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_fd_sensitivity_equals_the_per_point_path(
+        self, variant, anchor, feedback, profile, mech
+    ):
+        drive = DriveModel(1.0, feedback)
+        config = ElectrodeConfig.for_variant(variant, profile)
+        d1, d2 = side_nominal_gaps(config, STD_GAP, anchor)
+        lo, hi = allowed_displacement_interval(config, d1, d2)
+        a_per_m = mech.spring_n_per_m / mech.mass_kg
+        # near the travel limit the step shrinks with the margin; at 1e-13
+        # of it the stencil no longer resolves and both paths raise
+        for accel in (0.0, (1 - 1e-6) * hi * a_per_m, (1 - 1e-13) * lo * a_per_m):
+            args = (config, d1, d2, mech, drive, accel)
+            assert outcome(fd_sensitivity, *args) == outcome(per_point_fd, *args)
+
+    @pytest.mark.parametrize("feedback", list(FeedbackMode))
+    def test_fd_sensitivity_with_an_inadmissible_rest_gap(self, feedback, profile, mech):
+        # side 1 rests inside edge contact but is displaced out of it: every
+        # stencil gain needs the rest C_fb under nominal feedback and fails
+        drive = DriveModel(1.0, feedback)
+        config = ElectrodeConfig.for_variant(Variant.BICONCAVE, profile)
+        d1, d2 = 0.9 * profile.sagitta(), STD_GAP
+        accel = -0.5 * profile.sagitta() * mech.spring_n_per_m / mech.mass_kg
+        args = (config, d1, d2, mech, drive, accel)
+        expected = outcome(per_point_fd, *args)
+        if feedback is FeedbackMode.NOMINAL:
+            assert "no admissible finite-difference step" in expected[1]
+        assert outcome(fd_sensitivity, *args) == expected
+
     def test_away_from_rest(self, profile, mech, drive):
         config = ElectrodeConfig.for_variant(Variant.BICONVEX, profile)
         a = 1.5 * STANDARD_GRAVITY
@@ -171,6 +203,28 @@ class TestSensitivity:
         s1 = sensitivity(config, STD_GAP, mech, DriveModel(1.0))
         s3 = sensitivity(config, STD_GAP, mech, DriveModel(3.0))
         assert s3 == pytest.approx(3 * s1, rel=1e-15)
+
+
+def outcome(fn, *args):
+    """fn's value, or its error's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def per_point_fd(config, d1, d2, mech, drive, accel):
+    """fd_sensitivity's step rule over the public per-point gain."""
+    delta = displacement(mech, accel)
+    lo, hi = allowed_displacement_interval(config, d1, d2)
+    a_margin = min(hi - delta, delta - lo) * mech.spring_n_per_m / mech.mass_kg
+    rel_step = 1e-3 * a_margin / max(abs(accel), 1.0)
+
+    def gain_of_accel(a):
+        return gain_at_side_nominals(config, d1, d2, mech, drive, a).gain
+
+    slope = fd_derivative(gain_of_accel, accel, rel_step).value
+    return drive.v_in_volts * slope * STANDARD_GRAVITY
 
 
 class TestRangeAndDomain:
