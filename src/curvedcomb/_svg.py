@@ -34,8 +34,6 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
@@ -45,6 +43,12 @@ def _fmt(v: float) -> str:
     if abs(v) >= 1e4 or abs(v) < 1e-3:
         return f"{v:.2e}"
     return f"{v:.4g}"
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """A single value v widened by 0.5 either side, or by an ulp of v if 0.5 rounds away."""
+    half = max(0.5, abs(lo) * 2.0**-52) if hi == lo else 0.0
+    return lo - half, hi + half
 
 
 def line_chart(
@@ -61,10 +65,8 @@ def line_chart(
     x_hi = max(p[0] for p in pts)
     y_lo = min(p[1] for p in pts)
     y_hi = max(p[1] for p in pts)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widened(x_lo, x_hi)
+    y_lo, y_hi = _widened(y_lo, y_hi)
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -9,12 +9,13 @@ resolved by callers before these functions are reached.
 One private kernel, _face_eval, returns C and dC/dd of a resolved face
 (kind, profile, side_gap_bounds interval, T = tan(phi/4)) together, with
 one domain guard and one shared square root and atan/atanh term; the
-public functions resolve the face and return one half of it, while the
-bridge and the sweeps resolve each face once per cell or arc length and
-call the kernel directly. The derivatives are hand-
-differentiated from the closed forms, cross-checked against Richardson
-finite differences in the test suite, and carry all sensitivity math
-downstream via the chain rule.
+public functions (cap_* through face_capacitance, and dcap_dgap) check
+their permittivity against the model envelope, resolve the face and
+return one half of it, while the bridge and the sweeps resolve each face
+once per cell or arc length and call the kernel directly. The
+derivatives are hand-differentiated from the closed forms, cross-checked
+against Richardson finite differences in the test suite, and carry all
+sensitivity math downstream via the chain rule.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     FaceKind,
     PlanarProfile,
     _check_profile,
+    _require_in_envelope,
     side_gap_bounds,
 )
 
@@ -107,7 +109,7 @@ def cap_convex(
     Raises:
         GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
-    return _face_eval(_resolve_face(FaceKind.CONVEX, profile), gap_m, permittivity)[0]
+    return face_capacitance(FaceKind.CONVEX, profile, gap_m, permittivity)
 
 
 def cap_concave(
@@ -125,7 +127,7 @@ def cap_concave(
             rule for every face (edge contact within a small guard margin,
             or gap_m >= 2R, outside the real domain of the formula).
     """
-    return _face_eval(_resolve_face(FaceKind.CONCAVE, profile), gap_m, permittivity)[0]
+    return face_capacitance(FaceKind.CONCAVE, profile, gap_m, permittivity)
 
 
 def cap_planar(
@@ -136,7 +138,7 @@ def cap_planar(
     Raises:
         GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
-    return _face_eval(_resolve_face(FaceKind.FLAT, face), gap_m, permittivity)[0]
+    return face_capacitance(FaceKind.FLAT, face, gap_m, permittivity)
 
 
 def dcap_dgap(
@@ -157,6 +159,7 @@ def dcap_dgap(
         gap_m: closed-form gap of the face (m).
         permittivity: dielectric permittivity (F/m).
     """
+    _require_in_envelope("permittivity", permittivity, "permittivity")
     return _face_eval(_resolve_face(kind, profile), gap_m, permittivity)[1]
 
 
@@ -169,8 +172,10 @@ def face_capacitance(
     """Capacitance (F) of one face by kind.
 
     Raises:
-        ValueError: if the profile type does not fit the kind: FLAT takes
-            a PlanarProfile, CONVEX and CONCAVE an ArcProfile.
+        ValueError: if the profile type does not fit the kind (FLAT takes
+            a PlanarProfile, CONVEX and CONCAVE an ArcProfile), or if the
+            permittivity is outside the model envelope.
         GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
+    _require_in_envelope("permittivity", permittivity, "permittivity")
     return _face_eval(_resolve_face(kind, profile), gap_m, permittivity)[0]

@@ -3,6 +3,12 @@
 Everything internal is SI: meters, kilograms, farads, volts, m/s^2.
 Acceleration is reported "per g" only at presentation boundaries, using
 the exact conventional constant g0 = 9.80665 m/s^2.
+
+The model holds inside one physical envelope, _ENVELOPE: a closed
+interval per input quantity, checked where input enters. There every gap
+along a face lies between 2**-340 m (1e-12*R at a concave edge) and 3 m,
+so C and |dC/dd| lie in [1e-32, 5e197], C_fb**2 and the products in S
+below 5e293 and S in [4e-154, 2e239] V per g (README: the derivation).
 """
 
 from __future__ import annotations
@@ -19,9 +25,31 @@ STANDARD_GRAVITY = 9.80665  # m/s^2, exact by convention
 CONCAVE_EDGE_MARGIN_REL = 1e-12
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+# the model envelope above: a closed interval per input quantity, in SI
+# units (m, F/m, kg, N/m, V) but for plan accelerations, in g
+_ENVELOPE = {
+    "length": (1e-9, 1.0),
+    # R*phi and a flat face's equal length, with room for the rounding of
+    # a profile rebuilt from an arc length as R*(arc/R) or (arc/phi)*phi
+    "arc_length": (1e-9 * (1.0 - 2.0**-51), 1.0 + 2.0**-51),
+    "permittivity": (1e-13, 1e-7),
+    "mass": (1e-15, 1.0),
+    "stiffness": (1e-6, 1e6),
+    "voltage": (1e-6, 1e3),
+    "accel_g": (-1e6, 1e6),
+    "comb_count": (1, 10**6),
+    "points": (2, 10**6),  # grid points of a plan range
+}
+_MAX_GAP_M = 2.0 * _ENVELOPE["length"][1]  # side_gap_bounds' convex/flat ceiling
+
+
+def _require_in_envelope(name: str, value: float, q: str) -> None:
+    """Raise ValueError unless value lies in the _ENVELOPE interval of q."""
+    lo, hi = _ENVELOPE[q]
+    if not lo <= value <= hi:  # one comparison, which NaN fails
+        if lo > 0 and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"{name} = {value} is outside the model's {q} range [{lo}, {hi}]")
 
 
 class FaceKind(Enum):
@@ -95,12 +123,12 @@ class ArcProfile:
     thickness_m: float
 
     def __post_init__(self) -> None:
-        _require_positive_finite("radius_m", self.radius_m)
-        _require_positive_finite("thickness_m", self.thickness_m)
-        if not 0.0 <= self.angular_extent_rad < math.pi:
-            raise ValueError(
-                f"angular_extent_rad must lie in [0, pi), got {self.angular_extent_rad}"
-            )
+        _require_in_envelope("radius_m", self.radius_m, "length")
+        _require_in_envelope("thickness_m", self.thickness_m, "length")
+        phi = self.angular_extent_rad
+        if not 0.0 <= phi < math.pi:
+            raise ValueError(f"angular_extent_rad must lie in [0, pi), got {phi}")
+        _require_in_envelope("arc_length_m", self.radius_m * phi, "arc_length")
 
     def arc_length(self) -> float:
         """R * phi (m)."""
@@ -123,8 +151,8 @@ class PlanarProfile:
     thickness_m: float
 
     def __post_init__(self) -> None:
-        _require_positive_finite("length_m", self.length_m)
-        _require_positive_finite("thickness_m", self.thickness_m)
+        _require_in_envelope("length_m", self.length_m, "arc_length")
+        _require_in_envelope("thickness_m", self.thickness_m, "length")
 
 
 @dataclass(frozen=True)
@@ -140,7 +168,7 @@ class GapState:
     displacement_m: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_positive_finite("gap_m", self.gap_m)
+        _require_in_envelope("gap_m", self.gap_m, "length")
         if not -math.inf < self.displacement_m < math.inf:
             raise ValueError(f"displacement_m must be finite, got {self.displacement_m}")
 
@@ -164,7 +192,7 @@ class ElectrodeConfig:
         if FaceKind.FLAT in kinds and self.variant is not Variant.PLANAR:
             want = self.profile.arc_length()
             got = self.planar_face.length_m
-            if abs(got - want) > 1e-9 * max(want, 1e-30):
+            if abs(got - want) > 1e-9 * want:
                 raise ValueError(
                     "planar_face.length_m must equal profile.arc_length() for "
                     f"mixed variants: {got} != {want}"
@@ -189,11 +217,12 @@ class MechanicalModel:
     comb_count: int = 1
 
     def __post_init__(self) -> None:
-        _require_positive_finite("mass_kg", self.mass_kg)
-        _require_positive_finite("spring_n_per_m", self.spring_n_per_m)
+        _require_in_envelope("mass_kg", self.mass_kg, "mass")
+        _require_in_envelope("spring_n_per_m", self.spring_n_per_m, "stiffness")
         n = self.comb_count
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n:
+        if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"comb_count must be an int >= 1, got {n!r}")
+        _require_in_envelope("comb_count", n, "comb_count")
 
 
 class FeedbackMode(Enum):
@@ -212,8 +241,8 @@ class DriveModel:
     permittivity_f_per_m: float = VACUUM_PERMITTIVITY
 
     def __post_init__(self) -> None:
-        _require_positive_finite("v_in_volts", self.v_in_volts)
-        _require_positive_finite("permittivity_f_per_m", self.permittivity_f_per_m)
+        _require_in_envelope("v_in_volts", self.v_in_volts, "voltage")
+        _require_in_envelope("permittivity_f_per_m", self.permittivity_f_per_m, "permittivity")
 
 
 def displacement(mech: MechanicalModel, accel_m_s2: float) -> float:
@@ -301,24 +330,24 @@ def side_gap_bounds(
 
     The one domain rule: closed forms, validate_geometry and the travel
     check all test a gap as lo < g < hi, which NaN fails. Concave faces
-    need sagitta + CONCAVE_EDGE_MARGIN_REL*R < g < 2R. Convex and flat
-    faces need g above the floor 2**-340 (about 4.5e-103 m): the flat form
-    divides by g**2 and the convex one by p*(g + T**2*n) and p**1.5, with
-    n = 2R + g and p = g*n, all >= g**3; 2**-340 is the smallest power of
-    two whose cube is a normal float, so above it no divisor underflows,
-    whatever the profile.
+    need sagitta + CONCAVE_EDGE_MARGIN_REL*R < g < 2R, convex and flat
+    ones 2**-340 < g < 2 m. The floor (about 4.5e-103 m) is the smallest
+    power of two whose cube is a normal float: the flat form divides by
+    g**2 and the convex one by p*(g + T**2*n) and p**1.5, with n = 2R + g
+    and p = g*n, all >= g**3. The ceiling, twice the largest nominal gap
+    of the model envelope, is never reached by a cell's widening side.
     """
     if kind is FaceKind.CONCAVE:
         lo = profile.sagitta() + CONCAVE_EDGE_MARGIN_REL * profile.radius_m
         return lo, 2.0 * profile.radius_m
-    return 2.0**-340, math.inf
+    return 2.0**-340, _MAX_GAP_M
 
 
 # validate_geometry rule names: (gap <= lo, gap >= hi) of side_gap_bounds;
 # "gap not positive" also covers the positive gaps up to the gap floor
 _RULES = {
-    FaceKind.CONVEX: ("gap not positive", "gap not finite"),
-    FaceKind.FLAT: ("gap not positive", "gap not finite"),
+    FaceKind.CONVEX: ("gap not positive", "gap outside model envelope (gap >= 2 m)"),
+    FaceKind.FLAT: ("gap not positive", "gap outside model envelope (gap >= 2 m)"),
     FaceKind.CONCAVE: (
         "concave edge contact (gap <= sagitta + margin)",
         "concave gap outside formula domain (gap >= 2R)",

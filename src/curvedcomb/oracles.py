@@ -24,6 +24,7 @@ from .model import (
     FaceKind,
     PlanarProfile,
     _check_profile,
+    _require_in_envelope,
 )
 
 __all__ = [
@@ -170,13 +171,14 @@ def quad_capacitance(
     the closed forms.
 
     Raises:
-        ValueError: if the profile type does not fit the kind, the gap is
-            not positive and finite, or a concave gap is outside the
-            closed form's domain.
+        ValueError: if the profile does not fit the kind, the permittivity
+            leaves the model envelope, the gap is not positive and finite,
+            or a concave gap is outside the closed form's domain.
         QuadratureNonConvergence: as integrate_adaptive; the message names
             the face kind and the gap.
     """
     _check_profile(kind, profile)
+    _require_in_envelope("permittivity", permittivity, "permittivity")
     if not 0.0 < gap_m < math.inf:
         raise ValueError(f"{kind.value} face needs a positive finite gap, got {gap_m} m")
     h = profile.thickness_m
@@ -249,16 +251,19 @@ def fd_derivative(
 
     Raises:
         ValueError: if x is not finite, rel_step is not positive and
-            finite, or no admissible step exists after 40 shrinks (every
-            trial stencil left the function's domain).
+            finite, or no admissible step exists: every trial stencil left
+            the function's domain, or the step stopped resolving x in
+            floating point. The message counts the shrinks made.
     """
     if not -math.inf < x < math.inf:
         raise ValueError(f"x must be finite, got {x}")
     if not 0.0 < rel_step < math.inf:
         raise ValueError(f"rel_step must be positive and finite, got {rel_step}")
     h = rel_step * max(abs(x), 1.0)
-    for _ in range(_MAX_SHRINKS):
-        if x + 0.5 * h == x:  # stencil no longer resolvable in floating point
+    why = f" after {_MAX_SHRINKS} shrinks"
+    for shrinks in range(_MAX_SHRINKS):
+        if x + 0.5 * h == x:
+            why = f": the stencil stopped resolving in floating point after {shrinks} shrinks"
             break
         d_full = _central(f, x, h)
         d_half = _central(f, x, 0.5 * h) if d_full is not None else None
@@ -267,6 +272,4 @@ def fd_derivative(
             value = (4.0 * d_half - d_full) / 3.0
             return FDResult(value, abs(d_half - d_full) / 3.0, h)
         h *= 0.5
-    raise ValueError(
-        f"no admissible finite-difference step at x={x} after {_MAX_SHRINKS} shrinks"
-    )
+    raise ValueError(f"no admissible finite-difference step at x={x}{why}")

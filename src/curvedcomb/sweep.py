@@ -18,8 +18,7 @@ At one arc length every variant shares one profile and one flat face,
 and at rest each face kind sits at one nominal gap, so sensitivity_sweep
 resolves and evaluates each face once per arc length and every variant's
 row reads its two sides from those evaluations. An optimizer step reads S
-the same way: each distinct face once, at rest, with C_fb = c1 + c2; both
-refuse an arc whose C underflows, or whose C_fb squared overflows. A
+the same way: each distinct face once, at rest, with C_fb = c1 + c2. A
 gain-curve point makes two kernel calls: nominal feedback's rest pair is
 evaluated once per variant.
 """
@@ -47,6 +46,7 @@ from .model import (
     PlanarProfile,
     Variant,
     _bowed_gap,
+    _require_in_envelope,
     side_nominal_gaps,
     validate_geometry,
 )
@@ -91,8 +91,8 @@ class SweepPlan:
     profile supplies the fixed quantity of the arc mode (the radius for
     VARY_PHI_FIXED_R, the angular extent for VARY_R_FIXED_ARC) and the
     thickness; gain_curve uses it verbatim as the fixed geometry. The gap
-    state must be at rest (displacement comes from the swept
-    accelerations, never from the plan).
+    state is at rest (only the swept accelerations displace it), and both
+    ends of each range lie in the model envelope.
     """
 
     variants: tuple[Variant, ...]
@@ -112,25 +112,18 @@ class SweepPlan:
             raise ValueError("plan needs at least one variant")
         if self.gap.displacement_m != 0.0:
             raise ValueError("plan gap must be at rest (displacement 0)")
-        for name, (lo, hi), count_name, count in (
-            ("arc_range_m", self.arc_range_m, "arc_points", self.arc_points),
-            ("accel_range_g", self.accel_range_g, "accel_points", self.accel_points),
+        for name, (lo, hi), quantity, count_name, count in (
+            ("arc_range_m", self.arc_range_m, "length", "arc_points", self.arc_points),
+            ("accel_range_g", self.accel_range_g, "accel_g", "accel_points",
+             self.accel_points),
         ):
-            if not -math.inf < lo < hi < math.inf:
-                raise ValueError(f"{name} needs finite min < max, got [{lo}, {hi}]")
+            _require_in_envelope(f"{name} min", lo, quantity)
+            _require_in_envelope(f"{name} max", hi, quantity)
+            if not lo < hi:
+                raise ValueError(f"{name} needs min < max, got [{lo}, {hi}]")
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ValueError(f"{count_name} must be an int, got {count!r}")
-            if count < 2:
-                raise ValueError(f"{count_name} must be >= 2, got {count}")
-        if self.arc_range_m[0] <= 0.0:
-            raise ValueError("arc lengths must be positive")
-        if (
-            self.arc_mode is ArcMode.VARY_R_FIXED_ARC
-            and self.profile.angular_extent_rad <= 0.0
-        ):
-            raise ValueError(
-                "VARY_R_FIXED_ARC needs a positive angular extent on the plan profile"
-            )
+            _require_in_envelope(count_name, count, "points")
 
 
 class SweepRow(NamedTuple):
@@ -156,11 +149,7 @@ class SweepResult:
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     step = (hi - lo) / (n - 1)
-    if step < math.inf:
-        return [lo + i * step for i in range(n - 1)] + [hi]
-    # hi - lo overflows, so lo < 0 < hi: the two weighted ends sum finitely
-    m = n - 1
-    return [lo * ((m - i) / m) + hi * (i / m) for i in range(m)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def _ordered_variants(variants: Iterable[Variant]) -> list[Variant]:
@@ -247,22 +236,6 @@ def _row(
     )
 
 
-def _at_rest(e1: tuple, e2: tuple, drive: DriveModel) -> _Evaluation:
-    """Rest evaluation of two sides' (C, dC/dd), C_fb = c1 + c2 in either mode;
-    ValueError where C underflows until G or S would divide by c_fb (or c_fb**2),
-    or where c_fb**2 overflows."""
-    (c1, dc1), (c2, dc2) = e1, e2
-    c_fb = c1 + c2
-    if not 1e-150 < c_fb < 1e150:  # inside, c_fb**2 is a normal float
-        try:
-            sq = c_fb**2 if drive.feedback_mode is FeedbackMode.MATCHED_SUM else c_fb
-        except OverflowError:
-            raise ValueError(f"rest capacitance {c_fb} F overflows the readout") from None
-        if sq == 0:
-            raise ValueError(f"rest capacitance {c_fb} F underflows the readout")
-    return c1, dc1, c2, dc2, c_fb
-
-
 def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     """Per-comb and net sensitivity at rest over the arc-length grid.
 
@@ -302,20 +275,16 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     skipped: list[dict] = []
     for variant, (i1, i2) in zip(variants, sides):
         for arc, cell in zip(arcs, cells):
-            try:
-                if isinstance(cell, str):
-                    raise ValueError(cell)
+            reason = cell
+            if not isinstance(cell, str):
                 prof, evals = cell
-                if evals[i1] is None or evals[i2] is None:
-                    config = ElectrodeConfig.for_variant(variant, prof)
-                    raise ValueError(_skip_reason(plan, config))
-                ev = _at_rest(evals[i1], evals[i2], plan.drive)
-            except ValueError as err:
-                skipped.append(
-                    {"variant": variant.value, "arc_length_m": arc, "reason": str(err)}
-                )
-                continue
-            rows.append(_row(plan, variant, prof, arc, 0.0, 0.0, ev))
+                if evals[i1] is not None and evals[i2] is not None:
+                    (c1, dc1), (c2, dc2) = evals[i1], evals[i2]
+                    ev = c1, dc1, c2, dc2, c1 + c2
+                    rows.append(_row(plan, variant, prof, arc, 0.0, 0.0, ev))
+                    continue
+                reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
+            skipped.append({"variant": variant.value, "arc_length_m": arc, "reason": reason})
     if not rows:
         raise ValueError(
             "no valid grid points in the sweep plan; first reason: "
@@ -400,25 +369,22 @@ def _sensitivity_at_arc(plan: SweepPlan, variant: Variant, arc_length_m: float) 
     prof = _profile_at(plan, arc_length_m)
     k1, k2 = SIDE_KINDS[variant]
     bow = prof.sagitta() if plan.gap_anchor is GapAnchor.FACE_PLANE else 0.0
-    try:
-        flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
-        f1 = _resolve_face(k1, flat if k1 is FaceKind.FLAT else prof)
-        d1 = _bowed_gap(k1, plan.gap.gap_m, bow)
-        f2, d2 = f1, d1
-        if k2 is not k1:
-            f2 = _resolve_face(k2, flat if k2 is FaceKind.FLAT else prof)
-            d2 = _bowed_gap(k2, plan.gap.gap_m, bow)
-        if not (f1[2] < d1 < f1[3] and f2[2] < d2 < f2[3]):
-            config = ElectrodeConfig.for_variant(variant, prof)
-            raise ValueError(_skip_reason(plan, config))
-        eps = plan.drive.permittivity_f_per_m
-        e1 = _face_eval(f1, d1, eps)
-        ev = _at_rest(e1, e1 if k2 is k1 else _face_eval(f2, d2, eps), plan.drive)
-    except ValueError as err:
+    flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
+    f1 = _resolve_face(k1, flat if k1 is FaceKind.FLAT else prof)
+    d1 = _bowed_gap(k1, plan.gap.gap_m, bow)
+    f2, d2 = f1, d1
+    if k2 is not k1:
+        f2 = _resolve_face(k2, flat if k2 is FaceKind.FLAT else prof)
+        d2 = _bowed_gap(k2, plan.gap.gap_m, bow)
+    if not (f1[2] < d1 < f1[3] and f2[2] < d2 < f2[3]):
+        reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
         raise ValueError(
-            f"invalid geometry for {variant.value} at arc {arc_length_m} m: {err}"
-        ) from None
-    return _sensitivity(ev, plan.mech, plan.drive)
+            f"invalid geometry for {variant.value} at arc {arc_length_m} m: {reason}"
+        )
+    eps = plan.drive.permittivity_f_per_m
+    c1, dc1 = e1 = _face_eval(f1, d1, eps)
+    c2, dc2 = e1 if k2 is k1 else _face_eval(f2, d2, eps)
+    return _sensitivity((c1, dc1, c2, dc2, c1 + c2), plan.mech, plan.drive)
 
 
 def maximize_sensitivity(
@@ -429,8 +395,8 @@ def maximize_sensitivity(
     """Arc length maximizing |S| for one variant, with the S it achieves.
 
     Golden-section search on |S(arc length)| to an absolute argument
-    tolerance of 1e-10 m, or as far as float spacing allows, sharing the
-    plan's geometry mode, anchor and readout parameters (not its grids).
+    tolerance of 1e-10 m, sharing the plan's geometry mode, anchor and
+    readout parameters (not its grids).
     Every evaluation is remembered and both bounds are evaluated, so for
     monotone variants the returned point is the better interval endpoint
     rather than an interior golden point.
@@ -445,8 +411,8 @@ def maximize_sensitivity(
         (arc_length_m, sensitivity_volts_per_g) at the maximizing point.
 
     Raises:
-        ValueError: if a bound is outside the geometric validity region,
-            or so short that C underflows.
+        ValueError: if a bound is outside the geometric validity region
+            or the model envelope.
     """
     lo, hi = arc_bounds_m
     if not 0.0 < lo <= hi:
@@ -466,9 +432,8 @@ def maximize_sensitivity(
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    stalled = set()  # floats sparser than the tolerance can stall the bracket
+    # arcs are at most 1 m, where floats lie far closer than the tolerance
     while (b - a) > _ARC_TOL_M:
-        width = b - a
         if f1 > f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
@@ -477,9 +442,5 @@ def maximize_sensitivity(
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)
             f2 = f(x2)
-        if b - a >= width:  # a state that recurs after a stall recurs forever
-            if (state := (a, b, x1, x2)) in stalled:
-                break
-            stalled.add(state)
     best_arc = max(evals, key=lambda arc: abs(evals[arc]))
     return best_arc, evals[best_arc]

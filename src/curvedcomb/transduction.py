@@ -346,7 +346,7 @@ def fd_sensitivity(
     if drive.feedback_mode is FeedbackMode.NOMINAL:
         try:
             c_fb = _rest_feedback(faces, d1, d2, drive.permittivity_f_per_m)
-        except (ArithmeticError, ValueError):
+        except ValueError:
             pass  # each stencil gain evaluates it again and fails as before
 
     def gain_of_accel(a: float) -> float:

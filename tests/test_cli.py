@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curvedcomb import cli
+from curvedcomb import QuadratureResult, cli
 from curvedcomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,12 +42,12 @@ class TestCapacitance:
         assert err.startswith("verification failure: concave face at gap 4.9958348e-07 m")
         assert "error estimate" in err
 
-    def test_nan_relative_difference_is_verification_failure(self, capsys):
-        # the quadrature overflows to inf, so the relative difference is NaN
-        code, out, err = run(
-            capsys, "capacitance", "--kind", "flat", "--permittivity", "1e308",
-            "--verify",
-        )
+    def test_nan_relative_difference_is_verification_failure(self, capsys, monkeypatch):
+        # no input of the model envelope makes the oracle NaN (a permittivity
+        # of 1e308 once did, see TestModelEnvelope); a NaN still fails
+        nan = QuadratureResult(math.nan, math.nan, 0)
+        monkeypatch.setattr(cli, "quad_capacitance", lambda *args: nan)
+        code, out, err = run(capsys, "capacitance", "--kind", "flat", "--verify")
         assert code == 3
         assert "rel diff = nan" in out
         assert err.startswith("verification failure")
@@ -285,15 +285,16 @@ class TestGainCurveCommand:
         assert code == 0
         assert out.splitlines()[-1].startswith("fitted slope")
 
-    def test_accel_span_that_overflows_evaluates_zero_g(self, tmp_path, capsys):
-        # 1e308 - (-1e308) overflows; the midpoint of the grid is still 0 g
+    def test_widest_accel_span_evaluates_zero_g(self, tmp_path, capsys):
+        # the accelerations of the model envelope span +-1e6 g; the midpoint
+        # of that grid is still exactly 0 g
         out_csv = tmp_path / "g.csv"
         code, out, _ = run(
             capsys,
             "gain-curve",
             "--csv", str(out_csv),
-            "--accel-min-g=-1e308",
-            "--accel-max-g=1e308",
+            "--accel-min-g=-1e6",
+            "--accel-max-g=1e6",
             "--accel-points", "3",
         )
         assert code == 0
@@ -322,19 +323,75 @@ class TestCompareCommand:
         assert first_data_line.split()[0] == "1"
         assert "Biconvex" in first_data_line
 
-    @pytest.mark.parametrize("permittivity", ["1e308", "5e-324"])
-    def test_float_range_is_domain_error(self, capsys, permittivity):
-        # C * C overflows, or C underflows to 0 and divides the gain
-        code, _, err = run(capsys, "compare", "--permittivity", permittivity)
-        assert code == 2
-        assert "floating-point range" in err
-
     def test_ordering_spans_planar(self, capsys):
         code, out, _ = run(capsys, "compare")
         names = [line.split()[1] for line in out.splitlines()[1:8]]
         assert names.index("Biconvex") < names.index("Planar") < names.index(
             "Biconcave"
         )
+
+
+class TestModelEnvelope:
+    """Input outside the model envelope exits 2 with the envelope's message
+    before any output. Each of these once reached a float under- or
+    overflow, a ZeroDivisionError or a NaN."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the 1e-300 m radius made C underflow, and the gain divided by 0
+            (["gain-curve", "--csv", "g.csv", "--r-um", "1e-294", "--phi", "0.2"],
+             "radius_m = 1e-300 is outside the model's length range [1e-09, 1.0]"),
+            # the zero arc printed C = 0, then divided by the oracle's 0
+            (["capacitance", "--kind", "convex", "--verify", "--arc-um", "0"],
+             "arc_length_m must be positive and finite, got 0.0"),
+            # the quadrature overflowed to inf: a NaN relative difference
+            (["capacitance", "--kind", "flat", "--verify", "--permittivity", "1e308"],
+             "permittivity = 1e+308 is outside the model's permittivity range"),
+            # C * C overflowed, or C underflowed to 0 and divided the gain
+            (["compare", "--permittivity", "1e308"],
+             "permittivity_f_per_m = 1e+308 is outside the model's"),
+            (["compare", "--permittivity", "5e-324"],
+             "permittivity_f_per_m = 5e-324 is outside the model's"),
+            # 1e308 - (-1e308) overflowed the grid span
+            (["gain-curve", "--csv", "g.csv", "--accel-min-g=-1e308",
+              "--accel-max-g=1e308", "--accel-points", "3"],
+             "accel_range_g min = -1e+308 is outside the model's accel_g range"),
+            # the grid step (hi - lo) / (n - 1) could not convert n to a float
+            (["gain-curve", "--csv", "g.csv", f"--accel-points={10**400}"],
+             "is outside the model's points range [2, 1000000]"),
+        ],
+    )
+    def test_out_of_envelope_input_exits_2_before_any_output(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert out == ""
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_single_point_chart_of_a_huge_sensitivity(self, tmp_path, capsys):
+        # the 400 um arc needs phi = 4 rad at R = 100 um, so one row is left,
+        # with S about 1e22 mV/g: y +- 0.5 rounded back to y, a zero span
+        svg = tmp_path / "s.svg"
+        code, out, err = run(
+            capsys, "sensitivity-sweep", "--csv", str(tmp_path / "s.csv"),
+            "--svg", str(svg), "--variants", "Planar", "--m-kg", "1",
+            "--k-n-per-m", "1e-6", "--v-in", "1000", "--gap-um", "0.001",
+            "--arc-min-um", "60", "--arc-max-um", "400", "--arc-points", "2",
+        )
+        assert code == 0, err
+        assert "wrote 1 rows" in out
+        assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
+
+    def test_worse_keeps_a_nan(self):
+        nan = math.nan
+        assert cli._worse(0.0, 1e-3) == 1e-3 and cli._worse(1e-3, 0.0) == 1e-3
+        assert math.isnan(cli._worse(0.0, nan))
+        assert math.isnan(cli._worse(nan, 1e-3))
+        assert math.isnan(cli._worse(nan, nan))
 
 
 class TestValidateCommand:

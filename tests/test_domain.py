@@ -1,15 +1,21 @@
 """One admissible-gap rule: side_gap_bounds decides, for every face kind,
 whether a closed form evaluates, whether validate_geometry reports ok,
 and whether a travel request is over range. Checked at each bound and
-one ulp on either side, where two roundings of one bound can disagree."""
+one ulp on either side, where two roundings of one bound can disagree.
 
+One model envelope: every input the model objects take lies in a closed
+interval, and inside it every public function returns finite values or
+raises ValueError."""
+
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from curvedcomb import (
+    ArcMode,
     ArcProfile,
     DriveModel,
     ElectrodeConfig,
@@ -21,21 +27,31 @@ from curvedcomb import (
     MechanicalModel,
     OverRangeError,
     PlanarProfile,
+    SweepPlan,
     Variant,
     allowed_displacement_interval,
     bridge_at_side_nominals,
+    bridge_capacitances,
     cap_concave,
     cap_convex,
     cap_planar,
     dcap_dgap,
     face_capacitance,
+    fd_sensitivity,
+    gain,
     gain_at_side_nominals,
+    gain_curve,
+    maximize_sensitivity,
     quad_capacitance,
+    sensitivity,
     sensitivity_at_side_nominals,
+    sensitivity_sweep,
     side_gap_bounds,
     side_nominal_gaps,
     validate_geometry,
 )
+from curvedcomb.cli import main
+from curvedcomb.model import _ENVELOPE
 
 NAN = float("nan")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -96,11 +112,14 @@ def test_closed_forms_evaluate_exactly_inside_bounds(profile, kind):
 def _gap_candidates(config: ElectrodeConfig, gap_m: float, anchor: GapAnchor):
     """(nominal gap, displacement) pairs that put a displaced gap at a bound."""
     out = [(gap_m, 0.0)]
+    lo, hi = _ENVELOPE["length"]
     if anchor is GapAnchor.APEX:
-        # at rest the nominal gap is the closed-form gap of both sides
+        # at rest the nominal gap is the closed-form gap of both sides; a
+        # bound outside the envelope of nominal gaps, such as the 2**-340 m
+        # floor, is reached below by a displaced gap instead
         for kind, face in sides(config):
             for bound in finite_bounds(kind, face):
-                out += [(g, 0.0) for g in around(bound)]
+                out += [(g, 0.0) for g in around(bound) if lo <= g <= hi]
     d1, d2 = side_nominal_gaps(config, gap_m, anchor)
     for bound in allowed_displacement_interval(config, d1, d2):
         if math.isfinite(bound):
@@ -156,13 +175,22 @@ def test_travel_limit_is_over_range_never_domain_error(
                 assert err.first_invalid_accel_m_s2 in (lo, hi)
 
 
-@pytest.mark.parametrize("radius_m", [100e-6, 1e-300, 1e3])
+@pytest.mark.parametrize(
+    "radius_m, phi", [(100e-6, 0.2), (1e-9, 1.0), (1.0, 1.0), (1e-300, 0.2), (1e3, 0.2)]
+)
 @pytest.mark.parametrize("kind", [FaceKind.CONVEX, FaceKind.FLAT])
-def test_gap_floor_keeps_closed_forms_finite_and_nonzero(kind, radius_m):
+def test_gap_floor_keeps_closed_forms_finite_and_nonzero(kind, radius_m, phi):
     # at a subnormal gap g**2 underflows to 0, so convex and flat faces
     # admit gaps only above a positive floor; one ulp above it both
-    # closed forms are finite and nonzero, at any radius
-    face = ArcProfile(radius_m, 0.2, 2e-6)
+    # closed forms are finite and nonzero, at every radius and arc length
+    # of the model envelope (phi = 1 puts R = 1e-9 and 1 m at its ends);
+    # radii outside it are refused
+    lo, hi = _ENVELOPE["length"]
+    if not lo <= radius_m <= hi:
+        with pytest.raises(ValueError, match="radius_m = .* is outside the model"):
+            ArcProfile(radius_m, phi, 2e-6)
+        return
+    face = ArcProfile(radius_m, phi, 2e-6)
     if kind is FaceKind.FLAT:
         face = PlanarProfile(face.arc_length(), face.thickness_m)
     floor = side_gap_bounds(kind, face)[0]
@@ -186,6 +214,20 @@ class TestNanIsRejected:
             lambda: dcap_dgap(FaceKind.FLAT, face, NAN),
         ):
             with pytest.raises(GeometryDomainError):
+                call()
+
+    @pytest.mark.parametrize("permittivity", [NAN, math.inf, 0.0, 1e308, 5e-324])
+    def test_permittivity_of_the_closed_forms_and_quadrature(self, profile, permittivity):
+        face = PlanarProfile(profile.arc_length(), profile.thickness_m)
+        for call in (
+            lambda: cap_convex(profile, 2e-6, permittivity),
+            lambda: cap_concave(profile, 2e-6, permittivity),
+            lambda: cap_planar(face, 2e-6, permittivity=permittivity),
+            lambda: dcap_dgap(FaceKind.FLAT, face, 2e-6, permittivity),
+            lambda: face_capacitance(FaceKind.CONVEX, profile, 2e-6, permittivity),
+            lambda: quad_capacitance(FaceKind.CONCAVE, profile, 2e-6, permittivity),
+        ):
+            with pytest.raises(ValueError, match="permittivity"):
                 call()
 
     @pytest.mark.parametrize("gap_m", [NAN, math.inf, -math.inf])
@@ -219,3 +261,174 @@ class TestNanIsRejected:
                 evaluate(config, NAN, d, mech, drive, 0.0)
         with pytest.raises(GeometryDomainError):
             bridge_at_side_nominals(config, d, d, NAN, drive)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_profile_whose_capacitance_underflows_is_refused(variant, mech, drive):
+    # an arc of radius 1e-300 m made C underflow to 0, and the bridge, the
+    # gain, the sensitivity and the gain curve then divided by it
+    for call in (
+        lambda c: bridge_capacitances(c, GapState(2e-6), drive),
+        lambda c: gain(c, 2e-6, mech, drive, 9.80665),
+        lambda c: sensitivity(c, 2e-6, mech, drive),
+        lambda c: gain_curve(
+            SweepPlan((variant,), c.profile, GapState(2e-6), mech, drive)
+        ),
+    ):
+        with pytest.raises(ValueError, match="radius_m = 1e-300 is outside the model"):
+            call(ElectrodeConfig.for_variant(variant, ArcProfile(1e-300, 0.2, 2e-6)))
+
+
+# Envelope property: every quantity drawn log-uniformly over its whole
+# interval of the model envelope, with displacements at 1 - 10**-k of the
+# travel limit (k = 1..16) as well as at rest.
+
+
+def log_uniform(quantity: str):
+    lo, hi = _ENVELOPE[quantity]
+    return st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: min(max(10.0**e, lo), hi)
+    )
+
+
+@st.composite
+def envelope_cells(draw):
+    """A valid cell of the model envelope."""
+    lo, hi = _ENVELOPE["length"]
+    r = draw(log_uniform("length"))
+    arc = draw(st.floats(math.log10(lo), math.log10(min(hi, 3.0 * r))).map(
+        lambda e: min(max(10.0**e, lo), hi)
+    ))
+    # arc <= 3 R keeps phi below pi; R * (arc / R) may round an ulp outside
+    # [lo, hi], which the arc length interval allows for
+    profile = ArcProfile(r, arc / r, draw(log_uniform("length")))
+    combs = draw(st.integers(0, 6).map(lambda e: 10**e))
+    return dict(
+        variant=draw(st.sampled_from(list(Variant))),
+        profile=profile,
+        gap_m=draw(log_uniform("length")),
+        mech=MechanicalModel(
+            draw(log_uniform("mass")), draw(log_uniform("stiffness")), combs
+        ),
+        drive=DriveModel(
+            draw(log_uniform("voltage")),
+            draw(st.sampled_from(list(FeedbackMode))),
+            draw(log_uniform("permittivity")),
+        ),
+        anchor=draw(anchors),
+        arc_mode=draw(st.sampled_from(list(ArcMode))),
+        arc_range_m=tuple(sorted(draw(st.lists(log_uniform("length"), min_size=2,
+                                               max_size=2, unique=True)))),
+        # the span of a symmetric acceleration grid, down to 1e-12 g
+        accel_g=draw(st.floats(-12.0, 6.0).map(
+            lambda e: min(10.0**e, _ENVELOPE["accel_g"][1])
+        )),
+        # 0: at rest; k > 0: at 1 - 10**-k of the travel limit, either side
+        travel=draw(st.integers(0, 16)),
+        side=draw(st.sampled_from([0, 1])),
+    )
+
+
+def floats_in(value):
+    """Every float in a result: plain, in tuples, dicts and dataclasses."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from floats_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from floats_in(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from floats_in(getattr(value, f.name))
+
+
+def finite_or_value_error(call) -> None:
+    try:
+        result = call()
+    except ValueError:
+        return
+    bad = [x for x in floats_in(result) if not math.isfinite(x)]
+    assert not bad, (result, bad)
+
+
+def _acceleration(cell) -> float:
+    config = ElectrodeConfig.for_variant(cell["variant"], cell["profile"])
+    d, mech = cell["gap_m"], cell["mech"]
+    if not cell["travel"]:
+        return 0.0
+    bound = allowed_displacement_interval(config, d, d)[cell["side"]]
+    delta = (1.0 - 10.0 ** -cell["travel"]) * bound
+    return delta * mech.spring_n_per_m / mech.mass_kg
+
+
+ENVELOPE_PROPERTY = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+
+
+@ENVELOPE_PROPERTY
+@given(cell=envelope_cells())
+def test_inside_the_envelope_results_are_finite_or_value_error(cell):
+    prof, d, mech, drive = cell["profile"], cell["gap_m"], cell["mech"], cell["drive"]
+    eps = drive.permittivity_f_per_m
+    config = ElectrodeConfig.for_variant(cell["variant"], prof)
+    flat = config.planar_face
+    accel = _acceleration(cell)
+    delta = mech.mass_kg * accel / mech.spring_n_per_m
+    for g in (d, d - delta, d + delta):
+        finite_or_value_error(lambda: cap_convex(prof, g, eps))
+        finite_or_value_error(lambda: cap_concave(prof, g, eps))
+        finite_or_value_error(lambda: cap_planar(flat, g, eps))
+        for kind in FaceKind:
+            face = flat if kind is FaceKind.FLAT else prof
+            finite_or_value_error(lambda: dcap_dgap(kind, face, g, eps))
+    finite_or_value_error(lambda: bridge_capacitances(config, GapState(d, delta), drive))
+    finite_or_value_error(lambda: gain(config, d, mech, drive, accel))
+    finite_or_value_error(lambda: sensitivity(config, d, mech, drive, accel))
+    finite_or_value_error(lambda: fd_sensitivity(config, d, d, mech, drive, accel))
+    plan = SweepPlan(
+        (cell["variant"],), prof, GapState(d), mech, drive, cell["arc_mode"],
+        cell["anchor"], cell["arc_range_m"], 3, (-cell["accel_g"], cell["accel_g"]), 3,
+    )
+    finite_or_value_error(lambda: gain_curve(plan))
+    finite_or_value_error(lambda: sensitivity_sweep(plan))
+    finite_or_value_error(
+        lambda: maximize_sensitivity(cell["variant"], cell["arc_range_m"], plan)
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(cell=envelope_cells(), command=st.sampled_from(
+    ["capacitance", "gain-curve", "sensitivity-sweep", "compare", "validate"]
+))
+def test_inside_the_envelope_every_subcommand_exits_0_to_3(tmp_path_factory, cell, command):
+    prof, mech, drive = cell["profile"], cell["mech"], cell["drive"]
+    out = tmp_path_factory.mktemp("cli")
+    argv = [command]
+    if command == "capacitance":
+        argv += ["--kind", FaceKind.CONCAVE.value, "--verify"]
+    elif command == "sensitivity-sweep":
+        argv += ["--verify"]
+    if command in ("gain-curve", "sensitivity-sweep"):
+        argv += [f"--svg={out / 'out.svg'}"]
+    elif command == "validate":
+        argv += ["--points", "1"]
+    argv += [
+        f"--r-um={prof.radius_m / 1e-6!r}", f"--phi={prof.angular_extent_rad!r}",
+        f"--h-um={prof.thickness_m / 1e-6!r}", f"--gap-um={cell['gap_m'] / 1e-6!r}",
+        f"--m-kg={mech.mass_kg!r}", f"--k-n-per-m={mech.spring_n_per_m!r}",
+        f"--combs={mech.comb_count}", f"--v-in={drive.v_in_volts!r}",
+        f"--permittivity={drive.permittivity_f_per_m!r}",
+        f"--feedback={drive.feedback_mode.value}", f"--gap-anchor={cell['anchor'].value}",
+        f"--arc-mode={cell['arc_mode'].value}",
+        f"--arc-min-um={cell['arc_range_m'][0] / 1e-6!r}",
+        f"--arc-max-um={cell['arc_range_m'][1] / 1e-6!r}", "--arc-points=3",
+        f"--accel-min-g={-cell['accel_g']!r}", f"--accel-max-g={cell['accel_g']!r}",
+        "--accel-points=3", f"--variants={cell['variant'].value}",
+        f"--csv={out / 'out.csv'}",
+    ]
+    assert main(argv) in (0, 1, 2, 3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -46,11 +47,14 @@ class TestArcProfile:
         with pytest.raises(ValueError):
             ArcProfile(r, phi, h)
 
-    def test_zero_angle_allowed(self):
-        # phi = 0 is a degenerate but representable profile
-        p = ArcProfile(100e-6, 0.0, 2e-6)
-        assert p.arc_length() == 0.0
-        assert p.sagitta() == 0.0
+    def test_zero_angle_is_refused_and_the_shortest_arc_allowed(self):
+        # phi = 0 gives an arc length of 0, outside the model envelope
+        with pytest.raises(ValueError, match="arc_length_m must be positive and finite"):
+            ArcProfile(100e-6, 0.0, 2e-6)
+        # the shortest arc of the envelope is a valid, nearly flat profile
+        p = ArcProfile(1e-9, 1.0, 2e-6)
+        assert p.arc_length() == 1e-9
+        assert 0.0 < p.sagitta() < 1e-9
 
 
 class TestPlanarProfile:
@@ -149,10 +153,11 @@ class TestSideGapBounds:
         assert lo == pytest.approx(profile.sagitta(), rel=1e-9)
         assert hi == 2 * profile.radius_m
 
-    def test_convex_and_flat_only_need_a_gap_above_the_floor(self, profile):
-        # 2**-340 m: the smallest power of two whose cube is a normal float
-        assert side_gap_bounds(FaceKind.CONVEX, profile) == (2.0**-340, math.inf)
-        assert side_gap_bounds(FaceKind.FLAT, profile) == (2.0**-340, math.inf)
+    def test_convex_and_flat_need_a_gap_between_floor_and_ceiling(self, profile):
+        # 2**-340 m: the smallest power of two whose cube is a normal float;
+        # 2 m: twice the largest nominal gap of the model envelope
+        assert side_gap_bounds(FaceKind.CONVEX, profile) == (2.0**-340, 2.0)
+        assert side_gap_bounds(FaceKind.FLAT, profile) == (2.0**-340, 2.0)
 
 
 class TestValidateGeometry:
@@ -197,8 +202,12 @@ class TestValidateGeometry:
         assert validate_geometry(config, GapState(2e-6), GapAnchor.APEX).ok
 
     def test_never_raises_on_wild_input(self, profile):
+        # a 1 km gap is outside the model envelope; 1 m, its largest gap, is
+        # far beyond a 100 um concave face's domain and is reported, not raised
+        with pytest.raises(ValueError, match="gap_m = 1000.0 is outside"):
+            GapState(1e3)
         config = ElectrodeConfig.for_variant(Variant.BICONCAVE, profile)
-        report = validate_geometry(config, GapState(1e3))
+        report = validate_geometry(config, GapState(1.0))
         assert not report.ok
 
 
@@ -230,3 +239,76 @@ class TestMechanics:
     def test_drive_validation(self, v, eps):
         with pytest.raises(ValueError):
             DriveModel(v, permittivity_f_per_m=eps)
+
+
+def _above(x):
+    return math.nextafter(x, INF)
+
+
+def _below(x):
+    return math.nextafter(x, -INF)
+
+
+# (name in the message, envelope quantity, constructor taking that one value)
+ENVELOPE_INPUTS = [
+    ("radius_m", "length", lambda v: ArcProfile(v, 1.0, 2e-6)),
+    ("thickness_m", "length", lambda v: ArcProfile(100e-6, 0.2, v)),
+    ("length_m", "arc_length", lambda v: PlanarProfile(v, 2e-6)),
+    ("gap_m", "length", lambda v: GapState(v)),
+    ("mass_kg", "mass", lambda v: MechanicalModel(v, 1.0)),
+    ("spring_n_per_m", "stiffness", lambda v: MechanicalModel(1e-10, v)),
+    ("comb_count", "comb_count", lambda v: MechanicalModel(1e-10, 1.0, v)),
+    ("v_in_volts", "voltage", lambda v: DriveModel(v)),
+    ("permittivity_f_per_m", "permittivity",
+     lambda v: DriveModel(1.0, permittivity_f_per_m=v)),
+]
+# the documented model envelope (README), pinned independently of model.py
+ENVELOPE = {
+    "length": (1e-9, 1.0),
+    "arc_length": (1e-9 * (1.0 - 2.0**-51), 1.0 + 2.0**-51),
+    "mass": (1e-15, 1.0),
+    "stiffness": (1e-6, 1e6),
+    "comb_count": (1, 10**6),
+    "voltage": (1e-6, 1e3),
+    "permittivity": (1e-13, 1e-7),
+}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("name, quantity, build", ENVELOPE_INPUTS)
+    def test_closed_interval_with_named_refusals(self, name, quantity, build):
+        lo, hi = ENVELOPE[quantity]
+        build(lo)
+        build(hi)
+        outside = (lo - 1, hi + 1) if quantity == "comb_count" else (_below(lo), _above(hi))
+        for value in outside:
+            if value <= 0:  # comb_count 0: today's wording for a non-positive value
+                match = f"{name} must be positive and finite, got {value}"
+            else:
+                match = f"{name} = {value} is outside the model's {quantity} range"
+            with pytest.raises(ValueError, match=re.escape(match)) as info:
+                build(value)
+            if value > 0:
+                assert f"[{lo}, {hi}]" in str(info.value)
+        for value in (0.0, -1.0, NAN, INF):
+            if quantity == "comb_count":
+                continue  # not an int; the type check words it
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                build(value)
+
+    def test_arc_length_is_bounded_on_both_sides(self):
+        # the length interval, widened for the rounding of R * (arc / R)
+        lo, hi = ENVELOPE["arc_length"]
+        ArcProfile(1.0, hi, 2e-6)
+        ArcProfile(1e-9, lo / 1e-9, 2e-6)
+        with pytest.raises(ValueError, match="arc_length_m = .* is outside"):
+            ArcProfile(1.0, _above(hi), 2e-6)
+        with pytest.raises(ValueError, match="arc_length_m = .* is outside"):
+            ArcProfile(1e-9, 1.0 - 2.0**-50, 2e-6)
+
+    def test_a_profile_rebuilt_from_the_shortest_arc_is_allowed(self):
+        # R * (arc / R) rounds one ulp below the 1e-9 m arc at this radius
+        r = 0.25809494367433444
+        assert r * (1e-9 / r) < 1e-9
+        prof = ArcProfile(r, 1e-9 / r, 2e-6)
+        PlanarProfile(prof.arc_length(), 2e-6)

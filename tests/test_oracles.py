@@ -273,6 +273,26 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError, match="admissible"):
             fd_derivative(spike, 1.0, CBRT_EPS)
 
+    def test_reports_the_shrinks_made(self):
+        def nowhere(x):
+            raise ValueError("defined nowhere")
+
+        # at x = 0 every halved step still resolves: all 40 shrinks are made
+        with pytest.raises(ValueError) as info:
+            fd_derivative(nowhere, 0.0, 1e-3)
+        assert str(info.value) == (
+            "no admissible finite-difference step at x=0.0 after 40 shrinks"
+        )
+        # at x = 1 a step of 1e-13 stops resolving after 9 halvings; a first
+        # step below half an ulp of x makes no shrink at all
+        for rel_step, shrinks in ((1e-13, 9), (1e-16, 0)):
+            with pytest.raises(ValueError) as info:
+                fd_derivative(nowhere, 1.0, rel_step)
+            assert str(info.value) == (
+                "no admissible finite-difference step at x=1.0: the stencil "
+                f"stopped resolving in floating point after {shrinks} shrinks"
+            )
+
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             fd_derivative(math.exp, 1.0, rel_step=0.0)

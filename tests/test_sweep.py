@@ -80,10 +80,20 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=field):
             make_plan(**{field: value})
 
+    @pytest.mark.parametrize("field", ["arc_points", "accel_points"])
+    def test_rejects_a_point_count_beyond_the_envelope(self, field):
+        # 10**400 once reached the grid step and overflowed converting to float
+        make_plan(**{field: 10**6})
+        for count in (10**6 + 1, 10**400):
+            with pytest.raises(ValueError, match=f"{field} = {count} is outside"):
+                make_plan(**{field: count})
+
     def test_fixed_arc_mode_needs_positive_angle(self):
-        prof = ArcProfile(STD_R, 0.0, STD_H)
-        with pytest.raises(ValueError):
-            make_plan(profile=prof, arc_mode=ArcMode.VARY_R_FIXED_ARC)
+        # the plan profile itself refuses phi = 0: its arc length is 0
+        with pytest.raises(ValueError, match="arc_length_m must be positive"):
+            make_plan(
+                profile=ArcProfile(STD_R, 0.0, STD_H), arc_mode=ArcMode.VARY_R_FIXED_ARC
+            )
 
 
 class TestSensitivitySweep:
@@ -388,98 +398,76 @@ def test_sweep_row_is_an_immutable_hashable_record():
     )
 
 
-UNDERFLOW = "rest capacitance 0.0 F underflows the readout"
+OUTSIDE_LENGTHS = "outside the model's length range"
 
 
 @pytest.mark.parametrize("mode", list(ArcMode))
-def test_sweep_skips_arcs_whose_capacitance_underflows(mode):
-    # at a subnormal arc length C underflows to 0 and G and S would divide by 0
-    plan = make_plan(
-        variants=(Variant.PLANAR,), arc_mode=mode, arc_range_m=(1e-320, 2e-320)
-    )
-    with pytest.raises(ValueError) as info:
-        sensitivity_sweep(plan)
-    assert str(info.value) == (
-        "no valid grid points in the sweep plan; first reason: " + UNDERFLOW
-    )
+def test_sweep_refuses_arcs_below_the_envelope(mode):
+    # a subnormal arc length, whose C would underflow, is refused by the plan
+    for arc_range in ((1e-320, 2e-320), (1e-320, 20e-6)):
+        with pytest.raises(ValueError, match="arc_range_m min = 1e-320 is " + OUTSIDE_LENGTHS):
+            make_plan(variants=(Variant.PLANAR,), arc_mode=mode, arc_range_m=arc_range)
+    # the shortest arc of the envelope evaluates to a finite, nonzero S
     result = sensitivity_sweep(
         make_plan(
             variants=(Variant.PLANAR,),
             arc_mode=mode,
-            arc_range_m=(1e-320, 20e-6),
+            arc_range_m=(1e-9, 20e-6),
             arc_points=2,
         )
     )
-    assert [r.arc_length_m for r in result.rows] == [20e-6]
-    assert result.metadata["skipped"] == [
-        {"variant": "Planar", "arc_length_m": 1e-320, "reason": UNDERFLOW}
-    ]
+    assert [r.arc_length_m for r in result.rows] == [1e-9, 20e-6]
+    assert all(0.0 < r.s_mv_per_g < math.inf for r in result.rows)
+    assert result.metadata["skipped"] == []
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
-@pytest.mark.parametrize("bounds", [(1e-320, 1e-6), (5e-324, 5e-324)])
-def test_optimizer_rejects_arcs_whose_capacitance_underflows(feedback, bounds):
+@pytest.mark.parametrize("bounds", [(1e-320, 1e-6), (5e-324, 5e-324), (1e-155, 1e-6)])
+def test_optimizer_refuses_arcs_below_the_envelope(feedback, bounds):
     plan = make_plan(drive=DriveModel(1.0, feedback))
     for variant in Variant:
-        with pytest.raises(ValueError) as info:
+        # fixed phi = 0.2: the radius arc/phi leaves the envelope first
+        with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
             maximize_sensitivity(variant, bounds, plan)
-        prefix = f"invalid geometry for {variant.value} at arc {bounds[0]} m: "
-        assert str(info.value).startswith(prefix)
-    with pytest.raises(ValueError) as info:
-        maximize_sensitivity(Variant.PLANAR, bounds, plan)
-    assert str(info.value) == (
-        f"invalid geometry for Planar at arc {bounds[0]} m: {UNDERFLOW}"
-    )
+    # from the shortest arc of the envelope, at fixed R = 100 um so that
+    # concave faces stay valid, every S is finite and nonzero
+    plan = make_plan(drive=DriveModel(1.0, feedback), arc_mode=ArcMode.VARY_PHI_FIXED_R)
+    for variant in Variant:
+        arc, s = maximize_sensitivity(variant, (1e-9, 1e-6), plan)
+        assert 1e-9 <= arc <= 1e-6 and 0.0 < abs(s) < math.inf
 
 
-def test_optimizer_rejects_a_feedback_square_that_underflows():
-    # matched-sum S divides by C_fb**2, which underflows long before C_fb
+def test_sweep_and_optimizer_span_arcs_up_to_the_envelope():
+    # an arc of 1e308 m, where matched-sum C_fb**2 would overflow, is refused;
+    # at the longest arc of the envelope both feedback modes evaluate
     for feedback in FeedbackMode:
-        plan = make_plan(drive=DriveModel(1.0, feedback))
-        if feedback is FeedbackMode.NOMINAL:
-            arc, s = maximize_sensitivity(Variant.PLANAR, (1e-155, 1e-6), plan)
-            assert 1e-155 <= arc <= 1e-6 and math.isfinite(s)
-            continue
-        with pytest.raises(ValueError) as info:
-            maximize_sensitivity(Variant.PLANAR, (1e-155, 1e-6), plan)
-        assert str(info.value).startswith(
-            "invalid geometry for Planar at arc 1e-155 m: rest capacitance "
-        )
-
-
-def test_sweep_and_optimizer_refuse_a_feedback_square_that_overflows():
-    # matched-sum S divides by C_fb**2, which overflows long before C_fb;
-    # nominal feedback divides by C_fb alone
-    overflow = "rest capacitance 1.7708e+297 F overflows the readout"
-    for feedback in FeedbackMode:
-        plan = make_plan(
+        overrides = dict(
             variants=(Variant.PLANAR,),
             profile=ArcProfile(STD_R, 2.0, STD_H),
             drive=DriveModel(1.0, feedback),
-            arc_range_m=(1e-6, 1e308),
             arc_points=2,
         )
+        refused = "arc_range_m max = 1e[+]308 is " + OUTSIDE_LENGTHS
+        with pytest.raises(ValueError, match=refused):
+            make_plan(arc_range_m=(1e-6, 1e308), **overrides)
+        plan = make_plan(arc_range_m=(1e-6, 1.0), **overrides)
         result = sensitivity_sweep(plan)
-        if feedback is FeedbackMode.NOMINAL:
-            assert len(result.rows) == 2 and not result.metadata["skipped"]
-            assert maximize_sensitivity(Variant.PLANAR, (1e-6, 1e308), plan)
-            continue
-        assert [r.arc_length_m for r in result.rows] == [1e-6]
-        assert result.metadata["skipped"] == [
-            {"variant": "Planar", "arc_length_m": 1e308, "reason": overflow}
-        ]
-        with pytest.raises(ValueError) as info:
+        assert [r.arc_length_m for r in result.rows] == [1e-6, 1.0]
+        assert all(0.0 < r.s_mv_per_g < math.inf for r in result.rows)
+        with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
             maximize_sensitivity(Variant.PLANAR, (1e-6, 1e308), plan)
-        assert str(info.value) == f"invalid geometry for Planar at arc 1e+308 m: {overflow}"
+        arc, s = maximize_sensitivity(Variant.PLANAR, (1e-6, 1.0), plan)
+        assert 1e-6 <= arc <= 1.0 and 0.0 < s < math.inf
 
 
-@pytest.mark.parametrize("bounds", [(1.0, 1e7), (1e-6, 1e308)])
+@pytest.mark.parametrize("bounds", [(1.0, 1e7), (1e-6, 1e308), (1e-6, 1.0), (0.5, 1.0)])
 def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
     monkeypatch, bounds
 ):
     """Above about 5e5 m adjacent floats lie more than the 1e-10 m
-    tolerance apart, so the bracket stops shrinking before it closes:
-    the search must end there rather than loop."""
+    tolerance apart, so the bracket would stop shrinking before it closes.
+    Arcs that long are refused; up to the longest arc of the envelope, 1 m,
+    floats lie far closer than the tolerance and the search ends."""
     calls = []
 
     def capped(*args):
@@ -494,6 +482,10 @@ def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
         profile=ArcProfile(1e-3, 2.0, STD_H),
         drive=DriveModel(1.0, FeedbackMode.NOMINAL),
     )
+    if bounds[1] > 1.0:
+        with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
+            maximize_sensitivity(Variant.PLANAR, bounds, plan)
+        return
     arc, s = maximize_sensitivity(Variant.PLANAR, bounds, plan)
     assert bounds[0] <= arc <= bounds[1]
     assert s == _sensitivity_at_arc(plan, Variant.PLANAR, arc)
@@ -532,12 +524,15 @@ class TestGainCurve:
         assert accels == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def test_grid_whose_span_overflows_stays_finite_and_ordered(self):
-        big = sys.float_info.max  # big - (-big) overflows to inf
-        grid = _linspace(-big, big, 1001)
+        big = sys.float_info.max  # big - (-big) would overflow to inf
+        for accel_range in ((-big, big), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="outside the model's accel_g range"):
+                make_plan(accel_range_g=accel_range)
+        # the widest grid of the envelope is finite, ordered, and hits 0 g
+        grid = _linspace(*make_plan(accel_range_g=(-1e6, 1e6)).accel_range_g, 1001)
         assert all(math.isfinite(x) for x in grid) and grid == sorted(grid)
-        assert (grid[0], grid[500], grid[-1]) == (-big, 0.0, big)
-        assert _linspace(-1e308, 1e308, 3) == [-1e308, 0.0, 1e308]
-        assert _linspace(-big, big, 2) == [-big, big]
+        assert (grid[0], grid[500], grid[-1]) == (-1e6, 0.0, 1e6)
+        assert _linspace(-1e6, 1e6, 3) == [-1e6, 0.0, 1e6]
 
 
 class TestMaximizeSensitivity:
@@ -571,6 +566,22 @@ class TestMaximizeSensitivity:
         )
         with pytest.raises(ValueError):
             maximize_sensitivity(Variant.BICONVEX, (5e-6, 60e-6), plan)
+
+    def test_shortest_arc_of_the_envelope_at_a_radius_that_rounds_it_short(self):
+        # at this radius R * (1e-9 / R) lies one ulp below 1e-9: the rebuilt
+        # profile is still in the envelope, a row and an optimizer bound
+        r = 0.25809494367433444
+        assert r * (1e-9 / r) < 1e-9
+        plan = make_plan(
+            profile=ArcProfile(r, STD_PHI, STD_H), arc_mode=ArcMode.VARY_PHI_FIXED_R,
+            arc_range_m=(1e-9, 2e-9), arc_points=2,
+        )
+        result = sensitivity_sweep(plan)
+        assert result.metadata.get("skipped", []) == []
+        assert {row.arc_length_m for row in result.rows} == {1e-9, 2e-9}
+        for variant in Variant:
+            arc, s = maximize_sensitivity(variant, (1e-9, 2e-9), plan)
+            assert 1e-9 <= arc <= 2e-9 and math.isfinite(s) and s != 0
 
     def test_degenerate_interval(self):
         plan = make_plan()

@@ -173,6 +173,24 @@ class TestSensitivity:
             assert "no admissible finite-difference step" in expected[1]
         assert outcome(fd_sensitivity, *args) == expected
 
+    def test_fd_sensitivity_whose_step_does_not_resolve_says_so(
+        self, profile, mech, drive
+    ):
+        # at 1 - 1e-13 of the travel limit the stencil's first step is below
+        # half an ulp of the acceleration, so no step is tried at all
+        config = ElectrodeConfig.for_variant(Variant.BICONVEX, profile)
+        hi = allowed_displacement_interval(config, STD_GAP, STD_GAP)[1]
+        accel = (1 - 1e-13) * hi * mech.spring_n_per_m / mech.mass_kg
+        assert accel == 7692.307692306924
+        with pytest.raises(ValueError) as info:
+            fd_sensitivity(config, STD_GAP, STD_GAP, mech, drive, accel)
+        assert str(info.value) == (
+            f"no admissible finite-difference step at x={accel}: the stencil "
+            "stopped resolving in floating point after 0 shrinks"
+        )
+        s = sensitivity_at_side_nominals(config, STD_GAP, STD_GAP, mech, drive, accel)
+        assert math.isfinite(s)
+
     def test_away_from_rest(self, profile, mech, drive):
         config = ElectrodeConfig.for_variant(Variant.BICONVEX, profile)
         a = 1.5 * STANDARD_GRAVITY
