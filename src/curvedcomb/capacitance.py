@@ -6,13 +6,13 @@ apex-to-plane distance for a convex face and the center distance for a
 concave face. Face placement conventions (see model.GapAnchor) are
 resolved by callers before these functions are reached.
 
-One private kernel, _face_eval, returns C and dC/dd of a resolved face
-(kind, profile, side_gap_bounds interval, T = tan(phi/4)) together, with
-one domain guard and one shared square root and atan/atanh term; the
-public functions (cap_* through face_capacitance, and dcap_dgap) check
-their permittivity against the model envelope, resolve the face and
-return one half of it, while the bridge and the sweeps resolve each face
-once per cell or arc length and call the kernel directly. The
+_resolve_face reads a face's kind once, into its kernel (_flat, _convex
+or _concave), its side_gap_bounds interval and the kernel's constants. A
+kernel is straight-line code returning C and dC/dd together, sharing one
+square root and atan/atanh term; callers test the gap first. The public
+functions (cap_* through face_capacitance, and dcap_dgap) check their
+permittivity against the model envelope, resolve, check and evaluate;
+the bridge and the sweeps resolve each face once per cell or arc. The
 derivatives are hand-differentiated from the closed forms, cross-checked
 against Richardson finite differences in the test suite, and carry all
 sensitivity math downstream via the chain rule.
@@ -27,6 +27,8 @@ from .model import (
     ArcProfile,
     FaceKind,
     PlanarProfile,
+    _CONVEX,
+    _FLAT,
     _check_profile,
     _require_in_envelope,
     side_gap_bounds,
@@ -52,41 +54,54 @@ class GeometryDomainError(ValueError):
         self.gap_m = gap_m
 
 
-# a resolved face: kind, profile, side_gap_bounds (lo, hi), T (None if flat)
-_Face = tuple[FaceKind, ArcProfile | PlanarProfile, float, float, float | None]
-
-
-def _resolve_face(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> _Face:
-    """The face of kind on profile; raises ValueError if the profile type
-    does not fit the kind (PlanarProfile for FLAT, ArcProfile otherwise)."""
+def _resolve_face(kind: FaceKind, profile, permittivity: float) -> tuple:
+    """The face of kind on profile as (kernel, lo, hi, kind, *constants),
+    lo and hi from side_gap_bounds, the constants eps*h*b (flat) or
+    4*eps*h*R, R, T = tan(phi/4) (arc); raises ValueError if the profile
+    type does not fit the kind (PlanarProfile for FLAT, else ArcProfile)."""
     _check_profile(kind, profile)
     lo, hi = side_gap_bounds(kind, profile)
-    t = None if kind is FaceKind.FLAT else profile.half_tan()
-    return kind, profile, lo, hi, t
-
-
-def _face_eval(face: _Face, gap_m: float, permittivity: float) -> tuple[float, float]:
-    """(C, dC/dd) of one resolved face at its closed-form gap, in F and F/m;
-    raises GeometryDomainError if gap_m is outside side_gap_bounds."""
-    kind, profile, lo, hi, t = face
-    if not lo < gap_m < hi:
-        raise GeometryDomainError(
-            f"{kind.value} face needs a gap in ({lo}, {hi}) m, got {gap_m} m",
-            kind=kind,
-            gap_m=gap_m,
-        )
-    if kind is FaceKind.FLAT:
-        k = permittivity * profile.thickness_m * profile.length_m
-        return k / gap_m, -k / gap_m**2
+    if kind is _FLAT:
+        return _flat, lo, hi, kind, permittivity * profile.thickness_m * profile.length_m
     r = profile.radius_m
     lead = 4.0 * permittivity * profile.thickness_m * r
-    if kind is FaceKind.CONVEX:
-        n = 2.0 * r + gap_m
-        p = gap_m * n
-        atan_term = math.atan(t * math.sqrt(n / gap_m))
-        return lead / math.sqrt(p) * atan_term, -lead * (
-            t * r / (p * (gap_m + t * t * n)) + (r + gap_m) * atan_term / p**1.5
-        )
+    return _convex if kind is _CONVEX else _concave, lo, hi, kind, lead, r, profile.half_tan()
+
+
+def _resolve_at_arc(kind: FaceKind, prof: ArcProfile, permittivity: float) -> tuple:
+    """The face of kind at one arc length: a flat one is cut to prof's arc
+    length and thickness, which prof has checked, with no PlanarProfile."""
+    if kind is _FLAT:
+        lo, hi = side_gap_bounds(kind, prof)
+        return _flat, lo, hi, kind, permittivity * prof.thickness_m * prof.arc_length()
+    return _resolve_face(kind, prof, permittivity)
+
+
+def _out_of_domain(face: tuple, gap_m: float) -> GeometryDomainError:
+    _, lo, hi, kind = face[:4]
+    message = f"{kind.value} face needs a gap in ({lo}, {hi}) m, got {gap_m} m"
+    return GeometryDomainError(message, kind=kind, gap_m=gap_m)
+
+
+# The kernels: (C, dC/dd) of a resolved face at its closed-form gap, in F
+# and F/m. They do not check the gap: each caller tests lo < gap < hi first.
+def _flat(face: tuple, gap_m: float) -> tuple[float, float]:
+    k = face[4]
+    return k / gap_m, -k / gap_m**2
+
+
+def _convex(face: tuple, gap_m: float) -> tuple[float, float]:
+    _, _, _, _, lead, r, t = face
+    n = 2.0 * r + gap_m
+    p = gap_m * n
+    atan_term = math.atan(t * math.sqrt(n / gap_m))
+    return lead / math.sqrt(p) * atan_term, -lead * (
+        t * r / (p * (gap_m + t * t * n)) + (r + gap_m) * atan_term / p**1.5
+    )
+
+
+def _concave(face: tuple, gap_m: float) -> tuple[float, float]:
+    _, _, _, _, lead, r, t = face
     m = 2.0 * r - gap_m
     q = gap_m * m
     # the atanh argument is < 1 whenever the edge gap is > 0, and
@@ -159,8 +174,7 @@ def dcap_dgap(
         gap_m: closed-form gap of the face (m).
         permittivity: dielectric permittivity (F/m).
     """
-    _require_in_envelope("permittivity", permittivity, "permittivity")
-    return _face_eval(_resolve_face(kind, profile), gap_m, permittivity)[1]
+    return _checked_eval(kind, profile, gap_m, permittivity)[1]
 
 
 def face_capacitance(
@@ -177,5 +191,12 @@ def face_capacitance(
             permittivity is outside the model envelope.
         GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
-    _require_in_envelope("permittivity", permittivity, "permittivity")
-    return _face_eval(_resolve_face(kind, profile), gap_m, permittivity)[0]
+    return _checked_eval(kind, profile, gap_m, permittivity)[0]
+
+
+def _checked_eval(kind: FaceKind, profile, gap_m: float, eps: float) -> tuple[float, float]:
+    _require_in_envelope("permittivity", eps, "permittivity")
+    face = _resolve_face(kind, profile, eps)
+    if not face[1] < gap_m < face[2]:
+        raise _out_of_domain(face, gap_m)
+    return face[0](face, gap_m)

@@ -276,9 +276,9 @@ def side_nominal_gaps(
 def _bowed_gap(kind: FaceKind, gap_m: float, sagitta_m: float) -> float:
     """Closed-form gap of a face bowed sagitta_m out of a plane at gap_m;
     a sagitta of 0 gives gap_m for every kind."""
-    if kind is FaceKind.CONVEX:
+    if kind is _CONVEX:
         return gap_m - sagitta_m
-    if kind is FaceKind.CONCAVE:
+    if kind is _CONCAVE:
         return gap_m + sagitta_m
     return gap_m
 
@@ -316,7 +316,7 @@ class ValidityReport:
 def _check_profile(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> None:
     """Raise ValueError unless the profile type fits the kind: PlanarProfile
     for FLAT, ArcProfile for CONVEX and CONCAVE."""
-    want = PlanarProfile if kind is FaceKind.FLAT else ArcProfile
+    want = PlanarProfile if kind is _FLAT else ArcProfile
     if not isinstance(profile, want):
         raise ValueError(
             f"{kind.value} face needs {want.__name__}, got {type(profile).__name__}"
@@ -337,11 +337,15 @@ def side_gap_bounds(
     and p = g*n, all >= g**3. The ceiling, twice the largest nominal gap
     of the model envelope, is never reached by a cell's widening side.
     """
-    if kind is FaceKind.CONCAVE:
+    if kind is _CONCAVE:
         lo = profile.sagitta() + CONCAVE_EDGE_MARGIN_REL * profile.radius_m
         return lo, 2.0 * profile.radius_m
     return 2.0**-340, _MAX_GAP_M
 
+
+# hot paths read these names: a member read such as FaceKind.FLAT costs 10x
+_CONVEX, _CONCAVE, _FLAT = FaceKind.CONVEX, FaceKind.CONCAVE, FaceKind.FLAT
+_FACE_PLANE, _MATCHED_SUM = GapAnchor.FACE_PLANE, FeedbackMode.MATCHED_SUM
 
 # validate_geometry rule names: (gap <= lo, gap >= hi) of side_gap_bounds;
 # "gap not positive" also covers the positive gaps up to the gap floor
@@ -389,7 +393,7 @@ def validate_geometry(
             margin = g - hi if above else lo - g
             violations.append(Violation(side, _RULES[kind][above], margin))
         arg = None
-        if kind is FaceKind.CONCAVE:
+        if kind is _CONCAVE:
             min_gap = g - prof.sagitta()  # edge gap
             if valid:
                 arg = prof.half_tan() * math.sqrt((hi - g) / g)

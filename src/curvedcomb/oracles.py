@@ -165,10 +165,11 @@ def quad_capacitance(
     """Capacitance of one face by direct integration of its gap profile.
 
     Integrates eps*h*R / d(theta) over theta in [-phi/2, +phi/2], where
-    d(theta) is gap + R - R*cos(theta) for a convex face and
-    gap + R*cos(theta) - R for a concave face; the flat face integrates
-    the constant eps*h/gap along its length. Domain requirements match
-    the closed forms.
+    d(theta) is gap + 2R*sin(theta/2)**2 for a convex face and
+    gap - 2R*sin(theta/2)**2 for a concave face (R*(1 - cos(theta)) would
+    lose the gap's digits when gap << R); the flat face integrates the
+    constant eps*h/gap along its length. Domain requirements match the
+    closed forms.
 
     Raises:
         ValueError: if the profile does not fit the kind, the permittivity
@@ -191,7 +192,6 @@ def quad_capacitance(
     else:
         r = profile.radius_m
         num = permittivity * h * r  # a * b * c / d is (a * b * c) / d: same bits
-        cos = math.cos
         if kind is FaceKind.CONCAVE:
             if gap_m - profile.sagitta() <= CONCAVE_EDGE_MARGIN_REL * r:
                 raise ValueError(
@@ -200,15 +200,12 @@ def quad_capacitance(
                 )
             if gap_m >= 2.0 * r:
                 raise ValueError(f"concave gap must stay below 2R, got {gap_m} m")
+        # +-2R: gap + (-x) and gap - x are the same float
+        r2, sin = (-2.0 if kind is FaceKind.CONCAVE else 2.0) * r, math.sin
 
-            def integrand(theta: float) -> float:
-                return num / (gap_m + r * cos(theta) - r)
-
-        else:
-            gr = gap_m + r
-
-            def integrand(theta: float) -> float:
-                return num / (gr - r * cos(theta))
+        def integrand(theta: float) -> float:
+            s = sin(0.5 * theta)
+            return num / (gap_m + r2 * s * s)
 
         b = 0.5 * profile.angular_extent_rad
         a = -b

@@ -14,11 +14,13 @@ extent at fixed radius (the bow deepens with arc length and eventually
 reaches the gap), VARY_R_FIXED_ARC scales the radius at fixed angular
 extent (a similarity family whose bow stays proportional to arc length).
 
-At one arc length every variant shares one profile and one flat face,
-and at rest each face kind sits at one nominal gap, so sensitivity_sweep
-resolves and evaluates each face once per arc length and every variant's
-row reads its two sides from those evaluations. An optimizer step reads S
-the same way: each distinct face once, at rest, with C_fb = c1 + c2. A
+At one arc length every variant shares one profile, and at rest each
+face kind sits at one nominal gap, so sensitivity_sweep resolves and
+evaluates each face once per arc length (a flat face cut to the arc's
+length and thickness, with no PlanarProfile) and every variant's row
+reads its two sides from those evaluations. An optimizer step reads S
+the same way: each distinct face once, at rest, with C_fb = c1 + c2,
+from the kinds, anchor and permittivity its solve resolved once. A
 gain-curve point makes two kernel calls: nominal feedback's rest pair is
 evaluated once per variant.
 """
@@ -31,20 +33,19 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from . import __version__
-from .capacitance import _face_eval, _resolve_face
+from .capacitance import _resolve_at_arc
 from .model import (
     SIDE_KINDS,
     STANDARD_GRAVITY,
     ArcProfile,
     DriveModel,
     ElectrodeConfig,
-    FaceKind,
     FeedbackMode,
     GapAnchor,
     GapState,
     MechanicalModel,
-    PlanarProfile,
     Variant,
+    _FACE_PLANE,
     _bowed_gap,
     _require_in_envelope,
     side_nominal_gaps,
@@ -73,15 +74,17 @@ __all__ = [
     "DEFAULT_ARC_BOUNDS_M",
 ]
 
-# Default optimization interval for maximize_sensitivity (m).
-DEFAULT_ARC_BOUNDS_M = (5e-6, 60e-6)
-
-_VARIANT_ORDER = {v: i for i, v in enumerate(Variant)}
-
 
 class ArcMode(Enum):
     VARY_PHI_FIXED_R = "vary-phi-fixed-r"
     VARY_R_FIXED_ARC = "vary-r-fixed-arc"
+
+
+# Default optimization interval for maximize_sensitivity (m).
+DEFAULT_ARC_BOUNDS_M = (5e-6, 60e-6)
+
+_VARIANT_ORDER = {v: i for i, v in enumerate(Variant)}
+_VARY_PHI_FIXED_R = ArcMode.VARY_PHI_FIXED_R
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def _profile_at(plan: SweepPlan, arc_length_m: float) -> ArcProfile:
     angular extent would leave [0, pi) at fixed radius).
     """
     h = plan.profile.thickness_m
-    if plan.arc_mode is ArcMode.VARY_PHI_FIXED_R:
+    if plan.arc_mode is _VARY_PHI_FIXED_R:
         r = plan.profile.radius_m
         return ArcProfile(r, arc_length_m / r, h)
     phi = plan.profile.angular_extent_rad
@@ -209,10 +212,9 @@ def _resolve_cell(plan: SweepPlan, variant: Variant, profile: ArcProfile) -> _Ce
     """Resolve one plan cell; raises ValueError carrying the skip reason
     when the rest geometry is invalid, by validate_geometry's rule."""
     config = ElectrodeConfig.for_variant(variant, profile)
-    faces = _side_faces(config)
+    faces = f1, f2 = _side_faces(config, plan.drive.permittivity_f_per_m)
     d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
-    (_, _, lo1, hi1, _), (_, _, lo2, hi2, _) = faces
-    if not (lo1 < d1 < hi1 and lo2 < d2 < hi2):
+    if not (f1[1] < d1 < f1[2] and f2[1] < d2 < f2[2]):
         raise ValueError(_skip_reason(plan, config))
     return config, faces, d1, d2
 
@@ -249,7 +251,7 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     variants = _ordered_variants(plan.variants)
     kinds = list(dict.fromkeys(k for v in variants for k in SIDE_KINDS[v]))
     sides = [[kinds.index(k) for k in SIDE_KINDS[v]] for v in variants]
-    bowed = plan.gap_anchor is GapAnchor.FACE_PLANE
+    bowed = plan.gap_anchor is _FACE_PLANE
     eps = plan.drive.permittivity_f_per_m
     # per arc: the profile and each kind's (C, dC/dd) at its rest nominal
     # gap (side_nominal_gaps' rule), or None where no valid cell uses the
@@ -258,18 +260,17 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     for arc in arcs:
         try:
             prof = _profile_at(plan, arc)
-            flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
         except ValueError as err:
             cells.append(str(err))
             continue
-        faces = [_resolve_face(k, flat if k is FaceKind.FLAT else prof) for k in kinds]
+        faces = [_resolve_at_arc(k, prof, eps) for k in kinds]
         bow = prof.sagitta() if bowed else 0.0  # APEX: every face at the plan gap
         gaps = [_bowed_gap(k, plan.gap.gap_m, bow) for k in kinds]
-        ok = [f[2] < g < f[3] for f, g in zip(faces, gaps)]
+        ok = [f[1] < g < f[2] for f, g in zip(faces, gaps)]
         used = {i for pair in sides if ok[pair[0]] and ok[pair[1]] for i in pair}
         evals = [None] * len(kinds)
         for i in used:
-            evals[i] = _face_eval(faces[i], gaps[i], eps)
+            evals[i] = faces[i][0](faces[i], gaps[i])
         cells.append((prof, evals))
     rows: list[SweepRow] = []
     skipped: list[dict] = []
@@ -304,7 +305,6 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     """
     accels_g = _linspace(*plan.accel_range_g, plan.accel_points)
     nominal = plan.drive.feedback_mode is FeedbackMode.NOMINAL
-    eps = plan.drive.permittivity_f_per_m
     prof = plan.profile
     arc = prof.arc_length()
     rows: list[SweepRow] = []
@@ -319,7 +319,7 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
             )
             continue
         _, faces, d1, d2 = cell  # valid at rest: nominal C_fb evaluates once
-        rest_fb = _rest_feedback(faces, d1, d2, eps) if nominal else None
+        rest_fb = _rest_feedback(faces, d1, d2) if nominal else None
         xs: list[float] = []
         ys: list[float] = []
         for a_g in accels_g:
@@ -364,26 +364,30 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ARC_TOL_M = 1e-10
 
 
-def _sensitivity_at_arc(plan: SweepPlan, variant: Variant, arc_length_m: float) -> float:
-    # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode
-    prof = _profile_at(plan, arc_length_m)
+def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
+    """One solve, resolved once: the plan, the variant, its side kinds (k2
+    None when both are k1), whether faces bow (FACE_PLANE), eps and gap."""
     k1, k2 = SIDE_KINDS[variant]
-    bow = prof.sagitta() if plan.gap_anchor is GapAnchor.FACE_PLANE else 0.0
-    flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
-    f1 = _resolve_face(k1, flat if k1 is FaceKind.FLAT else prof)
-    d1 = _bowed_gap(k1, plan.gap.gap_m, bow)
+    bowed, eps = plan.gap_anchor is _FACE_PLANE, plan.drive.permittivity_f_per_m
+    return plan, variant, k1, None if k2 is k1 else k2, bowed, eps, plan.gap.gap_m
+
+
+def _sensitivity_at_arc(solve: tuple, arc_length_m: float) -> float:
+    # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode
+    plan, variant, k1, k2, bowed, eps, gap = solve
+    prof = _profile_at(plan, arc_length_m)
+    bow = prof.sagitta() if bowed else 0.0
+    f1, d1 = _resolve_at_arc(k1, prof, eps), _bowed_gap(k1, gap, bow)
     f2, d2 = f1, d1
-    if k2 is not k1:
-        f2 = _resolve_face(k2, flat if k2 is FaceKind.FLAT else prof)
-        d2 = _bowed_gap(k2, plan.gap.gap_m, bow)
-    if not (f1[2] < d1 < f1[3] and f2[2] < d2 < f2[3]):
+    if k2 is not None:
+        f2, d2 = _resolve_at_arc(k2, prof, eps), _bowed_gap(k2, gap, bow)
+    if not (f1[1] < d1 < f1[2] and f2[1] < d2 < f2[2]):
         reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
         raise ValueError(
             f"invalid geometry for {variant.value} at arc {arc_length_m} m: {reason}"
         )
-    eps = plan.drive.permittivity_f_per_m
-    c1, dc1 = e1 = _face_eval(f1, d1, eps)
-    c2, dc2 = e1 if k2 is k1 else _face_eval(f2, d2, eps)
+    c1, dc1 = e1 = f1[0](f1, d1)
+    c2, dc2 = e1 if k2 is None else f2[0](f2, d2)
     return _sensitivity((c1, dc1, c2, dc2, c1 + c2), plan.mech, plan.drive)
 
 
@@ -418,9 +422,10 @@ def maximize_sensitivity(
     if not 0.0 < lo <= hi:
         raise ValueError(f"bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     evals: dict[float, float] = {}
+    solve = _solve_of(plan, variant)
 
     def f(arc: float) -> float:
-        s = _sensitivity_at_arc(plan, variant, arc)
+        s = _sensitivity_at_arc(solve, arc)
         evals[arc] = s
         return abs(s)
 

@@ -14,27 +14,29 @@ values, which the *_at_side_nominals forms accept directly; the plain
 forms apply one gap to both sides.
 
 Each public call, fd_sensitivity included, resolves the two side faces
-once, checks the travel range against their gap intervals, then reads
-bridge, gain and sensitivity off one evaluation: one fused (C, dC/dd)
-kernel call per side, plus one per side at rest under nominal feedback.
-A gain curve evaluates that rest pair once per variant and
-fd_sensitivity once per call, so each curve point and each stencil gain
-makes two kernel calls under either mode.
+once, each into its kind's (C, dC/dd) kernel with the permittivity and
+its gap interval, checks the travel range against those intervals, then
+reads bridge, gain and sensitivity off one evaluation: one kernel call
+per side, plus one per side at rest under nominal feedback. A gain curve
+evaluates that rest pair once per variant and fd_sensitivity once per
+call, so each curve point and each stencil gain makes two kernel calls
+under either mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .capacitance import GeometryDomainError, _Face, _face_eval, _resolve_face
+from .capacitance import GeometryDomainError, _out_of_domain, _resolve_face
 from .model import (
     STANDARD_GRAVITY,
+    VACUUM_PERMITTIVITY,
     DriveModel,
     ElectrodeConfig,
-    FaceKind,
-    FeedbackMode,
     GapState,
     MechanicalModel,
+    _FLAT,
+    _MATCHED_SUM,
     displacement,
 )
 from .oracles import fd_derivative
@@ -90,32 +92,31 @@ class OverRangeError(ValueError):
 
 
 # the resolved faces of side 1 and side 2
-_Faces = tuple[_Face, _Face]
+_Faces = tuple[tuple, tuple]
 # (C1, dC1/dd, C2, dC2/dd, C_fb) of one bridge evaluation
 _Evaluation = tuple[float, float, float, float, float]
 
 
-def _side_faces(config: ElectrodeConfig) -> _Faces:
+def _side_faces(config: ElectrodeConfig, eps: float) -> _Faces:
     flat, arc = config.planar_face, config.profile
     k1, k2 = config.side_kinds()
     return (
-        _resolve_face(k1, flat if k1 is FaceKind.FLAT else arc),
-        _resolve_face(k2, flat if k2 is FaceKind.FLAT else arc),
+        _resolve_face(k1, flat if k1 is _FLAT else arc, eps),
+        _resolve_face(k2, flat if k2 is _FLAT else arc, eps),
     )
 
 
-def _face(faces: _Faces, side: int, gap_m: float, eps: float) -> tuple[float, float]:
-    try:
-        return _face_eval(faces[side - 1], gap_m, eps)
-    except GeometryDomainError as err:
-        raise GeometryDomainError(
-            f"side {side}: {err}", kind=err.kind, gap_m=err.gap_m
-        ) from None
+def _face(faces: _Faces, side: int, gap_m: float) -> tuple[float, float]:
+    face = faces[side - 1]
+    if not face[1] < gap_m < face[2]:
+        err = _out_of_domain(face, gap_m)
+        raise GeometryDomainError(f"side {side}: {err}", kind=err.kind, gap_m=gap_m)
+    return face[0](face, gap_m)
 
 
-def _rest_feedback(faces: _Faces, d1: float, d2: float, eps: float) -> float:
+def _rest_feedback(faces: _Faces, d1: float, d2: float) -> float:
     # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
-    return _face(faces, 1, d1, eps)[0] + _face(faces, 2, d2, eps)[0]
+    return _face(faces, 1, d1)[0] + _face(faces, 2, d2)[0]
 
 
 def _evaluate(
@@ -124,13 +125,12 @@ def _evaluate(
     """C1, dC1/dd, C2, dC2/dd and C_fb with side 1 at d1 - delta and side 2
     at d2 + delta; a given c_fb is nominal feedback's _rest_feedback, which
     is then not evaluated again. Domain errors name the offending side."""
-    eps = drive.permittivity_f_per_m
-    c1, dc1 = _face(faces, 1, d1 - delta_m, eps)
-    c2, dc2 = _face(faces, 2, d2 + delta_m, eps)
-    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:
+    c1, dc1 = _face(faces, 1, d1 - delta_m)
+    c2, dc2 = _face(faces, 2, d2 + delta_m)
+    if drive.feedback_mode is _MATCHED_SUM:
         c_fb = c1 + c2
     elif c_fb is None:
-        c_fb = _rest_feedback(faces, d1, d2, eps)
+        c_fb = _rest_feedback(faces, d1, d2)
     return c1, dc1, c2, dc2, c_fb
 
 
@@ -142,11 +142,12 @@ def allowed_displacement_interval(
     d1 and d2 are the per-side closed-form nominal gaps; side 1 sees
     d1 - delta and side 2 sees d2 + delta.
     """
-    return _displacement_interval(_side_faces(config), d1, d2)
+    # the gap intervals do not depend on the permittivity
+    return _displacement_interval(_side_faces(config, VACUUM_PERMITTIVITY), d1, d2)
 
 
 def _displacement_interval(faces: _Faces, d1: float, d2: float) -> tuple[float, float]:
-    (_, _, lo1, hi1, _), (_, _, lo2, hi2, _) = faces
+    (_, lo1, hi1, *_), (_, lo2, hi2, *_) = faces
     return max(d1 - hi1, lo2 - d2), min(d1 - lo1, hi2 - d2)
 
 
@@ -161,8 +162,8 @@ def _check_range(
 ) -> None:
     # test the displaced gaps the closed forms will see, so a passing check
     # always evaluates; the open intervals also reject a NaN displacement
-    (_, _, lo1, hi1, _), (_, _, lo2, hi2, _) = faces
-    if lo1 < d1 - delta < hi1 and lo2 < d2 + delta < hi2:
+    f1, f2 = faces
+    if f1[1] < d1 - delta < f1[2] and f2[1] < d2 + delta < f2[2]:
         return
     lo, hi = _displacement_interval(faces, d1, d2)
     # first invalid acceleration: the interval bound nearer the request (the
@@ -186,7 +187,8 @@ def bridge_at_side_nominals(
     drive: DriveModel,
 ) -> BridgeState:
     """Bridge capacitances with independently placed sides."""
-    c1, _, c2, _, c_fb = _evaluate(_side_faces(config), d1, d2, delta_m, drive)
+    faces = _side_faces(config, drive.permittivity_f_per_m)
+    c1, _, c2, _, c_fb = _evaluate(faces, d1, d2, delta_m, drive)
     return BridgeState(c1, c2, c_fb)
 
 
@@ -231,7 +233,7 @@ def _sensitivity(ev: _Evaluation, mech: MechanicalModel, drive: DriveModel) -> f
     """dV_out/da in volts per g by the chain rule over one evaluation."""
     c1, dc1, c2, dc2, c_fb = ev
     # dC1/ddelta = -dc1 (side 1 narrows), dC2/ddelta = +dc2 (side 2 widens)
-    if drive.feedback_mode is FeedbackMode.MATCHED_SUM:  # c_fb = c1 + c2
+    if drive.feedback_mode is _MATCHED_SUM:  # c_fb = c1 + c2
         dg_ddelta = -2.0 * (dc2 * c1 + dc1 * c2) / c_fb**2
     else:
         dg_ddelta = -(dc2 + dc1) / c_fb
@@ -248,7 +250,7 @@ def gain_at_side_nominals(
     accel_m_s2: float,
 ) -> TransductionPoint:
     """Gain evaluation with independently placed sides."""
-    faces = _side_faces(config)
+    faces = _side_faces(config, drive.permittivity_f_per_m)
     delta, ev = _operating_point(config, faces, d1, d2, mech, drive, accel_m_s2)
     g, bridge = _gain(ev), BridgeState(ev[0], ev[2], ev[4])
     return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
@@ -284,7 +286,7 @@ def sensitivity_at_side_nominals(
     accel_m_s2: float = 0.0,
 ) -> float:
     """Analytic sensitivity with independently placed sides (V per g)."""
-    faces = _side_faces(config)
+    faces = _side_faces(config, drive.permittivity_f_per_m)
     _, ev = _operating_point(config, faces, d1, d2, mech, drive, accel_m_s2)
     return _sensitivity(ev, mech, drive)
 
@@ -335,7 +337,7 @@ def fd_sensitivity(
     The step is a small fraction of the distance to contact so the
     stencil stays inside the valid travel range.
     """
-    faces = _side_faces(config)
+    faces = _side_faces(config, drive.permittivity_f_per_m)
     delta = displacement(mech, accel_m_s2)
     _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
     lo, hi = _displacement_interval(faces, d1, d2)
@@ -343,9 +345,9 @@ def fd_sensitivity(
     rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
 
     c_fb = None
-    if drive.feedback_mode is FeedbackMode.NOMINAL:
+    if drive.feedback_mode is not _MATCHED_SUM:
         try:
-            c_fb = _rest_feedback(faces, d1, d2, drive.permittivity_f_per_m)
+            c_fb = _rest_feedback(faces, d1, d2)
         except ValueError:
             pass  # each stencil gain evaluates it again and fails as before
 

@@ -42,6 +42,24 @@ class TestCapacitance:
         assert err.startswith("verification failure: concave face at gap 4.9958348e-07 m")
         assert "error estimate" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # gap/R = 2.6e-9 on a short arc: R(1 - cos theta) in the oracle's
+            # integrand lost the gap's digits (rel diff 3.9e-8)
+            ["--r-um", "1e6", "--phi", "1e-9", "--h-um", "4.381797174763395",
+             "--gap-um", "0.0026485987911782187", "--permittivity", "6.186890260978055e-12"],
+            # gap/R = 5.8e-9 on a wide arc: the same loss spent the whole
+            # subdivision budget
+            ["--r-um", "1e6", "--phi", "0.1", "--h-um", "1e6",
+             "--gap-um", "0.005824877754427293", "--permittivity", "6.9e-9"],
+        ],
+    )
+    def test_verify_holds_at_gaps_far_below_the_radius(self, capsys, argv):
+        code, out, err = run(capsys, "capacitance", "--kind", "convex", "--verify", *argv)
+        assert code == 0, err
+        assert float(out.split("rel diff = ")[1]) < 1e-14
+
     def test_nan_relative_difference_is_verification_failure(self, capsys, monkeypatch):
         # no input of the model envelope makes the oracle NaN (a permittivity
         # of 1e308 once did, see TestModelEnvelope); a NaN still fails

@@ -1,4 +1,5 @@
-"""How often the fused (C, dC/dd) face kernel runs per result.
+"""How often the (C, dC/dd) face kernels (_flat, _convex, _concave) run
+per result.
 
 A sensitivity sweep evaluates each distinct face (kind, profile, gap)
 once: at one arc length every variant shares its faces, so an arc costs
@@ -7,13 +8,14 @@ mode. A curve point evaluates each face once: two kernel calls under
 either feedback mode; nominal feedback adds the two rest capacitances
 once per variant whose cell is valid. An optimizer step is at rest,
 where C_fb = c1 + c2 under either feedback mode, so it resolves and
-evaluates each distinct face kind of its pairing once: one call for a
-symmetric pairing, two for a mixed one. fd_sensitivity resolves its two
-faces once and each of its four stencil gains evaluates both sides: 2
-resolves and 8 kernel calls, plus the nominal rest pair once per call
-(10), where routing each gain through the public gain made 10 resolves
-and 8 or 16 kernel calls. Skipped cells and over-range points cost none.
-Counting calls rather than timing keeps this deterministic.
+evaluates each distinct face kind of its pairing once (one call for a
+symmetric pairing, two for a mixed one) and builds no PlanarProfile, as
+a flat face is cut to the step's arc profile. fd_sensitivity resolves
+its two faces once and each of its four stencil gains evaluates both
+sides: 2 resolves and 8 kernel calls, plus the nominal rest pair once
+per call (10), where routing each gain through the public gain made 10
+resolves and 8 or 16 kernel calls. Skipped cells and over-range points
+cost none. Counting calls rather than timing keeps this deterministic.
 """
 
 import sys
@@ -24,10 +26,12 @@ from curvedcomb import (
     ArcProfile,
     DriveModel,
     ElectrodeConfig,
+    FaceKind,
     FeedbackMode,
     GapAnchor,
     GapState,
     MechanicalModel,
+    PlanarProfile,
     SweepPlan,
     Variant,
     capacitance,
@@ -42,13 +46,14 @@ from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 REST_CALLS_PER_CELL = {FeedbackMode.MATCHED_SUM: 0, FeedbackMode.NOMINAL: 2}
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Records every call of capacitance.<name>, at each module that binds it."""
-    calls: list = []
+def count_calls(monkeypatch, name: str, calls: list, only=lambda *args: True) -> list:
+    """Records in calls every call of capacitance.<name> for which only(*args)
+    holds, at each module that binds the name."""
     original = getattr(capacitance, name)
 
     def counted(*args):
-        calls.append(args)
+        if only(*args):
+            calls.append(args)
         return original(*args)
 
     for mod_name, module in list(sys.modules.items()):
@@ -59,12 +64,35 @@ def count_calls(monkeypatch, name: str) -> list:
 
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
-    return count_calls(monkeypatch, "_face_eval")
+    # a resolved face carries its kernel, so patch before any resolution
+    calls: list = []
+    for name in ("_flat", "_convex", "_concave"):
+        count_calls(monkeypatch, name, calls)
+    return calls
 
 
 @pytest.fixture
 def resolve_calls(monkeypatch) -> list:
-    return count_calls(monkeypatch, "_resolve_face")
+    # _resolve_at_arc hands curved faces to _resolve_face and cuts flat
+    # ones itself, without a PlanarProfile: count those too
+    def flat(kind, *_):
+        return kind is FaceKind.FLAT
+
+    calls = count_calls(monkeypatch, "_resolve_face", [])
+    return count_calls(monkeypatch, "_resolve_at_arc", calls, only=flat)
+
+
+@pytest.fixture
+def planar_builds(monkeypatch) -> list:
+    builds: list = []
+    check = PlanarProfile.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        check(self)
+
+    monkeypatch.setattr(PlanarProfile, "__post_init__", counted)
+    return builds
 
 
 def make_plan(feedback: FeedbackMode) -> SweepPlan:
@@ -88,9 +116,9 @@ def test_sensitivity_sweep_row(kernel_calls, feedback):
     plan = make_plan(feedback)
     result = sensitivity_sweep(plan)
     assert result.metadata["skipped"]
-    # a call is (resolved face, gap, permittivity); the face leads with
-    # its kind and profile
-    faces = [(face[0], face[1], gap) for face, gap, _ in kernel_calls]
+    # a call is (resolved face, gap); the face is (kernel, lo, hi, kind,
+    # *constants), and its kind and constants tell faces apart
+    faces = [(face[3], face[4:], gap) for face, gap in kernel_calls]
     assert len(set(faces)) == len(faces)
     assert 0 < len(kernel_calls) <= 3 * plan.arc_points
 
@@ -110,7 +138,7 @@ def test_gain_curve_point(kernel_calls, feedback):
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
 def test_maximize_sensitivity_evaluation(
-    kernel_calls, resolve_calls, monkeypatch, feedback
+    kernel_calls, resolve_calls, planar_builds, monkeypatch, feedback
 ):
     evaluations = []
     evaluate = sweep._sensitivity_at_arc
@@ -122,12 +150,14 @@ def test_maximize_sensitivity_evaluation(
     monkeypatch.setattr(sweep, "_sensitivity_at_arc", counted)
     # each step resolves and evaluates each distinct face kind once
     for variant, kinds in ((Variant.BICONCAVE, 1), (Variant.PLANO_CONCAVE, 2)):
+        plan = make_plan(feedback)
         for calls in (evaluations, resolve_calls, kernel_calls):
             calls.clear()
-        maximize_sensitivity(variant, (5e-6, 30e-6), make_plan(feedback))
+        maximize_sensitivity(variant, (5e-6, 30e-6), plan)
         assert len(evaluations) > 10
         assert len(kernel_calls) == kinds * len(evaluations)
         assert len(resolve_calls) == kinds * len(evaluations)
+        assert planar_builds == []
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))

@@ -164,22 +164,27 @@ class TestUnrolledPanel:
                 assert integrate_adaptive(f, a, b) == loop_integrate(f, a, b)
 
     def test_capacitance_integrands_match_the_loop_form(self):
-        # the raw integrands as written before their constants were hoisted
+        # the raw integrands as written before their constants were hoisted,
+        # in the sin^2 form that keeps the gap's digits
         rng = random.Random(29)
-        eps = VACUUM_PERMITTIVITY
+        eps, sin = VACUUM_PERMITTIVITY, math.sin
         for _ in range(60):
             r = math.exp(math.log(10e-6) + rng.random() * math.log(100.0))
             prof = ArcProfile(r, 0.2 + rng.random() * 1.3, 1e-6 + rng.random() * 4e-6)
             h, half_phi = prof.thickness_m, 0.5 * prof.angular_extent_rad
             d = 10.0 ** rng.uniform(-7.5, -4.5)
             assert quad_capacitance(FaceKind.CONVEX, prof, d) == loop_integrate(
-                lambda t: eps * h * r / (d + r - r * math.cos(t)), -half_phi, half_phi
+                lambda t: eps * h * r / (d + 2.0 * r * sin(0.5 * t) * sin(0.5 * t)),
+                -half_phi,
+                half_phi,
             )
             # the edge gap walks down to 1e-3 of the sagitta
             sag = prof.sagitta()
             g = sag + sag * 10.0 ** -(3.0 * rng.random())
             assert quad_capacitance(FaceKind.CONCAVE, prof, g) == loop_integrate(
-                lambda t: eps * h * r / (g + r * math.cos(t) - r), -half_phi, half_phi
+                lambda t: eps * h * r / (g - 2.0 * r * sin(0.5 * t) * sin(0.5 * t)),
+                -half_phi,
+                half_phi,
             )
             face = PlanarProfile(prof.arc_length(), h)
             assert quad_capacitance(FaceKind.FLAT, face, d) == loop_integrate(

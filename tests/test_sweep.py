@@ -30,7 +30,7 @@ from curvedcomb import (
     validate_geometry,
 )
 from curvedcomb import sweep
-from curvedcomb.sweep import _linspace, _sensitivity_at_arc
+from curvedcomb.sweep import _linspace, _sensitivity_at_arc, _solve_of
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
 
@@ -292,11 +292,11 @@ def test_optimizer_step_equals_the_per_cell_path(feedback, anchor, mode):
                 s = sensitivity_at_side_nominals(
                     config, d1, d2, plan.mech, plan.drive, 0.0
                 )
-                assert _sensitivity_at_arc(plan, variant, arc) == s
+                assert _sensitivity_at_arc(_solve_of(plan, variant), arc) == s
                 continue
             reason = "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
             with pytest.raises(ValueError) as info:
-                _sensitivity_at_arc(plan, variant, arc)
+                _sensitivity_at_arc(_solve_of(plan, variant), arc)
             assert str(info.value) == (
                 f"invalid geometry for {variant.value} at arc {arc} m: {reason}"
             )
@@ -488,7 +488,7 @@ def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
         return
     arc, s = maximize_sensitivity(Variant.PLANAR, bounds, plan)
     assert bounds[0] <= arc <= bounds[1]
-    assert s == _sensitivity_at_arc(plan, Variant.PLANAR, arc)
+    assert s == _sensitivity_at_arc(_solve_of(plan, Variant.PLANAR), arc)
 
 
 class TestGainCurve:
