@@ -4,10 +4,11 @@ Subcommands: capacitance, gain-curve, sensitivity-sweep, compare,
 validate. Lengths on the command line and in config files are
 micrometers (1 um = 1e-6 m); everything internal is SI meters.
 
-Each shared parameter is declared once, as a RunConfig field that states
-its default, type, config-file section, flag, help text and choices; the
-config-file keys, the flags of every subcommand and resolve_config are
-derived from those fields when this module is imported.
+Each shared parameter is declared once, as one _Param of the _PARAMS
+table that states its name, type, default, config-file section, help
+text, flag and choices; the RunConfig fields, the config-file keys, the
+flags of every subcommand and resolve_config are derived from that table
+when this module is imported.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure, including a quadrature oracle that does not
@@ -17,11 +18,11 @@ configurations produce byte-identical files.
 """
 
 import argparse
+import collections
 import json
 import random
 import sys
 import typing
-from dataclasses import Field, dataclass, field, fields, replace
 
 from . import _svg
 from .capacitance import (
@@ -42,6 +43,7 @@ from .model import (
     MechanicalModel,
     PlanarProfile,
     Variant,
+    _Record,
     side_nominal_gaps,
     validate_geometry,
 )
@@ -78,60 +80,78 @@ class VerifyFailure(Exception):
     """An oracle cross-check missed its tolerance; maps to exit code 3."""
 
 
-def _param(default, section: str, text: str | None = None, *, flag=None, choices=None):
-    """A RunConfig field. The config-file key is the field name inside
-    section ("" for the top level); the flag is --field-name unless flag
-    names it; choices is the Enum whose values the field may take."""
-    meta = {"section": section, "help": text, "flag": flag, "choices": choices}
-    return field(default=default, metadata=meta)
+# One shared parameter, a RunConfig field. The config-file key is name
+# inside section ("" for the top level); the flag is --name with "-" for
+# "_" unless flag names it; choices is the Enum whose values it may take.
+_Param = collections.namedtuple(
+    "_Param", "name type default section help flag choices", defaults=(None, None, None)
+)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run parameters, one field per shared CLI parameter (see _param).
-
-    Lengths are micrometers as the user gives them; the methods build the
-    SI model objects.
-    """
-
-    r_um: float = _param(100.0, "geometry", "arc radius R")
-    phi_rad: float | None = _param(None, "geometry", "angular extent (rad)", flag="phi")
-    arc_um: float | None = _param(20.0, "geometry", "arc length R*phi")
-    h_um: float = _param(2.0, "geometry", "structure thickness h")
-    b_um: float | None = _param(None, "geometry", "flat face length b")
-    gap_um: float = _param(2.0, "", "nominal gap d")
-    gap_anchor: str = _param(
+_PARAMS = (
+    _Param("r_um", float, 100.0, "geometry", "arc radius R"),
+    _Param("phi_rad", float | None, None, "geometry", "angular extent (rad)", flag="phi"),
+    _Param("arc_um", float | None, 20.0, "geometry", "arc length R*phi"),
+    _Param("h_um", float, 2.0, "geometry", "structure thickness h"),
+    _Param("b_um", float | None, None, "geometry", "flat face length b"),
+    _Param("gap_um", float, 2.0, "", "nominal gap d"),
+    _Param(
+        "gap_anchor",
+        str,
         "face-plane",
         "",
         "how d places curved faces (default face-plane)",
         choices=GapAnchor,
-    )
-    m_kg: float = _param(2.6e-10, "mech", "proof mass (kg)")
-    k_n_per_m: float = _param(1.0, "mech", "stiffness (N/m)")
-    combs: int = _param(21, "mech", "comb count N")
-    v_in_v: float = _param(1.0, "drive", "drive amplitude (V)", flag="v-in")
-    feedback_mode: str = _param(
+    ),
+    _Param("m_kg", float, 2.6e-10, "mech", "proof mass (kg)"),
+    _Param("k_n_per_m", float, 1.0, "mech", "stiffness (N/m)"),
+    _Param("combs", int, 21, "mech", "comb count N"),
+    _Param("v_in_v", float, 1.0, "drive", "drive amplitude (V)", flag="v-in"),
+    _Param(
+        "feedback_mode",
+        str,
         "matched-sum",
         "drive",
         "feedback capacitance mode",
         flag="feedback",
         choices=FeedbackMode,
-    )
-    permittivity: float = _param(8.854e-12, "drive", "epsilon (F/m)")
-    arc_mode: str = _param(
-        "vary-phi-fixed-r", "sweep", "how arc length varies", choices=ArcMode
-    )
-    arc_min_um: float = _param(5.0, "sweep")
-    arc_max_um: float = _param(60.0, "sweep")
-    arc_points: int = _param(20, "sweep")
-    accel_min_g: float = _param(-5.0, "sweep")
-    accel_max_g: float = _param(5.0, "sweep")
-    accel_points: int = _param(21, "sweep")
-    variants: tuple[str, ...] = _param(
-        tuple(v.value for v in Variant), "sweep", "comma-separated variant names"
-    )
-    csv: str | None = _param(None, "output", "CSV output path")
-    svg: str | None = _param(None, "output", "SVG chart output path")
+    ),
+    _Param("permittivity", float, 8.854e-12, "drive", "epsilon (F/m)"),
+    _Param(
+        "arc_mode", str, "vary-phi-fixed-r", "sweep", "how arc length varies", choices=ArcMode
+    ),
+    _Param("arc_min_um", float, 5.0, "sweep"),
+    _Param("arc_max_um", float, 60.0, "sweep"),
+    _Param("arc_points", int, 20, "sweep"),
+    _Param("accel_min_g", float, -5.0, "sweep"),
+    _Param("accel_max_g", float, 5.0, "sweep"),
+    _Param("accel_points", int, 21, "sweep"),
+    _Param(
+        "variants",
+        tuple[str, ...],
+        tuple(v.value for v in Variant),
+        "sweep",
+        "comma-separated variant names",
+    ),
+    _Param("csv", str | None, None, "output", "CSV output path"),
+    _Param("svg", str | None, None, "output", "SVG chart output path"),
+)
+
+
+# the config-file key path of each RunConfig field
+_BY_PATH = {f"{p.section}.{p.name}" if p.section else p.name: p for p in _PARAMS}
+_SECTIONS = {p.section for p in _PARAMS} - {""}
+
+
+class RunConfig(_Record):
+    """Run parameters, one field per _Param of _PARAMS.
+
+    Lengths are micrometers as the user gives them; the methods build the
+    SI model objects.
+    """
+
+    __slots__ = tuple(p.name for p in _PARAMS)
+    _defaults = {p.name: p.default for p in _PARAMS}
 
     def resolved_phi(self) -> float:
         if self.phi_rad is not None and self.arc_um is not None:
@@ -156,15 +176,15 @@ class RunConfig:
     def gap_state(self) -> GapState:
         return GapState(self.gap_um * UM)
 
-    def _choice(self, name: str):
-        """The enum member that the choice field `name` holds."""
-        f = self.__dataclass_fields__[name]
-        enum, value = f.metadata["choices"], getattr(self, name)
+    def _choice(self, path: str):
+        """The enum member that the choice field at config path `path` holds."""
+        p = _BY_PATH[path]
+        enum, value = p.choices, getattr(self, p.name)
         try:
             return enum(value)
         except ValueError:
             raise ValueError(
-                f"{_path(f)}: unknown value {value!r}; choose from "
+                f"{path}: unknown value {value!r}; choose from "
                 + ", ".join(sorted(m.value for m in enum))
             ) from None
 
@@ -175,7 +195,7 @@ class RunConfig:
         return MechanicalModel(self.m_kg, self.k_n_per_m, self.combs)
 
     def drive(self) -> DriveModel:
-        return DriveModel(self.v_in_v, self._choice("feedback_mode"), self.permittivity)
+        return DriveModel(self.v_in_v, self._choice("drive.feedback_mode"), self.permittivity)
 
     def variant_list(self) -> tuple[Variant, ...]:
         out = []
@@ -196,7 +216,7 @@ class RunConfig:
             gap=self.gap_state(),
             mech=self.mech(),
             drive=self.drive(),
-            arc_mode=self._choice("arc_mode"),
+            arc_mode=self._choice("sweep.arc_mode"),
             gap_anchor=self.anchor(),
             arc_range_m=(self.arc_min_um * UM, self.arc_max_um * UM),
             arc_points=self.arc_points,
@@ -205,19 +225,8 @@ class RunConfig:
         )
 
 
-def _path(f: Field) -> str:
-    """Key path of a RunConfig field in a config file."""
-    section = f.metadata["section"]
-    return f"{section}.{f.name}" if section else f.name
-
-
-_FIELDS = fields(RunConfig)
-_BY_PATH = {_path(f): f for f in _FIELDS}
-_SECTIONS = {f.metadata["section"] for f in _FIELDS} - {""}
-
-
 def _json_matches(value, hint) -> bool:
-    """Whether a JSON leaf fits a RunConfig field annotation."""
+    """Whether a JSON leaf fits the type of a RunConfig field."""
     if typing.get_origin(hint) is tuple:  # tuple[T, ...] arrives as a list
         item = typing.get_args(hint)[0]
         return isinstance(value, list) and all(_json_matches(v, item) for v in value)
@@ -230,8 +239,8 @@ def _json_matches(value, hint) -> bool:
 def _config_from_file(path: str) -> dict:
     """Flatten a JSON config document to RunConfig field overrides.
 
-    Unknown keys and leaves whose JSON type does not fit the RunConfig
-    field annotation are rejected with their full path.
+    Unknown keys and leaves whose JSON type does not fit the _Param type
+    of their field are rejected with their full path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -240,13 +249,13 @@ def _config_from_file(path: str) -> dict:
     overrides: dict = {}
 
     def leaf(where: str, value) -> None:
-        f = _BY_PATH.get(where)
-        if f is None:
+        p = _BY_PATH.get(where)
+        if p is None:
             raise ValueError(f"unknown config key: {where}")
-        if not _json_matches(value, f.type):
-            kind = str(f.type) if typing.get_args(f.type) else f.type.__name__
+        if not _json_matches(value, p.type):
+            kind = str(p.type) if typing.get_args(p.type) else p.type.__name__
             raise ValueError(f"config key {where} must be {kind}, got {json.dumps(value)}")
-        overrides[f.name] = tuple(value) if isinstance(value, list) else value
+        overrides[p.name] = tuple(value) if isinstance(value, list) else value
 
     for key, value in doc.items():
         if key not in _SECTIONS:
@@ -269,18 +278,19 @@ def _one_angle(overrides: dict) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence: flags > config file > built-in defaults."""
-    cfg = RunConfig()
+    values: dict = {}
     path = getattr(args, "config", None)
     if path:
-        cfg = replace(cfg, **_one_angle(_config_from_file(path)))
+        values.update(_one_angle(_config_from_file(path)))
     flags = {
-        f.name: value
-        for f in _FIELDS
-        if (value := getattr(args, f.name, None)) is not None
+        p.name: value
+        for p in _PARAMS
+        if (value := getattr(args, p.name, None)) is not None
     }
     if flags.get("variants") == ():
         raise UsageError("--variants needs at least one name")
-    return replace(cfg, **_one_angle(flags))
+    values.update(_one_angle(flags))
+    return RunConfig(**values)
 
 
 def _sci(x: float) -> str:
@@ -318,19 +328,18 @@ _GROUP_OF_SECTION = {
 def _flag_groups() -> dict[str, list[tuple[str, dict]]]:
     """Group title -> (flag, add_argument keywords) of each RunConfig field."""
     groups: dict[str, list[tuple[str, dict]]] = {}
-    for f in _FIELDS:
-        meta = f.metadata
-        flag = meta["flag"] or f.name.replace("_", "-")
-        kwargs = {"dest": f.name, "help": meta["help"]}
-        if meta["choices"]:
-            kwargs["choices"] = sorted(m.value for m in meta["choices"])
+    for p in _PARAMS:
+        flag = p.flag or p.name.replace("_", "-")
+        kwargs = {"dest": p.name, "help": p.help}
+        if p.choices:
+            kwargs["choices"] = sorted(m.value for m in p.choices)
         else:
             kwargs["metavar"] = flag.replace("-", "_").upper()
-            if typing.get_origin(f.type) is tuple:
+            if typing.get_origin(p.type) is tuple:
                 kwargs["type"] = _names
             else:  # T or T | None
-                kwargs["type"] = (typing.get_args(f.type) or (f.type,))[0]
-        groups.setdefault(_GROUP_OF_SECTION[meta["section"]], []).append(
+                kwargs["type"] = (typing.get_args(p.type) or (p.type,))[0]
+        groups.setdefault(_GROUP_OF_SECTION[p.section], []).append(
             ("--" + flag, kwargs)
         )
     return groups

@@ -14,7 +14,6 @@ below 5e293 and S in [4e-154, 2e239] V per g (README: the derivation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 VACUUM_PERMITTIVITY = 8.854e-12  # F/m, air/vacuum
@@ -107,8 +106,54 @@ class GapAnchor(Enum):
     FACE_PLANE = "face-plane"
 
 
-@dataclass(frozen=True)
-class ArcProfile:
+class _Record:
+    """An immutable value type: equal and hashed by exact type and field
+    values, printed as Name(field=value, ...). A subclass lists its fields
+    in __slots__. Most set them in their own straight-line __init__
+    through _set, several times faster than this generic one, which
+    takes the fields by position or name and the defaults of trailing
+    ones from _defaults."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *values, **named) -> None:
+        fields = {**self._defaults, **dict(zip(self.__slots__, values)), **named}
+        if len(values) > len(self.__slots__) or fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__slots__)}")
+        for name in self.__slots__:
+            _set(self, name, fields[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+
+# a record's own __init__ sets its fields through this, past __setattr__
+_set = object.__setattr__
+
+
+class ArcProfile(_Record):
     """A circular-arc electrode face.
 
     Attributes:
@@ -118,17 +163,18 @@ class ArcProfile:
         thickness_m: out-of-plane structure thickness h (m).
     """
 
-    radius_m: float
-    angular_extent_rad: float
-    thickness_m: float
+    __slots__ = ("radius_m", "angular_extent_rad", "thickness_m")
 
-    def __post_init__(self) -> None:
-        _require_in_envelope("radius_m", self.radius_m, "length")
-        _require_in_envelope("thickness_m", self.thickness_m, "length")
-        phi = self.angular_extent_rad
+    def __init__(self, radius_m: float, angular_extent_rad: float, thickness_m: float) -> None:
+        _require_in_envelope("radius_m", radius_m, "length")
+        _require_in_envelope("thickness_m", thickness_m, "length")
+        phi = angular_extent_rad
         if not 0.0 <= phi < math.pi:
             raise ValueError(f"angular_extent_rad must lie in [0, pi), got {phi}")
-        _require_in_envelope("arc_length_m", self.radius_m * phi, "arc_length")
+        _require_in_envelope("arc_length_m", radius_m * phi, "arc_length")
+        _set(self, "radius_m", radius_m)
+        _set(self, "angular_extent_rad", phi)
+        _set(self, "thickness_m", thickness_m)
 
     def arc_length(self) -> float:
         """R * phi (m)."""
@@ -143,20 +189,19 @@ class ArcProfile:
         return math.tan(self.angular_extent_rad / 4.0)
 
 
-@dataclass(frozen=True)
-class PlanarProfile:
+class PlanarProfile(_Record):
     """A flat electrode face of length b and thickness h."""
 
-    length_m: float
-    thickness_m: float
+    __slots__ = ("length_m", "thickness_m")
 
-    def __post_init__(self) -> None:
-        _require_in_envelope("length_m", self.length_m, "arc_length")
-        _require_in_envelope("thickness_m", self.thickness_m, "length")
+    def __init__(self, length_m: float, thickness_m: float) -> None:
+        _require_in_envelope("length_m", length_m, "arc_length")
+        _require_in_envelope("thickness_m", thickness_m, "length")
+        _set(self, "length_m", length_m)
+        _set(self, "thickness_m", thickness_m)
 
 
-@dataclass(frozen=True)
-class GapState:
+class GapState(_Record):
     """Nominal gap d and signed displacement delta of the movable electrode.
 
     Positive displacement narrows side 1 and widens side 2. Contact
@@ -164,17 +209,17 @@ class GapState:
     can report it; the capacitance layer refuses to evaluate it.
     """
 
-    gap_m: float
-    displacement_m: float = 0.0
+    __slots__ = ("gap_m", "displacement_m")
 
-    def __post_init__(self) -> None:
-        _require_in_envelope("gap_m", self.gap_m, "length")
-        if not -math.inf < self.displacement_m < math.inf:
-            raise ValueError(f"displacement_m must be finite, got {self.displacement_m}")
+    def __init__(self, gap_m: float, displacement_m: float = 0.0) -> None:
+        _require_in_envelope("gap_m", gap_m, "length")
+        if not -math.inf < displacement_m < math.inf:
+            raise ValueError(f"displacement_m must be finite, got {displacement_m}")
+        _set(self, "gap_m", gap_m)
+        _set(self, "displacement_m", displacement_m)
 
 
-@dataclass(frozen=True)
-class ElectrodeConfig:
+class ElectrodeConfig(_Record):
     """One electrode pairing: a variant plus the profiles its faces use.
 
     The curved faces of a variant share a single ArcProfile; flat faces use
@@ -183,20 +228,21 @@ class ElectrodeConfig:
     same length).
     """
 
-    variant: Variant
-    profile: ArcProfile
-    planar_face: PlanarProfile
+    __slots__ = ("variant", "profile", "planar_face")
 
-    def __post_init__(self) -> None:
-        kinds = SIDE_KINDS[self.variant]
-        if FaceKind.FLAT in kinds and self.variant is not Variant.PLANAR:
-            want = self.profile.arc_length()
-            got = self.planar_face.length_m
+    def __init__(self, variant: Variant, profile: ArcProfile, planar_face: PlanarProfile) -> None:
+        kinds = SIDE_KINDS[variant]
+        if FaceKind.FLAT in kinds and variant is not Variant.PLANAR:
+            want = profile.arc_length()
+            got = planar_face.length_m
             if abs(got - want) > 1e-9 * want:
                 raise ValueError(
                     "planar_face.length_m must equal profile.arc_length() for "
                     f"mixed variants: {got} != {want}"
                 )
+        _set(self, "variant", variant)
+        _set(self, "profile", profile)
+        _set(self, "planar_face", planar_face)
 
     @staticmethod
     def for_variant(variant: Variant, profile: ArcProfile) -> "ElectrodeConfig":
@@ -208,21 +254,21 @@ class ElectrodeConfig:
         return SIDE_KINDS[self.variant]
 
 
-@dataclass(frozen=True)
-class MechanicalModel:
+class MechanicalModel(_Record):
     """Proof mass m, suspension stiffness k, and comb count N."""
 
-    mass_kg: float
-    spring_n_per_m: float
-    comb_count: int = 1
+    __slots__ = ("mass_kg", "spring_n_per_m", "comb_count")
 
-    def __post_init__(self) -> None:
-        _require_in_envelope("mass_kg", self.mass_kg, "mass")
-        _require_in_envelope("spring_n_per_m", self.spring_n_per_m, "stiffness")
-        n = self.comb_count
+    def __init__(self, mass_kg: float, spring_n_per_m: float, comb_count: int = 1) -> None:
+        _require_in_envelope("mass_kg", mass_kg, "mass")
+        _require_in_envelope("spring_n_per_m", spring_n_per_m, "stiffness")
+        n = comb_count
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"comb_count must be an int >= 1, got {n!r}")
         _require_in_envelope("comb_count", n, "comb_count")
+        _set(self, "mass_kg", mass_kg)
+        _set(self, "spring_n_per_m", spring_n_per_m)
+        _set(self, "comb_count", n)
 
 
 class FeedbackMode(Enum):
@@ -232,17 +278,22 @@ class FeedbackMode(Enum):
     NOMINAL = "nominal"  # C_fb frozen at 2 * C0 (rest capacitance)
 
 
-@dataclass(frozen=True)
-class DriveModel:
+class DriveModel(_Record):
     """Excitation amplitude and feedback mode of the readout bridge."""
 
-    v_in_volts: float
-    feedback_mode: FeedbackMode = FeedbackMode.MATCHED_SUM
-    permittivity_f_per_m: float = VACUUM_PERMITTIVITY
+    __slots__ = ("v_in_volts", "feedback_mode", "permittivity_f_per_m")
 
-    def __post_init__(self) -> None:
-        _require_in_envelope("v_in_volts", self.v_in_volts, "voltage")
-        _require_in_envelope("permittivity_f_per_m", self.permittivity_f_per_m, "permittivity")
+    def __init__(
+        self,
+        v_in_volts: float,
+        feedback_mode: FeedbackMode = FeedbackMode.MATCHED_SUM,
+        permittivity_f_per_m: float = VACUUM_PERMITTIVITY,
+    ) -> None:
+        _require_in_envelope("v_in_volts", v_in_volts, "voltage")
+        _require_in_envelope("permittivity_f_per_m", permittivity_f_per_m, "permittivity")
+        _set(self, "v_in_volts", v_in_volts)
+        _set(self, "feedback_mode", feedback_mode)
+        _set(self, "permittivity_f_per_m", permittivity_f_per_m)
 
 
 def displacement(mech: MechanicalModel, accel_m_s2: float) -> float:
@@ -283,31 +334,46 @@ def _bowed_gap(kind: FaceKind, gap_m: float, sagitta_m: float) -> float:
     return gap_m
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed geometric validity rule."""
 
-    side: int  # 1 or 2
-    rule: str
-    margin_m: float  # how far past the limit, as a length where meaningful
+    __slots__ = ("side", "rule", "margin_m")
+
+    def __init__(self, side: int, rule: str, margin_m: float) -> None:
+        _set(self, "side", side)  # 1 or 2
+        _set(self, "rule", rule)
+        _set(self, "margin_m", margin_m)  # how far past the limit, as a length where meaningful
 
 
-@dataclass(frozen=True)
-class SideReport:
+class SideReport(_Record):
     """Per-side diagnostics from validate_geometry."""
 
-    side: int
-    kind: FaceKind
-    closed_form_gap_m: float
-    min_physical_gap_m: float
-    atanh_argument: float | None  # concave faces only
+    __slots__ = ("side", "kind", "closed_form_gap_m", "min_physical_gap_m", "atanh_argument")
+
+    def __init__(
+        self,
+        side: int,
+        kind: FaceKind,
+        closed_form_gap_m: float,
+        min_physical_gap_m: float,
+        atanh_argument: float | None,  # concave faces only
+    ) -> None:
+        _set(self, "side", side)
+        _set(self, "kind", kind)
+        _set(self, "closed_form_gap_m", closed_form_gap_m)
+        _set(self, "min_physical_gap_m", min_physical_gap_m)
+        _set(self, "atanh_argument", atanh_argument)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-    sides: tuple[SideReport, ...] = field(default=())
+class ValidityReport(_Record):
+    __slots__ = ("ok", "violations", "sides")
+
+    def __init__(
+        self, ok: bool, violations: tuple[Violation, ...], sides: tuple[SideReport, ...] = ()
+    ) -> None:
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
+        _set(self, "sides", sides)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .model import (
@@ -23,8 +22,10 @@ from .model import (
     ArcProfile,
     FaceKind,
     PlanarProfile,
+    _Record,
     _check_profile,
     _require_in_envelope,
+    _set,
 )
 
 __all__ = [
@@ -71,11 +72,13 @@ _ABS_TOL = 1e-30
 _MAX_SUBDIVISIONS = 2000
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    subdivisions: int
+class QuadratureResult(_Record):
+    __slots__ = ("value", "error_estimate", "subdivisions")
+
+    def __init__(self, value: float, error_estimate: float, subdivisions: int) -> None:
+        _set(self, "value", value)
+        _set(self, "error_estimate", error_estimate)
+        _set(self, "subdivisions", subdivisions)
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -216,11 +219,13 @@ def quad_capacitance(
         raise
 
 
-@dataclass(frozen=True)
-class FDResult:
-    value: float
-    error_estimate: float
-    step_m: float
+class FDResult(_Record):
+    __slots__ = ("value", "error_estimate", "step_m")
+
+    def __init__(self, value: float, error_estimate: float, step_m: float) -> None:
+        _set(self, "value", value)
+        _set(self, "error_estimate", error_estimate)
+        _set(self, "step_m", step_m)
 
 
 _MAX_SHRINKS = 40

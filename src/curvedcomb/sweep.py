@@ -28,7 +28,6 @@ evaluated once per variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -46,8 +45,10 @@ from .model import (
     MechanicalModel,
     Variant,
     _FACE_PLANE,
+    _Record,
     _bowed_gap,
     _require_in_envelope,
+    _set,
     side_nominal_gaps,
     validate_geometry,
 )
@@ -87,8 +88,7 @@ _VARIANT_ORDER = {v: i for i, v in enumerate(Variant)}
 _VARY_PHI_FIXED_R = ArcMode.VARY_PHI_FIXED_R
 
 
-@dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(_Record):
     """Shared geometry/readout parameters plus the grids to sweep.
 
     profile supplies the fixed quantity of the arc mode (the radius for
@@ -98,27 +98,32 @@ class SweepPlan:
     ends of each range lie in the model envelope.
     """
 
-    variants: tuple[Variant, ...]
-    profile: ArcProfile
-    gap: GapState
-    mech: MechanicalModel
-    drive: DriveModel
-    arc_mode: ArcMode = ArcMode.VARY_PHI_FIXED_R
-    gap_anchor: GapAnchor = GapAnchor.FACE_PLANE
-    arc_range_m: tuple[float, float] = DEFAULT_ARC_BOUNDS_M
-    arc_points: int = 20
-    accel_range_g: tuple[float, float] = (-1.0, 1.0)
-    accel_points: int = 21
+    __slots__ = (
+        "variants", "profile", "gap", "mech", "drive", "arc_mode", "gap_anchor",
+        "arc_range_m", "arc_points", "accel_range_g", "accel_points",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.variants:
+    def __init__(
+        self,
+        variants: tuple[Variant, ...],
+        profile: ArcProfile,
+        gap: GapState,
+        mech: MechanicalModel,
+        drive: DriveModel,
+        arc_mode: ArcMode = ArcMode.VARY_PHI_FIXED_R,
+        gap_anchor: GapAnchor = GapAnchor.FACE_PLANE,
+        arc_range_m: tuple[float, float] = DEFAULT_ARC_BOUNDS_M,
+        arc_points: int = 20,
+        accel_range_g: tuple[float, float] = (-1.0, 1.0),
+        accel_points: int = 21,
+    ) -> None:
+        if not variants:
             raise ValueError("plan needs at least one variant")
-        if self.gap.displacement_m != 0.0:
+        if gap.displacement_m != 0.0:
             raise ValueError("plan gap must be at rest (displacement 0)")
         for name, (lo, hi), quantity, count_name, count in (
-            ("arc_range_m", self.arc_range_m, "length", "arc_points", self.arc_points),
-            ("accel_range_g", self.accel_range_g, "accel_g", "accel_points",
-             self.accel_points),
+            ("arc_range_m", arc_range_m, "length", "arc_points", arc_points),
+            ("accel_range_g", accel_range_g, "accel_g", "accel_points", accel_points),
         ):
             _require_in_envelope(f"{name} min", lo, quantity)
             _require_in_envelope(f"{name} max", hi, quantity)
@@ -127,6 +132,10 @@ class SweepPlan:
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ValueError(f"{count_name} must be an int, got {count!r}")
             _require_in_envelope(count_name, count, "points")
+        super().__init__(
+            variants, profile, gap, mech, drive, arc_mode, gap_anchor,
+            arc_range_m, arc_points, accel_range_g, accel_points,
+        )
 
 
 class SweepRow(NamedTuple):
@@ -144,10 +153,12 @@ class SweepRow(NamedTuple):
     s_net_mv_per_g: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    metadata: dict = field(default_factory=dict)
+class SweepResult(_Record):
+    __slots__ = ("rows", "metadata")
+
+    def __init__(self, rows: tuple[SweepRow, ...], metadata: dict | None = None) -> None:
+        _set(self, "rows", rows)
+        _set(self, "metadata", {} if metadata is None else metadata)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

@@ -25,8 +25,6 @@ under either mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .capacitance import GeometryDomainError, _out_of_domain, _resolve_face
 from .model import (
     STANDARD_GRAVITY,
@@ -37,6 +35,8 @@ from .model import (
     MechanicalModel,
     _FLAT,
     _MATCHED_SUM,
+    _Record,
+    _set,
     displacement,
 )
 from .oracles import fd_derivative
@@ -57,22 +57,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BridgeState:
+class BridgeState(_Record):
     """The three capacitances of the readout bridge at one displacement."""
 
-    c1_f: float  # side with gap d - delta
-    c2_f: float  # side with gap d + delta
-    c_fb_f: float  # feedback, per DriveModel mode
+    __slots__ = ("c1_f", "c2_f", "c_fb_f")
+
+    def __init__(self, c1_f: float, c2_f: float, c_fb_f: float) -> None:
+        _set(self, "c1_f", c1_f)  # side with gap d - delta
+        _set(self, "c2_f", c2_f)  # side with gap d + delta
+        _set(self, "c_fb_f", c_fb_f)  # feedback, per DriveModel mode
 
 
-@dataclass(frozen=True)
-class TransductionPoint:
-    accel_m_s2: float
-    displacement_m: float
-    bridge: BridgeState
-    gain: float  # G = V_out / V_in, dimensionless
-    v_out_volts: float
+class TransductionPoint(_Record):
+    __slots__ = ("accel_m_s2", "displacement_m", "bridge", "gain", "v_out_volts")
+
+    def __init__(
+        self,
+        accel_m_s2: float,
+        displacement_m: float,
+        bridge: BridgeState,
+        gain: float,
+        v_out_volts: float,
+    ) -> None:
+        _set(self, "accel_m_s2", accel_m_s2)
+        _set(self, "displacement_m", displacement_m)
+        _set(self, "bridge", bridge)
+        _set(self, "gain", gain)  # G = V_out / V_in, dimensionless
+        _set(self, "v_out_volts", v_out_volts)
 
 
 class OverRangeError(ValueError):

@@ -1,14 +1,13 @@
 import json
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curvedcomb import QuadratureResult, cli
+from curvedcomb import QuadratureResult, TransductionPoint, cli
 from curvedcomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -433,7 +432,9 @@ class TestValidateCommand:
         [
             ("cap_convex", lambda c: math.nan),
             ("fd_sensitivity", lambda s: math.nan),
-            ("gain_at_side_nominals", lambda p: replace(p, gain=math.nan)),
+            ("gain_at_side_nominals", lambda p: TransductionPoint(
+                p.accel_m_s2, p.displacement_m, p.bridge, math.nan, p.v_out_volts
+            )),
         ],
         ids=["quadrature", "derivative", "symmetry"],
     )

@@ -7,7 +7,6 @@ One model envelope: every input the model objects take lies in a closed
 interval, and inside it every public function returns finite values or
 raises ValueError."""
 
-import dataclasses
 import math
 
 import pytest
@@ -51,7 +50,7 @@ from curvedcomb import (
     validate_geometry,
 )
 from curvedcomb.cli import main
-from curvedcomb.model import _ENVELOPE
+from curvedcomb.model import _ENVELOPE, _Record
 
 NAN = float("nan")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -330,7 +329,7 @@ def envelope_cells(draw):
 
 
 def floats_in(value):
-    """Every float in a result: plain, in tuples, dicts and dataclasses."""
+    """Every float in a result: plain, in tuples, dicts and records."""
     if isinstance(value, float):
         yield value
     elif isinstance(value, (tuple, list)):
@@ -339,9 +338,19 @@ def floats_in(value):
     elif isinstance(value, dict):
         for item in value.values():
             yield from floats_in(item)
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from floats_in(getattr(value, f.name))
+    elif isinstance(value, _Record):
+        for name in value.__slots__:
+            yield from floats_in(getattr(value, name))
+
+
+def test_floats_in_walks_every_field_of_a_record():
+    config = ElectrodeConfig.for_variant(Variant.BICONVEX, ArcProfile(100e-6, 0.2, 2e-6))
+    point = gain(config, 2e-6, MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0), 9.80665)
+    bridge = point.bridge
+    assert list(floats_in(point)) == [
+        point.accel_m_s2, point.displacement_m, bridge.c1_f, bridge.c2_f, bridge.c_fb_f,
+        point.gain, point.v_out_volts,
+    ]
 
 
 def finite_or_value_error(call) -> None:

@@ -85,13 +85,13 @@ def resolve_calls(monkeypatch) -> list:
 @pytest.fixture
 def planar_builds(monkeypatch) -> list:
     builds: list = []
-    check = PlanarProfile.__post_init__
+    init = PlanarProfile.__init__
 
-    def counted(self):
+    def counted(self, *args):
         builds.append(self)
-        check(self)
+        init(self, *args)
 
-    monkeypatch.setattr(PlanarProfile, "__post_init__", counted)
+    monkeypatch.setattr(PlanarProfile, "__init__", counted)
     return builds
 
 
