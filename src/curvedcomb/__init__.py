@@ -5,125 +5,25 @@ accelerometer cell whose fixed electrodes may be convex, concave, or
 flat circular-arc profiles, plus numeric oracles (adaptive quadrature,
 finite differences) that cross-check every closed form, and sweep /
 optimization drivers over arc length.
+
+Each public name is declared once, in the __all__ of the module that
+defines it; the package re-exports the union of those lists.
 """
 
 # set before the submodule imports: sweep echoes it in every result
 __version__ = "0.1.0"
 
-from .capacitance import (
-    GeometryDomainError,
-    cap_concave,
-    cap_convex,
-    cap_planar,
-    dcap_dgap,
-    face_capacitance,
-)
-from .model import (
-    CONCAVE_EDGE_MARGIN_REL,
-    STANDARD_GRAVITY,
-    VACUUM_PERMITTIVITY,
-    ArcProfile,
-    DriveModel,
-    ElectrodeConfig,
-    FaceKind,
-    FeedbackMode,
-    GapAnchor,
-    GapState,
-    MechanicalModel,
-    PlanarProfile,
-    SideReport,
-    ValidityReport,
-    Variant,
-    Violation,
-    displacement,
-    side_gap_bounds,
-    side_nominal_gaps,
-    validate_geometry,
-)
-from .oracles import (
-    FDResult,
-    QuadratureNonConvergence,
-    QuadratureResult,
-    fd_derivative,
-    integrate_adaptive,
-    quad_capacitance,
-)
-from .sweep import (
-    DEFAULT_ARC_BOUNDS_M,
-    ArcMode,
-    SweepPlan,
-    SweepResult,
-    SweepRow,
-    gain_curve,
-    maximize_sensitivity,
-    sensitivity_sweep,
-)
-from .transduction import (
-    BridgeState,
-    OverRangeError,
-    TransductionPoint,
-    allowed_displacement_interval,
-    bridge_at_side_nominals,
-    bridge_capacitances,
-    fd_sensitivity,
-    gain,
-    gain_at_side_nominals,
-    net_sensitivity,
-    sensitivity,
-    sensitivity_at_side_nominals,
-)
+from . import capacitance, model, oracles, sweep, transduction
+from .capacitance import *  # noqa: F403
+from .model import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .sweep import *  # noqa: F403
+from .transduction import *  # noqa: F403
 
 __all__ = [
-    "ArcMode",
-    "ArcProfile",
-    "BridgeState",
-    "CONCAVE_EDGE_MARGIN_REL",
-    "DEFAULT_ARC_BOUNDS_M",
-    "DriveModel",
-    "ElectrodeConfig",
-    "FDResult",
-    "FaceKind",
-    "FeedbackMode",
-    "GapAnchor",
-    "GapState",
-    "GeometryDomainError",
-    "MechanicalModel",
-    "OverRangeError",
-    "PlanarProfile",
-    "QuadratureNonConvergence",
-    "QuadratureResult",
-    "STANDARD_GRAVITY",
-    "SideReport",
-    "SweepPlan",
-    "SweepResult",
-    "SweepRow",
-    "TransductionPoint",
-    "VACUUM_PERMITTIVITY",
-    "ValidityReport",
-    "Variant",
-    "Violation",
-    "allowed_displacement_interval",
-    "bridge_at_side_nominals",
-    "bridge_capacitances",
-    "cap_concave",
-    "cap_convex",
-    "cap_planar",
-    "dcap_dgap",
-    "displacement",
-    "face_capacitance",
-    "fd_derivative",
-    "fd_sensitivity",
-    "gain",
-    "gain_at_side_nominals",
-    "gain_curve",
-    "integrate_adaptive",
-    "maximize_sensitivity",
-    "net_sensitivity",
-    "quad_capacitance",
-    "sensitivity",
-    "sensitivity_at_side_nominals",
-    "sensitivity_sweep",
-    "side_gap_bounds",
-    "side_nominal_gaps",
-    "validate_geometry",
+    *model.__all__,
+    *capacitance.__all__,
+    *oracles.__all__,
+    *transduction.__all__,
+    *sweep.__all__,
 ]

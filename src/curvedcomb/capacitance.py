@@ -36,7 +36,6 @@ from .model import (
 
 __all__ = [
     "GeometryDomainError",
-    "FaceKind",
     "cap_convex",
     "cap_concave",
     "cap_planar",

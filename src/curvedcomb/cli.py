@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: capacitance, gain-curve, sensitivity-sweep, compare,
-validate. Lengths on the command line and in config files are
-micrometers (1 um = 1e-6 m); everything internal is SI meters.
+validate, each declared once in the _COMMANDS table with its help text,
+its handler and its own flags. Lengths on the command line and in config
+files are micrometers (1 um = 1e-6 m); everything internal is SI meters.
 
 Each shared parameter is declared once, as one _Param of the _PARAMS
 table that states its name, type, default, config-file section, help
@@ -349,61 +350,10 @@ def _flag_groups() -> dict[str, list[tuple[str, dict]]]:
 _FLAG_GROUPS = _flag_groups()
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    for title, flags in _FLAG_GROUPS.items():
-        group = p.add_argument_group(title)
-        for flag, kwargs in flags:
-            group.add_argument(flag, **kwargs)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="curvedcomb",
-        description="Curved-electrode capacitive accelerometer model",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cap = sub.add_parser(
-        "capacitance", help="closed-form capacitance of a single face"
-    )
-    p_cap.add_argument(
-        "--kind", required=True, choices=[k.value for k in FaceKind]
-    )
-    p_cap.add_argument(
-        "--verify", action="store_true", help="cross-check against quadrature"
-    )
-    _add_shared_flags(p_cap)
-
-    p_gain = sub.add_parser("gain-curve", help="V_out vs acceleration per variant")
-    _add_shared_flags(p_gain)
-
-    p_sweep = sub.add_parser(
-        "sensitivity-sweep", help="sensitivity vs arc length per variant"
-    )
-    p_sweep.add_argument(
-        "--verify",
-        action="store_true",
-        help="add a finite-difference oracle column and check it",
-    )
-    _add_shared_flags(p_sweep)
-
-    p_cmp = sub.add_parser(
-        "compare", help="rank variant sensitivities at matched parameters"
-    )
-    _add_shared_flags(p_cmp)
-
-    p_val = sub.add_parser("validate", help="run the full oracle suite")
-    p_val.add_argument("--points", type=int, default=250, help="random points per suite")
-    p_val.add_argument("--json", action="store_true", help="machine-readable summary")
-    _add_shared_flags(p_val)
-    return parser
-
-
 def cmd_capacitance(cfg: RunConfig, args: argparse.Namespace) -> int:
     kind = FaceKind(args.kind)
     eps = cfg.permittivity
-    gap = cfg.gap_um * UM
+    gap = cfg.gap_state().gap_m
     prof = cfg.planar_face() if kind is FaceKind.FLAT else cfg.profile()
     value = face_capacitance(kind, prof, gap, eps)
     if isinstance(prof, PlanarProfile):
@@ -436,22 +386,17 @@ def _require_csv(cfg: RunConfig) -> str:
     return cfg.csv
 
 
-def cmd_gain_curve(cfg: RunConfig) -> int:
+def _cells(row, header: list[str]) -> list[str]:
+    """The CSV cells of a sweep row: its variant, then the field that each
+    later header name names."""
+    return [row.variant.value, *(_sci(getattr(row, name)) for name in header[1:])]
+
+
+def cmd_gain_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
     path = _require_csv(cfg)
     result = gain_curve(cfg.plan())
     header = ["variant", "accel_g", "displacement_m", "c1_f", "c2_f", "gain", "v_out_v"]
-    rows = [
-        [
-            r.variant.value,
-            _sci(r.accel_g),
-            _sci(r.displacement_m),
-            _sci(r.c1_f),
-            _sci(r.c2_f),
-            _sci(r.gain),
-            _sci(r.v_out_v),
-        ]
-        for r in result.rows
-    ]
+    rows = [_cells(r, header) for r in result.rows]
     _write_csv(path, header, rows)
     print(f"wrote {len(rows)} rows to {path}")
     _report_incidents(result, "over_range")
@@ -494,20 +439,11 @@ def cmd_sensitivity_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         "s_mv_per_g",
         "s_net_mv_per_g",
     ]
+    rows = [_cells(r, header) for r in result.rows]
     verify_failures: list[str] = []
     if args.verify:
         header.append("fd_s_mv_per_g")
-    rows = []
-    for r in result.rows:
-        row = [
-            r.variant.value,
-            _sci(r.arc_length_m),
-            _sci(r.radius_m),
-            _sci(r.phi_rad),
-            _sci(r.s_mv_per_g),
-            _sci(r.s_net_mv_per_g),
-        ]
-        if args.verify:
+        for r, row in zip(result.rows, rows):
             prof = ArcProfile(r.radius_m, r.phi_rad, plan.profile.thickness_m)
             config = ElectrodeConfig.for_variant(r.variant, prof)
             d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
@@ -518,7 +454,6 @@ def cmd_sensitivity_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
                 verify_failures.append(
                     f"{r.variant.value} at arc {r.arc_length_m:.3e} m: rel diff {rel:.3e}"
                 )
-        rows.append(row)
     _write_csv(path, header, rows)
     print(f"wrote {len(rows)} rows to {path}")
     _report_incidents(result, "skipped")
@@ -534,7 +469,7 @@ def cmd_sensitivity_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     prof = cfg.profile()
     mech = cfg.mech()
     drive = cfg.drive()
@@ -622,31 +557,29 @@ def _suite_quadrature(rng: random.Random, points: int) -> float:
 
 
 _CURVED_VARIANTS = tuple(v for v in Variant if v is not Variant.PLANAR)
+# the fixed mechanics and drive of the derivative and symmetry suites
+_SUITE_MECH = MechanicalModel(2.6e-10, 1.0, 21)
+_SUITE_DRIVE = DriveModel(1.0)
 
 
-def _random_valid_setup(
-    rng: random.Random, variant: Variant
-) -> tuple[ElectrodeConfig, float, MechanicalModel, DriveModel, float]:
-    """Draw a geometry/drive point whose rest state is valid for variant."""
-    while True:
-        r = rng.uniform(30e-6, 500e-6)
-        phi = rng.uniform(0.02, 0.8)
-        d = rng.uniform(0.8e-6, 8e-6)
-        prof = ArcProfile(r, phi, 2e-6)
-        config = ElectrodeConfig.for_variant(variant, prof)
-        if not validate_geometry(config, GapState(d)).ok:
-            continue
-        mech = MechanicalModel(2.6e-10, 1.0, 21)
-        drive = DriveModel(1.0)
-        accel = rng.uniform(-2.0, 2.0) * STANDARD_GRAVITY
-        return config, d, mech, drive, accel
+def _random_cell(rng: random.Random) -> tuple[ArcProfile, float]:
+    """A random (profile, gap) of the derivative and symmetry suites,
+    drawn as R, phi, then the gap."""
+    prof = ArcProfile(rng.uniform(30e-6, 500e-6), rng.uniform(0.02, 0.8), 2e-6)
+    return prof, rng.uniform(0.8e-6, 8e-6)
 
 
 def _suite_derivative(rng: random.Random, points: int) -> float:
     worst = 0.0
+    mech, drive = _SUITE_MECH, _SUITE_DRIVE
     for variant in _CURVED_VARIANTS:
         for _ in range(points):
-            config, d, mech, drive, accel = _random_valid_setup(rng, variant)
+            while True:  # redraw until the rest state is valid for variant
+                prof, d = _random_cell(rng)
+                config = ElectrodeConfig.for_variant(variant, prof)
+                if validate_geometry(config, GapState(d)).ok:
+                    break
+            accel = rng.uniform(-2.0, 2.0) * STANDARD_GRAVITY
             s = sensitivity_at_side_nominals(config, d, d, mech, drive, accel)
             fd = fd_sensitivity(config, d, d, mech, drive, accel)
             worst = _worse(worst, abs(fd - s) / abs(s))
@@ -655,13 +588,9 @@ def _suite_derivative(rng: random.Random, points: int) -> float:
 
 def _suite_symmetry(rng: random.Random, points: int) -> float:
     worst = 0.0
-    mech = MechanicalModel(2.6e-10, 1.0, 21)
-    drive = DriveModel(1.0)
+    mech, drive = _SUITE_MECH, _SUITE_DRIVE
     for _ in range(points):
-        r = rng.uniform(30e-6, 500e-6)
-        phi = rng.uniform(0.02, 0.8)
-        d = rng.uniform(0.8e-6, 8e-6)
-        prof = ArcProfile(r, phi, 2e-6)
+        prof, d = _random_cell(rng)
         accel = rng.uniform(0.1, 2.0) * STANDARD_GRAVITY
         for variant in (Variant.PLANAR, Variant.BICONVEX, Variant.BICONCAVE):
             config = ElectrodeConfig.for_variant(variant, prof)
@@ -721,22 +650,63 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+# Each subcommand: name -> (help, handler(cfg, args), its own flags as
+# (flag, add_argument keywords)); every one also takes the shared flags.
+_COMMANDS = {
+    "capacitance": (
+        "closed-form capacitance of a single face",
+        cmd_capacitance,
+        [
+            ("--kind", {"required": True, "choices": [k.value for k in FaceKind]}),
+            ("--verify", {"action": "store_true", "help": "cross-check against quadrature"}),
+        ],
+    ),
+    "gain-curve": ("V_out vs acceleration per variant", cmd_gain_curve, []),
+    "sensitivity-sweep": (
+        "sensitivity vs arc length per variant",
+        cmd_sensitivity_sweep,
+        [
+            ("--verify", {
+                "action": "store_true",
+                "help": "add a finite-difference oracle column and check it",
+            }),
+        ],
+    ),
+    "compare": ("rank variant sensitivities at matched parameters", cmd_compare, []),
+    "validate": (
+        "run the full oracle suite",
+        cmd_validate,
+        [
+            ("--points", {"type": int, "default": 250, "help": "random points per suite"}),
+            ("--json", {"action": "store_true", "help": "machine-readable summary"}),
+        ],
+    ),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="curvedcomb",
+        description="Curved-electrode capacitive accelerometer model",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, own_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in own_flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        for title, flags in _FLAG_GROUPS.items():
+            group = p.add_argument_group(title)
+            for flag, kwargs in flags:
+                group.add_argument(flag, **kwargs)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = resolve_config(args)
-        if args.command == "capacitance":
-            return cmd_capacitance(cfg, args)
-        if args.command == "gain-curve":
-            return cmd_gain_curve(cfg)
-        if args.command == "sensitivity-sweep":
-            return cmd_sensitivity_sweep(cfg, args)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg, args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][1](resolve_config(args), args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -16,6 +16,29 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+__all__ = [
+    "CONCAVE_EDGE_MARGIN_REL",
+    "STANDARD_GRAVITY",
+    "VACUUM_PERMITTIVITY",
+    "ArcProfile",
+    "DriveModel",
+    "ElectrodeConfig",
+    "FaceKind",
+    "FeedbackMode",
+    "GapAnchor",
+    "GapState",
+    "MechanicalModel",
+    "PlanarProfile",
+    "SideReport",
+    "ValidityReport",
+    "Variant",
+    "Violation",
+    "displacement",
+    "side_gap_bounds",
+    "side_nominal_gaps",
+    "validate_geometry",
+]
+
 VACUUM_PERMITTIVITY = 8.854e-12  # F/m, air/vacuum
 STANDARD_GRAVITY = 9.80665  # m/s^2, exact by convention
 
@@ -108,24 +131,30 @@ class GapAnchor(Enum):
 
 class _Record:
     """An immutable value type: equal and hashed by exact type and field
-    values, printed as Name(field=value, ...). A subclass lists its fields
-    in __slots__. Most set them in their own straight-line __init__
+    values, printed as Name(field=value, ...). A subclass lists its own
+    fields in __slots__; _fields, its parent's fields and then its own, is
+    set once per class. Most set them in their own straight-line __init__
     through _set, several times faster than this generic one, which
     takes the fields by position or name and the defaults of trailing
     ones from _defaults."""
 
     __slots__ = ()
     _defaults: dict = {}
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def __init__(self, *values, **named) -> None:
-        fields = {**self._defaults, **dict(zip(self.__slots__, values)), **named}
-        if len(values) > len(self.__slots__) or fields.keys() != set(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__slots__)}")
-        for name in self.__slots__:
+        fields = {**self._defaults, **dict(zip(self._fields, values)), **named}
+        if len(values) > len(self._fields) or fields.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name in self._fields:
             _set(self, name, fields[name])
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -136,7 +165,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:

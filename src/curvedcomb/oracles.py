@@ -17,7 +17,6 @@ import math
 from typing import Callable
 
 from .model import (
-    CONCAVE_EDGE_MARGIN_REL,
     VACUUM_PERMITTIVITY,
     ArcProfile,
     FaceKind,
@@ -26,6 +25,7 @@ from .model import (
     _check_profile,
     _require_in_envelope,
     _set,
+    side_gap_bounds,
 )
 
 __all__ = [
@@ -171,20 +171,20 @@ def quad_capacitance(
     d(theta) is gap + 2R*sin(theta/2)**2 for a convex face and
     gap - 2R*sin(theta/2)**2 for a concave face (R*(1 - cos(theta)) would
     lose the gap's digits when gap << R); the flat face integrates the
-    constant eps*h/gap along its length. Domain requirements match the
-    closed forms.
+    constant eps*h/gap along its length. The domain is the closed forms'
+    one, side_gap_bounds.
 
     Raises:
         ValueError: if the profile does not fit the kind, the permittivity
-            leaves the model envelope, the gap is not positive and finite,
-            or a concave gap is outside the closed form's domain.
+            leaves the model envelope, or gap_m is outside side_gap_bounds.
         QuadratureNonConvergence: as integrate_adaptive; the message names
             the face kind and the gap.
     """
     _check_profile(kind, profile)
     _require_in_envelope("permittivity", permittivity, "permittivity")
-    if not 0.0 < gap_m < math.inf:
-        raise ValueError(f"{kind.value} face needs a positive finite gap, got {gap_m} m")
+    lo, hi = side_gap_bounds(kind, profile)
+    if not lo < gap_m < hi:
+        raise ValueError(f"{kind.value} face needs a gap in ({lo}, {hi}) m, got {gap_m} m")
     h = profile.thickness_m
     if kind is FaceKind.FLAT:
 
@@ -195,14 +195,6 @@ def quad_capacitance(
     else:
         r = profile.radius_m
         num = permittivity * h * r  # a * b * c / d is (a * b * c) / d: same bits
-        if kind is FaceKind.CONCAVE:
-            if gap_m - profile.sagitta() <= CONCAVE_EDGE_MARGIN_REL * r:
-                raise ValueError(
-                    f"concave edge contact: gap {gap_m} m within margin of sagitta "
-                    f"{profile.sagitta()} m"
-                )
-            if gap_m >= 2.0 * r:
-                raise ValueError(f"concave gap must stay below 2R, got {gap_m} m")
         # +-2R: gap + (-x) and gap - x are the same float
         r2, sin = (-2.0 if kind is FaceKind.CONCAVE else 2.0) * r, math.sin
 

@@ -377,6 +377,14 @@ class TestModelEnvelope:
             # the grid step (hi - lo) / (n - 1) could not convert n to a float
             (["gain-curve", "--csv", "g.csv", f"--accel-points={10**400}"],
              "is outside the model's points range [2, 1000000]"),
+            # capacitance took the raw gap: C printed at 1e-18 m and at
+            # 1.5 m, and a NaN gap was reported as a face-domain error
+            (["capacitance", "--kind", "flat", "--gap-um", "1e-12"],
+             "gap_m = 9.999999999999999e-19 is outside the model's length range [1e-09, 1.0]"),
+            (["capacitance", "--kind", "convex", "--gap-um", "1500000"],
+             "gap_m = 1.5 is outside the model's length range [1e-09, 1.0]"),
+            (["capacitance", "--kind", "concave", "--verify", "--gap-um", "nan"],
+             "gap_m must be positive and finite, got nan"),
         ],
     )
     def test_out_of_envelope_input_exits_2_before_any_output(

@@ -1,7 +1,8 @@
 """One admissible-gap rule: side_gap_bounds decides, for every face kind,
-whether a closed form evaluates, whether validate_geometry reports ok,
-and whether a travel request is over range. Checked at each bound and
-one ulp on either side, where two roundings of one bound can disagree.
+whether a closed form evaluates, whether the quadrature oracle takes the
+gap, whether validate_geometry reports ok, and whether a travel request
+is over range. Checked at each bound and one ulp on either side, where
+two roundings of one bound can disagree.
 
 One model envelope: every input the model objects take lies in a closed
 interval, and inside it every public function returns finite values or
@@ -26,6 +27,7 @@ from curvedcomb import (
     MechanicalModel,
     OverRangeError,
     PlanarProfile,
+    QuadratureNonConvergence,
     SweepPlan,
     Variant,
     allowed_displacement_interval,
@@ -106,6 +108,29 @@ def test_closed_forms_evaluate_exactly_inside_bounds(profile, kind):
     for bound in finite_bounds(kind, face):
         for g in around(bound):
             assert evaluates(kind, face, g) == (lo < g < hi), (kind, g, lo, hi)
+
+
+def quadrature_accepts(kind: FaceKind, face, gap_m: float) -> bool:
+    """Whether quad_capacitance takes the gap: it integrates, or runs out
+    of subdivisions near a bound, instead of refusing it."""
+    try:
+        quad_capacitance(kind, face, gap_m)
+    except QuadratureNonConvergence:
+        return True
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("radius_m, phi", [(100e-6, 0.2), (50e-6, 2.5), (1e-3, 1e-3)])
+@pytest.mark.parametrize("kind", list(FaceKind))
+def test_quadrature_and_closed_forms_share_one_gap_domain(kind, radius_m, phi):
+    face = ArcProfile(radius_m, phi, 2e-6)
+    if kind is FaceKind.FLAT:
+        face = PlanarProfile(face.arc_length(), face.thickness_m)
+    for bound in side_gap_bounds(kind, face):
+        for g in around(bound):
+            assert quadrature_accepts(kind, face, g) == evaluates(kind, face, g), (kind, g)
 
 
 def _gap_candidates(config: ElectrodeConfig, gap_m: float, anchor: GapAnchor):
@@ -235,7 +260,7 @@ class TestNanIsRejected:
         face = profile
         if kind is FaceKind.FLAT:
             face = PlanarProfile(profile.arc_length(), profile.thickness_m)
-        with pytest.raises(ValueError, match="positive finite gap"):
+        with pytest.raises(ValueError, match=r"face needs a gap in \(.*\) m, got "):
             quad_capacitance(kind, face, gap_m)
 
     @pytest.mark.parametrize("variant", list(Variant))

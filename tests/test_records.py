@@ -312,3 +312,22 @@ def test_a_wrong_field_set_is_a_type_error(new, twin, samples):
     if new is not cli.RunConfig:  # every RunConfig field has a default
         with pytest.raises(TypeError):
             new()
+
+
+@pytest.mark.parametrize("new, twin, samples", CASES, ids=IDS)
+def test_a_slotted_subclass_keeps_every_field(new, twin, samples):
+    # a subclass that adds no field declares __slots__ = () and still has
+    # its parent's fields: in its constructor, repr, ==, hash and copy
+    subtype = type("Sub" + new.__name__, (new,), {"__slots__": ()})
+    built = [(subtype(*args, **kwargs), new(*args, **kwargs)) for args, kwargs in samples]
+    for sub, record in built:
+        assert repr(sub) == "Sub" + repr(record)
+        clone = copy.copy(sub)
+        assert type(clone) is subtype and repr(clone) == repr(sub)
+        for other_sub, other in built:
+            assert (sub == other_sub) is (record == other)
+        try:
+            expected = hash(record)
+        except TypeError:  # a dict field makes both unhashable
+            continue
+        assert hash(sub) == expected
