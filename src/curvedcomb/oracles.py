@@ -138,7 +138,16 @@ def integrate_adaptive(
     seq = 1
     total_val, total_err = val, err
     splits = 0
-    while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
+    while True:
+        tol = max(_ABS_TOL, _REL_TOL * abs(total_val))
+        if total_err <= tol:
+            # the running totals cancel when one panel dominates: stop if they
+            # hold and the exact error agrees, else go on from exact totals
+            exact_err = math.fsum([entry[5] for entry in heap])
+            if exact_err <= tol and total_err >= 0.0:
+                break
+            total_val, total_err = math.fsum([entry[4] for entry in heap]), exact_err
+            continue
         if splits >= _MAX_SUBDIVISIONS:
             raise QuadratureNonConvergence(
                 f"no convergence after {splits} subdivisions "

@@ -14,15 +14,15 @@ extent at fixed radius (the bow deepens with arc length and eventually
 reaches the gap), VARY_R_FIXED_ARC scales the radius at fixed angular
 extent (a similarity family whose bow stays proportional to arc length).
 
-At one arc length every variant shares one profile, and at rest each
-face kind sits at one nominal gap, so sensitivity_sweep resolves and
-evaluates each face once per arc length (a flat face cut to the arc's
-length and thickness, with no PlanarProfile) and every variant's row
-reads its two sides from those evaluations. An optimizer step reads S
-the same way: each distinct face once, at rest, with C_fb = c1 + c2,
-from the kinds, anchor and permittivity its solve resolved once. A
-gain-curve point makes two kernel calls: nominal feedback's rest pair is
-evaluated once per variant.
+At one profile every variant reads one face table: each distinct face
+kind resolved once (a flat face cut to the arc's length and thickness,
+with no PlanarProfile) at its rest gap under the plan's anchor.
+sensitivity_sweep builds it per arc length and evaluates each face once
+for every row; gain_curve builds it once per curve and hands each valid
+variant the cell (variant, face 1, face 2, d1, d2) of the bridge. An
+optimizer step reads S the same way, at rest with C_fb = c1 + c2, but
+unrolled over its pairing's kinds: the step is most of a solve's time,
+and reading it off a per-kind table made solves ~30 % slower.
 """
 
 from __future__ import annotations
@@ -39,28 +39,25 @@ from .model import (
     ArcProfile,
     DriveModel,
     ElectrodeConfig,
-    FeedbackMode,
     GapAnchor,
     GapState,
     MechanicalModel,
     Variant,
     _FACE_PLANE,
+    _MATCHED_SUM,
     _Record,
     _bowed_gap,
     _require_in_envelope,
     _set,
-    side_nominal_gaps,
     validate_geometry,
 )
 from .transduction import (
     OverRangeError,
     _Evaluation,
-    _Faces,
     _gain,
     _operating_point,
     _rest_feedback,
     _sensitivity,
-    _side_faces,
     net_sensitivity,
 )
 
@@ -209,25 +206,27 @@ def _echo(plan: SweepPlan) -> dict:
     }
 
 
-# a resolved plan cell: config, resolved side faces, per-side nominal gaps
-_Cell = tuple[ElectrodeConfig, _Faces, float, float]
-
-
 def _skip_reason(plan: SweepPlan, config: ElectrodeConfig) -> str:
     """Why a cell's rest geometry is invalid, worded by validate_geometry."""
     report = validate_geometry(config, plan.gap, plan.gap_anchor)
     return "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
 
 
-def _resolve_cell(plan: SweepPlan, variant: Variant, profile: ArcProfile) -> _Cell:
-    """Resolve one plan cell; raises ValueError carrying the skip reason
-    when the rest geometry is invalid, by validate_geometry's rule."""
-    config = ElectrodeConfig.for_variant(variant, profile)
-    faces = f1, f2 = _side_faces(config, plan.drive.permittivity_f_per_m)
-    d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
-    if not (f1[1] < d1 < f1[2] and f2[1] < d2 < f2[2]):
-        raise ValueError(_skip_reason(plan, config))
-    return config, faces, d1, d2
+def _kinds_of(variants: list[Variant]) -> tuple[list, list]:
+    """The distinct face kinds of variants, and each variant's (side 1,
+    side 2) indices into them."""
+    kinds = list(dict.fromkeys(k for v in variants for k in SIDE_KINDS[v]))
+    return kinds, [[kinds.index(k) for k in SIDE_KINDS[v]] for v in variants]
+
+
+def _rest_faces(plan: SweepPlan, prof: ArcProfile, kinds: list) -> list[tuple]:
+    """Each kind's (face, rest gap, valid) on prof: the face resolved (a flat
+    one cut to prof), its closed-form gap by side_nominal_gaps' anchor rule
+    and whether the face admits that gap."""
+    eps, gap = plan.drive.permittivity_f_per_m, plan.gap.gap_m
+    bow = prof.sagitta() if plan.gap_anchor is _FACE_PLANE else 0.0  # APEX: the plan gap
+    faces = [(_resolve_at_arc(k, prof, eps), _bowed_gap(k, gap, bow)) for k in kinds]
+    return [(face, d, face[1] < d < face[2]) for face, d in faces]
 
 
 def _row(
@@ -260,13 +259,10 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     """
     arcs = _linspace(*plan.arc_range_m, plan.arc_points)
     variants = _ordered_variants(plan.variants)
-    kinds = list(dict.fromkeys(k for v in variants for k in SIDE_KINDS[v]))
-    sides = [[kinds.index(k) for k in SIDE_KINDS[v]] for v in variants]
-    bowed = plan.gap_anchor is _FACE_PLANE
-    eps = plan.drive.permittivity_f_per_m
-    # per arc: the profile and each kind's (C, dC/dd) at its rest nominal
-    # gap (side_nominal_gaps' rule), or None where no valid cell uses the
-    # kind; or, for an unrealizable arc, the reason every variant skips it
+    kinds, sides = _kinds_of(variants)
+    # per arc: the profile and each kind's (C, dC/dd) at its rest gap, or
+    # None where the face does not admit it; or, for an unrealizable arc,
+    # the reason every variant skips it
     cells: list = []
     for arc in arcs:
         try:
@@ -274,14 +270,8 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
         except ValueError as err:
             cells.append(str(err))
             continue
-        faces = [_resolve_at_arc(k, prof, eps) for k in kinds]
-        bow = prof.sagitta() if bowed else 0.0  # APEX: every face at the plan gap
-        gaps = [_bowed_gap(k, plan.gap.gap_m, bow) for k in kinds]
-        ok = [f[1] < g < f[2] for f, g in zip(faces, gaps)]
-        used = {i for pair in sides if ok[pair[0]] and ok[pair[1]] for i in pair}
-        evals = [None] * len(kinds)
-        for i in used:
-            evals[i] = faces[i][0](faces[i], gaps[i])
+        faces = _rest_faces(plan, prof, kinds)
+        evals = [face[0](face, d) if ok else None for face, d, ok in faces]
         cells.append((prof, evals))
     rows: list[SweepRow] = []
     skipped: list[dict] = []
@@ -315,28 +305,30 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     whose valid accelerations have no spread in floating point has none.
     """
     accels_g = _linspace(*plan.accel_range_g, plan.accel_points)
-    nominal = plan.drive.feedback_mode is FeedbackMode.NOMINAL
     prof = plan.profile
     arc = prof.arc_length()
     rows: list[SweepRow] = []
     over_range: list[dict] = []
     slopes: dict[str, float] = {}
-    for variant in _ordered_variants(plan.variants):
-        try:
-            cell = _resolve_cell(plan, variant, prof)
-        except ValueError as err:
+    variants = _ordered_variants(plan.variants)
+    kinds, sides = _kinds_of(variants)
+    faces = _rest_faces(plan, prof, kinds)
+    for variant, (i1, i2) in zip(variants, sides):
+        (f1, d1, ok1), (f2, d2, ok2) = faces[i1], faces[i2]
+        if not (ok1 and ok2):
+            reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
             over_range.append(
-                {"variant": variant.value, "accel_g": None, "reason": str(err)}
+                {"variant": variant.value, "accel_g": None, "reason": reason}
             )
             continue
-        _, faces, d1, d2 = cell  # valid at rest: nominal C_fb evaluates once
-        rest_fb = _rest_feedback(faces, d1, d2) if nominal else None
+        cell = variant, f1, f2, d1, d2  # valid at rest: nominal C_fb evaluates once
+        rest_fb = None if plan.drive.feedback_mode is _MATCHED_SUM else _rest_feedback(cell)
         xs: list[float] = []
         ys: list[float] = []
         for a_g in accels_g:
             try:
                 delta, ev = _operating_point(
-                    *cell, plan.mech, plan.drive, a_g * STANDARD_GRAVITY, rest_fb
+                    cell, plan.mech, plan.drive, a_g * STANDARD_GRAVITY, rest_fb
                 )
             except OverRangeError as err:
                 over_range.append(
@@ -375,6 +367,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ARC_TOL_M = 1e-10
 
 
+# unrolled over the pairing's kinds: a _rest_faces table made each solve ~30 % slower
 def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
     """One solve, resolved once: the plan, the variant, its side kinds (k2
     None when both are k1), whether faces bow (FACE_PLANE), eps and gap."""

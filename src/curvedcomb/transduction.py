@@ -13,14 +13,14 @@ conventions (model.GapAnchor) map a shared nominal gap to per-side
 values, which the *_at_side_nominals forms accept directly; the plain
 forms apply one gap to both sides.
 
-Each public call, fd_sensitivity included, resolves the two side faces
-once, each into its kind's (C, dC/dd) kernel with the permittivity and
-its gap interval, checks the travel range against those intervals, then
-reads bridge, gain and sensitivity off one evaluation: one kernel call
-per side, plus one per side at rest under nominal feedback. A gain curve
-evaluates that rest pair once per variant and fd_sensitivity once per
-call, so each curve point and each stencil gain makes two kernel calls
-under either mode.
+Every evaluation reads one cell: the variant, the two side faces, each
+resolved into its kind's (C, dC/dd) kernel, permittivity and gap
+interval, and their two nominal gaps. Each public call, fd_sensitivity
+included, builds its cell once, checks the travel range against the
+faces' intervals and reads bridge, gain and sensitivity off one
+evaluation: one kernel call per side, plus one per side at rest under
+nominal feedback, which a gain curve evaluates once per variant and
+fd_sensitivity once per call.
 """
 
 from __future__ import annotations
@@ -102,46 +102,44 @@ class OverRangeError(ValueError):
         self.displacement_m = displacement_m
 
 
-# the resolved faces of side 1 and side 2
-_Faces = tuple[tuple, tuple]
+# (variant, resolved face of side 1, of side 2, nominal gap d1, d2)
+_Cell = tuple
 # (C1, dC1/dd, C2, dC2/dd, C_fb) of one bridge evaluation
 _Evaluation = tuple[float, float, float, float, float]
 
 
-def _side_faces(config: ElectrodeConfig, eps: float) -> _Faces:
+def _cell(config: ElectrodeConfig, d1: float, d2: float, eps: float) -> _Cell:
     flat, arc = config.planar_face, config.profile
     k1, k2 = config.side_kinds()
-    return (
-        _resolve_face(k1, flat if k1 is _FLAT else arc, eps),
-        _resolve_face(k2, flat if k2 is _FLAT else arc, eps),
-    )
+    f1 = _resolve_face(k1, flat if k1 is _FLAT else arc, eps)
+    f2 = _resolve_face(k2, flat if k2 is _FLAT else arc, eps)
+    return config.variant, f1, f2, d1, d2
 
 
-def _face(faces: _Faces, side: int, gap_m: float) -> tuple[float, float]:
-    face = faces[side - 1]
+def _face(face: tuple, side: int, gap_m: float) -> tuple[float, float]:
     if not face[1] < gap_m < face[2]:
         err = _out_of_domain(face, gap_m)
         raise GeometryDomainError(f"side {side}: {err}", kind=err.kind, gap_m=gap_m)
     return face[0](face, gap_m)
 
 
-def _rest_feedback(faces: _Faces, d1: float, d2: float) -> float:
+def _rest_feedback(cell: _Cell) -> float:
     # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
-    return _face(faces, 1, d1)[0] + _face(faces, 2, d2)[0]
+    _, f1, f2, d1, d2 = cell
+    return _face(f1, 1, d1)[0] + _face(f2, 2, d2)[0]
 
 
-def _evaluate(
-    faces: _Faces, d1: float, d2: float, delta_m: float, drive: DriveModel, c_fb=None
-) -> _Evaluation:
+def _evaluate(cell: _Cell, delta_m: float, drive: DriveModel, c_fb=None) -> _Evaluation:
     """C1, dC1/dd, C2, dC2/dd and C_fb with side 1 at d1 - delta and side 2
     at d2 + delta; a given c_fb is nominal feedback's _rest_feedback, which
     is then not evaluated again. Domain errors name the offending side."""
-    c1, dc1 = _face(faces, 1, d1 - delta_m)
-    c2, dc2 = _face(faces, 2, d2 + delta_m)
+    _, f1, f2, d1, d2 = cell
+    c1, dc1 = _face(f1, 1, d1 - delta_m)
+    c2, dc2 = _face(f2, 2, d2 + delta_m)
     if drive.feedback_mode is _MATCHED_SUM:
         c_fb = c1 + c2
     elif c_fb is None:
-        c_fb = _rest_feedback(faces, d1, d2)
+        c_fb = _rest_feedback(cell)
     return c1, dc1, c2, dc2, c_fb
 
 
@@ -154,36 +152,28 @@ def allowed_displacement_interval(
     d1 - delta and side 2 sees d2 + delta.
     """
     # the gap intervals do not depend on the permittivity
-    return _displacement_interval(_side_faces(config, VACUUM_PERMITTIVITY), d1, d2)
+    return _displacement_interval(_cell(config, d1, d2, VACUUM_PERMITTIVITY))
 
 
-def _displacement_interval(faces: _Faces, d1: float, d2: float) -> tuple[float, float]:
-    (_, lo1, hi1, *_), (_, lo2, hi2, *_) = faces
+def _displacement_interval(cell: _Cell) -> tuple[float, float]:
+    _, (_, lo1, hi1, *_), (_, lo2, hi2, *_), d1, d2 = cell
     return max(d1 - hi1, lo2 - d2), min(d1 - lo1, hi2 - d2)
 
 
-def _check_range(
-    config: ElectrodeConfig,
-    faces: _Faces,
-    d1: float,
-    d2: float,
-    mech: MechanicalModel,
-    delta: float,
-    accel: float,
-) -> None:
+def _check_range(cell: _Cell, mech: MechanicalModel, delta: float, accel: float) -> None:
     # test the displaced gaps the closed forms will see, so a passing check
     # always evaluates; the open intervals also reject a NaN displacement
-    f1, f2 = faces
+    variant, f1, f2, d1, d2 = cell
     if f1[1] < d1 - delta < f1[2] and f2[1] < d2 + delta < f2[2]:
         return
-    lo, hi = _displacement_interval(faces, d1, d2)
+    lo, hi = _displacement_interval(cell)
     # first invalid acceleration: the interval bound nearer the request (the
     # gap test can fail a displacement the interval still holds by an ulp)
     bound = hi if hi - delta <= delta - lo else lo
     first_bad = bound * mech.spring_n_per_m / mech.mass_kg
     raise OverRangeError(
         f"displacement {delta} m leaves the valid interval ({lo}, {hi}) m for "
-        f"{config.variant.value}; first invalid acceleration is "
+        f"{variant.value}; first invalid acceleration is "
         f"{first_bad} m/s^2 ({first_bad / STANDARD_GRAVITY} g), requested {accel} m/s^2",
         first_invalid_accel_m_s2=first_bad,
         displacement_m=delta,
@@ -198,8 +188,8 @@ def bridge_at_side_nominals(
     drive: DriveModel,
 ) -> BridgeState:
     """Bridge capacitances with independently placed sides."""
-    faces = _side_faces(config, drive.permittivity_f_per_m)
-    c1, _, c2, _, c_fb = _evaluate(faces, d1, d2, delta_m, drive)
+    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
+    c1, _, c2, _, c_fb = _evaluate(cell, delta_m, drive)
     return BridgeState(c1, c2, c_fb)
 
 
@@ -218,10 +208,7 @@ def bridge_capacitances(
 
 
 def _operating_point(
-    config: ElectrodeConfig,
-    faces: _Faces,
-    d1: float,
-    d2: float,
+    cell: _Cell,
     mech: MechanicalModel,
     drive: DriveModel,
     accel_m_s2: float,
@@ -230,8 +217,8 @@ def _operating_point(
     """Displacement and bridge evaluation at one acceleration, after the
     one range check of the call; c_fb as in _evaluate."""
     delta = displacement(mech, accel_m_s2)
-    _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
-    return delta, _evaluate(faces, d1, d2, delta, drive, c_fb)
+    _check_range(cell, mech, delta, accel_m_s2)
+    return delta, _evaluate(cell, delta, drive, c_fb)
 
 
 def _gain(ev: _Evaluation) -> float:
@@ -261,8 +248,8 @@ def gain_at_side_nominals(
     accel_m_s2: float,
 ) -> TransductionPoint:
     """Gain evaluation with independently placed sides."""
-    faces = _side_faces(config, drive.permittivity_f_per_m)
-    delta, ev = _operating_point(config, faces, d1, d2, mech, drive, accel_m_s2)
+    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
+    delta, ev = _operating_point(cell, mech, drive, accel_m_s2)
     g, bridge = _gain(ev), BridgeState(ev[0], ev[2], ev[4])
     return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
 
@@ -297,8 +284,8 @@ def sensitivity_at_side_nominals(
     accel_m_s2: float = 0.0,
 ) -> float:
     """Analytic sensitivity with independently placed sides (V per g)."""
-    faces = _side_faces(config, drive.permittivity_f_per_m)
-    _, ev = _operating_point(config, faces, d1, d2, mech, drive, accel_m_s2)
+    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
+    _, ev = _operating_point(cell, mech, drive, accel_m_s2)
     return _sensitivity(ev, mech, drive)
 
 
@@ -348,22 +335,17 @@ def fd_sensitivity(
     The step is a small fraction of the distance to contact so the
     stencil stays inside the valid travel range.
     """
-    faces = _side_faces(config, drive.permittivity_f_per_m)
+    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
     delta = displacement(mech, accel_m_s2)
-    _check_range(config, faces, d1, d2, mech, delta, accel_m_s2)
-    lo, hi = _displacement_interval(faces, d1, d2)
+    _check_range(cell, mech, delta, accel_m_s2)
+    lo, hi = _displacement_interval(cell)
     a_margin = min(hi - delta, delta - lo) * mech.spring_n_per_m / mech.mass_kg
     rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
 
-    c_fb = None
-    if drive.feedback_mode is not _MATCHED_SUM:
-        try:
-            c_fb = _rest_feedback(faces, d1, d2)
-        except ValueError:
-            pass  # each stencil gain evaluates it again and fails as before
+    c_fb = None if drive.feedback_mode is _MATCHED_SUM else _rest_feedback(cell)
 
     def gain_of_accel(a: float) -> float:
-        return _gain(_operating_point(config, faces, d1, d2, mech, drive, a, c_fb)[1])
+        return _gain(_operating_point(cell, mech, drive, a, c_fb)[1])
 
     slope = fd_derivative(gain_of_accel, accel_m_s2, rel_step).value
     return drive.v_in_volts * slope * STANDARD_GRAVITY

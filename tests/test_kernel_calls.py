@@ -4,9 +4,10 @@ per result.
 A sensitivity sweep evaluates each distinct face (kind, profile, gap)
 once: at one arc length every variant shares its faces, so an arc costs
 at most three kernel calls (convex, concave, flat) under either feedback
-mode. A curve point evaluates each face once: two kernel calls under
-either feedback mode; nominal feedback adds the two rest capacitances
-once per variant whose cell is valid. An optimizer step is at rest,
+mode. A gain curve resolves each distinct face kind once, and a curve
+point evaluates each face once: two kernel calls under either feedback
+mode; nominal feedback adds the two rest capacitances once per variant
+whose cell is valid. An optimizer step is at rest,
 where C_fb = c1 + c2 under either feedback mode, so it resolves and
 evaluates each distinct face kind of its pairing once (one call for a
 symmetric pairing, two for a mixed one) and builds no PlanarProfile, as
@@ -15,7 +16,8 @@ its two faces once and each of its four stencil gains evaluates both
 sides: 2 resolves and 8 kernel calls, plus the nominal rest pair once
 per call (10), where routing each gain through the public gain made 10
 resolves and 8 or 16 kernel calls. Skipped cells and over-range points
-cost none. Counting calls rather than timing keeps this deterministic.
+cost no call of their own. Counting calls rather than timing keeps this
+deterministic.
 """
 
 import sys
@@ -134,6 +136,13 @@ def test_gain_curve_point(kernel_calls, feedback):
     assert len(kernel_calls) == (
         2 * len(result.rows) + REST_CALLS_PER_CELL[feedback] * valid_cells
     )
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_gain_curve_resolves_each_face_kind_once(resolve_calls, feedback):
+    # the seven pairings use three face kinds, read off one shared table
+    gain_curve(make_plan(feedback))
+    assert sorted(call[0].value for call in resolve_calls) == ["concave", "convex", "flat"]
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))

@@ -25,10 +25,15 @@ HOT_PATHS = [
     (model, "_bowed_gap"),
     (model, "side_gap_bounds"),
     (model, "_check_profile"),
+    (transduction, "_cell"),
     (transduction, "_face"),
+    (transduction, "_rest_feedback"),
     (transduction, "_evaluate"),
+    (transduction, "_check_range"),
+    (transduction, "_operating_point"),
     (transduction, "_sensitivity"),
     (sweep, "_profile_at"),
+    (sweep, "_rest_faces"),
     (sweep, "_sensitivity_at_arc"),
 ]
 

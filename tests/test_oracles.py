@@ -245,6 +245,19 @@ class TestQuadCapacitance:
             ours = quad_capacitance(kind, profile, d)
             assert ours.value == pytest.approx(external, rel=1e-11)
 
+    @pytest.mark.parametrize("gap", [1e-22, 1e-25, 1e-27, 1e-30])
+    def test_a_dominant_first_panel_does_not_stop_the_refinement(self, gap):
+        # the first panel overshoots C by orders of magnitude, so the running
+        # totals cancel: they read 0 F with error 0 (1e-27, 1e-30 m) or a
+        # negative error while 7e-9 off (1e-22, 1e-25 m)
+        prof = ArcProfile(100e-6, 0.2, 2e-6)
+        try:
+            quad = quad_capacitance(FaceKind.CONVEX, prof, gap)
+        except QuadratureNonConvergence:
+            return
+        assert quad.error_estimate >= 0.0
+        assert quad.value == pytest.approx(cap_convex(prof, gap), rel=1e-12)
+
 
 class TestFiniteDifferences:
     def test_exponential_at_zero(self):

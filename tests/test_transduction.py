@@ -161,16 +161,18 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("feedback", list(FeedbackMode))
     def test_fd_sensitivity_with_an_inadmissible_rest_gap(self, feedback, profile, mech):
-        # side 1 rests inside edge contact but is displaced out of it: every
-        # stencil gain needs the rest C_fb under nominal feedback and fails
+        # side 1 rests inside edge contact but is displaced out of it: under
+        # nominal feedback the rest C_fb fails, with the analytic path's error
         drive = DriveModel(1.0, feedback)
         config = ElectrodeConfig.for_variant(Variant.BICONCAVE, profile)
         d1, d2 = 0.9 * profile.sagitta(), STD_GAP
         accel = -0.5 * profile.sagitta() * mech.spring_n_per_m / mech.mass_kg
         args = (config, d1, d2, mech, drive, accel)
-        expected = outcome(per_point_fd, *args)
         if feedback is FeedbackMode.NOMINAL:
-            assert "no admissible finite-difference step" in expected[1]
+            expected = outcome(sensitivity_at_side_nominals, *args)
+            assert expected[1].startswith("side 1: concave face needs a gap in (")
+        else:
+            expected = outcome(per_point_fd, *args)
         assert outcome(fd_sensitivity, *args) == expected
 
     def test_fd_sensitivity_whose_step_does_not_resolve_says_so(
