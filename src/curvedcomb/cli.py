@@ -8,8 +8,12 @@ files are micrometers (1 um = 1e-6 m); everything internal is SI meters.
 Each shared parameter is declared once, as one _Param of the _PARAMS
 table that states its name, type, default, config-file section, help
 text, flag and choices; the RunConfig fields, the config-file keys, the
-flags of every subcommand and resolve_config are derived from that table
-when this module is imported.
+shared flags and resolve_config are derived from that table when this
+module is imported. The parser is built once per process: every
+subcommand inherits one parent parser that holds the shared flags. Each
+run resolves its RunConfig once into a checked SweepPlan before the
+subcommand starts, so every subcommand checks every shared flag, also
+those it does not read.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure, including a quadrature oracle that does not
@@ -25,7 +29,6 @@ import random
 import sys
 import typing
 
-from . import _svg
 from .capacitance import (
     GeometryDomainError,
     cap_concave,
@@ -167,15 +170,9 @@ class RunConfig(_Record):
             return self.arc_um / self.r_um
         raise ValueError("geometry needs phi_rad or arc_um")
 
-    def profile(self) -> ArcProfile:
-        return ArcProfile(self.r_um * UM, self.resolved_phi(), self.h_um * UM)
-
-    def planar_face(self) -> PlanarProfile:
-        b = self.b_um if self.b_um is not None else self.profile().arc_length() / UM
+    def planar_face(self, profile: ArcProfile) -> PlanarProfile:
+        b = self.b_um if self.b_um is not None else profile.arc_length() / UM
         return PlanarProfile(b * UM, self.h_um * UM)
-
-    def gap_state(self) -> GapState:
-        return GapState(self.gap_um * UM)
 
     def _choice(self, path: str):
         """The enum member that the choice field at config path `path` holds."""
@@ -189,17 +186,10 @@ class RunConfig(_Record):
                 + ", ".join(sorted(m.value for m in enum))
             ) from None
 
-    def anchor(self) -> GapAnchor:
-        return self._choice("gap_anchor")
-
-    def mech(self) -> MechanicalModel:
-        return MechanicalModel(self.m_kg, self.k_n_per_m, self.combs)
-
-    def drive(self) -> DriveModel:
-        return DriveModel(self.v_in_v, self._choice("drive.feedback_mode"), self.permittivity)
-
-    def variant_list(self) -> tuple[Variant, ...]:
-        out = []
+    def plan(self) -> SweepPlan:
+        """The one place the fields become checked model objects; every
+        subcommand reads the plan, so every field is checked on every run."""
+        variants = []
         for name in self.variants:
             key = name.lower()
             if key not in _VARIANT_BY_NAME:
@@ -207,18 +197,15 @@ class RunConfig(_Record):
                     f"unknown variant {name!r}; choose from "
                     + ", ".join(v.value for v in Variant)
                 )
-            out.append(_VARIANT_BY_NAME[key])
-        return tuple(out)
-
-    def plan(self) -> SweepPlan:
+            variants.append(_VARIANT_BY_NAME[key])
         return SweepPlan(
-            variants=self.variant_list(),
-            profile=self.profile(),
-            gap=self.gap_state(),
-            mech=self.mech(),
-            drive=self.drive(),
+            variants=tuple(variants),
+            profile=ArcProfile(self.r_um * UM, self.resolved_phi(), self.h_um * UM),
+            gap=GapState(self.gap_um * UM),
+            mech=MechanicalModel(self.m_kg, self.k_n_per_m, self.combs),
+            drive=DriveModel(self.v_in_v, self._choice("drive.feedback_mode"), self.permittivity),
             arc_mode=self._choice("sweep.arc_mode"),
-            gap_anchor=self.anchor(),
+            gap_anchor=self._choice("gap_anchor"),
             arc_range_m=(self.arc_min_um * UM, self.arc_max_um * UM),
             arc_points=self.arc_points,
             accel_range_g=(self.accel_min_g, self.accel_max_g),
@@ -326,35 +313,11 @@ _GROUP_OF_SECTION = {
 }
 
 
-def _flag_groups() -> dict[str, list[tuple[str, dict]]]:
-    """Group title -> (flag, add_argument keywords) of each RunConfig field."""
-    groups: dict[str, list[tuple[str, dict]]] = {}
-    for p in _PARAMS:
-        flag = p.flag or p.name.replace("_", "-")
-        kwargs = {"dest": p.name, "help": p.help}
-        if p.choices:
-            kwargs["choices"] = sorted(m.value for m in p.choices)
-        else:
-            kwargs["metavar"] = flag.replace("-", "_").upper()
-            if typing.get_origin(p.type) is tuple:
-                kwargs["type"] = _names
-            else:  # T or T | None
-                kwargs["type"] = (typing.get_args(p.type) or (p.type,))[0]
-        groups.setdefault(_GROUP_OF_SECTION[p.section], []).append(
-            ("--" + flag, kwargs)
-        )
-    return groups
-
-
-# built once: build_parser runs on every main() call
-_FLAG_GROUPS = _flag_groups()
-
-
-def cmd_capacitance(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_capacitance(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
     kind = FaceKind(args.kind)
-    eps = cfg.permittivity
-    gap = cfg.gap_state().gap_m
-    prof = cfg.planar_face() if kind is FaceKind.FLAT else cfg.profile()
+    eps = plan.drive.permittivity_f_per_m
+    gap = plan.gap.gap_m
+    prof = cfg.planar_face(plan.profile) if kind is FaceKind.FLAT else plan.profile
     value = face_capacitance(kind, prof, gap, eps)
     if isinstance(prof, PlanarProfile):
         print(f"flat face: b = {prof.length_m / UM:g} um, h = {prof.thickness_m / UM:g} um")
@@ -392,9 +355,9 @@ def _cells(row, header: list[str]) -> list[str]:
     return [row.variant.value, *(_sci(getattr(row, name)) for name in header[1:])]
 
 
-def cmd_gain_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_gain_curve(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
     path = _require_csv(cfg)
-    result = gain_curve(cfg.plan())
+    result = gain_curve(plan)
     header = ["variant", "accel_g", "displacement_m", "c1_f", "c2_f", "gain", "v_out_v"]
     rows = [_cells(r, header) for r in result.rows]
     _write_csv(path, header, rows)
@@ -411,6 +374,8 @@ def cmd_gain_curve(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _write_chart(path: str, result: SweepResult, point, *labels: str) -> None:
     """One series per variant of point(row); labels: title, x label, y label."""
+    from . import _svg  # only the --svg runs load the chart writer
+
     series: dict[str, list] = {}
     for r in result.rows:
         series.setdefault(r.variant.value, []).append(point(r))
@@ -427,9 +392,8 @@ def _report_incidents(result: SweepResult, key: str) -> None:
         print(f"  {items[0]['reason']}")
 
 
-def cmd_sensitivity_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
     path = _require_csv(cfg)
-    plan = cfg.plan()
     result = sensitivity_sweep(plan)
     header = [
         "variant",
@@ -469,17 +433,12 @@ def cmd_sensitivity_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    prof = cfg.profile()
-    mech = cfg.mech()
-    drive = cfg.drive()
-    anchor = cfg.anchor()
-    gap = cfg.gap_state()
+def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
     ranked = []
     notes = []
-    for variant in cfg.variant_list():
-        config = ElectrodeConfig.for_variant(variant, prof)
-        report = validate_geometry(config, gap, anchor)
+    for variant in plan.variants:
+        config = ElectrodeConfig.for_variant(variant, plan.profile)
+        report = validate_geometry(config, plan.gap, plan.gap_anchor)
         if not report.ok:
             notes.append(
                 f"{variant.value}: skipped ("
@@ -487,28 +446,28 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
                 + ")"
             )
             continue
-        d1, d2 = side_nominal_gaps(config, gap.gap_m, anchor)
-        s = sensitivity_at_side_nominals(config, d1, d2, mech, drive, 0.0)
+        d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+        s = sensitivity_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
         ranked.append((variant, s))
     if not ranked:
         raise GeometryDomainError(
             "no variant is valid at the given parameters",
             kind=FaceKind.FLAT,
-            gap_m=gap.gap_m,
+            gap_m=plan.gap.gap_m,
         )
     ranked.sort(key=lambda pair: -abs(pair[1]))
     print(f"{'rank':>4}  {'variant':16s} {'S [mV/g]':>12} {'S_net [mV/g]':>14}")
     rows = []
     for i, (variant, s) in enumerate(ranked, start=1):
         s_mv = s * 1e3
-        s_net_mv = net_sensitivity(s, mech) * 1e3
+        s_net_mv = net_sensitivity(s, plan.mech) * 1e3
         print(f"{i:>4}  {variant.value:16s} {s_mv:>12.6f} {s_net_mv:>14.6f}")
         rows.append([str(i), variant.value, _sci(s_mv), _sci(s_net_mv)])
     for note in notes:
         print(note)
     print(
-        f"(arc {prof.arc_length() / UM:g} um, gap {cfg.gap_um:g} um, "
-        f"{anchor.value} anchor, N = {mech.comb_count})"
+        f"(arc {plan.profile.arc_length() / UM:g} um, gap {cfg.gap_um:g} um, "
+        f"{plan.gap_anchor.value} anchor, N = {plan.mech.comb_count})"
     )
     if cfg.csv:
         _write_csv(cfg.csv, ["rank", "variant", "s_mv_per_g", "s_net_mv_per_g"], rows)
@@ -516,20 +475,17 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_config_geometry(cfg: RunConfig) -> None:
+def _validate_config_geometry(plan: SweepPlan) -> None:
     """Domain-gate the configured geometry before any suite runs."""
-    prof = cfg.profile()
-    gap = cfg.gap_state()
-    anchor = cfg.anchor()
-    for variant in cfg.variant_list():
-        config = ElectrodeConfig.for_variant(variant, prof)
-        report = validate_geometry(config, gap, anchor)
+    for variant in plan.variants:
+        config = ElectrodeConfig.for_variant(variant, plan.profile)
+        report = validate_geometry(config, plan.gap, plan.gap_anchor)
         if not report.ok:
             first = report.violations[0]
             raise GeometryDomainError(
                 f"{variant.value}: side {first.side}: {first.rule}",
                 kind=config.side_kinds()[first.side - 1],
-                gap_m=gap.gap_m,
+                gap_m=plan.gap.gap_m,
             )
 
 
@@ -619,10 +575,10 @@ def _suite_symmetry(rng: random.Random, points: int) -> float:
     return worst
 
 
-def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
-    _validate_config_geometry(cfg)
+    _validate_config_geometry(plan)
     rng = random.Random(20260816)
     n = max(10, args.points)
     suites = [
@@ -650,7 +606,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-# Each subcommand: name -> (help, handler(cfg, args), its own flags as
+# Each subcommand: name -> (help, handler(cfg, plan, args), its own flags as
 # (flag, add_argument keywords)); every one also takes the shared flags.
 _COMMANDS = {
     "capacitance": (
@@ -685,28 +641,44 @@ _COMMANDS = {
 
 
 def build_parser() -> _Parser:
+    """The curvedcomb parser: each subcommand inherits one shared parent
+    that holds --config and a flag per _PARAMS entry, then adds its own."""
+    shared = _Parser(add_help=False)
+    shared.add_argument("--config", help="JSON config file (flags override it)")
+    groups = {t: shared.add_argument_group(t) for t in _GROUP_OF_SECTION.values()}
+    for p in _PARAMS:
+        flag = p.flag or p.name.replace("_", "-")
+        kwargs = {"dest": p.name, "help": p.help}
+        if p.choices:
+            kwargs["choices"] = sorted(m.value for m in p.choices)
+        else:
+            kwargs["metavar"] = flag.replace("-", "_").upper()
+            if typing.get_origin(p.type) is tuple:
+                kwargs["type"] = _names
+            else:  # T or T | None
+                kwargs["type"] = (typing.get_args(p.type) or (p.type,))[0]
+        groups[_GROUP_OF_SECTION[p.section]].add_argument("--" + flag, **kwargs)
     parser = _Parser(
         prog="curvedcomb",
         description="Curved-electrode capacitive accelerometer model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, own_flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[shared])
         for flag, kwargs in own_flags:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        for title, flags in _FLAG_GROUPS.items():
-            group = p.add_argument_group(title)
-            for flag, kwargs in flags:
-                group.add_argument(flag, **kwargs)
     return parser
 
 
+# built once per process; main parses every command line with it
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command][1](resolve_config(args), args)
+        args = _PARSER.parse_args(argv)
+        cfg = resolve_config(args)
+        return _COMMANDS[args.command][1](cfg, cfg.plan(), args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -74,6 +74,12 @@ def _require_in_envelope(name: str, value: float, q: str) -> None:
         raise ValueError(f"{name} = {value} is outside the model's {q} range [{lo}, {hi}]")
 
 
+def _require_member(name: str, value, enum: type[Enum]) -> None:
+    """Raise ValueError unless value is a member of enum."""
+    if not isinstance(value, enum):
+        raise ValueError(f"{name} must be a {enum.__name__}, got {value!r}")
+
+
 class FaceKind(Enum):
     """Shape of one fixed-electrode face as seen by the movable plane."""
 
@@ -260,6 +266,7 @@ class ElectrodeConfig(_Record):
     __slots__ = ("variant", "profile", "planar_face")
 
     def __init__(self, variant: Variant, profile: ArcProfile, planar_face: PlanarProfile) -> None:
+        _require_member("variant", variant, Variant)
         kinds = SIDE_KINDS[variant]
         if FaceKind.FLAT in kinds and variant is not Variant.PLANAR:
             want = profile.arc_length()
@@ -319,6 +326,7 @@ class DriveModel(_Record):
         permittivity_f_per_m: float = VACUUM_PERMITTIVITY,
     ) -> None:
         _require_in_envelope("v_in_volts", v_in_volts, "voltage")
+        _require_member("feedback_mode", feedback_mode, FeedbackMode)
         _require_in_envelope("permittivity_f_per_m", permittivity_f_per_m, "permittivity")
         _set(self, "v_in_volts", v_in_volts)
         _set(self, "feedback_mode", feedback_mode)
@@ -346,6 +354,7 @@ def side_nominal_gaps(
     The returned values may be nonpositive for deep convex bows; callers
     are expected to validate before evaluating capacitance.
     """
+    _require_member("anchor", anchor, GapAnchor)
     if anchor is GapAnchor.APEX:
         return gap_m, gap_m
     s = config.profile.sagitta()

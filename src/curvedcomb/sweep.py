@@ -48,6 +48,7 @@ from .model import (
     _Record,
     _bowed_gap,
     _require_in_envelope,
+    _require_member,
     _set,
     validate_geometry,
 )
@@ -116,6 +117,10 @@ class SweepPlan(_Record):
     ) -> None:
         if not variants:
             raise ValueError("plan needs at least one variant")
+        for variant in variants:
+            _require_member("variant", variant, Variant)
+        _require_member("arc_mode", arc_mode, ArcMode)
+        _require_member("gap_anchor", gap_anchor, GapAnchor)
         if gap.displacement_m != 0.0:
             raise ValueError("plan gap must be at rest (displacement 0)")
         for name, (lo, hi), quantity, count_name, count in (

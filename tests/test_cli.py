@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -364,7 +367,7 @@ class TestModelEnvelope:
              "arc_length_m must be positive and finite, got 0.0"),
             # the quadrature overflowed to inf: a NaN relative difference
             (["capacitance", "--kind", "flat", "--verify", "--permittivity", "1e308"],
-             "permittivity = 1e+308 is outside the model's permittivity range"),
+             "permittivity_f_per_m = 1e+308 is outside the model's permittivity range"),
             # C * C overflowed, or C underflowed to 0 and divided the gain
             (["compare", "--permittivity", "1e308"],
              "permittivity_f_per_m = 1e+308 is outside the model's"),
@@ -477,6 +480,70 @@ class TestValidateCommand:
         assert "domain error" in err
 
 
+class TestOneParser:
+    """One parser per process, shared by every subcommand, and one plan
+    resolved before any subcommand runs."""
+
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        def rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        code, out, _ = run(capsys, "compare")
+        assert code == 0 and "Biconvex" in out
+
+    def test_each_shared_flag_is_one_action_of_every_subcommand(self):
+        subparsers = cli._PARSER._subparsers._group_actions[0].choices
+        assert sorted(subparsers) == sorted(cli._COMMANDS)
+        for param in cli._PARAMS:
+            actions = {
+                id(action)
+                for parser in subparsers.values()
+                for action in parser._actions
+                if action.dest == param.name
+            }
+            assert len(actions) == 1, param.name
+
+    def test_the_shared_parser_keeps_no_state_between_calls(self, capsys):
+        code, out, _ = run(capsys, "capacitance", "--kind", "convex", "--verify")
+        assert code == 0 and "quadrature oracle" in out
+        code, out, _ = run(capsys, "capacitance", "--kind", "convex")
+        assert code == 0 and "quadrature oracle" not in out
+
+    @pytest.mark.parametrize(
+        "bad", [["--m-kg", "nan"], ["--accel-min-g", "nan"], ["--arc-points", "1"],
+                ["--variants", "bogus"]], ids=lambda bad: bad[0]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["capacitance", "--kind", "convex", "--verify"],
+         ["gain-curve", "--csv", "out.csv", "--svg", "out.svg"],
+         ["sensitivity-sweep", "--csv", "out.csv", "--svg", "out.svg", "--verify"],
+         ["compare", "--csv", "out.csv"],
+         ["validate", "--points", "10"]],
+        ids=lambda command: command[0],
+    )
+    def test_every_subcommand_checks_every_shared_flag(
+        self, tmp_path, monkeypatch, capsys, command, bad
+    ):
+        # a subcommand once built only the model objects it read, so a bad
+        # value of any other shared flag exited 0
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *command, *bad)
+        assert code == 2, err
+        assert err.startswith("error: ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_importing_the_cli_leaves_the_chart_writer_unloaded(self):
+        probe = "import sys, curvedcomb.cli; print('curvedcomb._svg' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.stdout.strip() == "False"
+
+
 class TestDeterminism:
     def test_sweep_csv_is_byte_stable(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -566,6 +633,8 @@ EDGE_GAPS = st.floats(-20.0, -3.0).map(lambda e: repr(0.4995834722974 + 10.0**e)
 COMMANDS = st.one_of(
     st.just(["compare"]),
     st.just(["gain-curve"]),
+    st.just(["sensitivity-sweep", "--csv", "s.csv"]),
+    st.just(["validate", "--points", "1"]),
     KINDS.map(lambda kind: ["capacitance", f"--kind={kind}"]),
     st.tuples(KINDS, EDGE_GAPS).map(
         lambda kg: ["capacitance", f"--kind={kg[0]}", "--verify", f"--gap-um={kg[1]}"]

@@ -5,13 +5,16 @@ import pytest
 
 from curvedcomb import (
     ArcProfile,
+    ArcMode,
     DriveModel,
     ElectrodeConfig,
     FaceKind,
+    FeedbackMode,
     GapAnchor,
     GapState,
     MechanicalModel,
     PlanarProfile,
+    SweepPlan,
     Variant,
     displacement,
     side_gap_bounds,
@@ -312,3 +315,45 @@ class TestEnvelope:
         assert r * (1e-9 / r) < 1e-9
         prof = ArcProfile(r, 1e-9 / r, 2e-6)
         PlanarProfile(prof.arc_length(), 2e-6)
+
+
+_PROFILE = ArcProfile(100e-6, 0.2, 2e-6)
+_CONFIG = ElectrodeConfig.for_variant(Variant.BICONVEX, _PROFILE)
+_FACE = PlanarProfile(_PROFILE.arc_length(), 2e-6)
+
+
+def _plan(**fields):
+    base = dict(
+        variants=(Variant.BICONVEX,), profile=_PROFILE, gap=GapState(2e-6),
+        mech=MechanicalModel(2.6e-10, 1.0, 21), drive=DriveModel(1.0),
+    )
+    return SweepPlan(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "name, enum, build",
+    [
+        ("feedback_mode", FeedbackMode, lambda bad: DriveModel(1.0, bad)),
+        ("variant", Variant, lambda bad: ElectrodeConfig(bad, _PROFILE, _FACE)),
+        ("anchor", GapAnchor, lambda bad: side_nominal_gaps(_CONFIG, 2e-6, bad)),
+        ("anchor", GapAnchor, lambda bad: validate_geometry(_CONFIG, GapState(2e-6), bad)),
+        ("variant", Variant, lambda bad: _plan(variants=(Variant.PLANAR, bad))),
+        ("arc_mode", ArcMode, lambda bad: _plan(arc_mode=bad)),
+        ("gap_anchor", GapAnchor, lambda bad: _plan(gap_anchor=bad)),
+    ],
+    ids=["DriveModel", "ElectrodeConfig", "side_nominal_gaps", "validate_geometry",
+         "SweepPlan.variants", "SweepPlan.arc_mode", "SweepPlan.gap_anchor"],
+)
+@pytest.mark.parametrize("kind", ["value", "None", "int", "other enum"])
+def test_enum_fields_reject_non_members(name, enum, build, kind):
+    # a member's own value once passed: "matched-sum" gave nominal feedback,
+    # "apex" the face-plane gaps, and "Biconvex" a KeyError
+    bad = {
+        "value": next(iter(enum)).value,
+        "None": None,
+        "int": 3,
+        "other enum": FaceKind.FLAT,
+    }[kind]
+    message = f"{name} must be a {enum.__name__}, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(bad)
