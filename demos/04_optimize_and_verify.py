@@ -34,7 +34,8 @@ plan = SweepPlan(
     arc_mode=ArcMode.VARY_R_FIXED_ARC,
 )
 
-print("arc length maximizing |S| on [5, 60] um (golden-section search)")
+print("arc length maximizing |S| on [5, 60] um (better bound where |S| has")
+print("no interior maximum, else golden-section search)")
 best = []
 for variant in Variant:
     arc, s = maximize_sensitivity(variant, (5 * UM, 60 * UM), plan)
@@ -45,7 +46,7 @@ for variant in Variant:
         f"   S_net = {net_sensitivity(s, mech) * 1e3:8.3f} mV/g"
     )
 print("monotone trends push every optimum to an interval endpoint; the")
-print("planar row is flat in arc length, so any point of the interval ties.")
+print("planar row is flat in arc length and reports the lower bound.")
 
 # trust, then verify: differentiate the gain numerically at each optimum
 print("\nanalytic vs finite-difference sensitivity at each optimum")

@@ -27,9 +27,12 @@ from .model import (
     ArcProfile,
     FaceKind,
     PlanarProfile,
+    _CONCAVE,
     _CONVEX,
     _FLAT,
+    _OPEN_GAPS,
     _check_profile,
+    _concave_gaps,
     _require_in_envelope,
     side_gap_bounds,
 )
@@ -67,13 +70,16 @@ def _resolve_face(kind: FaceKind, profile, permittivity: float) -> tuple:
     return _convex if kind is _CONVEX else _concave, lo, hi, kind, lead, r, profile.half_tan()
 
 
-def _resolve_at_arc(kind: FaceKind, prof: ArcProfile, permittivity: float) -> tuple:
-    """The face of kind at one arc length: a flat one is cut to prof's arc
-    length and thickness, which prof has checked, with no PlanarProfile."""
+def _resolve_at_arc(kind: FaceKind, r: float, phi: float, h: float, permittivity: float,
+                    sagitta_m: float) -> tuple:
+    """_resolve_face's face of kind on the arc (R, phi, h) of the given
+    sagitta, all of which the caller has checked, with no profile built: a
+    flat face is cut to the arc's length R*phi."""
     if kind is _FLAT:
-        lo, hi = side_gap_bounds(kind, prof)
-        return _flat, lo, hi, kind, permittivity * prof.thickness_m * prof.arc_length()
-    return _resolve_face(kind, prof, permittivity)
+        return _flat, *_OPEN_GAPS, kind, permittivity * h * (r * phi)
+    lo, hi = _concave_gaps(r, sagitta_m) if kind is _CONCAVE else _OPEN_GAPS
+    kernel = _convex if kind is _CONVEX else _concave
+    return kernel, lo, hi, kind, 4.0 * permittivity * h * r, r, math.tan(phi / 4.0)
 
 
 def _out_of_domain(face: tuple, gap_m: float) -> GeometryDomainError:

@@ -62,22 +62,32 @@ _ENVELOPE = {
     "comb_count": (1, 10**6),
     "points": (2, 10**6),  # grid points of a plan range
 }
-_MAX_GAP_M = 2.0 * _ENVELOPE["length"][1]  # side_gap_bounds' convex/flat ceiling
+# side_gap_bounds of convex and flat faces: the floor, and twice the
+# largest nominal gap as the ceiling
+_OPEN_GAPS = (2.0**-340, 2.0 * _ENVELOPE["length"][1])
 
 
 def _require_in_envelope(name: str, value: float, q: str) -> None:
-    """Raise ValueError unless value lies in the _ENVELOPE interval of q."""
+    """Raise ValueError unless value is a real number in the _ENVELOPE
+    interval of q."""
     lo, hi = _ENVELOPE[q]
-    if not lo <= value <= hi:  # one comparison, which NaN fails
+    try:
+        inside = lo <= value <= hi  # one comparison, which NaN fails
+    except TypeError:  # not comparable with a number, such as a str
+        inside = False
+    if not inside:
+        if not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         if lo > 0 and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
         raise ValueError(f"{name} = {value} is outside the model's {q} range [{lo}, {hi}]")
 
 
-def _require_member(name: str, value, enum: type[Enum]) -> None:
-    """Raise ValueError unless value is a member of enum."""
-    if not isinstance(value, enum):
-        raise ValueError(f"{name} must be a {enum.__name__}, got {value!r}")
+def _require_member(name: str, value, cls: type) -> None:
+    """Raise ValueError unless value is an instance of cls (of an Enum: a
+    member)."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 class FaceKind(Enum):
@@ -217,11 +227,15 @@ class ArcProfile(_Record):
 
     def sagitta(self) -> float:
         """Bow depth R * (1 - cos(phi/2)) (m)."""
-        return self.radius_m * (1.0 - math.cos(self.angular_extent_rad / 2.0))
+        return _sagitta(self.radius_m, self.angular_extent_rad)
 
     def half_tan(self) -> float:
         """tan(phi/4), the T of the closed forms."""
         return math.tan(self.angular_extent_rad / 4.0)
+
+
+def _sagitta(radius_m: float, angular_extent_rad: float) -> float:
+    return radius_m * (1.0 - math.cos(angular_extent_rad / 2.0))
 
 
 class PlanarProfile(_Record):
@@ -442,9 +456,13 @@ def side_gap_bounds(
     of the model envelope, is never reached by a cell's widening side.
     """
     if kind is _CONCAVE:
-        lo = profile.sagitta() + CONCAVE_EDGE_MARGIN_REL * profile.radius_m
-        return lo, 2.0 * profile.radius_m
-    return 2.0**-340, _MAX_GAP_M
+        return _concave_gaps(profile.radius_m, profile.sagitta())
+    return _OPEN_GAPS
+
+
+def _concave_gaps(radius_m: float, sagitta_m: float) -> tuple[float, float]:
+    """side_gap_bounds of a concave face, from its radius and sagitta."""
+    return sagitta_m + CONCAVE_EDGE_MARGIN_REL * radius_m, 2.0 * radius_m
 
 
 # hot paths read these names: a member read such as FaceKind.FLAT costs 10x
@@ -475,15 +493,18 @@ def validate_geometry(
     violation naming the bound it crossed. The report is ok exactly when
     both closed forms evaluate at the displaced gaps.
 
-    Never raises; returns a structured report with per-side minimum
-    physical gaps and, for valid concave sides, the atanh argument whose
-    approach to 1 signals edge contact.
+    Raises ValueError only for an argument of the wrong type; otherwise
+    returns a structured report with per-side minimum physical gaps and,
+    for valid concave sides, the atanh argument whose approach to 1
+    signals edge contact.
 
     Args:
         config: electrode pairing under test.
         gap: nominal gap and displacement.
         anchor: gap convention used to place each face (default APEX).
     """
+    _require_member("config", config, ElectrodeConfig)
+    _require_member("gap", gap, GapState)
     d1, d2 = side_nominal_gaps(config, gap.gap_m, anchor)
     gaps = (d1 - gap.displacement_m, d2 + gap.displacement_m)
     violations: list[Violation] = []

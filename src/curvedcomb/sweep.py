@@ -14,15 +14,24 @@ extent at fixed radius (the bow deepens with arc length and eventually
 reaches the gap), VARY_R_FIXED_ARC scales the radius at fixed angular
 extent (a similarity family whose bow stays proportional to arc length).
 
-At one profile every variant reads one face table: each distinct face
-kind resolved once (a flat face cut to the arc's length and thickness,
-with no PlanarProfile) at its rest gap under the plan's anchor.
-sensitivity_sweep builds it per arc length and evaluates each face once
-for every row; gain_curve builds it once per curve and hands each valid
-variant the cell (variant, face 1, face 2, d1, d2) of the bridge. An
-optimizer step reads S the same way, at rest with C_fb = c1 + c2, but
-unrolled over its pairing's kinds: the step is most of a solve's time,
-and reading it off a per-kind table made solves ~30 % slower.
+At one profile every variant reads one face table: each distinct kind
+resolved once at its rest gap (a flat face cut to the arc), built per arc
+by sensitivity_sweep and once per curve by gain_curve. An optimizer step
+reads S the same way, at rest with C_fb = c1 + c2, unrolled over its
+pairing's kinds (a table made solves ~30 % slower).
+
+S against arc length (README: each step): at rest a face of local gap
+L(theta) has C = eps*h*R*int 1/L and dC/dd = -eps*h*R*int 1/L**2, so a
+symmetric pairing's |S| is, under either feedback mode, a fixed multiple
+of M = int L**-2 / int L**-1, the 1/L-weighted mean of 1/L; Planar's is
+constant. A longer arc adds edges (whose 1/L is the least on a convex
+APEX face, the most on a concave one), scales R in L = D + R*u (with
+u <= 0 M rises by Cauchy-Schwarz), or else moves M as the closed forms
+in d/R and T = tan(phi/4) or an integration by parts sign it: M has no
+interior maximum. The mixed pair's gaps are D -+ W; under nominal
+feedback its |S| rises with the weighted mean of 1/(D**2 - W**2), which a
+longer arc raises. Under matched-sum feedback it, and the plano
+pairings, keep the search.
 """
 
 from __future__ import annotations
@@ -44,11 +53,13 @@ from .model import (
     MechanicalModel,
     Variant,
     _FACE_PLANE,
+    _FLAT,
     _MATCHED_SUM,
     _Record,
     _bowed_gap,
     _require_in_envelope,
     _require_member,
+    _sagitta,
     _set,
     validate_geometry,
 )
@@ -115,6 +126,8 @@ class SweepPlan(_Record):
         accel_range_g: tuple[float, float] = (-1.0, 1.0),
         accel_points: int = 21,
     ) -> None:
+        if not isinstance(variants, tuple):
+            raise ValueError(f"variants must be a tuple of Variant, got {variants!r}")
         if not variants:
             raise ValueError("plan needs at least one variant")
         for variant in variants:
@@ -123,10 +136,13 @@ class SweepPlan(_Record):
         _require_member("gap_anchor", gap_anchor, GapAnchor)
         if gap.displacement_m != 0.0:
             raise ValueError("plan gap must be at rest (displacement 0)")
-        for name, (lo, hi), quantity, count_name, count in (
+        for name, span, quantity, count_name, count in (
             ("arc_range_m", arc_range_m, "length", "arc_points", arc_points),
             ("accel_range_g", accel_range_g, "accel_g", "accel_points", accel_points),
         ):
+            if not (isinstance(span, tuple) and len(span) == 2):
+                raise ValueError(f"{name} must be a (min, max) tuple, got {span!r}")
+            lo, hi = span
             _require_in_envelope(f"{name} min", lo, quantity)
             _require_in_envelope(f"{name} max", hi, quantity)
             if not lo < hi:
@@ -174,18 +190,22 @@ def _ordered_variants(variants: Iterable[Variant]) -> list[Variant]:
     return sorted(unique, key=_VARIANT_ORDER.__getitem__)
 
 
+def _arc_shape(plan: SweepPlan, arc_length_m: float) -> tuple[float, float]:
+    """(R, phi) realizing one arc length under the plan's mode."""
+    if plan.arc_mode is _VARY_PHI_FIXED_R:
+        r = plan.profile.radius_m
+        return r, arc_length_m / r
+    phi = plan.profile.angular_extent_rad
+    return arc_length_m / phi, phi
+
+
 def _profile_at(plan: SweepPlan, arc_length_m: float) -> ArcProfile:
     """Profile realizing one grid arc length under the plan's mode.
 
     Raises ValueError when the arc length is unrealizable (e.g. the
     angular extent would leave [0, pi) at fixed radius).
     """
-    h = plan.profile.thickness_m
-    if plan.arc_mode is _VARY_PHI_FIXED_R:
-        r = plan.profile.radius_m
-        return ArcProfile(r, arc_length_m / r, h)
-    phi = plan.profile.angular_extent_rad
-    return ArcProfile(arc_length_m / phi, phi, h)
+    return ArcProfile(*_arc_shape(plan, arc_length_m), plan.profile.thickness_m)
 
 
 def _echo(plan: SweepPlan) -> dict:
@@ -229,8 +249,9 @@ def _rest_faces(plan: SweepPlan, prof: ArcProfile, kinds: list) -> list[tuple]:
     one cut to prof), its closed-form gap by side_nominal_gaps' anchor rule
     and whether the face admits that gap."""
     eps, gap = plan.drive.permittivity_f_per_m, plan.gap.gap_m
-    bow = prof.sagitta() if plan.gap_anchor is _FACE_PLANE else 0.0  # APEX: the plan gap
-    faces = [(_resolve_at_arc(k, prof, eps), _bowed_gap(k, gap, bow)) for k in kinds]
+    r, phi, h, sag = prof.radius_m, prof.angular_extent_rad, prof.thickness_m, prof.sagitta()
+    bow = sag if plan.gap_anchor is _FACE_PLANE else 0.0  # APEX: the plan gap
+    faces = [(_resolve_at_arc(k, r, phi, h, eps, sag), _bowed_gap(k, gap, bow)) for k in kinds]
     return [(face, d, face[1] < d < face[2]) for face, d in faces]
 
 
@@ -381,16 +402,21 @@ def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
     return plan, variant, k1, None if k2 is k1 else k2, bowed, eps, plan.gap.gap_m
 
 
-def _sensitivity_at_arc(solve: tuple, arc_length_m: float) -> float:
-    # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode
+def _sensitivity_at_arc(solve: tuple, arc_length_m: float, checked: bool = True) -> float:
+    # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode; an
+    # unchecked arc lies between two checked ones, so builds no ArcProfile
     plan, variant, k1, k2, bowed, eps, gap = solve
-    prof = _profile_at(plan, arc_length_m)
-    bow = prof.sagitta() if bowed else 0.0
-    f1, d1 = _resolve_at_arc(k1, prof, eps), _bowed_gap(k1, gap, bow)
+    if checked:
+        _profile_at(plan, arc_length_m)  # raises the profile's ValueError
+    r, phi = _arc_shape(plan, arc_length_m)
+    h, sag = plan.profile.thickness_m, _sagitta(r, phi)
+    bow = sag if bowed else 0.0
+    f1, d1 = _resolve_at_arc(k1, r, phi, h, eps, sag), _bowed_gap(k1, gap, bow)
     f2, d2 = f1, d1
     if k2 is not None:
-        f2, d2 = _resolve_at_arc(k2, prof, eps), _bowed_gap(k2, gap, bow)
+        f2, d2 = _resolve_at_arc(k2, r, phi, h, eps, sag), _bowed_gap(k2, gap, bow)
     if not (f1[1] < d1 < f1[2] and f2[1] < d2 < f2[2]):
+        prof = _profile_at(plan, arc_length_m)
         reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
         raise ValueError(
             f"invalid geometry for {variant.value} at arc {arc_length_m} m: {reason}"
@@ -407,12 +433,13 @@ def maximize_sensitivity(
 ) -> tuple[float, float]:
     """Arc length maximizing |S| for one variant, with the S it achieves.
 
-    Golden-section search on |S(arc length)| to an absolute argument
-    tolerance of 1e-10 m, sharing the plan's geometry mode, anchor and
-    readout parameters (not its grids).
-    Every evaluation is remembered and both bounds are evaluated, so for
-    monotone variants the returned point is the better interval endpoint
-    rather than an interior golden point.
+    Both bounds are evaluated first, each checked. Where |S(arc)| has no
+    interior local maximum (module docstring: the symmetric pairings, and
+    the mixed one under nominal feedback) the better bound is the answer,
+    the lower one for Planar, whose S does not vary. The other solves keep
+    a golden-section search on |S| to an absolute argument tolerance of
+    1e-10 m, sharing the plan's geometry mode, anchor and readout
+    parameters (not its grids), and return the best point evaluated.
 
     Args:
         variant: electrode pairing to optimize.
@@ -433,15 +460,19 @@ def maximize_sensitivity(
     evals: dict[float, float] = {}
     solve = _solve_of(plan, variant)
 
-    def f(arc: float) -> float:
-        s = _sensitivity_at_arc(solve, arc)
+    def f(arc: float, checked: bool = False) -> float:
+        s = _sensitivity_at_arc(solve, arc, checked)
         evals[arc] = s
         return abs(s)
 
-    f(lo)  # bound evaluations raise ValueError on invalid bounds
+    f(lo, True)  # bound evaluations raise ValueError on invalid bounds
     if hi == lo:
         return lo, evals[lo]
-    f(hi)
+    f(hi, True)
+    k1, k2 = solve[2:4]  # no interior maximum (module docstring): the better bound
+    if k2 is None or (_FLAT not in (k1, k2) and plan.drive.feedback_mode is not _MATCHED_SUM):
+        best = hi if k1 is not _FLAT and abs(evals[hi]) > abs(evals[lo]) else lo
+        return best, evals[best]
     a, b = lo, hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)

@@ -143,9 +143,14 @@ def test_flat_face_cut_to_an_arc_matches_its_planar_profile(seed):
     rng = random.Random(seed + 200)
     for prof in _profiles(rng, 60):
         flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
+        arc = prof.radius_m, prof.angular_extent_rad, prof.thickness_m
         for eps in (E_LO, E_HI, _log_uniform(rng, E_LO, E_HI)):
-            at_arc = capacitance._resolve_at_arc(FaceKind.FLAT, prof, eps)
+            at_arc = capacitance._resolve_at_arc(FaceKind.FLAT, *arc, eps, prof.sagitta())
             assert at_arc == capacitance._resolve_face(FaceKind.FLAT, flat, eps)
+            # a curved face resolved at the arc is the public path's face
+            for kind in (FaceKind.CONVEX, FaceKind.CONCAVE):
+                face = capacitance._resolve_at_arc(kind, *arc, eps, prof.sagitta())
+                assert face == capacitance._resolve_face(kind, prof, eps)
             for gap in _inside(rng, *side_gap_bounds(FaceKind.FLAT, flat), 4):
                 ref = _face_eval(_resolve_face(FaceKind.FLAT, flat), gap, eps)
                 assert at_arc[0](at_arc, gap) == ref

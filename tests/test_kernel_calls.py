@@ -11,7 +11,8 @@ whose cell is valid. An optimizer step is at rest,
 where C_fb = c1 + c2 under either feedback mode, so it resolves and
 evaluates each distinct face kind of its pairing once (one call for a
 symmetric pairing, two for a mixed one) and builds no PlanarProfile, as
-a flat face is cut to the step's arc profile. fd_sensitivity resolves
+a flat face is cut to the step's arc; a symmetric pairing's solve makes
+only its two bound steps. fd_sensitivity resolves
 its two faces once and each of its four stencil gains evaluates both
 sides: 2 resolves and 8 kernel calls, plus the nominal rest pair once
 per call (10), where routing each gain through the public gain made 10
@@ -28,7 +29,6 @@ from curvedcomb import (
     ArcProfile,
     DriveModel,
     ElectrodeConfig,
-    FaceKind,
     FeedbackMode,
     GapAnchor,
     GapState,
@@ -48,14 +48,13 @@ from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 REST_CALLS_PER_CELL = {FeedbackMode.MATCHED_SUM: 0, FeedbackMode.NOMINAL: 2}
 
 
-def count_calls(monkeypatch, name: str, calls: list, only=lambda *args: True) -> list:
-    """Records in calls every call of capacitance.<name> for which only(*args)
-    holds, at each module that binds the name."""
+def count_calls(monkeypatch, name: str, calls: list) -> list:
+    """Records in calls every call of capacitance.<name>, at each module
+    that binds the name."""
     original = getattr(capacitance, name)
 
     def counted(*args):
-        if only(*args):
-            calls.append(args)
+        calls.append(args)
         return original(*args)
 
     for mod_name, module in list(sys.modules.items()):
@@ -75,13 +74,10 @@ def kernel_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def resolve_calls(monkeypatch) -> list:
-    # _resolve_at_arc hands curved faces to _resolve_face and cuts flat
-    # ones itself, without a PlanarProfile: count those too
-    def flat(kind, *_):
-        return kind is FaceKind.FLAT
-
+    # a face is resolved from its profile (_resolve_face) or, in the sweeps
+    # and the optimizer, from the arc's own numbers (_resolve_at_arc)
     calls = count_calls(monkeypatch, "_resolve_face", [])
-    return count_calls(monkeypatch, "_resolve_at_arc", calls, only=flat)
+    return count_calls(monkeypatch, "_resolve_at_arc", calls)
 
 
 @pytest.fixture
@@ -157,13 +153,17 @@ def test_maximize_sensitivity_evaluation(
         return evaluate(*args)
 
     monkeypatch.setattr(sweep, "_sensitivity_at_arc", counted)
-    # each step resolves and evaluates each distinct face kind once
+    # each step resolves and evaluates each distinct face kind once; a
+    # symmetric pairing compares its two bounds, a plano pairing searches
     for variant, kinds in ((Variant.BICONCAVE, 1), (Variant.PLANO_CONCAVE, 2)):
         plan = make_plan(feedback)
         for calls in (evaluations, resolve_calls, kernel_calls):
             calls.clear()
         maximize_sensitivity(variant, (5e-6, 30e-6), plan)
-        assert len(evaluations) > 10
+        if variant is Variant.BICONCAVE:
+            assert len(evaluations) == 2
+        else:
+            assert len(evaluations) > 10
         assert len(kernel_calls) == kinds * len(evaluations)
         assert len(resolve_calls) == kinds * len(evaluations)
         assert planar_builds == []

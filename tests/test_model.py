@@ -357,3 +357,20 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
     message = f"{name} must be a {enum.__name__}, got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _plan(variants=Variant.PLANAR),
+         "variants must be a tuple of Variant, got <Variant.PLANAR: 'Planar'>"),
+        (lambda: _plan(arc_range_m=None), "arc_range_m must be a (min, max) tuple, got None"),
+        (lambda: validate_geometry(_CONFIG, 2e-6), "gap must be a GapState, got 2e-06"),
+        (lambda: ArcProfile("1e-4", 0.2, 2e-6), "radius_m must be a real number, got '1e-4'"),
+    ],
+    ids=["SweepPlan.variants", "SweepPlan.arc_range_m", "validate_geometry", "ArcProfile"],
+)
+def test_wrong_typed_inputs_raise_value_error(build, message):
+    # these raised TypeError or AttributeError from inside the library
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -32,6 +32,7 @@ HOT_PATHS = [
     (transduction, "_check_range"),
     (transduction, "_operating_point"),
     (transduction, "_sensitivity"),
+    (sweep, "_arc_shape"),
     (sweep, "_profile_at"),
     (sweep, "_rest_faces"),
     (sweep, "_sensitivity_at_arc"),

@@ -477,18 +477,21 @@ def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
         return _sensitivity_at_arc(*args)
 
     monkeypatch.setattr(sweep, "_sensitivity_at_arc", capped)
-    # the planar faces fix S to rounding, so the search wanders to the far end
+    # a plano pairing still searches; at the apex anchor its convex face
+    # admits every arc of the envelope
     plan = make_plan(
         profile=ArcProfile(1e-3, 2.0, STD_H),
         drive=DriveModel(1.0, FeedbackMode.NOMINAL),
+        gap_anchor=GapAnchor.APEX,
     )
     if bounds[1] > 1.0:
         with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
-            maximize_sensitivity(Variant.PLANAR, bounds, plan)
+            maximize_sensitivity(Variant.PLANO_CONVEX, bounds, plan)
         return
-    arc, s = maximize_sensitivity(Variant.PLANAR, bounds, plan)
+    arc, s = maximize_sensitivity(Variant.PLANO_CONVEX, bounds, plan)
+    assert len(calls) > 10
     assert bounds[0] <= arc <= bounds[1]
-    assert s == _sensitivity_at_arc(_solve_of(plan, Variant.PLANAR), arc)
+    assert s == _sensitivity_at_arc(_solve_of(plan, Variant.PLANO_CONVEX), arc)
 
 
 class TestGainCurve:
