@@ -16,9 +16,11 @@ extent (a similarity family whose bow stays proportional to arc length).
 
 At one profile every variant reads one face table: each distinct kind
 resolved once at its rest gap (a flat face cut to the arc), built per arc
-by sensitivity_sweep and once per curve by gain_curve. An optimizer step
-reads S the same way, at rest with C_fb = c1 + c2, unrolled over its
-pairing's kinds (a table made solves ~30 % slower).
+by sensitivity_sweep and once per curve by gain_curve, which at each
+acceleration evaluates each (side, kind) face at most once, on first use;
+an invalid cell's reason is read off the table (model._RULES). An
+optimizer step reads S the same way, at rest with C_fb = c1 + c2,
+unrolled over its pairing's kinds (a table made solves ~30 % slower).
 
 S against arc length (README: each step): at rest a face of local gap
 L(theta) has C = eps*h*R*int 1/L and dC/dd = -eps*h*R*int 1/L**2, so a
@@ -47,7 +49,6 @@ from .model import (
     STANDARD_GRAVITY,
     ArcProfile,
     DriveModel,
-    ElectrodeConfig,
     GapAnchor,
     GapState,
     MechanicalModel,
@@ -55,23 +56,16 @@ from .model import (
     _FACE_PLANE,
     _FLAT,
     _MATCHED_SUM,
+    _RULES,
     _Record,
     _bowed_gap,
     _require_in_envelope,
     _require_member,
     _sagitta,
     _set,
-    validate_geometry,
+    displacement,
 )
-from .transduction import (
-    OverRangeError,
-    _Evaluation,
-    _gain,
-    _operating_point,
-    _rest_feedback,
-    _sensitivity,
-    net_sensitivity,
-)
+from .transduction import _gain, _over_range, _readout, _sensitivity
 
 __all__ = [
     "ArcMode",
@@ -231,10 +225,13 @@ def _echo(plan: SweepPlan) -> dict:
     }
 
 
-def _skip_reason(plan: SweepPlan, config: ElectrodeConfig) -> str:
-    """Why a cell's rest geometry is invalid, worded by validate_geometry."""
-    report = validate_geometry(config, plan.gap, plan.gap_anchor)
-    return "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
+def _skip_reason(*sides: tuple) -> str:
+    """Why a cell is invalid at rest, in validate_geometry's words, from each
+    side's (face, rest gap, ...): the rule of each bound a face's gap crosses."""
+    return "; ".join(
+        f"side {i}: {_RULES[f[3]][d >= f[2]]}"
+        for i, (f, d, *_) in enumerate(sides, start=1) if not f[1] < d < f[2]
+    )
 
 
 def _kinds_of(variants: list[Variant]) -> tuple[list, list]:
@@ -255,23 +252,22 @@ def _rest_faces(plan: SweepPlan, prof: ArcProfile, kinds: list) -> list[tuple]:
     return [(face, d, face[1] < d < face[2]) for face, d in faces]
 
 
-def _row(
-    plan: SweepPlan,
-    variant: Variant,
-    profile: ArcProfile,
-    arc_length_m: float,
-    accel_g: float,
-    delta: float,
-    ev: _Evaluation,
-) -> SweepRow:
-    """One row from one bridge evaluation at displacement delta."""
-    g = _gain(ev)
-    s = _sensitivity(ev, plan.mech, plan.drive)
-    return SweepRow(  # positional, in field order: keywords take twice as long
-        variant, arc_length_m, profile.radius_m, profile.angular_extent_rad,
-        accel_g, delta, ev[0], ev[2], g, plan.drive.v_in_volts * g,
-        s * 1e3, net_sensitivity(s, plan.mech) * 1e3,
-    )
+def _row_builder(plan: SweepPlan):
+    """row(variant, arc, R, phi, accel_g, delta, ev): one row from one
+    bridge evaluation ev at displacement delta, with the plan's readout
+    constants (V_in*(m/k), comb count, feedback mode) read once."""
+    v_in, combs = plan.drive.v_in_volts, plan.mech.comb_count
+    v_m_per_k, matched_sum = _readout(plan.mech, plan.drive)
+    new_row = tuple.__new__  # what SweepRow's own __new__ calls, from a Python frame
+
+    def row(variant, arc, r, phi, accel_g, delta, ev) -> SweepRow:
+        g, s = _gain(ev), _sensitivity(ev, v_m_per_k, matched_sum)
+        return new_row(SweepRow, (  # the fields in order
+            variant, arc, r, phi, accel_g, delta, ev[0], ev[2], g, v_in * g,
+            s * 1e3, s * combs * 1e3,  # net_sensitivity's comb-count scaling
+        ))
+
+    return row
 
 
 def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
@@ -286,9 +282,10 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     arcs = _linspace(*plan.arc_range_m, plan.arc_points)
     variants = _ordered_variants(plan.variants)
     kinds, sides = _kinds_of(variants)
-    # per arc: the profile and each kind's (C, dC/dd) at its rest gap, or
-    # None where the face does not admit it; or, for an unrealizable arc,
-    # the reason every variant skips it
+    row = _row_builder(plan)
+    # per arc: R, phi, the face table and each kind's (C, dC/dd) at its rest
+    # gap, or None where the face does not admit it; or, for an
+    # unrealizable arc, the reason every variant skips it
     cells: list = []
     for arc in arcs:
         try:
@@ -298,20 +295,20 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
             continue
         faces = _rest_faces(plan, prof, kinds)
         evals = [face[0](face, d) if ok else None for face, d, ok in faces]
-        cells.append((prof, evals))
+        cells.append((prof.radius_m, prof.angular_extent_rad, faces, evals))
     rows: list[SweepRow] = []
     skipped: list[dict] = []
     for variant, (i1, i2) in zip(variants, sides):
         for arc, cell in zip(arcs, cells):
             reason = cell
             if not isinstance(cell, str):
-                prof, evals = cell
+                r, phi, faces, evals = cell
                 if evals[i1] is not None and evals[i2] is not None:
                     (c1, dc1), (c2, dc2) = evals[i1], evals[i2]
                     ev = c1, dc1, c2, dc2, c1 + c2
-                    rows.append(_row(plan, variant, prof, arc, 0.0, 0.0, ev))
+                    rows.append(row(variant, arc, r, phi, 0.0, 0.0, ev))
                     continue
-                reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
+                reason = _skip_reason(faces[i1], faces[i2])
             skipped.append({"variant": variant.value, "arc_length_m": arc, "reason": reason})
     if not rows:
         raise ValueError(
@@ -331,52 +328,58 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     whose valid accelerations have no spread in floating point has none.
     """
     accels_g = _linspace(*plan.accel_range_g, plan.accel_points)
-    prof = plan.profile
-    arc = prof.arc_length()
-    rows: list[SweepRow] = []
-    over_range: list[dict] = []
-    slopes: dict[str, float] = {}
+    prof, mech = plan.profile, plan.mech
+    arc, r, phi = prof.arc_length(), prof.radius_m, prof.angular_extent_rad
     variants = _ordered_variants(plan.variants)
     kinds, sides = _kinds_of(variants)
     faces = _rest_faces(plan, prof, kinds)
+    row = _row_builder(plan)
+    nominal = plan.drive.feedback_mode is not _MATCHED_SUM
+    rest: dict[int, float] = {}  # nominal C_fb: each kind's C at rest, once
+    outputs: list[tuple] = []  # per variant: (variant, rows, over-range)
+    cells: list[tuple] = []  # per valid cell: its table indices and C_fb
     for variant, (i1, i2) in zip(variants, sides):
         (f1, d1, ok1), (f2, d2, ok2) = faces[i1], faces[i2]
+        outputs.append((variant, vrows := [], vover := []))
         if not (ok1 and ok2):
-            reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
-            over_range.append(
-                {"variant": variant.value, "accel_g": None, "reason": reason}
-            )
+            reason = _skip_reason(faces[i1], faces[i2])
+            vover.append({"variant": variant.value, "accel_g": None, "reason": reason})
             continue
-        cell = variant, f1, f2, d1, d2  # valid at rest: nominal C_fb evaluates once
-        rest_fb = None if plan.drive.feedback_mode is _MATCHED_SUM else _rest_feedback(cell)
-        xs: list[float] = []
-        ys: list[float] = []
-        for a_g in accels_g:
-            try:
-                delta, ev = _operating_point(
-                    cell, plan.mech, plan.drive, a_g * STANDARD_GRAVITY, rest_fb
-                )
-            except OverRangeError as err:
-                over_range.append(
-                    {"variant": variant.value, "accel_g": a_g, "reason": str(err)}
-                )
+        for f, d, i in (f1, d1, i1), (f2, d2, i2):
+            if nominal and i not in rest:
+                rest[i] = f[0](f, d)[0]
+        c_fb = rest[i1] + rest[i2] if nominal else None
+        cells.append(((variant, f1, f2, d1, d2), i1, len(kinds) + i2, c_fb, vrows, vover))
+    for a_g in accels_g:
+        accel = a_g * STANDARD_GRAVITY
+        delta = displacement(mech, accel)
+        # (C, dC/dd) of each face, side 1 then side 2, on first use
+        table: list = [None] * (2 * len(kinds))
+        for cell, j1, j2, c_fb, vrows, vover in cells:
+            variant, f1, f2, d1, d2 = cell
+            g1, g2 = d1 - delta, d2 + delta  # _check_range's test
+            if not (f1[1] < g1 < f1[2] and f2[1] < g2 < f2[2]):
+                reason = str(_over_range(cell, mech, delta, accel))
+                vover.append({"variant": variant.value, "accel_g": a_g, "reason": reason})
                 continue
-            row = _row(plan, variant, prof, arc, a_g, delta, ev)
-            xs.append(a_g)
-            ys.append(row.v_out_v)
-            rows.append(row)
+            if (e1 := table[j1]) is None:
+                e1 = table[j1] = f1[0](f1, g1)
+            if (e2 := table[j2]) is None:
+                e2 = table[j2] = f2[0](f2, g2)
+            (c1, dc1), (c2, dc2) = e1, e2
+            ev = c1, dc1, c2, dc2, c1 + c2 if c_fb is None else c_fb
+            vrows.append(row(variant, arc, r, phi, a_g, delta, ev))
+    rows, over_range, slopes = [], [], {}
+    for variant, vrows, vover in outputs:
+        rows += vrows
+        over_range += vover
+        xs, ys = [x.accel_g for x in vrows], [x.v_out_v for x in vrows]
         if len(xs) >= 2 and (slope := _least_squares_slope(xs, ys)) is not None:
             slopes[variant.value] = slope * 1e3  # mV per g
     if not rows:
         raise ValueError("no valid grid points in the gain-curve plan")
-    return SweepResult(
-        tuple(rows),
-        {
-            "plan": _echo(plan),
-            "over_range": over_range,
-            "fitted_slope_mv_per_g": slopes,
-        },
-    )
+    metadata = {"plan": _echo(plan), "over_range": over_range, "fitted_slope_mv_per_g": slopes}
+    return SweepResult(tuple(rows), metadata)
 
 
 def _least_squares_slope(xs: list[float], ys: list[float]) -> float | None:
@@ -396,16 +399,17 @@ _ARC_TOL_M = 1e-10
 # unrolled over the pairing's kinds: a _rest_faces table made each solve ~30 % slower
 def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
     """One solve, resolved once: the plan, the variant, its side kinds (k2
-    None when both are k1), whether faces bow (FACE_PLANE), eps and gap."""
+    None when both are k1), whether faces bow (FACE_PLANE), eps, gap, _readout."""
     k1, k2 = SIDE_KINDS[variant]
     bowed, eps = plan.gap_anchor is _FACE_PLANE, plan.drive.permittivity_f_per_m
-    return plan, variant, k1, None if k2 is k1 else k2, bowed, eps, plan.gap.gap_m
+    k2 = None if k2 is k1 else k2
+    return plan, variant, k1, k2, bowed, eps, plan.gap.gap_m, *_readout(plan.mech, plan.drive)
 
 
 def _sensitivity_at_arc(solve: tuple, arc_length_m: float, checked: bool = True) -> float:
     # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode; an
     # unchecked arc lies between two checked ones, so builds no ArcProfile
-    plan, variant, k1, k2, bowed, eps, gap = solve
+    plan, variant, k1, k2, bowed, eps, gap, v_m_per_k, matched_sum = solve
     if checked:
         _profile_at(plan, arc_length_m)  # raises the profile's ValueError
     r, phi = _arc_shape(plan, arc_length_m)
@@ -416,14 +420,13 @@ def _sensitivity_at_arc(solve: tuple, arc_length_m: float, checked: bool = True)
     if k2 is not None:
         f2, d2 = _resolve_at_arc(k2, r, phi, h, eps, sag), _bowed_gap(k2, gap, bow)
     if not (f1[1] < d1 < f1[2] and f2[1] < d2 < f2[2]):
-        prof = _profile_at(plan, arc_length_m)
-        reason = _skip_reason(plan, ElectrodeConfig.for_variant(variant, prof))
+        reason = _skip_reason((f1, d1), (f2, d2))
         raise ValueError(
             f"invalid geometry for {variant.value} at arc {arc_length_m} m: {reason}"
         )
     c1, dc1 = e1 = f1[0](f1, d1)
     c2, dc2 = e1 if k2 is None else f2[0](f2, d2)
-    return _sensitivity((c1, dc1, c2, dc2, c1 + c2), plan.mech, plan.drive)
+    return _sensitivity((c1, dc1, c2, dc2, c1 + c2), v_m_per_k, matched_sum)
 
 
 def maximize_sensitivity(

@@ -19,8 +19,10 @@ interval, and their two nominal gaps. Each public call, fd_sensitivity
 included, builds its cell once, checks the travel range against the
 faces' intervals and reads bridge, gain and sensitivity off one
 evaluation: one kernel call per side, plus one per side at rest under
-nominal feedback, which a gain curve evaluates once per variant and
-fd_sensitivity once per call.
+nominal feedback, which fd_sensitivity evaluates once per call. _gain and
+_sensitivity (over _readout's constants) are the one G and S formula; a
+gain curve's rows call them from its own per-acceleration face table, and
+its over-range points take _over_range's message, as _check_range does.
 """
 
 from __future__ import annotations
@@ -163,17 +165,21 @@ def _displacement_interval(cell: _Cell) -> tuple[float, float]:
 def _check_range(cell: _Cell, mech: MechanicalModel, delta: float, accel: float) -> None:
     # test the displaced gaps the closed forms will see, so a passing check
     # always evaluates; the open intervals also reject a NaN displacement
-    variant, f1, f2, d1, d2 = cell
-    if f1[1] < d1 - delta < f1[2] and f2[1] < d2 + delta < f2[2]:
-        return
+    _, f1, f2, d1, d2 = cell
+    if not (f1[1] < d1 - delta < f1[2] and f2[1] < d2 + delta < f2[2]):
+        raise _over_range(cell, mech, delta, accel)
+
+
+def _over_range(cell: _Cell, mech: MechanicalModel, delta: float, accel: float):
+    """The OverRangeError of a displacement _check_range refuses."""
     lo, hi = _displacement_interval(cell)
     # first invalid acceleration: the interval bound nearer the request (the
     # gap test can fail a displacement the interval still holds by an ulp)
     bound = hi if hi - delta <= delta - lo else lo
     first_bad = bound * mech.spring_n_per_m / mech.mass_kg
-    raise OverRangeError(
+    return OverRangeError(
         f"displacement {delta} m leaves the valid interval ({lo}, {hi}) m for "
-        f"{variant.value}; first invalid acceleration is "
+        f"{cell[0].value}; first invalid acceleration is "
         f"{first_bad} m/s^2 ({first_bad / STANDARD_GRAVITY} g), requested {accel} m/s^2",
         first_invalid_accel_m_s2=first_bad,
         displacement_m=delta,
@@ -227,16 +233,21 @@ def _gain(ev: _Evaluation) -> float:
     return -(c2 - c1) / c_fb
 
 
-def _sensitivity(ev: _Evaluation, mech: MechanicalModel, drive: DriveModel) -> float:
+def _readout(mech: MechanicalModel, drive: DriveModel) -> tuple[float, bool]:
+    """The constants _sensitivity reads: V_in*(m/k), and whether C_fb = C1 + C2."""
+    v_m_per_k = drive.v_in_volts * (mech.mass_kg / mech.spring_n_per_m)
+    return v_m_per_k, drive.feedback_mode is _MATCHED_SUM
+
+
+def _sensitivity(ev: _Evaluation, v_m_per_k: float, matched_sum: bool) -> float:
     """dV_out/da in volts per g by the chain rule over one evaluation."""
     c1, dc1, c2, dc2, c_fb = ev
     # dC1/ddelta = -dc1 (side 1 narrows), dC2/ddelta = +dc2 (side 2 widens)
-    if drive.feedback_mode is _MATCHED_SUM:  # c_fb = c1 + c2
+    if matched_sum:  # c_fb = c1 + c2
         dg_ddelta = -2.0 * (dc2 * c1 + dc1 * c2) / c_fb**2
     else:
         dg_ddelta = -(dc2 + dc1) / c_fb
-    per_ms2 = drive.v_in_volts * (mech.mass_kg / mech.spring_n_per_m) * dg_ddelta
-    return per_ms2 * STANDARD_GRAVITY
+    return v_m_per_k * dg_ddelta * STANDARD_GRAVITY
 
 
 def gain_at_side_nominals(
@@ -286,7 +297,8 @@ def sensitivity_at_side_nominals(
     """Analytic sensitivity with independently placed sides (V per g)."""
     cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
     _, ev = _operating_point(cell, mech, drive, accel_m_s2)
-    return _sensitivity(ev, mech, drive)
+    v_m_per_k, matched_sum = _readout(mech, drive)
+    return _sensitivity(ev, v_m_per_k, matched_sum)
 
 
 def sensitivity(

@@ -4,10 +4,13 @@ per result.
 A sensitivity sweep evaluates each distinct face (kind, profile, gap)
 once: at one arc length every variant shares its faces, so an arc costs
 at most three kernel calls (convex, concave, flat) under either feedback
-mode. A gain curve resolves each distinct face kind once, and a curve
-point evaluates each face once: two kernel calls under either feedback
-mode; nominal feedback adds the two rest capacitances once per variant
-whose cell is valid. An optimizer step is at rest,
+mode. A gain curve resolves each distinct face kind once, and at one
+acceleration its variants share their displaced faces: each distinct
+(side, kind, displaced gap) of an accepted row is evaluated once, at
+most six kernel calls for the seven pairings under either feedback mode
+(28 on the seven-pairing plan below, where one evaluation per row side
+made 60); nominal feedback adds one rest capacitance per distinct kind of
+a valid cell. An optimizer step is at rest,
 where C_fb = c1 + c2 under either feedback mode, so it resolves and
 evaluates each distinct face kind of its pairing once (one call for a
 symmetric pairing, two for a mixed one) and builds no PlanarProfile, as
@@ -17,8 +20,9 @@ its two faces once and each of its four stencil gains evaluates both
 sides: 2 resolves and 8 kernel calls, plus the nominal rest pair once
 per call (10), where routing each gain through the public gain made 10
 resolves and 8 or 16 kernel calls. Skipped cells and over-range points
-cost no call of their own. Counting calls rather than timing keeps this
-deterministic.
+cost no call of their own, and their reasons are read off the face
+table: no ElectrodeConfig is built and validate_geometry is not called.
+Counting calls rather than timing keeps this deterministic.
 """
 
 import sys
@@ -40,18 +44,21 @@ from curvedcomb import (
     fd_sensitivity,
     gain_curve,
     maximize_sensitivity,
+    model,
     sensitivity_sweep,
+    side_nominal_gaps,
     sweep,
 )
+from curvedcomb.model import SIDE_KINDS
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
 REST_CALLS_PER_CELL = {FeedbackMode.MATCHED_SUM: 0, FeedbackMode.NOMINAL: 2}
 
 
-def count_calls(monkeypatch, name: str, calls: list) -> list:
-    """Records in calls every call of capacitance.<name>, at each module
-    that binds the name."""
-    original = getattr(capacitance, name)
+def count_calls(monkeypatch, name: str, calls: list, owner=capacitance) -> list:
+    """Records in calls every call of owner.<name>, at each module that
+    binds the name."""
+    original = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
@@ -93,12 +100,12 @@ def planar_builds(monkeypatch) -> list:
     return builds
 
 
-def make_plan(feedback: FeedbackMode) -> SweepPlan:
+def make_plan(feedback: FeedbackMode, phi: float = STD_PHI) -> SweepPlan:
     # under the face-plane anchor the long convex arcs leave no gap, and
     # +-700 g passes the convex travel limit: both kinds of rejection occur
     return SweepPlan(
         variants=tuple(Variant),
-        profile=ArcProfile(STD_R, STD_PHI, STD_H),
+        profile=ArcProfile(STD_R, phi, STD_H),
         gap=GapState(STD_GAP),
         mech=MechanicalModel(2.6e-10, 1.0, 21),
         drive=DriveModel(1.0, feedback),
@@ -127,11 +134,42 @@ def test_gain_curve_point(kernel_calls, feedback):
     result = gain_curve(plan)
     assert result.metadata["over_range"]
     # an invalid cell is one over-range entry with no acceleration
-    invalid = [o for o in result.metadata["over_range"] if o["accel_g"] is None]
-    valid_cells = len(plan.variants) - len(invalid)
-    assert len(kernel_calls) == (
-        2 * len(result.rows) + REST_CALLS_PER_CELL[feedback] * valid_cells
-    )
+    invalid = {o["variant"] for o in result.metadata["over_range"] if o["accel_g"] is None}
+    faces = set()
+    for row in result.rows:
+        config = ElectrodeConfig.for_variant(row.variant, plan.profile)
+        d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+        k1, k2 = SIDE_KINDS[row.variant]
+        faces |= {(1, k1, d1 - row.displacement_m), (2, k2, d2 + row.displacement_m)}
+    rest_kinds = set()
+    if feedback is FeedbackMode.NOMINAL:
+        rest_kinds = {k for v in plan.variants if v.value not in invalid for k in SIDE_KINDS[v]}
+    assert len(kernel_calls) == len(faces) + len(rest_kinds)
+    if feedback is FeedbackMode.MATCHED_SUM:
+        assert (len(kernel_calls), 2 * len(result.rows)) == (28, 60)
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_skipped_cells_build_no_config(monkeypatch, feedback):
+    # the reason of a skipped cell, an invalid curve cell and an invalid
+    # optimizer bound is read off the face table, not from validate_geometry
+    builds: list = []
+    init = ElectrodeConfig.__init__
+
+    def counted(self, *args):
+        builds.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ElectrodeConfig, "__init__", counted)
+    validations = count_calls(monkeypatch, "validate_geometry", [], owner=model)
+    plan = make_plan(feedback)
+    assert sensitivity_sweep(plan).metadata["skipped"]
+    # at phi = 0.5 the convex bow (3.1 um) is deeper than the 2 um gap
+    over_range = gain_curve(make_plan(feedback, phi=0.5)).metadata["over_range"]
+    assert any(o["accel_g"] is None for o in over_range)
+    with pytest.raises(ValueError, match="invalid geometry"):
+        maximize_sensitivity(Variant.BICONVEX, (5e-6, 60e-6), plan)
+    assert (builds, validations) == ([], [])
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))

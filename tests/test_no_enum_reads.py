@@ -30,11 +30,16 @@ HOT_PATHS = [
     (transduction, "_rest_feedback"),
     (transduction, "_evaluate"),
     (transduction, "_check_range"),
+    (transduction, "_over_range"),
     (transduction, "_operating_point"),
+    (transduction, "_readout"),
     (transduction, "_sensitivity"),
     (sweep, "_arc_shape"),
     (sweep, "_profile_at"),
     (sweep, "_rest_faces"),
+    (sweep, "_skip_reason"),
+    (sweep, "_row_builder"),
+    (sweep, "gain_curve"),  # the curve's per-acceleration table loop
     (sweep, "_sensitivity_at_arc"),
 ]
 

@@ -2,6 +2,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedcomb import (
     __version__,
@@ -30,7 +32,10 @@ from curvedcomb import (
     validate_geometry,
 )
 from curvedcomb import sweep
-from curvedcomb.sweep import _linspace, _sensitivity_at_arc, _solve_of
+from curvedcomb.model import _ENVELOPE
+from curvedcomb.sweep import (
+    _least_squares_slope, _linspace, _ordered_variants, _sensitivity_at_arc, _solve_of,
+)
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
 
@@ -319,10 +324,11 @@ def test_optimizer_step_on_unrealizable_arc_keeps_the_profile_message():
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
 @pytest.mark.parametrize("anchor", list(GapAnchor))
 def test_curve_rows_equal_the_per_point_path(feedback, anchor):
-    """A curve evaluates nominal feedback's rest capacitances once per
-    variant; every row must still equal, bit for bit, what the public
-    per-point functions give at its acceleration, and every over-range
-    point must carry the OverRangeError message."""
+    """A curve shares its displaced faces between variants and evaluates
+    nominal feedback's rest capacitance once per kind; every row must
+    still equal, bit for bit, what the public per-point functions give at
+    its acceleration, and every over-range point must carry the
+    OverRangeError message."""
     # +-900 g passes the travel limit of every variant under both anchors
     plan = make_plan(
         drive=DriveModel(1.0, feedback),
@@ -364,6 +370,145 @@ def test_curve_rows_equal_the_per_point_path(feedback, anchor):
             )
     assert next(rows, None) is None and next(over_range, None) is None
     assert result.rows and result.metadata["over_range"]
+
+
+# Envelope property: the face tables of the sweep and the curve against the
+# public per-cell and per-point path, on plans drawn over the envelope.
+
+
+def log_uniform(quantity: str, lo: float | None = None, hi: float | None = None):
+    """Floats log-uniform over [lo, hi], by default q's envelope interval."""
+    env_lo, env_hi = _ENVELOPE[quantity]
+    lo, hi = lo or env_lo, hi or env_hi
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+
+
+@st.composite
+def envelope_plans(draw) -> SweepPlan:
+    """A plan over the envelope: R, phi, h, gap, mass, stiffness, comb
+    count, drive, both anchors, arc modes and feedback modes, an arc range
+    around the plan's arc and an acceleration range up to 1.1 times the
+    planar travel limit on either side (within the envelope)."""
+    r = draw(log_uniform("length"))
+    # arc <= 3 R keeps phi below pi
+    arc = draw(log_uniform("length", hi=min(1.0, 3.0 * r)))
+    profile = ArcProfile(r, arc / r, draw(log_uniform("length")))
+    gap = draw(log_uniform("length"))
+    mech = MechanicalModel(
+        draw(log_uniform("mass")), draw(log_uniform("stiffness")),
+        draw(st.integers(0, 6).map(lambda e: 10**e)),
+    )
+    limit_g = gap * mech.spring_n_per_m / (mech.mass_kg * STANDARD_GRAVITY)
+    reach = min(1.1 * limit_g, _ENVELOPE["accel_g"][1])
+    ends = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2, unique=True))
+    accel_range = tuple(sorted(u * reach for u in ends))
+    arc_ends = [min(max(arc * 10.0**e, 1e-9), 1.0) for e in
+                draw(st.lists(st.floats(-3.0, 1.0), min_size=2, max_size=2))]
+    arc_range = tuple(sorted(arc_ends))
+    if not (accel_range[0] < accel_range[1] and arc_range[0] < arc_range[1]):
+        arc_range, accel_range = (1e-9, 1.0), (-reach, reach)
+    return SweepPlan(
+        variants=tuple(draw(st.lists(st.sampled_from(list(Variant)), min_size=1, max_size=7))),
+        profile=profile,
+        gap=GapState(gap),
+        mech=mech,
+        drive=DriveModel(
+            draw(log_uniform("voltage")),
+            draw(st.sampled_from(list(FeedbackMode))),
+            draw(log_uniform("permittivity")),
+        ),
+        arc_mode=draw(st.sampled_from(list(ArcMode))),
+        gap_anchor=draw(st.sampled_from(list(GapAnchor))),
+        arc_range_m=arc_range,
+        arc_points=draw(st.integers(2, 8)),
+        accel_range_g=accel_range,
+        accel_points=draw(st.integers(2, 9)),
+    )
+
+
+def _reason(report) -> str:
+    return "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
+
+
+def _per_cell_sweep(plan: SweepPlan) -> tuple[list, list]:
+    """The sweep's rows and skips through the public per-cell path."""
+    rows, skipped = [], []
+    for variant in _ordered_variants(plan.variants):
+        for arc in _linspace(*plan.arc_range_m, plan.arc_points):
+            try:
+                config = ElectrodeConfig.for_variant(variant, _cell_profile(plan, arc))
+            except ValueError as err:
+                reason = str(err)
+            else:
+                report = validate_geometry(config, plan.gap, plan.gap_anchor)
+                if report.ok:
+                    rows.append(_per_cell_row(plan, variant, arc))
+                    continue
+                reason = _reason(report)
+            skipped.append({"variant": variant.value, "arc_length_m": arc, "reason": reason})
+    return rows, skipped
+
+
+def _per_point_curve(plan: SweepPlan) -> tuple[list, list, dict]:
+    """The curve's rows, over-range entries and slopes through the public
+    per-point path; a cell invalid at rest is one entry with
+    validate_geometry's reason."""
+    rows, over_range, slopes = [], [], {}
+    prof = plan.profile
+    for variant in _ordered_variants(plan.variants):
+        config = ElectrodeConfig.for_variant(variant, prof)
+        report = validate_geometry(config, plan.gap, plan.gap_anchor)
+        if not report.ok:
+            over_range.append({"variant": variant.value, "accel_g": None, "reason": _reason(report)})
+            continue
+        d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+        args = (config, d1, d2, plan.mech, plan.drive)
+        curve = []
+        for a_g in _linspace(*plan.accel_range_g, plan.accel_points):
+            accel = a_g * STANDARD_GRAVITY
+            try:
+                point = gain_at_side_nominals(*args, accel)
+            except OverRangeError as err:
+                over_range.append({"variant": variant.value, "accel_g": a_g, "reason": str(err)})
+                continue
+            s = sensitivity_at_side_nominals(*args, accel)
+            curve.append(SweepRow(
+                variant, prof.arc_length(), prof.radius_m, prof.angular_extent_rad, a_g,
+                point.displacement_m, point.bridge.c1_f, point.bridge.c2_f, point.gain,
+                point.v_out_volts, s * 1e3, net_sensitivity(s, plan.mech) * 1e3,
+            ))
+        rows += curve
+        xs, ys = [r.accel_g for r in curve], [r.v_out_v for r in curve]
+        if len(xs) >= 2 and (slope := _least_squares_slope(xs, ys)) is not None:
+            slopes[variant.value] = slope * 1e3
+    return rows, over_range, slopes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(plan=envelope_plans())
+def test_face_tables_equal_the_public_path_over_the_envelope(plan):
+    """Every sweep row and skip reason, and every curve row, over-range
+    entry and slope, equals the public per-cell and per-point path bit for
+    bit (their reprs, which tell -0.0 from 0.0, are equal), cells invalid
+    at rest included."""
+    rows, skipped = _per_cell_sweep(plan)
+    if rows:
+        result = sensitivity_sweep(plan)
+        assert repr(list(result.rows)) == repr(rows)
+        assert result.metadata["skipped"] == skipped
+    else:
+        with pytest.raises(ValueError) as info:
+            sensitivity_sweep(plan)
+        assert str(info.value).endswith("first reason: " + skipped[0]["reason"])
+    rows, over_range, slopes = _per_point_curve(plan)
+    if rows:
+        result = gain_curve(plan)
+        assert repr(list(result.rows)) == repr(rows)
+        assert repr(result.metadata["over_range"]) == repr(over_range)
+        assert repr(result.metadata["fitted_slope_mv_per_g"]) == repr(slopes)
+    else:
+        with pytest.raises(ValueError, match="no valid grid points in the gain-curve plan"):
+            gain_curve(plan)
 
 
 def test_sweep_row_is_an_immutable_hashable_record():
