@@ -34,7 +34,6 @@ from .model import (
     _check_profile,
     _concave_gaps,
     _require_in_envelope,
-    side_gap_bounds,
 )
 
 __all__ = [
@@ -62,12 +61,10 @@ def _resolve_face(kind: FaceKind, profile, permittivity: float) -> tuple:
     4*eps*h*R, R, T = tan(phi/4) (arc); raises ValueError if the profile
     type does not fit the kind (PlanarProfile for FLAT, else ArcProfile)."""
     _check_profile(kind, profile)
-    lo, hi = side_gap_bounds(kind, profile)
     if kind is _FLAT:
-        return _flat, lo, hi, kind, permittivity * profile.thickness_m * profile.length_m
-    r = profile.radius_m
-    lead = 4.0 * permittivity * profile.thickness_m * r
-    return _convex if kind is _CONVEX else _concave, lo, hi, kind, lead, r, profile.half_tan()
+        return _flat, *_OPEN_GAPS, kind, permittivity * profile.thickness_m * profile.length_m
+    r, phi, h = profile.radius_m, profile.angular_extent_rad, profile.thickness_m
+    return _resolve_at_arc(kind, r, phi, h, permittivity, profile.sagitta())
 
 
 def _resolve_at_arc(kind: FaceKind, r: float, phi: float, h: float, permittivity: float,

@@ -369,11 +369,9 @@ def side_nominal_gaps(
     are expected to validate before evaluating capacitance.
     """
     _require_member("anchor", anchor, GapAnchor)
-    if anchor is GapAnchor.APEX:
-        return gap_m, gap_m
-    s = config.profile.sagitta()
+    bow = config.profile.sagitta() if anchor is _FACE_PLANE else 0.0  # APEX: gap_m
     k1, k2 = config.side_kinds()
-    return _bowed_gap(k1, gap_m, s), _bowed_gap(k2, gap_m, s)
+    return _bowed_gap(k1, gap_m, bow), _bowed_gap(k2, gap_m, bow)
 
 
 def _bowed_gap(kind: FaceKind, gap_m: float, sagitta_m: float) -> float:

@@ -16,11 +16,12 @@ extent (a similarity family whose bow stays proportional to arc length).
 
 At one profile every variant reads one face table: each distinct kind
 resolved once at its rest gap (a flat face cut to the arc), built per arc
-by sensitivity_sweep and once per curve by gain_curve, which at each
-acceleration evaluates each (side, kind) face at most once, on first use;
-an invalid cell's reason is read off the table (model._RULES). An
-optimizer step reads S the same way, at rest with C_fb = c1 + c2,
-unrolled over its pairing's kinds (a table made solves ~30 % slower).
+by sensitivity_sweep and once per curve by gain_curve, which takes its
+variants in output order and evaluates each (side, kind) face at most
+once per acceleration, on first use; an invalid cell's reason is read
+off the table (model._RULES). An optimizer step reads S the same way, at
+rest with C_fb = c1 + c2, unrolled over its pairing's kinds (a table
+made solves 1.4-1.7x slower).
 
 S against arc length (README: each step): at rest a face of local gap
 L(theta) has C = eps*h*R*int 1/L and dC/dd = -eps*h*R*int 1/L**2, so a
@@ -336,43 +337,36 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     row = _row_builder(plan)
     nominal = plan.drive.feedback_mode is not _MATCHED_SUM
     rest: dict[int, float] = {}  # nominal C_fb: each kind's C at rest, once
-    outputs: list[tuple] = []  # per variant: (variant, rows, over-range)
-    cells: list[tuple] = []  # per valid cell: its table indices and C_fb
+    deltas = [displacement(mech, a_g * STANDARD_GRAVITY) for a_g in accels_g]
+    # per (side, kind): its (C, dC/dd) at each acceleration, on first use
+    memo = [[None] * len(deltas) for _ in range(2 * len(kinds))]
+    rows, over_range, slopes = [], [], {}
     for variant, (i1, i2) in zip(variants, sides):
         (f1, d1, ok1), (f2, d2, ok2) = faces[i1], faces[i2]
-        outputs.append((variant, vrows := [], vover := []))
         if not (ok1 and ok2):
             reason = _skip_reason(faces[i1], faces[i2])
-            vover.append({"variant": variant.value, "accel_g": None, "reason": reason})
+            over_range.append({"variant": variant.value, "accel_g": None, "reason": reason})
             continue
         for f, d, i in (f1, d1, i1), (f2, d2, i2):
             if nominal and i not in rest:
                 rest[i] = f[0](f, d)[0]
         c_fb = rest[i1] + rest[i2] if nominal else None
-        cells.append(((variant, f1, f2, d1, d2), i1, len(kinds) + i2, c_fb, vrows, vover))
-    for a_g in accels_g:
-        accel = a_g * STANDARD_GRAVITY
-        delta = displacement(mech, accel)
-        # (C, dC/dd) of each face, side 1 then side 2, on first use
-        table: list = [None] * (2 * len(kinds))
-        for cell, j1, j2, c_fb, vrows, vover in cells:
-            variant, f1, f2, d1, d2 = cell
+        cell, vrows = (variant, f1, f2, d1, d2), []
+        memo1, memo2 = memo[i1], memo[len(kinds) + i2]
+        for j, (a_g, delta) in enumerate(zip(accels_g, deltas)):
             g1, g2 = d1 - delta, d2 + delta  # _check_range's test
             if not (f1[1] < g1 < f1[2] and f2[1] < g2 < f2[2]):
-                reason = str(_over_range(cell, mech, delta, accel))
-                vover.append({"variant": variant.value, "accel_g": a_g, "reason": reason})
+                reason = str(_over_range(cell, mech, delta, a_g * STANDARD_GRAVITY))
+                over_range.append({"variant": variant.value, "accel_g": a_g, "reason": reason})
                 continue
-            if (e1 := table[j1]) is None:
-                e1 = table[j1] = f1[0](f1, g1)
-            if (e2 := table[j2]) is None:
-                e2 = table[j2] = f2[0](f2, g2)
+            if (e1 := memo1[j]) is None:
+                e1 = memo1[j] = f1[0](f1, g1)
+            if (e2 := memo2[j]) is None:
+                e2 = memo2[j] = f2[0](f2, g2)
             (c1, dc1), (c2, dc2) = e1, e2
             ev = c1, dc1, c2, dc2, c1 + c2 if c_fb is None else c_fb
             vrows.append(row(variant, arc, r, phi, a_g, delta, ev))
-    rows, over_range, slopes = [], [], {}
-    for variant, vrows, vover in outputs:
         rows += vrows
-        over_range += vover
         xs, ys = [x.accel_g for x in vrows], [x.v_out_v for x in vrows]
         if len(xs) >= 2 and (slope := _least_squares_slope(xs, ys)) is not None:
             slopes[variant.value] = slope * 1e3  # mV per g
@@ -396,7 +390,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ARC_TOL_M = 1e-10
 
 
-# unrolled over the pairing's kinds: a _rest_faces table made each solve ~30 % slower
+# unrolled over the pairing's kinds: reading S off _rest_faces made solves 1.4-1.7x slower
 def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
     """One solve, resolved once: the plan, the variant, its side kinds (k2
     None when both are k1), whether faces bow (FACE_PLANE), eps, gap, _readout."""

@@ -16,13 +16,14 @@ forms apply one gap to both sides.
 Every evaluation reads one cell: the variant, the two side faces, each
 resolved into its kind's (C, dC/dd) kernel, permittivity and gap
 interval, and their two nominal gaps. Each public call, fd_sensitivity
-included, builds its cell once, checks the travel range against the
-faces' intervals and reads bridge, gain and sensitivity off one
-evaluation: one kernel call per side, plus one per side at rest under
-nominal feedback, which fd_sensitivity evaluates once per call. _gain and
-_sensitivity (over _readout's constants) are the one G and S formula; a
-gain curve's rows call them from its own per-acceleration face table, and
-its over-range points take _over_range's message, as _check_range does.
+included, builds its cell once and tests each displaced gap once, by the
+travel check or by the bridge's side-naming domain test; _evaluate then
+makes one kernel call per side. Nominal feedback's rest C_fb is read off
+rest only, after that test, and once per fd_sensitivity call: at rest
+C_fb = C1 + C2 under either mode. _gain and _sensitivity (over
+_readout's constants) are the one G and S formula; the sweeps call them
+from their face tables, and a curve's over-range points take
+_over_range's message, as _check_range does.
 """
 
 from __future__ import annotations
@@ -131,18 +132,14 @@ def _rest_feedback(cell: _Cell) -> float:
     return _face(f1, 1, d1)[0] + _face(f2, 2, d2)[0]
 
 
-def _evaluate(cell: _Cell, delta_m: float, drive: DriveModel, c_fb=None) -> _Evaluation:
+def _evaluate(cell: _Cell, delta_m: float, c_fb: float | None) -> _Evaluation:
     """C1, dC1/dd, C2, dC2/dd and C_fb with side 1 at d1 - delta and side 2
-    at d2 + delta; a given c_fb is nominal feedback's _rest_feedback, which
-    is then not evaluated again. Domain errors name the offending side."""
+    at d2 + delta, gaps the caller has tested; c_fb None is matched-sum
+    feedback's C1 + C2."""
     _, f1, f2, d1, d2 = cell
-    c1, dc1 = _face(f1, 1, d1 - delta_m)
-    c2, dc2 = _face(f2, 2, d2 + delta_m)
-    if drive.feedback_mode is _MATCHED_SUM:
-        c_fb = c1 + c2
-    elif c_fb is None:
-        c_fb = _rest_feedback(cell)
-    return c1, dc1, c2, dc2, c_fb
+    c1, dc1 = f1[0](f1, d1 - delta_m)
+    c2, dc2 = f2[0](f2, d2 + delta_m)
+    return c1, dc1, c2, dc2, c1 + c2 if c_fb is None else c_fb
 
 
 def allowed_displacement_interval(
@@ -195,8 +192,9 @@ def bridge_at_side_nominals(
 ) -> BridgeState:
     """Bridge capacitances with independently placed sides."""
     cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
-    c1, _, c2, _, c_fb = _evaluate(cell, delta_m, drive)
-    return BridgeState(c1, c2, c_fb)
+    c1, c2 = _face(cell[1], 1, d1 - delta_m)[0], _face(cell[2], 2, d2 + delta_m)[0]
+    rest_fb = delta_m and drive.feedback_mode is not _MATCHED_SUM  # at rest: C1 + C2
+    return BridgeState(c1, c2, _rest_feedback(cell) if rest_fb else c1 + c2)
 
 
 def bridge_capacitances(
@@ -221,10 +219,13 @@ def _operating_point(
     c_fb: float | None = None,
 ) -> tuple[float, _Evaluation]:
     """Displacement and bridge evaluation at one acceleration, after the
-    one range check of the call; c_fb as in _evaluate."""
+    one range check of the call; c_fb as in _evaluate, and off rest None
+    reads nominal feedback's _rest_feedback (at rest it equals C1 + C2)."""
     delta = displacement(mech, accel_m_s2)
     _check_range(cell, mech, delta, accel_m_s2)
-    return delta, _evaluate(cell, delta, drive, c_fb)
+    if c_fb is None and delta and drive.feedback_mode is not _MATCHED_SUM:
+        c_fb = _rest_feedback(cell)
+    return delta, _evaluate(cell, delta, c_fb)
 
 
 def _gain(ev: _Evaluation) -> float:

@@ -15,7 +15,11 @@ where C_fb = c1 + c2 under either feedback mode, so it resolves and
 evaluates each distinct face kind of its pairing once (one call for a
 symmetric pairing, two for a mixed one) and builds no PlanarProfile, as
 a flat face is cut to the step's arc; a symmetric pairing's solve makes
-only its two bound steps. fd_sensitivity resolves
+only its two bound steps. A public gain or sensitivity evaluates each
+side once, on gaps the travel check has tested: 2 kernel calls, plus,
+off rest under nominal feedback, the rest pair (4), whose gaps alone take
+the side-naming domain test; at rest C_fb = c1 + c2 under either mode,
+where evaluating the rest pair again made 4. fd_sensitivity resolves
 its two faces once and each of its four stencil gains evaluates both
 sides: 2 resolves and 8 kernel calls, plus the nominal rest pair once
 per call (10), where routing each gain through the public gain made 10
@@ -42,12 +46,15 @@ from curvedcomb import (
     Variant,
     capacitance,
     fd_sensitivity,
+    gain_at_side_nominals,
     gain_curve,
     maximize_sensitivity,
     model,
+    sensitivity_at_side_nominals,
     sensitivity_sweep,
     side_nominal_gaps,
     sweep,
+    transduction,
 )
 from curvedcomb.model import SIDE_KINDS
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
@@ -55,14 +62,25 @@ from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 REST_CALLS_PER_CELL = {FeedbackMode.MATCHED_SUM: 0, FeedbackMode.NOMINAL: 2}
 
 
+# ids of the call lists that have a counted call in progress
+_IN_PROGRESS: set = set()
+
+
 def count_calls(monkeypatch, name: str, calls: list, owner=capacitance) -> list:
     """Records in calls every call of owner.<name>, at each module that
-    binds the name."""
+    binds the name, except a call made inside another one recorded in the
+    same list: a resolve that delegates to another counts once."""
     original = getattr(owner, name)
 
     def counted(*args):
+        if id(calls) in _IN_PROGRESS:
+            return original(*args)
         calls.append(args)
-        return original(*args)
+        _IN_PROGRESS.add(id(calls))
+        try:
+            return original(*args)
+        finally:
+            _IN_PROGRESS.discard(id(calls))
 
     for mod_name, module in list(sys.modules.items()):
         if mod_name.startswith("curvedcomb") and vars(module).get(name) is original:
@@ -85,6 +103,12 @@ def resolve_calls(monkeypatch) -> list:
     # and the optimizer, from the arc's own numbers (_resolve_at_arc)
     calls = count_calls(monkeypatch, "_resolve_face", [])
     return count_calls(monkeypatch, "_resolve_at_arc", calls)
+
+
+@pytest.fixture
+def side_tests(monkeypatch) -> list:
+    # transduction._face(face, side, gap): the domain test that names the side
+    return count_calls(monkeypatch, "_face", [], owner=transduction)
 
 
 @pytest.fixture
@@ -209,9 +233,29 @@ def test_maximize_sensitivity_evaluation(
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
 @pytest.mark.parametrize("variant", [Variant.BICONVEX, Variant.PLANO_CONCAVE])
-def test_fd_sensitivity_stencil(kernel_calls, resolve_calls, variant, feedback):
+def test_fd_sensitivity_stencil(kernel_calls, resolve_calls, side_tests, variant, feedback):
     config = ElectrodeConfig.for_variant(variant, ArcProfile(STD_R, STD_PHI, STD_H))
     mech, drive = MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0, feedback)
     fd_sensitivity(config, STD_GAP, STD_GAP, mech, drive, 0.0)
     assert len(resolve_calls) == 2
     assert len(kernel_calls) == 8 + REST_CALLS_PER_CELL[feedback]
+    rest_gaps = [(1, STD_GAP), (2, STD_GAP)] if feedback is FeedbackMode.NOMINAL else []
+    assert [(side, gap) for _, side, gap in side_tests] == rest_gaps
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+@pytest.mark.parametrize("point", [gain_at_side_nominals, sensitivity_at_side_nominals])
+def test_per_point_path(kernel_calls, side_tests, point, feedback):
+    # the travel check tests each displaced gap once and each side is
+    # evaluated once; nominal feedback adds the rest pair, side-tested, off
+    # rest only: at rest its C_fb is C1 + C2, as under matched-sum feedback
+    config = ElectrodeConfig.for_variant(Variant.PLANO_CONCAVE, ArcProfile(STD_R, STD_PHI, STD_H))
+    d1, d2 = side_nominal_gaps(config, STD_GAP, GapAnchor.FACE_PLANE)
+    mech, drive = MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0, feedback)
+    for accel in (0.0, -0.0, 9.8, -50.0):
+        kernel_calls.clear()
+        side_tests.clear()
+        point(config, d1, d2, mech, drive, accel)
+        rest = 0 if accel == 0.0 else REST_CALLS_PER_CELL[feedback]
+        assert len(kernel_calls) == 2 + rest
+        assert [(side, gap) for _, side, gap in side_tests] == [(1, d1), (2, d2)][:rest]

@@ -22,24 +22,38 @@ HOT_PATHS = [
     (capacitance, "_concave"),
     (capacitance, "_resolve_face"),
     (capacitance, "_resolve_at_arc"),
+    (capacitance, "_out_of_domain"),
+    (model, "displacement"),
+    (model, "side_nominal_gaps"),
     (model, "_bowed_gap"),
     (model, "side_gap_bounds"),
+    (model, "_concave_gaps"),
     (model, "_check_profile"),
     (transduction, "_cell"),
     (transduction, "_face"),
     (transduction, "_rest_feedback"),
     (transduction, "_evaluate"),
+    (transduction, "_displacement_interval"),
     (transduction, "_check_range"),
     (transduction, "_over_range"),
     (transduction, "_operating_point"),
+    (transduction, "_gain"),
     (transduction, "_readout"),
     (transduction, "_sensitivity"),
+    (transduction, "bridge_at_side_nominals"),
+    (transduction, "gain_at_side_nominals"),
+    (transduction, "sensitivity_at_side_nominals"),
+    (transduction, "fd_sensitivity"),  # its stencil's gain included
+    (sweep, "_linspace"),
+    (sweep, "_ordered_variants"),
+    (sweep, "_kinds_of"),
     (sweep, "_arc_shape"),
     (sweep, "_profile_at"),
     (sweep, "_rest_faces"),
     (sweep, "_skip_reason"),
     (sweep, "_row_builder"),
-    (sweep, "gain_curve"),  # the curve's per-acceleration table loop
+    (sweep, "gain_curve"),  # the curve's variant and acceleration loops
+    (sweep, "_least_squares_slope"),
     (sweep, "_sensitivity_at_arc"),
 ]
 

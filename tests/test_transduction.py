@@ -175,6 +175,18 @@ class TestSensitivity:
             expected = outcome(per_point_fd, *args)
         assert outcome(fd_sensitivity, *args) == expected
 
+    def test_a_refused_rest_side_displaced_further_in_is_over_range(self, profile, mech):
+        # side 1 rests inside edge contact and is displaced deeper in: the
+        # travel check refuses the point before nominal feedback reads the
+        # rest side, so no path raises that side's GeometryDomainError
+        drive = DriveModel(1.0, FeedbackMode.NOMINAL)
+        config = ElectrodeConfig.for_variant(Variant.BICONCAVE, profile)
+        d1, d2 = 0.9 * profile.sagitta(), STD_GAP
+        accel = 0.5 * profile.sagitta() * mech.spring_n_per_m / mech.mass_kg
+        for fn in (gain_at_side_nominals, sensitivity_at_side_nominals, fd_sensitivity):
+            with pytest.raises(OverRangeError, match="leaves the valid interval"):
+                fn(config, d1, d2, mech, drive, accel)
+
     def test_fd_sensitivity_whose_step_does_not_resolve_says_so(
         self, profile, mech, drive
     ):
