@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "CONCAVE_EDGE_MARGIN_REL",
@@ -146,13 +147,15 @@ class GapAnchor(Enum):
 
 
 class _Record:
-    """An immutable value type: equal and hashed by exact type and field
-    values, printed as Name(field=value, ...). A subclass lists its own
-    fields in __slots__; _fields, its parent's fields and then its own, is
-    set once per class. Most set them in their own straight-line __init__
-    through _set, several times faster than this generic one, which
-    takes the fields by position or name and the defaults of trailing
-    ones from _defaults."""
+    """An immutable input type: equal and hashed by exact type and field
+    values, printed as Name(field=value, ...). The rule: results are named
+    tuples (typing.NamedTuple, equal to any tuple of their values), checked
+    inputs are records, whose checks need an __init__ body. A subclass
+    lists its own fields in __slots__; _fields, its parent's fields and
+    then its own, is set once per class. The checked inputs set them in
+    their own straight-line __init__ through _set, several times faster
+    than this generic one (cli.RunConfig's), which takes the fields by
+    position or name and the defaults of trailing ones from _defaults."""
 
     __slots__ = ()
     _defaults: dict = {}
@@ -281,6 +284,8 @@ class ElectrodeConfig(_Record):
 
     def __init__(self, variant: Variant, profile: ArcProfile, planar_face: PlanarProfile) -> None:
         _require_member("variant", variant, Variant)
+        _require_member("profile", profile, ArcProfile)
+        _require_member("planar_face", planar_face, PlanarProfile)
         kinds = SIDE_KINDS[variant]
         if FaceKind.FLAT in kinds and variant is not Variant.PLANAR:
             want = profile.arc_length()
@@ -366,9 +371,13 @@ def side_nominal_gaps(
     flat faces are unaffected.
 
     The returned values may be nonpositive for deep convex bows; callers
-    are expected to validate before evaluating capacitance.
+    are expected to validate before evaluating capacitance. Raises
+    ValueError for a wrong-typed argument or a gap_m outside the model
+    envelope, as GapState does.
     """
+    _require_member("config", config, ElectrodeConfig)
     _require_member("anchor", anchor, GapAnchor)
+    _require_in_envelope("gap_m", gap_m, "length")
     bow = config.profile.sagitta() if anchor is _FACE_PLANE else 0.0  # APEX: gap_m
     k1, k2 = config.side_kinds()
     return _bowed_gap(k1, gap_m, bow), _bowed_gap(k2, gap_m, bow)
@@ -384,46 +393,28 @@ def _bowed_gap(kind: FaceKind, gap_m: float, sagitta_m: float) -> float:
     return gap_m
 
 
-class Violation(_Record):
+class Violation(NamedTuple):
     """One failed geometric validity rule."""
 
-    __slots__ = ("side", "rule", "margin_m")
-
-    def __init__(self, side: int, rule: str, margin_m: float) -> None:
-        _set(self, "side", side)  # 1 or 2
-        _set(self, "rule", rule)
-        _set(self, "margin_m", margin_m)  # how far past the limit, as a length where meaningful
+    side: int  # 1 or 2
+    rule: str
+    margin_m: float  # how far past the limit, as a length where meaningful
 
 
-class SideReport(_Record):
+class SideReport(NamedTuple):
     """Per-side diagnostics from validate_geometry."""
 
-    __slots__ = ("side", "kind", "closed_form_gap_m", "min_physical_gap_m", "atanh_argument")
-
-    def __init__(
-        self,
-        side: int,
-        kind: FaceKind,
-        closed_form_gap_m: float,
-        min_physical_gap_m: float,
-        atanh_argument: float | None,  # concave faces only
-    ) -> None:
-        _set(self, "side", side)
-        _set(self, "kind", kind)
-        _set(self, "closed_form_gap_m", closed_form_gap_m)
-        _set(self, "min_physical_gap_m", min_physical_gap_m)
-        _set(self, "atanh_argument", atanh_argument)
+    side: int
+    kind: FaceKind
+    closed_form_gap_m: float
+    min_physical_gap_m: float
+    atanh_argument: float | None  # concave faces only
 
 
-class ValidityReport(_Record):
-    __slots__ = ("ok", "violations", "sides")
-
-    def __init__(
-        self, ok: bool, violations: tuple[Violation, ...], sides: tuple[SideReport, ...] = ()
-    ) -> None:
-        _set(self, "ok", ok)
-        _set(self, "violations", violations)
-        _set(self, "sides", sides)
+class ValidityReport(NamedTuple):
+    ok: bool
+    violations: tuple[Violation, ...]
+    sides: tuple[SideReport, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -432,6 +423,7 @@ class ValidityReport(_Record):
 def _check_profile(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> None:
     """Raise ValueError unless the profile type fits the kind: PlanarProfile
     for FLAT, ArcProfile for CONVEX and CONCAVE."""
+    _require_member("kind", kind, FaceKind)
     want = PlanarProfile if kind is _FLAT else ArcProfile
     if not isinstance(profile, want):
         raise ValueError(
@@ -453,6 +445,7 @@ def side_gap_bounds(
     and p = g*n, all >= g**3. The ceiling, twice the largest nominal gap
     of the model envelope, is never reached by a cell's widening side.
     """
+    _require_member("kind", kind, FaceKind)
     if kind is _CONCAVE:
         return _concave_gaps(profile.radius_m, profile.sagitta())
     return _OPEN_GAPS

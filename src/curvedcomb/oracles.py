@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import (
     VACUUM_PERMITTIVITY,
     ArcProfile,
     FaceKind,
     PlanarProfile,
-    _Record,
     _check_profile,
     _require_in_envelope,
-    _set,
     side_gap_bounds,
 )
 
@@ -72,13 +70,10 @@ _ABS_TOL = 1e-30
 _MAX_SUBDIVISIONS = 2000
 
 
-class QuadratureResult(_Record):
-    __slots__ = ("value", "error_estimate", "subdivisions")
-
-    def __init__(self, value: float, error_estimate: float, subdivisions: int) -> None:
-        _set(self, "value", value)
-        _set(self, "error_estimate", error_estimate)
-        _set(self, "subdivisions", subdivisions)
+class QuadratureResult(NamedTuple):
+    value: float
+    error_estimate: float
+    subdivisions: int
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -220,13 +215,10 @@ def quad_capacitance(
         raise
 
 
-class FDResult(_Record):
-    __slots__ = ("value", "error_estimate", "step_m")
-
-    def __init__(self, value: float, error_estimate: float, step_m: float) -> None:
-        _set(self, "value", value)
-        _set(self, "error_estimate", error_estimate)
-        _set(self, "step_m", step_m)
+class FDResult(NamedTuple):
+    value: float
+    error_estimate: float
+    step_m: float
 
 
 _MAX_SHRINKS = 40

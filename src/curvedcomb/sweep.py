@@ -21,7 +21,7 @@ variants in output order and evaluates each (side, kind) face at most
 once per acceleration, on first use; an invalid cell's reason is read
 off the table (model._RULES). An optimizer step reads S the same way, at
 rest with C_fb = c1 + c2, unrolled over its pairing's kinds (a table
-made solves 1.4-1.7x slower).
+made solves 1.56x slower).
 
 S against arc length (README: each step): at rest a face of local gap
 L(theta) has C = eps*h*R*int 1/L and dC/dd = -eps*h*R*int 1/L**2, so a
@@ -63,7 +63,6 @@ from .model import (
     _require_in_envelope,
     _require_member,
     _sagitta,
-    _set,
     displacement,
 )
 from .transduction import _gain, _over_range, _readout, _sensitivity
@@ -135,9 +134,7 @@ class SweepPlan(_Record):
             ("arc_range_m", arc_range_m, "length", "arc_points", arc_points),
             ("accel_range_g", accel_range_g, "accel_g", "accel_points", accel_points),
         ):
-            if not (isinstance(span, tuple) and len(span) == 2):
-                raise ValueError(f"{name} must be a (min, max) tuple, got {span!r}")
-            lo, hi = span
+            lo, hi = _require_span(name, span)
             _require_in_envelope(f"{name} min", lo, quantity)
             _require_in_envelope(f"{name} max", hi, quantity)
             if not lo < hi:
@@ -149,6 +146,13 @@ class SweepPlan(_Record):
             variants, profile, gap, mech, drive, arc_mode, gap_anchor,
             arc_range_m, arc_points, accel_range_g, accel_points,
         )
+
+
+def _require_span(name: str, span) -> tuple:
+    """span, after raising ValueError unless it is a (min, max) tuple."""
+    if not (isinstance(span, tuple) and len(span) == 2):
+        raise ValueError(f"{name} must be a (min, max) tuple, got {span!r}")
+    return span
 
 
 class SweepRow(NamedTuple):
@@ -166,12 +170,9 @@ class SweepRow(NamedTuple):
     s_net_mv_per_g: float
 
 
-class SweepResult(_Record):
-    __slots__ = ("rows", "metadata")
-
-    def __init__(self, rows: tuple[SweepRow, ...], metadata: dict | None = None) -> None:
-        _set(self, "rows", rows)
-        _set(self, "metadata", {} if metadata is None else metadata)
+class SweepResult(NamedTuple):
+    rows: tuple[SweepRow, ...]
+    metadata: dict
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -280,6 +281,7 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
     and the evaluation is deterministic, so identical plans serialize to
     byte-identical CSV downstream.
     """
+    _require_member("plan", plan, SweepPlan)
     arcs = _linspace(*plan.arc_range_m, plan.arc_points)
     variants = _ordered_variants(plan.variants)
     kinds, sides = _kinds_of(variants)
@@ -328,6 +330,7 @@ def gain_curve(plan: SweepPlan) -> SweepResult:
     swept-range counterpart of the analytic point sensitivity; a variant
     whose valid accelerations have no spread in floating point has none.
     """
+    _require_member("plan", plan, SweepPlan)
     accels_g = _linspace(*plan.accel_range_g, plan.accel_points)
     prof, mech = plan.profile, plan.mech
     arc, r, phi = prof.arc_length(), prof.radius_m, prof.angular_extent_rad
@@ -390,7 +393,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ARC_TOL_M = 1e-10
 
 
-# unrolled over the pairing's kinds: reading S off _rest_faces made solves 1.4-1.7x slower
+# unrolled over the pairing's kinds: reading S off _rest_faces made solves 1.56x slower
 def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
     """One solve, resolved once: the plan, the variant, its side kinds (k2
     None when both are k1), whether faces bow (FACE_PLANE), eps, gap, _readout."""
@@ -448,10 +451,12 @@ def maximize_sensitivity(
         (arc_length_m, sensitivity_volts_per_g) at the maximizing point.
 
     Raises:
-        ValueError: if a bound is outside the geometric validity region
-            or the model envelope.
+        ValueError: if an argument has the wrong type, or a bound is
+            outside the geometric validity region or the model envelope.
     """
-    lo, hi = arc_bounds_m
+    _require_member("variant", variant, Variant)
+    _require_member("plan", plan, SweepPlan)
+    lo, hi = _require_span("arc_bounds_m", arc_bounds_m)
     if not 0.0 < lo <= hi:
         raise ValueError(f"bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     evals: dict[float, float] = {}

@@ -28,6 +28,8 @@ _over_range's message, as _check_range does.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .capacitance import GeometryDomainError, _out_of_domain, _resolve_face
 from .model import (
     STANDARD_GRAVITY,
@@ -38,8 +40,6 @@ from .model import (
     MechanicalModel,
     _FLAT,
     _MATCHED_SUM,
-    _Record,
-    _set,
     displacement,
 )
 from .oracles import fd_derivative
@@ -60,33 +60,20 @@ __all__ = [
 ]
 
 
-class BridgeState(_Record):
+class BridgeState(NamedTuple):
     """The three capacitances of the readout bridge at one displacement."""
 
-    __slots__ = ("c1_f", "c2_f", "c_fb_f")
-
-    def __init__(self, c1_f: float, c2_f: float, c_fb_f: float) -> None:
-        _set(self, "c1_f", c1_f)  # side with gap d - delta
-        _set(self, "c2_f", c2_f)  # side with gap d + delta
-        _set(self, "c_fb_f", c_fb_f)  # feedback, per DriveModel mode
+    c1_f: float  # side with gap d - delta
+    c2_f: float  # side with gap d + delta
+    c_fb_f: float  # feedback, per DriveModel mode
 
 
-class TransductionPoint(_Record):
-    __slots__ = ("accel_m_s2", "displacement_m", "bridge", "gain", "v_out_volts")
-
-    def __init__(
-        self,
-        accel_m_s2: float,
-        displacement_m: float,
-        bridge: BridgeState,
-        gain: float,
-        v_out_volts: float,
-    ) -> None:
-        _set(self, "accel_m_s2", accel_m_s2)
-        _set(self, "displacement_m", displacement_m)
-        _set(self, "bridge", bridge)
-        _set(self, "gain", gain)  # G = V_out / V_in, dimensionless
-        _set(self, "v_out_volts", v_out_volts)
+class TransductionPoint(NamedTuple):
+    accel_m_s2: float
+    displacement_m: float
+    bridge: BridgeState
+    gain: float  # G = V_out / V_in, dimensionless
+    v_out_volts: float
 
 
 class OverRangeError(ValueError):
@@ -170,6 +157,13 @@ def _check_range(cell: _Cell, mech: MechanicalModel, delta: float, accel: float)
 def _over_range(cell: _Cell, mech: MechanicalModel, delta: float, accel: float):
     """The OverRangeError of a displacement _check_range refuses."""
     lo, hi = _displacement_interval(cell)
+    if not lo < hi:  # invalid at rest: no interval, every request is invalid
+        return OverRangeError(
+            f"no displacement keeps both sides of {cell[0].value} valid: the interval "
+            f"({lo}, {hi}) m is empty; requested {accel} m/s^2",
+            first_invalid_accel_m_s2=accel,
+            displacement_m=delta,
+        )
     # first invalid acceleration: the interval bound nearer the request (the
     # gap test can fail a displacement the interval still holds by an ulp)
     bound = hi if hi - delta <= delta - lo else lo

@@ -364,7 +364,7 @@ def floats_in(value):
         for item in value.values():
             yield from floats_in(item)
     elif isinstance(value, _Record):
-        for name in value.__slots__:
+        for name in value._fields:
             yield from floats_in(getattr(value, name))
 
 

@@ -147,10 +147,15 @@ def test_flat_face_cut_to_an_arc_matches_its_planar_profile(seed):
         for eps in (E_LO, E_HI, _log_uniform(rng, E_LO, E_HI)):
             at_arc = capacitance._resolve_at_arc(FaceKind.FLAT, *arc, eps, prof.sagitta())
             assert at_arc == capacitance._resolve_face(FaceKind.FLAT, flat, eps)
-            # a curved face resolved at the arc is the public path's face
+            # a curved face resolved at the arc takes the reference's bounds
+            # and values (the public path's _resolve_face calls _resolve_at_arc)
             for kind in (FaceKind.CONVEX, FaceKind.CONCAVE):
                 face = capacitance._resolve_at_arc(kind, *arc, eps, prof.sagitta())
-                assert face == capacitance._resolve_face(kind, prof, eps)
+                bounds = side_gap_bounds(kind, prof)
+                assert face[1:3] == bounds
+                ref_face = _resolve_face(kind, prof)
+                for gap in _inside(rng, *bounds, 4):
+                    assert face[0](face, gap) == _face_eval(ref_face, gap, eps)
             for gap in _inside(rng, *side_gap_bounds(FaceKind.FLAT, flat), 4):
                 ref = _face_eval(_resolve_face(FaceKind.FLAT, flat), gap, eps)
                 assert at_arc[0](at_arc, gap) == ref

@@ -16,7 +16,13 @@ from curvedcomb import (
     PlanarProfile,
     SweepPlan,
     Variant,
+    dcap_dgap,
     displacement,
+    face_capacitance,
+    gain_curve,
+    maximize_sensitivity,
+    quad_capacitance,
+    sensitivity_sweep,
     side_gap_bounds,
     side_nominal_gaps,
     validate_geometry,
@@ -340,19 +346,27 @@ def _plan(**fields):
         ("variant", Variant, lambda bad: _plan(variants=(Variant.PLANAR, bad))),
         ("arc_mode", ArcMode, lambda bad: _plan(arc_mode=bad)),
         ("gap_anchor", GapAnchor, lambda bad: _plan(gap_anchor=bad)),
+        ("variant", Variant, lambda bad: maximize_sensitivity(bad, (5e-6, 6e-5), _plan())),
+        ("kind", FaceKind, lambda bad: face_capacitance(bad, _PROFILE, 2e-6)),
+        ("kind", FaceKind, lambda bad: dcap_dgap(bad, _PROFILE, 2e-6)),
+        ("kind", FaceKind, lambda bad: quad_capacitance(bad, _PROFILE, 2e-6)),
+        ("kind", FaceKind, lambda bad: side_gap_bounds(bad, _PROFILE)),
     ],
     ids=["DriveModel", "ElectrodeConfig", "side_nominal_gaps", "validate_geometry",
-         "SweepPlan.variants", "SweepPlan.arc_mode", "SweepPlan.gap_anchor"],
+         "SweepPlan.variants", "SweepPlan.arc_mode", "SweepPlan.gap_anchor",
+         "maximize_sensitivity", "face_capacitance", "dcap_dgap", "quad_capacitance",
+         "side_gap_bounds"],
 )
 @pytest.mark.parametrize("kind", ["value", "None", "int", "other enum"])
 def test_enum_fields_reject_non_members(name, enum, build, kind):
     # a member's own value once passed: "matched-sum" gave nominal feedback,
-    # "apex" the face-plane gaps, and "Biconvex" a KeyError
+    # "apex" the face-plane gaps, "Biconvex" a KeyError and "convex" (or
+    # None) the concave closed form
     bad = {
         "value": next(iter(enum)).value,
         "None": None,
         "int": 3,
-        "other enum": FaceKind.FLAT,
+        "other enum": Variant.PLANAR if enum is FaceKind else FaceKind.FLAT,
     }[kind]
     message = f"{name} must be a {enum.__name__}, got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -367,8 +381,37 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
         (lambda: _plan(arc_range_m=None), "arc_range_m must be a (min, max) tuple, got None"),
         (lambda: validate_geometry(_CONFIG, 2e-6), "gap must be a GapState, got 2e-06"),
         (lambda: ArcProfile("1e-4", 0.2, 2e-6), "radius_m must be a real number, got '1e-4'"),
+        (lambda: ElectrodeConfig(Variant.PLANAR, None, None),
+         "profile must be a ArcProfile, got None"),
+        (lambda: ElectrodeConfig(Variant.PLANAR, _PROFILE, None),
+         "planar_face must be a PlanarProfile, got None"),
+        (lambda: ElectrodeConfig(Variant.PLANAR, _FACE, _PROFILE),
+         "profile must be a ArcProfile, got PlanarProfile("),
+        (lambda: side_nominal_gaps(None, 2e-6, GapAnchor.APEX),
+         "config must be a ElectrodeConfig, got None"),
+        (lambda: side_nominal_gaps(_CONFIG, NAN, GapAnchor.APEX),
+         "gap_m must be positive and finite, got nan"),
+        (lambda: side_nominal_gaps(_CONFIG, -0.0, GapAnchor.FACE_PLANE),
+         "gap_m must be positive and finite, got -0.0"),
+        (lambda: side_nominal_gaps(_CONFIG, 2.0, GapAnchor.APEX),
+         "gap_m = 2.0 is outside the model's length range"),
+        (lambda: side_nominal_gaps(_CONFIG, "2e-6", GapAnchor.APEX),
+         "gap_m must be a real number, got '2e-6'"),
+        (lambda: maximize_sensitivity(Variant.BICONVEX, None, _plan()),
+         "arc_bounds_m must be a (min, max) tuple, got None"),
+        (lambda: maximize_sensitivity(Variant.BICONVEX, [5e-6, 6e-5], _plan()),
+         "arc_bounds_m must be a (min, max) tuple, got [5e-06, 6e-05]"),
+        (lambda: maximize_sensitivity(Variant.BICONVEX, (5e-6, 6e-5), None),
+         "plan must be a SweepPlan, got None"),
+        (lambda: sensitivity_sweep(None), "plan must be a SweepPlan, got None"),
+        (lambda: gain_curve(None), "plan must be a SweepPlan, got None"),
     ],
-    ids=["SweepPlan.variants", "SweepPlan.arc_range_m", "validate_geometry", "ArcProfile"],
+    ids=["SweepPlan.variants", "SweepPlan.arc_range_m", "validate_geometry", "ArcProfile",
+         "ElectrodeConfig.profile", "ElectrodeConfig.planar_face", "ElectrodeConfig.swapped",
+         "side_nominal_gaps.config", "side_nominal_gaps.nan", "side_nominal_gaps.minus_zero",
+         "side_nominal_gaps.too_wide", "side_nominal_gaps.str", "maximize_sensitivity.none",
+         "maximize_sensitivity.list", "maximize_sensitivity.plan", "sensitivity_sweep",
+         "gain_curve"],
 )
 def test_wrong_typed_inputs_raise_value_error(build, message):
     # these raised TypeError or AttributeError from inside the library

@@ -3,9 +3,10 @@
 `dataclasses` imports `inspect` (and with it `ast`, `dis` and
 `tokenize`), and each frozen dataclass builds its methods from source at
 import time: together they cost a fresh `curvedcomb` process more than
-the work of most subcommands. The value types are slotted records
-instead (`model._Record`). Each module is parsed, not imported, so an
-import behind a function body or a condition is caught as well.
+the work of most subcommands. The value types are named tuples and
+slotted records (`model._Record`) instead. Each module is parsed, not
+imported, so an import behind a function body or a condition is caught
+as well.
 """
 
 import ast

@@ -1,12 +1,15 @@
-"""The value types are slotted records that behave as the frozen
-dataclasses they replace.
+"""The value types behave as the frozen dataclasses they replace.
 
+Results (what the library returns) are typing.NamedTuple types and
+checked inputs, with cli.RunConfig, are slotted records (model._Record).
 Each public value type, and cli.RunConfig, is checked against a
 test-local frozen dataclass twin of its old definition: the same repr
-byte for byte, the same == and hash, no equality with another type of
-the same values, no assignment or deletion of a field, copy, deepcopy
-and pickle round trips, and for the types that validate their input the
-same constructor signature (names, kinds and defaults).
+byte for byte, the same == and hash, no assignment or deletion of a
+field, copy, deepcopy and pickle round trips, and for the types that
+validate their input the same constructor signature (names, kinds and
+defaults). A record equals no other type of the same values; a result
+equals any tuple of its values, as a named tuple does. Fields are read
+from _fields, which both kinds define.
 """
 
 import copy
@@ -144,7 +147,7 @@ class SweepPlan:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,12 @@ CASES = [
 IDS = [new.__name__ for new, _, _ in CASES]
 VALIDATING = {cc.ArcProfile, cc.PlanarProfile, cc.GapState, cc.ElectrodeConfig,
               cc.MechanicalModel, cc.DriveModel, cc.SweepPlan}
+RESULTS = {cc.Violation, cc.SideReport, cc.ValidityReport, cc.BridgeState,
+           cc.TransductionPoint, cc.QuadratureResult, cc.FDResult, cc.SweepResult}
+
+
+def is_named_tuple(t: type) -> bool:
+    return issubclass(t, tuple) and hasattr(t, "_fields")
 
 
 def pairs(new, twin, samples):
@@ -226,9 +235,18 @@ def pairs(new, twin, samples):
 
 def test_every_value_type_is_covered():
     covered = {new for new, _, _ in CASES}
-    public = {t for t in vars(cc).values() if isinstance(t, type) and issubclass(t, _Record)}
-    assert public | {cli.RunConfig} == covered
+    public = {t for t in vars(cc).values()
+              if isinstance(t, type) and (issubclass(t, _Record) or is_named_tuple(t))}
+    assert (public - {SweepRow}) | {cli.RunConfig} == covered
     assert len(covered) == 16
+    # results are named tuples; checked inputs, and RunConfig, are records
+    assert {t for t in covered if is_named_tuple(t)} == RESULTS
+    assert {t for t in covered if issubclass(t, _Record)} == VALIDATING | {cli.RunConfig}
+
+
+def test_a_validity_report_is_truthy_exactly_when_ok():
+    assert cc.ValidityReport(True, ())
+    assert not cc.ValidityReport(False, (VIOLATION,), (SIDE, SIDE))
 
 
 @pytest.mark.parametrize("new, twin, samples", CASES, ids=IDS)
@@ -258,16 +276,21 @@ def test_not_equal_to_another_type_with_the_same_values(new, twin, samples):
     subtype = type("Sub" + new.__name__, (new,), {})
     for args, kwargs in samples:
         record = new(*args, **kwargs)
+        values = tuple(getattr(record, name) for name in new._fields)
         assert record != twin(*args, **kwargs)
-        assert record != subtype(*args, **kwargs)
-        assert record != tuple(getattr(record, name) for name in new.__slots__)
+        if new in RESULTS:  # a named tuple equals a tuple of its values
+            assert record == values and tuple(record) == values
+        else:
+            assert record != subtype(*args, **kwargs)
+            assert record != values
 
 
 @pytest.mark.parametrize("new, twin, samples", CASES, ids=IDS)
 def test_fields_can_be_neither_assigned_nor_deleted(new, twin, samples):
     for args, kwargs in samples:
         record = new(*args, **kwargs)
-        for name in new.__slots__:
+        assert new._fields
+        for name in new._fields:
             before = getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, before)
@@ -308,7 +331,7 @@ def test_a_wrong_field_set_is_a_type_error(new, twin, samples):
     with pytest.raises(TypeError):
         new(*args, **kwargs, no_such_field=1)
     with pytest.raises(TypeError):
-        new(*args, *[0] * (len(new.__slots__) + 1 - len(args)), **kwargs)
+        new(*args, *[0] * (len(new._fields) + 1 - len(args)), **kwargs)
     if new is not cli.RunConfig:  # every RunConfig field has a default
         with pytest.raises(TypeError):
             new()

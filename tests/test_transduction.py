@@ -187,6 +187,29 @@ class TestSensitivity:
             with pytest.raises(OverRangeError, match="leaves the valid interval"):
                 fn(config, d1, d2, mech, drive, accel)
 
+    @pytest.mark.parametrize("accel", [0.0, -3.0])
+    def test_a_cell_invalid_at_rest_has_no_valid_interval(self, profile, mech, drive, accel):
+        # both concave gaps below the sagitta: the displacement interval is
+        # empty, which the error says instead of naming one of its ends
+        config = ElectrodeConfig.for_variant(Variant.BICONCAVE, profile)
+        d = 0.4e-6
+        lo, hi = allowed_displacement_interval(config, d, d)
+        assert d < profile.sagitta() and hi < lo
+        message = (
+            f"no displacement keeps both sides of Biconcave valid: the interval "
+            f"({lo}, {hi}) m is empty; requested {accel} m/s^2"
+        )
+        for call in (
+            lambda: sensitivity(config, d, mech, drive, accel),
+            lambda: gain(config, d, mech, drive, accel),
+            lambda: fd_sensitivity(config, d, d, mech, drive, accel),
+        ):
+            with pytest.raises(OverRangeError) as info:
+                call()
+            assert str(info.value) == message
+            assert info.value.first_invalid_accel_m_s2 == accel
+            assert info.value.displacement_m == displacement(mech, accel)
+
     def test_fd_sensitivity_whose_step_does_not_resolve_says_so(
         self, profile, mech, drive
     ):
