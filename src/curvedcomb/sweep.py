@@ -457,6 +457,9 @@ def maximize_sensitivity(
     _require_member("variant", variant, Variant)
     _require_member("plan", plan, SweepPlan)
     lo, hi = _require_span("arc_bounds_m", arc_bounds_m)
+    if not (isinstance(lo, float) and isinstance(hi, float)) and any(  # floats skip the scan
+            isinstance(x, bool) or not isinstance(x, (int, float)) for x in (lo, hi)):
+        raise ValueError(f"arc_bounds_m must hold two real numbers, got {arc_bounds_m!r}")
     if not 0.0 < lo <= hi:
         raise ValueError(f"bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     evals: dict[float, float] = {}

@@ -401,6 +401,12 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
          "arc_bounds_m must be a (min, max) tuple, got None"),
         (lambda: maximize_sensitivity(Variant.BICONVEX, [5e-6, 6e-5], _plan()),
          "arc_bounds_m must be a (min, max) tuple, got [5e-06, 6e-05]"),
+        (lambda: maximize_sensitivity(Variant.BICONVEX, ("a", "b"), _plan()),
+         "arc_bounds_m must hold two real numbers, got ('a', 'b')"),
+        (lambda: maximize_sensitivity(Variant.BICONVEX, (None, 1e-5), _plan()),
+         "arc_bounds_m must hold two real numbers, got (None, 1e-05)"),
+        (lambda: maximize_sensitivity(Variant.BICONVEX, (5e-6, True), _plan()),
+         "arc_bounds_m must hold two real numbers, got (5e-06, True)"),
         (lambda: maximize_sensitivity(Variant.BICONVEX, (5e-6, 6e-5), None),
          "plan must be a SweepPlan, got None"),
         (lambda: sensitivity_sweep(None), "plan must be a SweepPlan, got None"),
@@ -410,7 +416,9 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
          "ElectrodeConfig.profile", "ElectrodeConfig.planar_face", "ElectrodeConfig.swapped",
          "side_nominal_gaps.config", "side_nominal_gaps.nan", "side_nominal_gaps.minus_zero",
          "side_nominal_gaps.too_wide", "side_nominal_gaps.str", "maximize_sensitivity.none",
-         "maximize_sensitivity.list", "maximize_sensitivity.plan", "sensitivity_sweep",
+         "maximize_sensitivity.list", "maximize_sensitivity.str_bounds",
+         "maximize_sensitivity.none_bound", "maximize_sensitivity.bool_bound",
+         "maximize_sensitivity.plan", "sensitivity_sweep",
          "gain_curve"],
 )
 def test_wrong_typed_inputs_raise_value_error(build, message):

@@ -150,6 +150,36 @@ def loop_integrate(f, a, b):
     return QuadratureResult(total_val, total_err, splits)
 
 
+def loop_folded(f, half_extent):
+    """loop_integrate over [0, half_extent], value and error doubled."""
+    value, error, splits = loop_integrate(f, 0.0, half_extent)
+    return QuadratureResult(2.0 * value, 2.0 * error, splits)
+
+
+def raw_integrand(kind, face, gap):
+    """The face integrand as written before its constants were hoisted, in
+    the sin^2 form that keeps the gap's digits."""
+    eps, h, sin = VACUUM_PERMITTIVITY, face.thickness_m, math.sin
+    if kind is FaceKind.FLAT:
+        return lambda _x: eps * h / gap
+    r = face.radius_m
+    if kind is FaceKind.CONVEX:
+        return lambda t: eps * h * r / (gap + 2.0 * r * sin(0.5 * t) * sin(0.5 * t))
+    return lambda t: eps * h * r / (gap - 2.0 * r * sin(0.5 * t) * sin(0.5 * t))
+
+
+def seeded_arc_cells():
+    """60 seeded (profile, convex gap, concave gap) cells; the concave edge
+    gap walks down to 1e-3 of the sagitta."""
+    rng = random.Random(29)
+    for _ in range(60):
+        r = math.exp(math.log(10e-6) + rng.random() * math.log(100.0))
+        prof = ArcProfile(r, 0.2 + rng.random() * 1.3, 1e-6 + rng.random() * 4e-6)
+        d = 10.0 ** rng.uniform(-7.5, -4.5)
+        sag = prof.sagitta()
+        yield prof, d, sag + sag * 10.0 ** -(3.0 * rng.random())
+
+
 class TestUnrolledPanel:
     def test_generic_integrands_match_the_loop_form(self):
         rng = random.Random(23)
@@ -164,32 +194,32 @@ class TestUnrolledPanel:
                 assert integrate_adaptive(f, a, b) == loop_integrate(f, a, b)
 
     def test_capacitance_integrands_match_the_loop_form(self):
-        # the raw integrands as written before their constants were hoisted,
-        # in the sin^2 form that keeps the gap's digits
-        rng = random.Random(29)
-        eps, sin = VACUUM_PERMITTIVITY, math.sin
-        for _ in range(60):
-            r = math.exp(math.log(10e-6) + rng.random() * math.log(100.0))
-            prof = ArcProfile(r, 0.2 + rng.random() * 1.3, 1e-6 + rng.random() * 4e-6)
-            h, half_phi = prof.thickness_m, 0.5 * prof.angular_extent_rad
-            d = 10.0 ** rng.uniform(-7.5, -4.5)
-            assert quad_capacitance(FaceKind.CONVEX, prof, d) == loop_integrate(
-                lambda t: eps * h * r / (d + 2.0 * r * sin(0.5 * t) * sin(0.5 * t)),
-                -half_phi,
-                half_phi,
-            )
-            # the edge gap walks down to 1e-3 of the sagitta
-            sag = prof.sagitta()
-            g = sag + sag * 10.0 ** -(3.0 * rng.random())
-            assert quad_capacitance(FaceKind.CONCAVE, prof, g) == loop_integrate(
-                lambda t: eps * h * r / (g - 2.0 * r * sin(0.5 * t) * sin(0.5 * t)),
-                -half_phi,
-                half_phi,
-            )
-            face = PlanarProfile(prof.arc_length(), h)
-            assert quad_capacitance(FaceKind.FLAT, face, d) == loop_integrate(
-                lambda _x: eps * h / d, 0.0, face.length_m
-            )
+        # quad_capacitance integrates half of each face and doubles it
+        for prof, d, g in seeded_arc_cells():
+            half_phi = 0.5 * prof.angular_extent_rad
+            for kind, gap in ((FaceKind.CONVEX, d), (FaceKind.CONCAVE, g)):
+                assert quad_capacitance(kind, prof, gap) == loop_folded(
+                    raw_integrand(kind, prof, gap), half_phi
+                )
+            face = PlanarProfile(prof.arc_length(), prof.thickness_m)
+            f = raw_integrand(FaceKind.FLAT, face, d)
+            quad = quad_capacitance(FaceKind.FLAT, face, d)
+            assert quad == loop_folded(f, 0.5 * face.length_m)
+            # doubling is exact: the flat face keeps the whole face's bits
+            assert quad == loop_integrate(f, 0.0, face.length_m)
+
+    def test_folding_halves_the_subdivisions(self):
+        folded_total = whole_total = 0
+        for prof, d, g in seeded_arc_cells():
+            half_phi = 0.5 * prof.angular_extent_rad
+            for kind, gap in ((FaceKind.CONVEX, d), (FaceKind.CONCAVE, g)):
+                folded = quad_capacitance(kind, prof, gap).subdivisions
+                f = raw_integrand(kind, prof, gap)
+                whole = loop_integrate(f, -half_phi, half_phi).subdivisions
+                assert folded <= whole, (kind, prof.radius_m, prof.angular_extent_rad, gap)
+                folded_total += folded
+                whole_total += whole
+        assert folded_total <= 0.6 * whole_total, (folded_total, whole_total)
 
 
 class TestQuadCapacitance:
@@ -245,18 +275,24 @@ class TestQuadCapacitance:
             ours = quad_capacitance(kind, profile, d)
             assert ours.value == pytest.approx(external, rel=1e-11)
 
-    @pytest.mark.parametrize("gap", [1e-22, 1e-25, 1e-27, 1e-30])
+    @pytest.mark.parametrize("gap", [1e-20, 1e-22, 1e-25, 1e-27, 1e-30])
     def test_a_dominant_first_panel_does_not_stop_the_refinement(self, gap):
-        # the first panel overshoots C by orders of magnitude, so the running
-        # totals cancel: they read 0 F with error 0 (1e-27, 1e-30 m) or a
-        # negative error while 7e-9 off (1e-22, 1e-25 m)
+        # over the whole face this ran out of subdivisions at 1e-20 m
         prof = ArcProfile(100e-6, 0.2, 2e-6)
-        try:
-            quad = quad_capacitance(FaceKind.CONVEX, prof, gap)
-        except QuadratureNonConvergence:
-            return
+        quad = quad_capacitance(FaceKind.CONVEX, prof, gap)
         assert quad.error_estimate >= 0.0
         assert quad.value == pytest.approx(cap_convex(prof, gap), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-22, 1e-25, 1e-27, 1e-30])
+    def test_running_totals_that_cancel_are_summed_again(self, gap):
+        # over the whole face the first panel overshoots C by orders of
+        # magnitude, so the running totals cancel: they read 0 F with error 0
+        # (1e-27, 1e-30 m) or a negative error while 7e-9 off (1e-22, 1e-25 m)
+        prof = ArcProfile(100e-6, 0.2, 2e-6)
+        f = raw_integrand(FaceKind.CONVEX, prof, gap)
+        res = integrate_adaptive(f, -0.1, 0.1)
+        assert res.error_estimate >= 0.0
+        assert res.value == pytest.approx(cap_convex(prof, gap), rel=1e-12)
 
 
 class TestFiniteDifferences:
