@@ -76,12 +76,18 @@ def _require_in_envelope(name: str, value: float, q: str) -> None:
         inside = lo <= value <= hi  # one comparison, which NaN fails
     except TypeError:  # not comparable with a number, such as a str
         inside = False
-    if not inside:
-        if not isinstance(value, (int, float)):
+    if not inside or value is True or value is False:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         if lo > 0 and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
         raise ValueError(f"{name} = {value} is outside the model's {q} range [{lo}, {hi}]")
+
+
+def _refuse_bool(name: str, value) -> None:
+    """Raise ValueError if value is a bool, which compares as a number."""
+    if value is True or value is False:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _require_member(name: str, value, cls: type) -> None:
@@ -217,6 +223,7 @@ class ArcProfile(_Record):
         _require_in_envelope("radius_m", radius_m, "length")
         _require_in_envelope("thickness_m", thickness_m, "length")
         phi = angular_extent_rad
+        _refuse_bool("angular_extent_rad", phi)
         if not 0.0 <= phi < math.pi:
             raise ValueError(f"angular_extent_rad must lie in [0, pi), got {phi}")
         _require_in_envelope("arc_length_m", radius_m * phi, "arc_length")
@@ -265,6 +272,7 @@ class GapState(_Record):
 
     def __init__(self, gap_m: float, displacement_m: float = 0.0) -> None:
         _require_in_envelope("gap_m", gap_m, "length")
+        _refuse_bool("displacement_m", displacement_m)
         if not -math.inf < displacement_m < math.inf:
             raise ValueError(f"displacement_m must be finite, got {displacement_m}")
         _set(self, "gap_m", gap_m)

@@ -31,10 +31,12 @@ constant. A longer arc adds edges (whose 1/L is the least on a convex
 APEX face, the most on a concave one), scales R in L = D + R*u (with
 u <= 0 M rises by Cauchy-Schwarz), or else moves M as the closed forms
 in d/R and T = tan(phi/4) or an integration by parts sign it: M has no
-interior maximum. The mixed pair's gaps are D -+ W; under nominal
-feedback its |S| rises with the weighted mean of 1/(D**2 - W**2), which a
-longer arc raises. Under matched-sum feedback it, and the plano
-pairings, keep the search.
+interior maximum. Lengthening the arc moves w = W/D (faces at D -+ W)
+as a flow dw = t(w), t >= 0 growing with w. Under it the mixed pair's
+|S| rises under either feedback mode, and a plano pairing's (u = D/L on
+the curved face) rises where u >= 1; where u <= 1 it falls under
+matched-sum and turns only at minima under nominal feedback. PlanoConcave,
+whose face-plane, growing-phi, nominal case is unproved, keeps the search.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .model import (
     GapState,
     MechanicalModel,
     Variant,
+    _CONCAVE,
     _FACE_PLANE,
     _FLAT,
     _MATCHED_SUM,
@@ -434,12 +437,12 @@ def maximize_sensitivity(
     """Arc length maximizing |S| for one variant, with the S it achieves.
 
     Both bounds are evaluated first, each checked. Where |S(arc)| has no
-    interior local maximum (module docstring: the symmetric pairings, and
-    the mixed one under nominal feedback) the better bound is the answer,
-    the lower one for Planar, whose S does not vary. The other solves keep
-    a golden-section search on |S| to an absolute argument tolerance of
-    1e-10 m, sharing the plan's geometry mode, anchor and readout
-    parameters (not its grids), and return the best point evaluated.
+    interior local maximum (module docstring: every pairing but
+    PlanoConcave) the better bound is the answer, the lower one for
+    Planar, whose S does not vary. PlanoConcave keeps a golden-section
+    search on |S| to an absolute argument tolerance of 1e-10 m, sharing
+    the plan's geometry mode, anchor and readout parameters (not its
+    grids), and returns the best point evaluated.
 
     Args:
         variant: electrode pairing to optimize.
@@ -474,8 +477,8 @@ def maximize_sensitivity(
     if hi == lo:
         return lo, evals[lo]
     f(hi, True)
-    k1, k2 = solve[2:4]  # no interior maximum (module docstring): the better bound
-    if k2 is None or (_FLAT not in (k1, k2) and plan.drive.feedback_mode is not _MATCHED_SUM):
+    k1, k2 = solve[2:4]  # no interior maximum (module docstring) but for PlanoConcave
+    if not (k1 is _CONCAVE and k2 is _FLAT):
         best = hi if k1 is not _FLAT and abs(evals[hi]) > abs(evals[lo]) else lo
         return best, evals[best]
     a, b = lo, hi

@@ -215,14 +215,16 @@ def test_maximize_sensitivity_evaluation(
         return evaluate(*args)
 
     monkeypatch.setattr(sweep, "_sensitivity_at_arc", counted)
-    # each step resolves and evaluates each distinct face kind once; a
-    # symmetric pairing compares its two bounds, a plano pairing searches
-    for variant, kinds in ((Variant.BICONCAVE, 1), (Variant.PLANO_CONCAVE, 2)):
+    # each step resolves and evaluates each distinct face kind once;
+    # Biconcave and PlanoConvex compare their two bounds, PlanoConcave searches
+    for variant, kinds in (
+        (Variant.BICONCAVE, 1), (Variant.PLANO_CONVEX, 2), (Variant.PLANO_CONCAVE, 2),
+    ):
         plan = make_plan(feedback)
         for calls in (evaluations, resolve_calls, kernel_calls):
             calls.clear()
         maximize_sensitivity(variant, (5e-6, 30e-6), plan)
-        if variant is Variant.BICONCAVE:
+        if variant is not Variant.PLANO_CONCAVE:
             assert len(evaluations) == 2
         else:
             assert len(evaluations) > 10

@@ -411,6 +411,15 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
          "plan must be a SweepPlan, got None"),
         (lambda: sensitivity_sweep(None), "plan must be a SweepPlan, got None"),
         (lambda: gain_curve(None), "plan must be a SweepPlan, got None"),
+        # a bool compares as 0 or 1, so each of these was built
+        (lambda: ArcProfile(1e-4, True, 2e-6), "angular_extent_rad must be a real number, got True"),
+        (lambda: MechanicalModel(True, 1.0), "mass_kg must be a real number, got True"),
+        (lambda: GapState(2e-6, True), "displacement_m must be a real number, got True"),
+        (lambda: DriveModel(True), "v_in_volts must be a real number, got True"),
+        (lambda: _plan(accel_range_g=(False, True)),
+         "accel_range_g min must be a real number, got False"),
+        (lambda: side_nominal_gaps(_CONFIG, True, GapAnchor.APEX),
+         "gap_m must be a real number, got True"),
     ],
     ids=["SweepPlan.variants", "SweepPlan.arc_range_m", "validate_geometry", "ArcProfile",
          "ElectrodeConfig.profile", "ElectrodeConfig.planar_face", "ElectrodeConfig.swapped",
@@ -419,7 +428,9 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
          "maximize_sensitivity.list", "maximize_sensitivity.str_bounds",
          "maximize_sensitivity.none_bound", "maximize_sensitivity.bool_bound",
          "maximize_sensitivity.plan", "sensitivity_sweep",
-         "gain_curve"],
+         "gain_curve", "ArcProfile.bool_phi", "MechanicalModel.bool_mass",
+         "GapState.bool_displacement", "DriveModel.bool_v_in", "SweepPlan.bool_accel_range",
+         "side_nominal_gaps.bool"],
 )
 def test_wrong_typed_inputs_raise_value_error(build, message):
     # these raised TypeError or AttributeError from inside the library

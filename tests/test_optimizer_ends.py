@@ -1,9 +1,8 @@
 """Where |S(arc)| has no interior local maximum, maximize_sensitivity
 compares the two bounds instead of searching.
 
-The sweep module docstring derives the covered cases: Planar, Biconvex
-and Biconcave under every anchor, arc mode and feedback mode, and the
-mixed pair (ConcavoConvex, ConvexoConcave) under nominal feedback. The
+The sweep module docstring derives the covered cases: every pairing but
+PlanoConcave, under every anchor, arc mode and feedback mode. The
 golden-section search the optimizer ran for every pairing is kept here
 as the oracle. With |S| evaluated in 50-digit arithmetic
 (bench/reference.py), no point of the search may beat the bound the
@@ -53,15 +52,14 @@ def _bench_module(name: str):
 
 reference = _bench_module("reference")
 
-SYMMETRIC = (Variant.PLANAR, Variant.BICONVEX, Variant.BICONCAVE)
-MIXED = (Variant.CONCAVO_CONVEX, Variant.CONVEXO_CONCAVE)
+
 # a rounding of S: where each evaluation is good to a few ulps, no point
 # of the search beats the better bound by more
 ROUNDING = 1e-12
 
 
 def covered(variant: Variant, feedback: FeedbackMode) -> bool:
-    return variant in SYMMETRIC or (variant in MIXED and feedback is FeedbackMode.NOMINAL)
+    return variant is not Variant.PLANO_CONCAVE
 
 
 def golden_section(plan: SweepPlan, variant: Variant, lo: float, hi: float) -> tuple:
@@ -208,4 +206,4 @@ def test_design_pool_covered_solves_equal_the_search(seed, tmp_path):
             search = golden_section(cell.plan, variant, *bounds)[:2]
             assert maximize_sensitivity(variant, bounds, cell.plan) == search
             solves += 1
-    assert solves == 48 * 2 + 24 * 2  # symmetric everywhere, mixed under nominal
+    assert solves == 48 * 5  # the five curved pairings but PlanoConcave

@@ -622,21 +622,22 @@ def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
         return _sensitivity_at_arc(*args)
 
     monkeypatch.setattr(sweep, "_sensitivity_at_arc", capped)
-    # a plano pairing still searches; at the apex anchor its convex face
-    # admits every arc of the envelope
+    # PlanoConcave still searches; on the face plane, at a 0.1 um gap, its
+    # concave face admits every arc of the envelope
     plan = make_plan(
         profile=ArcProfile(1e-3, 2.0, STD_H),
+        gap=GapState(1e-7),
         drive=DriveModel(1.0, FeedbackMode.NOMINAL),
-        gap_anchor=GapAnchor.APEX,
+        gap_anchor=GapAnchor.FACE_PLANE,
     )
     if bounds[1] > 1.0:
         with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
-            maximize_sensitivity(Variant.PLANO_CONVEX, bounds, plan)
+            maximize_sensitivity(Variant.PLANO_CONCAVE, bounds, plan)
         return
-    arc, s = maximize_sensitivity(Variant.PLANO_CONVEX, bounds, plan)
+    arc, s = maximize_sensitivity(Variant.PLANO_CONCAVE, bounds, plan)
     assert len(calls) > 10
     assert bounds[0] <= arc <= bounds[1]
-    assert s == _sensitivity_at_arc(_solve_of(plan, Variant.PLANO_CONVEX), arc)
+    assert s == _sensitivity_at_arc(_solve_of(plan, Variant.PLANO_CONCAVE), arc)
 
 
 class TestGainCurve:
