@@ -1,14 +1,15 @@
 """Exact checks of the algebra in the README's "Sensitivity against arc
-length": the plano pairings.
+length": the plano pairings and the mixed pair under matched-sum feedback.
 
 Each identity is checked in rational arithmetic. A polynomial of degree
 at most n in each of its variables that vanishes on an (n + 1)-point grid
 per variable is zero, so an identity between rational functions is
 decided by evaluating both sides on such a grid (of points where no
 denominator vanishes) with a bound n on the degree of their difference's
-numerator. Trigonometric substitutions are checked through t = tan(theta/2),
-which makes cos(theta) = (1 - t**2)/(1 + t**2) and dtheta/dt = 2/(1 + t**2)
-rational.
+numerator. The trigonometric substitutions are checked exactly at
+rational points through t = tan(theta/2), which makes
+cos(theta) = (1 - t**2)/(1 + t**2) and dtheta/dt = 2/(1 + t**2) rational,
+and derivatives through dual numbers or exact secants.
 """
 
 import math
@@ -64,7 +65,8 @@ def test_signs_of_n_and_f_along_a_move():
 
 def test_chebyshev_sum_identity():
     # sum_ij w_i w_j (f_i - f_j)(g_i - g_j) = 2(sum wfg sum w - sum wf sum wg)
-    w, f, g = [Q(3), Q(1, 2), Q(7, 3), Q(5)], [Q(1), Q(2), Q(5, 2), Q(4)], [Q(1, 3), Q(1), Q(2), Q(9)]
+    w = [Q(3), Q(1, 2), Q(7, 3), Q(5)]
+    f, g = [Q(1), Q(2), Q(5, 2), Q(4)], [Q(1, 3), Q(1), Q(2), Q(9)]
     pairs = sum(w[i] * w[j] * (f[i] - f[j]) * (g[i] - g[j]) for i in range(4) for j in range(4))
     dot = lambda *xs: sum(math.prod(x[i] for x in xs) for i in range(4))
     assert pairs == 2 * (dot(w, f, g) * sum(w) - dot(w, f) * dot(w, g))
@@ -109,7 +111,8 @@ def test_concave_face_plane_substitution():
 
     # points with cos(theta) > k, so that theta lies on the face
     ks = [Q(1, 9), Q(1, 7), Q(1, 5), Q(1, 4)]
-    for t, r in product([Q(1, 3), Q(1, 2), Q(2, 3), Q(3, 4), Q(5, 6)], [Q(1, 3), Q(2), Q(7), Q(50)]):
+    ts, rs = [Q(1, 3), Q(1, 2), Q(2, 3), Q(3, 4), Q(5, 6)], [Q(1, 3), Q(2), Q(7), Q(50)]
+    for t, r in product(ts, rs):
         for k in ks:
             assert lhs(t, r, k) == (1 - k) / (2 * (1 + r * (1 - k)))
     # gamma > -1/2: gamma + (1 - k)/2 = r(1 + k)(1 - k)/2
@@ -162,7 +165,10 @@ def test_concave_face_plane_matched_sum_falls():
     # f'(p) = -1 - 3mu + 4p mu(1 - mu), at most -(1 - mu + 4mu**2) for p <= 1
     df = lambda p, mu: -1 - 3 * mu + 4 * p * mu * (1 - mu)
     h = Q(1, 10**6)
-    assert same(lambda p, mu: (f(p + h, mu) - f(p, mu)) / h, lambda p, mu: df(p, mu) + 2 * h * mu * (1 - mu), 2, 3)
+    assert same(
+        lambda p, mu: (f(p + h, mu) - f(p, mu)) / h,
+        lambda p, mu: df(p, mu) + 2 * h * mu * (1 - mu), 2, 3,
+    )
     assert same(lambda mu: df(1, mu), lambda mu: -(1 - mu + 4 * mu * mu), 1, 2)
 
 
@@ -203,8 +209,11 @@ def test_convex_apex_growing_phi():
     # nominal: (1 + u**2) - n(e)(1 + u) = (u - e)(u - (1 - e)/(1 + e)), n = (1 + u**2)/(1 + u)
     n = lambda u: (1 + u * u) / (1 + u)
     assert same(
-        lambda u, e: 1 + u * u - n(e) * (1 + u), lambda u, e: (u - e) * (u - (1 - e) / (1 + e)), 2, 3,
+        lambda u, e: 1 + u * u - n(e) * (1 + u),
+        lambda u, e: (u - e) * (u - (1 - e) / (1 + e)), 2, 3,
     )
+    # (1 - e)/(1 + e) <= e exactly when e >= sqrt(2) - 1
+    assert same(lambda e: e - (1 - e) / (1 + e), lambda e: ((1 + e) ** 2 - 2) / (1 + e), 1, 3)
     # n'(u) = ((1 + u)**2 - 2)/(1 + u)**2, by the quotient rule
     assert same(
         lambda u: (2 * u * (1 + u) - (1 + u * u)) / (1 + u) ** 2,
@@ -330,7 +339,8 @@ def test_mixed_pair_kernel_identities():
         ), 6, 2,
     )
     # kappa3(X, Y, Z) = E[(X1 - X2)(Y1 - Y2)(Z1 + Z2 - 2Z3)]/2 over independent draws
-    xs, ys, zs, ps = [Q(1), Q(3), Q(-2)], [Q(2), Q(1, 2), Q(5)], [Q(7), Q(0), Q(1, 3)], [Q(1, 2), Q(1, 3), Q(1, 6)]
+    xs, ys, zs = [Q(1), Q(3), Q(-2)], [Q(2), Q(1, 2), Q(5)], [Q(7), Q(0), Q(1, 3)]
+    ps = [Q(1, 2), Q(1, 3), Q(1, 6)]
     mean = lambda f: sum(p * f(i) for i, p in enumerate(ps))
     mx, my, mz = mean(lambda i: xs[i]), mean(lambda i: ys[i]), mean(lambda i: zs[i])
     kappa = mean(lambda i: (xs[i] - mx) * (ys[i] - my) * (zs[i] - mz))
@@ -367,11 +377,14 @@ def test_mixed_pair_generators():
 
     assert same(
         lambda w1, w2, w3, b1, b2, b3: a(w3, w1, b3, b1),
-        lambda w1, w2, w3, b1, b2, b3: a(w2, w1, b2, b1) + a(w3, w2, b3, b2) + x(w1, w2, w3, b1, b2, b3),
+        lambda w1, w2, w3, b1, b2, b3: (
+            a(w2, w1, b2, b1) + a(w3, w2, b3, b2) + x(w1, w2, w3, b1, b2, b3)
+        ),
         6, 2,
     )
     check((1, 1, 1), lambda w1, w2, w3, b1, b2, b3: 2 * (
-        2 * a(w2, w1, b2, b1) * b1 + 2 * a(w3, w2, b3, b2) * b3 + x(w1, w2, w3, b1, b2, b3) * (b1 + b3 - b2)
+        2 * a(w2, w1, b2, b1) * b1 + 2 * a(w3, w2, b3, b2) * b3
+        + x(w1, w2, w3, b1, b2, b3) * (b1 + b3 - b2)
     ))
     check((0, 1, 1), lambda w1, w2, w3, b1, b2, b3: (
         (w2 - w1) * (2 * (b3 - b2) ** 2 + b1 * (b2 + b3))

@@ -412,7 +412,8 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
         (lambda: sensitivity_sweep(None), "plan must be a SweepPlan, got None"),
         (lambda: gain_curve(None), "plan must be a SweepPlan, got None"),
         # a bool compares as 0 or 1, so each of these was built
-        (lambda: ArcProfile(1e-4, True, 2e-6), "angular_extent_rad must be a real number, got True"),
+        (lambda: ArcProfile(1e-4, True, 2e-6),
+         "angular_extent_rad must be a real number, got True"),
         (lambda: MechanicalModel(True, 1.0), "mass_kg must be a real number, got True"),
         (lambda: GapState(2e-6, True), "displacement_m must be a real number, got True"),
         (lambda: DriveModel(True), "v_in_volts must be a real number, got True"),

@@ -58,8 +58,8 @@ reference = _bench_module("reference")
 ROUNDING = 1e-12
 
 
-def covered(variant: Variant, feedback: FeedbackMode) -> bool:
-    return variant is not Variant.PLANO_CONCAVE
+# every pairing but PlanoConcave, which still searches
+COVERED = tuple(variant for variant in Variant if variant is not Variant.PLANO_CONCAVE)
 
 
 def golden_section(plan: SweepPlan, variant: Variant, lo: float, hi: float) -> tuple:
@@ -133,7 +133,7 @@ fractions = st.one_of(
 # strategies built once: hypothesis validates each new strategy it draws from
 CASES = st.sampled_from([
     (variant, feedback, mode, anchor)
-    for feedback in FeedbackMode for variant in Variant if covered(variant, feedback)
+    for feedback in FeedbackMode for variant in COVERED
     for mode in ArcMode for anchor in GapAnchor
 ])
 LOG = log_uniform("length")
@@ -195,15 +195,16 @@ def _design_pool(seed: int, tmp_path):
 
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_design_pool_covered_solves_equal_the_search(seed, tmp_path):
-    """On the benchmark's design pools every covered curved solve returns
-    exactly the (arc, S) of the search."""
+    """On the benchmark's design pools every curved solve returns exactly
+    the (arc, S) of the search, and every Planar solve its lower bound."""
     solves = 0
     for cell in _design_pool(seed, tmp_path):
-        feedback = cell.plan.drive.feedback_mode
         for variant, bounds in cell.bounds.items():
-            if variant is Variant.PLANAR or not covered(variant, feedback):
+            got = maximize_sensitivity(variant, bounds, cell.plan)
+            if variant is Variant.PLANAR:
+                lo = bounds[0]
+                assert got == (lo, _sensitivity_at_arc(_solve_of(cell.plan, variant), lo))
                 continue
-            search = golden_section(cell.plan, variant, *bounds)[:2]
-            assert maximize_sensitivity(variant, bounds, cell.plan) == search
+            assert got == golden_section(cell.plan, variant, *bounds)[:2]
             solves += 1
-    assert solves == 48 * 5  # the five curved pairings but PlanoConcave
+    assert solves == 48 * 6  # every curved pairing
