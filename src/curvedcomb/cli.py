@@ -62,8 +62,9 @@ from .sweep import (
 from .transduction import (
     OverRangeError,
     fd_sensitivity,
-    gain_at_side_nominals,
+    gain,
     net_sensitivity,
+    sensitivity,
     sensitivity_at_side_nominals,
 )
 
@@ -536,7 +537,7 @@ def _suite_derivative(rng: random.Random, points: int) -> float:
                 if validate_geometry(config, GapState(d)).ok:
                     break
             accel = rng.uniform(-2.0, 2.0) * STANDARD_GRAVITY
-            s = sensitivity_at_side_nominals(config, d, d, mech, drive, accel)
+            s = sensitivity(config, d, mech, drive, accel)
             fd = fd_sensitivity(config, d, d, mech, drive, accel)
             worst = _worse(worst, abs(fd - s) / abs(s))
     return worst
@@ -552,22 +553,22 @@ def _suite_symmetry(rng: random.Random, points: int) -> float:
             config = ElectrodeConfig.for_variant(variant, prof)
             if not validate_geometry(config, GapState(d)).ok:
                 continue
-            plus = gain_at_side_nominals(config, d, d, mech, drive, accel).gain
-            minus = gain_at_side_nominals(config, d, d, mech, drive, -accel).gain
+            plus = gain(config, d, mech, drive, accel).gain
+            minus = gain(config, d, mech, drive, -accel).gain
             worst = _worse(worst, abs(plus + minus) / max(abs(plus), 1e-300))
         cc = ElectrodeConfig.for_variant(Variant.CONCAVO_CONVEX, prof)
         vc = ElectrodeConfig.for_variant(Variant.CONVEXO_CONCAVE, prof)
         if validate_geometry(cc, GapState(d)).ok:
-            g_cc = gain_at_side_nominals(cc, d, d, mech, drive, accel).gain
-            g_vc = gain_at_side_nominals(vc, d, d, mech, drive, -accel).gain
+            g_cc = gain(cc, d, mech, drive, accel).gain
+            g_vc = gain(vc, d, mech, drive, -accel).gain
             worst = _worse(worst, abs(g_cc + g_vc) / max(abs(g_cc), 1e-300))
         planar = ElectrodeConfig.for_variant(Variant.PLANAR, prof)
         # delta/d = 1/4 so the c2 - c1 cancellation stays below the tolerance
         accel_p = 0.25 * d * mech.spring_n_per_m / mech.mass_kg
-        point = gain_at_side_nominals(planar, d, d, mech, drive, accel_p)
+        point = gain(planar, d, mech, drive, accel_p)
         exact = point.displacement_m / d
         worst = _worse(worst, abs(point.gain - exact) / abs(exact))
-        s = sensitivity_at_side_nominals(planar, d, d, mech, drive, 0.0)
+        s = sensitivity(planar, d, mech, drive, 0.0)
         s_exact = drive.v_in_volts * mech.mass_kg * STANDARD_GRAVITY / (
             mech.spring_n_per_m * d
         )

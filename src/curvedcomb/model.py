@@ -14,6 +14,7 @@ below 5e293 and S in [4e-154, 2e239] V per g (README: the derivation).
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -49,7 +50,7 @@ CONCAVE_EDGE_MARGIN_REL = 1e-12
 
 
 # the model envelope above: a closed interval per input quantity, in SI
-# units (m, F/m, kg, N/m, V) but for plan accelerations, in g
+# units (m, rad, F/m, kg, N/m, V) but for plan accelerations, in g
 _ENVELOPE = {
     "length": (1e-9, 1.0),
     # R*phi and a flat face's equal length, with room for the rounding of
@@ -60,6 +61,9 @@ _ENVELOPE = {
     "stiffness": (1e-6, 1e6),
     "voltage": (1e-6, 1e3),
     "accel_g": (-1e6, 1e6),
+    "angle": (0.0, math.nextafter(math.pi, 0.0)),  # phi, in [0, pi)
+    "displacement": (-sys.float_info.max, sys.float_info.max),  # every finite float
+    # int endpoints: the value must be an int, not a bool
     "comb_count": (1, 10**6),
     "points": (2, 10**6),  # grid points of a plan range
 }
@@ -69,25 +73,23 @@ _OPEN_GAPS = (2.0**-340, 2.0 * _ENVELOPE["length"][1])
 
 
 def _require_in_envelope(name: str, value: float, q: str) -> None:
-    """Raise ValueError unless value is a real number in the _ENVELOPE
-    interval of q."""
+    """Raise ValueError naming name unless value lies in the _ENVELOPE
+    interval of q: the one check a number gets where it enters. The value
+    must be an int or a float (a bool, str, None or complex is refused by
+    type) and, where the interval's ends are ints, an int; NaN is outside."""
     lo, hi = _ENVELOPE[q]
     try:
         inside = lo <= value <= hi  # one comparison, which NaN fails
-    except TypeError:  # not comparable with a number, such as a str
+    except TypeError:  # not comparable with a number, such as a str or None
         inside = False
-    if not inside or value is True or value is False:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    if (not inside or value is True or value is False
+            or type(lo) is int and not isinstance(value, int)):
+        kind, types = ("an int", int) if type(lo) is int else ("a real number", (int, float))
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
         if lo > 0 and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
         raise ValueError(f"{name} = {value} is outside the model's {q} range [{lo}, {hi}]")
-
-
-def _refuse_bool(name: str, value) -> None:
-    """Raise ValueError if value is a bool, which compares as a number."""
-    if value is True or value is False:
-        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _require_member(name: str, value, cls: type) -> None:
@@ -222,13 +224,10 @@ class ArcProfile(_Record):
     def __init__(self, radius_m: float, angular_extent_rad: float, thickness_m: float) -> None:
         _require_in_envelope("radius_m", radius_m, "length")
         _require_in_envelope("thickness_m", thickness_m, "length")
-        phi = angular_extent_rad
-        _refuse_bool("angular_extent_rad", phi)
-        if not 0.0 <= phi < math.pi:
-            raise ValueError(f"angular_extent_rad must lie in [0, pi), got {phi}")
-        _require_in_envelope("arc_length_m", radius_m * phi, "arc_length")
+        _require_in_envelope("angular_extent_rad", angular_extent_rad, "angle")
+        _require_in_envelope("arc_length_m", radius_m * angular_extent_rad, "arc_length")
         _set(self, "radius_m", radius_m)
-        _set(self, "angular_extent_rad", phi)
+        _set(self, "angular_extent_rad", angular_extent_rad)
         _set(self, "thickness_m", thickness_m)
 
     def arc_length(self) -> float:
@@ -272,9 +271,7 @@ class GapState(_Record):
 
     def __init__(self, gap_m: float, displacement_m: float = 0.0) -> None:
         _require_in_envelope("gap_m", gap_m, "length")
-        _refuse_bool("displacement_m", displacement_m)
-        if not -math.inf < displacement_m < math.inf:
-            raise ValueError(f"displacement_m must be finite, got {displacement_m}")
+        _require_in_envelope("displacement_m", displacement_m, "displacement")
         _set(self, "gap_m", gap_m)
         _set(self, "displacement_m", displacement_m)
 
@@ -325,13 +322,10 @@ class MechanicalModel(_Record):
     def __init__(self, mass_kg: float, spring_n_per_m: float, comb_count: int = 1) -> None:
         _require_in_envelope("mass_kg", mass_kg, "mass")
         _require_in_envelope("spring_n_per_m", spring_n_per_m, "stiffness")
-        n = comb_count
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"comb_count must be an int >= 1, got {n!r}")
-        _require_in_envelope("comb_count", n, "comb_count")
+        _require_in_envelope("comb_count", comb_count, "comb_count")
         _set(self, "mass_kg", mass_kg)
         _set(self, "spring_n_per_m", spring_n_per_m)
-        _set(self, "comb_count", n)
+        _set(self, "comb_count", comb_count)
 
 
 class FeedbackMode(Enum):

@@ -142,8 +142,6 @@ class SweepPlan(_Record):
             _require_in_envelope(f"{name} max", hi, quantity)
             if not lo < hi:
                 raise ValueError(f"{name} needs min < max, got [{lo}, {hi}]")
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ValueError(f"{count_name} must be an int, got {count!r}")
             _require_in_envelope(count_name, count, "points")
         super().__init__(
             variants, profile, gap, mech, drive, arc_mode, gap_anchor,
@@ -446,8 +444,9 @@ def maximize_sensitivity(
 
     Args:
         variant: electrode pairing to optimize.
-        arc_bounds_m: inclusive (lo, hi) arc-length interval; lo == hi is
-            the degenerate single-point case.
+        arc_bounds_m: inclusive (lo, hi) arc-length interval, each end in
+            the model's arc length interval; lo == hi is the degenerate
+            single-point case.
         plan: carrier of the shared parameters.
 
     Returns:
@@ -460,10 +459,9 @@ def maximize_sensitivity(
     _require_member("variant", variant, Variant)
     _require_member("plan", plan, SweepPlan)
     lo, hi = _require_span("arc_bounds_m", arc_bounds_m)
-    if not (isinstance(lo, float) and isinstance(hi, float)) and any(  # floats skip the scan
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in (lo, hi)):
-        raise ValueError(f"arc_bounds_m must hold two real numbers, got {arc_bounds_m!r}")
-    if not 0.0 < lo <= hi:
+    _require_in_envelope("arc_bounds_m min", lo, "arc_length")
+    _require_in_envelope("arc_bounds_m max", hi, "arc_length")
+    if not lo <= hi:
         raise ValueError(f"bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     evals: dict[float, float] = {}
     solve = _solve_of(plan, variant)

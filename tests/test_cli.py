@@ -443,7 +443,7 @@ class TestValidateCommand:
         [
             ("cap_convex", lambda c: math.nan),
             ("fd_sensitivity", lambda s: math.nan),
-            ("gain_at_side_nominals", lambda p: TransductionPoint(
+            ("gain", lambda p: TransductionPoint(
                 p.accel_m_s2, p.displacement_m, p.bridge, math.nan, p.v_out_volts
             )),
         ],

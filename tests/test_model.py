@@ -270,6 +270,8 @@ ENVELOPE_INPUTS = [
     ("v_in_volts", "voltage", lambda v: DriveModel(v)),
     ("permittivity_f_per_m", "permittivity",
      lambda v: DriveModel(1.0, permittivity_f_per_m=v)),
+    ("angular_extent_rad", "angle", lambda v: ArcProfile(100e-6, v, 2e-6)),
+    ("displacement_m", "displacement", lambda v: GapState(2e-6, v)),
 ]
 # the documented model envelope (README), pinned independently of model.py
 ENVELOPE = {
@@ -280,6 +282,8 @@ ENVELOPE = {
     "comb_count": (1, 10**6),
     "voltage": (1e-6, 1e3),
     "permittivity": (1e-13, 1e-7),
+    "angle": (0.0, 3.1415926535897927),  # [0, pi) in floats
+    "displacement": (-1.7976931348623157e308, 1.7976931348623157e308),  # finite
 }
 
 
@@ -287,22 +291,30 @@ class TestEnvelope:
     @pytest.mark.parametrize("name, quantity, build", ENVELOPE_INPUTS)
     def test_closed_interval_with_named_refusals(self, name, quantity, build):
         lo, hi = ENVELOPE[quantity]
-        build(lo)
+        if quantity == "angle":  # phi = 0 is in [0, pi) but leaves no arc
+            with pytest.raises(ValueError, match="arc_length_m must be positive"):
+                build(lo)
+        else:
+            build(lo)
         build(hi)
         outside = (lo - 1, hi + 1) if quantity == "comb_count" else (_below(lo), _above(hi))
         for value in outside:
-            if value <= 0:  # comb_count 0: today's wording for a non-positive value
+            if lo > 0 and value <= 0:  # a positive quantity's own wording
                 match = f"{name} must be positive and finite, got {value}"
             else:
-                match = f"{name} = {value} is outside the model's {quantity} range"
-            with pytest.raises(ValueError, match=re.escape(match)) as info:
+                match = f"{name} = {value} is outside the model's {quantity} range [{lo}, {hi}]"
+            with pytest.raises(ValueError, match=re.escape(match)):
                 build(value)
-            if value > 0:
-                assert f"[{lo}, {hi}]" in str(info.value)
-        for value in (0.0, -1.0, NAN, INF):
-            if quantity == "comb_count":
-                continue  # not an int; the type check words it
-            with pytest.raises(ValueError, match="must be positive and finite"):
+        for value in (0.0, -1.0, NAN, -INF, INF):
+            if quantity == "comb_count":  # int ends: a float is refused as such
+                match = f"{name} must be an int, got {value}"
+            elif lo > 0:
+                match = f"{name} must be positive and finite, got {value}"
+            elif lo <= value <= hi:
+                continue
+            else:
+                match = f"{name} = {value} is outside the model's {quantity} range"
+            with pytest.raises(ValueError, match=re.escape(match)):
                 build(value)
 
     def test_arc_length_is_bounded_on_both_sides(self):
@@ -402,11 +414,11 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
         (lambda: maximize_sensitivity(Variant.BICONVEX, [5e-6, 6e-5], _plan()),
          "arc_bounds_m must be a (min, max) tuple, got [5e-06, 6e-05]"),
         (lambda: maximize_sensitivity(Variant.BICONVEX, ("a", "b"), _plan()),
-         "arc_bounds_m must hold two real numbers, got ('a', 'b')"),
+         "arc_bounds_m min must be a real number, got 'a'"),
         (lambda: maximize_sensitivity(Variant.BICONVEX, (None, 1e-5), _plan()),
-         "arc_bounds_m must hold two real numbers, got (None, 1e-05)"),
+         "arc_bounds_m min must be a real number, got None"),
         (lambda: maximize_sensitivity(Variant.BICONVEX, (5e-6, True), _plan()),
-         "arc_bounds_m must hold two real numbers, got (5e-06, True)"),
+         "arc_bounds_m max must be a real number, got True"),
         (lambda: maximize_sensitivity(Variant.BICONVEX, (5e-6, 6e-5), None),
          "plan must be a SweepPlan, got None"),
         (lambda: sensitivity_sweep(None), "plan must be a SweepPlan, got None"),
@@ -421,6 +433,18 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
          "accel_range_g min must be a real number, got False"),
         (lambda: side_nominal_gaps(_CONFIG, True, GapAnchor.APEX),
          "gap_m must be a real number, got True"),
+        # str, None and complex raised TypeError from a bare comparison
+        (lambda: ArcProfile(1e-4, "0.2", 2e-6),
+         "angular_extent_rad must be a real number, got '0.2'"),
+        (lambda: ArcProfile(1e-4, None, 2e-6),
+         "angular_extent_rad must be a real number, got None"),
+        (lambda: ArcProfile(1e-4, 0.2j, 2e-6),
+         "angular_extent_rad must be a real number, got 0.2j"),
+        (lambda: GapState(2e-6, "0"), "displacement_m must be a real number, got '0'"),
+        (lambda: GapState(2e-6, None), "displacement_m must be a real number, got None"),
+        (lambda: GapState(2e-6, 1e-7 + 0j),
+         "displacement_m must be a real number, got (1e-07+0j)"),
+        (lambda: MechanicalModel(2.6e-10, 1.0, 2.0), "comb_count must be an int, got 2.0"),
     ],
     ids=["SweepPlan.variants", "SweepPlan.arc_range_m", "validate_geometry", "ArcProfile",
          "ElectrodeConfig.profile", "ElectrodeConfig.planar_face", "ElectrodeConfig.swapped",
@@ -431,7 +455,9 @@ def test_enum_fields_reject_non_members(name, enum, build, kind):
          "maximize_sensitivity.plan", "sensitivity_sweep",
          "gain_curve", "ArcProfile.bool_phi", "MechanicalModel.bool_mass",
          "GapState.bool_displacement", "DriveModel.bool_v_in", "SweepPlan.bool_accel_range",
-         "side_nominal_gaps.bool"],
+         "side_nominal_gaps.bool", "ArcProfile.str_phi", "ArcProfile.none_phi",
+         "ArcProfile.complex_phi", "GapState.str_displacement", "GapState.none_displacement",
+         "GapState.complex_displacement", "MechanicalModel.float_comb_count"],
 )
 def test_wrong_typed_inputs_raise_value_error(build, message):
     # these raised TypeError or AttributeError from inside the library

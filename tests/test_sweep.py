@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -544,6 +545,7 @@ def test_sweep_row_is_an_immutable_hashable_record():
 
 
 OUTSIDE_LENGTHS = "outside the model's length range"
+OUTSIDE_ARCS = "outside the model's arc_length range"
 
 
 @pytest.mark.parametrize("mode", list(ArcMode))
@@ -571,8 +573,9 @@ def test_sweep_refuses_arcs_below_the_envelope(mode):
 def test_optimizer_refuses_arcs_below_the_envelope(feedback, bounds):
     plan = make_plan(drive=DriveModel(1.0, feedback))
     for variant in Variant:
-        # fixed phi = 0.2: the radius arc/phi leaves the envelope first
-        with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
+        # each bound is held to the arc length interval before any profile
+        refused = f"arc_bounds_m min = {bounds[0]} is " + OUTSIDE_ARCS
+        with pytest.raises(ValueError, match=re.escape(refused)):
             maximize_sensitivity(variant, bounds, plan)
     # from the shortest arc of the envelope, at fixed R = 100 um so that
     # concave faces stay valid, every S is finite and nonzero
@@ -599,7 +602,8 @@ def test_sweep_and_optimizer_span_arcs_up_to_the_envelope():
         result = sensitivity_sweep(plan)
         assert [r.arc_length_m for r in result.rows] == [1e-6, 1.0]
         assert all(0.0 < r.s_mv_per_g < math.inf for r in result.rows)
-        with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
+        refused = "arc_bounds_m max = 1e[+]308 is " + OUTSIDE_ARCS
+        with pytest.raises(ValueError, match=refused):
             maximize_sensitivity(Variant.PLANAR, (1e-6, 1e308), plan)
         arc, s = maximize_sensitivity(Variant.PLANAR, (1e-6, 1.0), plan)
         assert 1e-6 <= arc <= 1.0 and 0.0 < s < math.inf
@@ -631,7 +635,7 @@ def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
         gap_anchor=GapAnchor.FACE_PLANE,
     )
     if bounds[1] > 1.0:
-        with pytest.raises(ValueError, match="radius_m = .* is " + OUTSIDE_LENGTHS):
+        with pytest.raises(ValueError, match="arc_bounds_m max = .* is " + OUTSIDE_ARCS):
             maximize_sensitivity(Variant.PLANO_CONCAVE, bounds, plan)
         return
     arc, s = maximize_sensitivity(Variant.PLANO_CONCAVE, bounds, plan)
