@@ -35,8 +35,8 @@ interior maximum. Lengthening the arc moves w = W/D (faces at D -+ W)
 as a flow dw = t(w), t >= 0 growing with w. Under it the mixed pair's
 |S| rises under either feedback mode, and a plano pairing's (u = D/L on
 the curved face) rises where u >= 1; where u <= 1 it falls under
-matched-sum and turns only at minima under nominal feedback. PlanoConcave,
-whose face-plane, growing-phi, nominal case is unproved, keeps the search.
+matched-sum and turns only at minima under nominal feedback. Only the
+unproved case (PlanoConcave, FACE_PLANE, phi growing, nominal) searches.
 """
 
 from __future__ import annotations
@@ -435,9 +435,10 @@ def maximize_sensitivity(
     """Arc length maximizing |S| for one variant, with the S it achieves.
 
     Both bounds are evaluated first, each checked. Where |S(arc)| has no
-    interior local maximum (module docstring: every pairing but
-    PlanoConcave) the better bound is the answer, the lower one for
-    Planar, whose S does not vary. PlanoConcave keeps a golden-section
+    interior local maximum (module docstring: every case but one) the
+    better bound is the answer, the lower one for Planar, whose S does
+    not vary. The unproved case, PlanoConcave under the FACE_PLANE anchor
+    with VARY_PHI_FIXED_R and nominal feedback, keeps a golden-section
     search on |S| to an absolute argument tolerance of 1e-10 m, sharing
     the plan's geometry mode, anchor and readout parameters (not its
     grids), and returns the best point evaluated.
@@ -463,22 +464,24 @@ def maximize_sensitivity(
     _require_in_envelope("arc_bounds_m max", hi, "arc_length")
     if not lo <= hi:
         raise ValueError(f"bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
-    evals: dict[float, float] = {}
     solve = _solve_of(plan, variant)
+    s_lo = _sensitivity_at_arc(solve, lo)  # checked: raises ValueError on an invalid bound
+    if hi == lo:
+        return lo, s_lo
+    s_hi = _sensitivity_at_arc(solve, hi)
+    # no interior maximum (module docstring) but in PlanoConcave's open case
+    _, _, k1, k2, bowed, *_, matched_sum = solve
+    if not (k1 is _CONCAVE and k2 is _FLAT and bowed and not matched_sum
+            and plan.arc_mode is _VARY_PHI_FIXED_R):
+        if k1 is not _FLAT and abs(s_hi) > abs(s_lo):
+            return hi, s_hi
+        return lo, s_lo
+    evals = {lo: s_lo, hi: s_hi}
 
-    def f(arc: float, checked: bool = False) -> float:
-        s = _sensitivity_at_arc(solve, arc, checked)
-        evals[arc] = s
+    def f(arc: float) -> float:
+        evals[arc] = s = _sensitivity_at_arc(solve, arc, False)
         return abs(s)
 
-    f(lo, True)  # bound evaluations raise ValueError on invalid bounds
-    if hi == lo:
-        return lo, evals[lo]
-    f(hi, True)
-    k1, k2 = solve[2:4]  # no interior maximum (module docstring) but for PlanoConcave
-    if not (k1 is _CONCAVE and k2 is _FLAT):
-        best = hi if k1 is not _FLAT and abs(evals[hi]) > abs(evals[lo]) else lo
-        return best, evals[best]
     a, b = lo, hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)

@@ -626,12 +626,14 @@ def test_optimizer_ends_where_floats_are_spaced_above_the_tolerance(
         return _sensitivity_at_arc(*args)
 
     monkeypatch.setattr(sweep, "_sensitivity_at_arc", capped)
-    # PlanoConcave still searches; on the face plane, at a 0.1 um gap, its
-    # concave face admits every arc of the envelope
+    # PlanoConcave searches on the face plane with phi growing under nominal
+    # feedback; at R = 1 m and a 0.1 um gap its concave face admits every
+    # arc of the envelope
     plan = make_plan(
-        profile=ArcProfile(1e-3, 2.0, STD_H),
+        profile=ArcProfile(1.0, 0.5, STD_H),
         gap=GapState(1e-7),
         drive=DriveModel(1.0, FeedbackMode.NOMINAL),
+        arc_mode=ArcMode.VARY_PHI_FIXED_R,
         gap_anchor=GapAnchor.FACE_PLANE,
     )
     if bounds[1] > 1.0:
