@@ -7,15 +7,17 @@ concave face. Face placement conventions (see model.GapAnchor) are
 resolved by callers before these functions are reached.
 
 _resolve_face reads a face's kind once, into its kernel (_flat, _convex
-or _concave), its side_gap_bounds interval and the kernel's constants. A
+or _concave), its side_gap_bounds interval and the kernel's constants.
+Every face is built by _resolve_at_arc (an arc face, or a flat face cut
+to the arc) or _resolve_flat, from numbers the caller has checked. A
 kernel is straight-line code returning C and dC/dd together, sharing one
 square root and atan/atanh term; callers test the gap first. The public
 functions (cap_* through face_capacitance, and dcap_dgap) check their
 permittivity against the model envelope, resolve, check and evaluate;
-the bridge and the sweeps resolve each face once per cell or arc. The
-derivatives are hand-differentiated from the closed forms, cross-checked
-against Richardson finite differences in the test suite, and carry all
-sensitivity math downstream via the chain rule.
+the bridge and the sweeps resolve each distinct face once per cell or
+arc. The derivatives are hand-differentiated from the closed forms,
+cross-checked against Richardson finite differences in the test suite,
+and carry all sensitivity math downstream via the chain rule.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _resolve_face(kind: FaceKind, profile, permittivity: float) -> tuple:
     type does not fit the kind (PlanarProfile for FLAT, else ArcProfile)."""
     _check_profile(kind, profile)
     if kind is _FLAT:
-        return _flat, *_OPEN_GAPS, kind, permittivity * profile.thickness_m * profile.length_m
+        return _resolve_flat(permittivity, profile.thickness_m, profile.length_m)
     r, phi, h = profile.radius_m, profile.angular_extent_rad, profile.thickness_m
     return _resolve_at_arc(kind, r, phi, h, permittivity, profile.sagitta())
 
@@ -73,10 +75,16 @@ def _resolve_at_arc(kind: FaceKind, r: float, phi: float, h: float, permittivity
     sagitta, all of which the caller has checked, with no profile built: a
     flat face is cut to the arc's length R*phi."""
     if kind is _FLAT:
-        return _flat, *_OPEN_GAPS, kind, permittivity * h * (r * phi)
+        return _resolve_flat(permittivity, h, r * phi)
     lo, hi = _concave_gaps(r, sagitta_m) if kind is _CONCAVE else _OPEN_GAPS
     kernel = _convex if kind is _CONVEX else _concave
     return kernel, lo, hi, kind, 4.0 * permittivity * h * r, r, math.tan(phi / 4.0)
+
+
+def _resolve_flat(permittivity: float, h: float, b: float) -> tuple:
+    """_resolve_face's flat face of thickness h and length b, which the
+    caller has checked."""
+    return _flat, *_OPEN_GAPS, _FLAT, permittivity * h * b
 
 
 def _out_of_domain(face: tuple, gap_m: float) -> GeometryDomainError:

@@ -63,6 +63,7 @@ _ENVELOPE = {
     "accel_g": (-1e6, 1e6),
     "angle": (0.0, math.nextafter(math.pi, 0.0)),  # phi, in [0, pi)
     "displacement": (-sys.float_info.max, sys.float_info.max),  # every finite float
+    "real": (-math.inf, math.inf),  # every float but NaN: a per-point call's own inputs
     # int endpoints: the value must be an int, not a bool
     "comb_count": (1, 10**6),
     "points": (2, 10**6),  # grid points of a plan range

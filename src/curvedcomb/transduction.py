@@ -16,22 +16,29 @@ forms apply one gap to both sides.
 Every evaluation reads one cell: the variant, the two side faces, each
 resolved into its kind's (C, dC/dd) kernel, permittivity and gap
 interval, and their two nominal gaps. Each public call, fd_sensitivity
-included, builds its cell once and tests each displaced gap once, by the
-travel check or by the bridge's side-naming domain test; _evaluate then
-makes one kernel call per side. Nominal feedback's rest C_fb is read off
-rest only, after that test, and once per fd_sensitivity call: at rest
-C_fb = C1 + C2 under either mode. _gain and _sensitivity (over
-_readout's constants) are the one G and S formula; the sweeps call them
-from their face tables, and a curve's over-range points take
-_over_range's message, as _check_range does.
+included, builds its cell once, in one pass (_cell): each distinct face
+kind is resolved once, with no type re-checked, as ElectrodeConfig has
+checked the profiles and DriveModel the permittivity. The call's gaps
+and acceleration (or displacement) cost a valid call one bool test; once
+the travel or domain test fails, or the arithmetic raises TypeError, a
+bool, non-number or NaN among them is refused by name with ValueError,
+and only an infinite acceleration stays over range. Each displaced gap
+is tested once, by the travel check or by the bridge's side-naming
+domain test; _evaluate then makes one kernel call per side. Nominal
+feedback's rest C_fb is read off rest only, after that test, and once
+per fd_sensitivity call: at rest C_fb = C1 + C2 under either mode. _gain
+and _sensitivity (over _readout's constants) are the one G and S
+formula; the sweeps call them from their face tables, and a curve's
+over-range points take _over_range's message, as _check_range does.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .capacitance import GeometryDomainError, _out_of_domain, _resolve_face
+from .capacitance import GeometryDomainError, _out_of_domain, _resolve_at_arc, _resolve_flat
 from .model import (
+    SIDE_KINDS,
     STANDARD_GRAVITY,
     VACUUM_PERMITTIVITY,
     DriveModel,
@@ -40,6 +47,8 @@ from .model import (
     MechanicalModel,
     _FLAT,
     _MATCHED_SUM,
+    _require_in_envelope,
+    _sagitta,
     displacement,
 )
 from .oracles import fd_derivative
@@ -97,13 +106,37 @@ _Cell = tuple
 # (C1, dC1/dd, C2, dC2/dd, C_fb) of one bridge evaluation
 _Evaluation = tuple[float, float, float, float, float]
 
+_new = tuple.__new__  # what a NamedTuple's own __new__ calls, from a Python frame
+# the names of (d1, d2, accel) in each form's refusals
+_SIDES, _ONE_GAP = ("d1", "d2", "accel_m_s2"), ("gap_nominal_m", "gap_nominal_m", "accel_m_s2")
+
 
 def _cell(config: ElectrodeConfig, d1: float, d2: float, eps: float) -> _Cell:
-    flat, arc = config.planar_face, config.profile
-    k1, k2 = config.side_kinds()
-    f1 = _resolve_face(k1, flat if k1 is _FLAT else arc, eps)
-    f2 = _resolve_face(k2, flat if k2 is _FLAT else arc, eps)
+    """The cell of one call, built in one pass: ElectrodeConfig has checked
+    the profile types, so each distinct face kind is resolved once, with no
+    re-check, the curved ones from one read of the arc and the flat one
+    from planar_face. A symmetric pairing's two sides share one face."""
+    k1, k2 = SIDE_KINDS[config.variant]
+    flat = config.planar_face
+    if k1 is _FLAT:  # Planar: side 1 is flat in no other pairing
+        f1 = _resolve_flat(eps, flat.thickness_m, flat.length_m)
+        return config.variant, f1, f1, d1, d2
+    arc = config.profile
+    r, phi, h = arc.radius_m, arc.angular_extent_rad, arc.thickness_m
+    sag = _sagitta(r, phi)
+    f1 = f2 = _resolve_at_arc(k1, r, phi, h, eps, sag)
+    if k2 is _FLAT:
+        f2 = _resolve_flat(eps, flat.thickness_m, flat.length_m)
+    elif k2 is not k1:
+        f2 = _resolve_at_arc(k2, r, phi, h, eps, sag)
     return config.variant, f1, f2, d1, d2
+
+
+def _refuse_non_numbers(names: tuple, *values) -> None:
+    """Raise ValueError naming the first of values that is a bool, not a
+    real number or NaN, in _require_in_envelope's wording."""
+    for name, value in zip(names, values):
+        _require_in_envelope(name, value, "real")
 
 
 def _face(face: tuple, side: int, gap_m: float) -> tuple[float, float]:
@@ -186,9 +219,16 @@ def bridge_at_side_nominals(
 ) -> BridgeState:
     """Bridge capacitances with independently placed sides."""
     cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
-    c1, c2 = _face(cell[1], 1, d1 - delta_m)[0], _face(cell[2], 2, d2 + delta_m)[0]
+    names = ("d1", "d2", "delta_m")  # refused as in _checked_point
+    try:
+        c1, c2 = _face(cell[1], 1, d1 - delta_m)[0], _face(cell[2], 2, d2 + delta_m)[0]
+    except (TypeError, GeometryDomainError):
+        _refuse_non_numbers(names, d1, d2, delta_m)
+        raise
+    if type(d1) is bool or type(d2) is bool or type(delta_m) is bool:
+        _refuse_non_numbers(names, d1, d2, delta_m)
     rest_fb = delta_m and drive.feedback_mode is not _MATCHED_SUM  # at rest: C1 + C2
-    return BridgeState(c1, c2, _rest_feedback(cell) if rest_fb else c1 + c2)
+    return _new(BridgeState, (c1, c2, _rest_feedback(cell) if rest_fb else c1 + c2))
 
 
 def bridge_capacitances(
@@ -205,21 +245,32 @@ def bridge_capacitances(
     )
 
 
-def _operating_point(
-    cell: _Cell,
-    mech: MechanicalModel,
-    drive: DriveModel,
-    accel_m_s2: float,
-    c_fb: float | None = None,
-) -> tuple[float, _Evaluation]:
-    """Displacement and bridge evaluation at one acceleration, after the
-    one range check of the call; c_fb as in _evaluate, and off rest None
-    reads nominal feedback's _rest_feedback (at rest it equals C1 + C2)."""
-    delta = displacement(mech, accel_m_s2)
-    _check_range(cell, mech, delta, accel_m_s2)
-    if c_fb is None and delta and drive.feedback_mode is not _MATCHED_SUM:
-        c_fb = _rest_feedback(cell)
-    return delta, _evaluate(cell, delta, c_fb)
+def _checked_point(config, d1, d2, mech, drive, accel, names) -> tuple[_Cell, float]:
+    """The cell of one public call and the displacement at accel, which the
+    call's one travel check has passed. d1, d2 and accel, named by names,
+    are refused if a bool, not a real number or NaN: on a TypeError from
+    the arithmetic or a failed check, before it propagates (so only an
+    infinite acceleration stays over range), and for a bool, which the
+    arithmetic takes as 0 or 1, by the one test a valid call pays."""
+    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
+    try:
+        delta = displacement(mech, accel)
+        _check_range(cell, mech, delta, accel)
+    except (TypeError, OverRangeError):
+        _refuse_non_numbers(names, d1, d2, accel)
+        raise
+    if type(d1) is bool or type(d2) is bool or type(accel) is bool:
+        _refuse_non_numbers(names, d1, d2, accel)
+    return cell, delta
+
+
+def _operating_point(config, d1, d2, mech, drive, accel, names) -> tuple[float, _Evaluation]:
+    """Displacement and bridge evaluation of one public gain or sensitivity
+    call, after _checked_point; off rest, nominal feedback reads
+    _rest_feedback (at rest it equals C1 + C2)."""
+    cell, delta = _checked_point(config, d1, d2, mech, drive, accel, names)
+    rest_fb = delta and drive.feedback_mode is not _MATCHED_SUM
+    return delta, _evaluate(cell, delta, _rest_feedback(cell) if rest_fb else None)
 
 
 def _gain(ev: _Evaluation) -> float:
@@ -254,10 +305,13 @@ def gain_at_side_nominals(
     accel_m_s2: float,
 ) -> TransductionPoint:
     """Gain evaluation with independently placed sides."""
-    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
-    delta, ev = _operating_point(cell, mech, drive, accel_m_s2)
-    g, bridge = _gain(ev), BridgeState(ev[0], ev[2], ev[4])
-    return TransductionPoint(accel_m_s2, delta, bridge, g, drive.v_in_volts * g)
+    return _gain_point(config, d1, d2, mech, drive, accel_m_s2, _SIDES)
+
+
+def _gain_point(config, d1, d2, mech, drive, accel, names) -> TransductionPoint:
+    delta, ev = _operating_point(config, d1, d2, mech, drive, accel, names)
+    g, bridge = _gain(ev), _new(BridgeState, (ev[0], ev[2], ev[4]))
+    return _new(TransductionPoint, (accel, delta, bridge, g, drive.v_in_volts * g))
 
 
 def gain(
@@ -276,9 +330,7 @@ def gain(
         OverRangeError: if the proof-mass travel leaves the valid gap
             interval; the error names the first invalid acceleration.
     """
-    return gain_at_side_nominals(
-        config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2
-    )
+    return _gain_point(config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2, _ONE_GAP)
 
 
 def sensitivity_at_side_nominals(
@@ -290,10 +342,8 @@ def sensitivity_at_side_nominals(
     accel_m_s2: float = 0.0,
 ) -> float:
     """Analytic sensitivity with independently placed sides (V per g)."""
-    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
-    _, ev = _operating_point(cell, mech, drive, accel_m_s2)
-    v_m_per_k, matched_sum = _readout(mech, drive)
-    return _sensitivity(ev, v_m_per_k, matched_sum)
+    _, ev = _operating_point(config, d1, d2, mech, drive, accel_m_s2, _SIDES)
+    return _sensitivity(ev, *_readout(mech, drive))
 
 
 def sensitivity(
@@ -309,9 +359,10 @@ def sensitivity(
     quotient rule over (C1, C2) and the closed-form dC/dd. Presentation
     layers report this in mV/g.
     """
-    return sensitivity_at_side_nominals(
-        config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2
+    _, ev = _operating_point(
+        config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2, _ONE_GAP
     )
+    return _sensitivity(ev, *_readout(mech, drive))
 
 
 def net_sensitivity(s_volts_per_g: float, mech: MechanicalModel) -> float:
@@ -342,9 +393,7 @@ def fd_sensitivity(
     The step is a small fraction of the distance to contact so the
     stencil stays inside the valid travel range.
     """
-    cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
-    delta = displacement(mech, accel_m_s2)
-    _check_range(cell, mech, delta, accel_m_s2)
+    cell, delta = _checked_point(config, d1, d2, mech, drive, accel_m_s2, _SIDES)
     lo, hi = _displacement_interval(cell)
     a_margin = min(hi - delta, delta - lo) * mech.spring_n_per_m / mech.mass_kg
     rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
@@ -352,7 +401,9 @@ def fd_sensitivity(
     c_fb = None if drive.feedback_mode is _MATCHED_SUM else _rest_feedback(cell)
 
     def gain_of_accel(a: float) -> float:
-        return _gain(_operating_point(cell, mech, drive, a, c_fb)[1])
+        delta = displacement(mech, a)
+        _check_range(cell, mech, delta, a)
+        return _gain(_evaluate(cell, delta, c_fb))
 
     slope = fd_derivative(gain_of_accel, accel_m_s2, rel_step).value
     return drive.v_in_volts * slope * STANDARD_GRAVITY

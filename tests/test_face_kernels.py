@@ -7,7 +7,9 @@ now carries its kernel and the kernel's hoisted constants, and every
 (C, dC/dd) must come out bit for bit as before, over a seeded grid of
 kinds, profiles, gaps and permittivities spanning the model envelope.
 Outside a face's gap interval the public functions must raise the same
-GeometryDomainError, with the same text, kind and gap.
+GeometryDomainError, with the same text, kind and gap. The cell a
+per-point call builds in one pass must hold, on each side, exactly the
+face _resolve_face builds from that side's profile.
 """
 
 import math
@@ -17,14 +19,17 @@ import pytest
 
 from curvedcomb import (
     ArcProfile,
+    ElectrodeConfig,
     FaceKind,
     PlanarProfile,
+    Variant,
     capacitance,
     dcap_dgap,
     face_capacitance,
+    transduction,
 )
 from curvedcomb.capacitance import GeometryDomainError
-from curvedcomb.model import _ENVELOPE, _check_profile, side_gap_bounds
+from curvedcomb.model import _ENVELOPE, SIDE_KINDS, _check_profile, side_gap_bounds
 
 # ---- reference: the fused kernel as it was, verbatim ----------------------
 
@@ -176,3 +181,36 @@ def test_out_of_domain_gaps_raise_the_same_error(public):
             assert repr(new.value.gap_m) == repr(ref.value.gap_m)
             cases += 1
     assert cases > 1000
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_the_cell_of_a_call_holds_resolve_face_on_each_side(seed):
+    # configs built directly, too: a flat face of another thickness, one
+    # 5e-10 longer or shorter than the arc (inside the plano pairings'
+    # length tolerance) and one of another length (every pairing but those)
+    rng = random.Random(seed + 300)
+    cells = set()
+    for prof in _profiles(rng, 40):
+        arc, h = prof.arc_length(), _log_uniform(rng, L_LO, L_HI)
+        flats = (
+            PlanarProfile(arc, prof.thickness_m),
+            PlanarProfile(arc, h),
+            PlanarProfile(arc * (1.0 + 5e-10 if arc < 0.5 else 1.0 - 5e-10), h),
+            PlanarProfile(_log_uniform(rng, 1e-9, 1.0), h),
+        )
+        for eps in (E_LO, E_HI, _log_uniform(rng, E_LO, E_HI)):
+            for variant in Variant:
+                for i, flat in enumerate(flats):
+                    try:
+                        config = ElectrodeConfig(variant, prof, flat)
+                    except ValueError:  # a plano pairing's flat face is cut to the arc
+                        continue
+                    cell = transduction._cell(config, 1e-6, 2e-6, eps)
+                    assert cell[0] is variant and cell[3:] == (1e-6, 2e-6)
+                    kinds = SIDE_KINDS[variant]
+                    for kind, face in zip(kinds, cell[1:3]):
+                        profile = flat if kind is FaceKind.FLAT else prof
+                        assert face == capacitance._resolve_face(kind, profile, eps)
+                    assert (cell[2] is cell[1]) == (kinds[0] is kinds[1])
+                    cells.add((variant, i))
+    assert len(cells) == 5 * 4 + 2 * 3

@@ -15,18 +15,21 @@ where C_fb = c1 + c2 under either feedback mode, so it resolves and
 evaluates each distinct face kind of its pairing once (one call for a
 symmetric pairing, two for a mixed one) and builds no PlanarProfile, as
 a flat face is cut to the step's arc; a symmetric pairing's solve makes
-only its two bound steps. A public gain or sensitivity evaluates each
-side once, on gaps the travel check has tested: 2 kernel calls, plus,
-off rest under nominal feedback, the rest pair (4), whose gaps alone take
-the side-naming domain test; at rest C_fb = c1 + c2 under either mode,
-where evaluating the rest pair again made 4. fd_sensitivity resolves
-its two faces once and each of its four stencil gains evaluates both
-sides: 2 resolves and 8 kernel calls, plus the nominal rest pair once
-per call (10), where routing each gain through the public gain made 10
-resolves and 8 or 16 kernel calls. Skipped cells and over-range points
-cost no call of their own, and their reasons are read off the face
-table: no ElectrodeConfig is built and validate_geometry is not called.
-Counting calls rather than timing keeps this deterministic.
+only its two bound steps. A public gain or sensitivity resolves each
+distinct face kind of its pairing once (1 resolve for a symmetric
+pairing, 2 for a mixed one, where resolving each side made 2) and
+evaluates each side once, on gaps the travel check has tested: 2 kernel
+calls, plus, off rest under nominal feedback, the rest pair (4), whose
+gaps alone take the side-naming domain test; at rest C_fb = c1 + c2
+under either mode, where evaluating the rest pair again made 4.
+fd_sensitivity resolves its faces once, in the same way, and each of its
+four stencil gains evaluates both sides: 1 or 2 resolves and 8 kernel
+calls, plus the nominal rest pair once per call (10), where routing each
+gain through the public gain made 10 resolves and 8 or 16 kernel calls.
+Skipped cells and over-range points cost no call of their own, and their
+reasons are read off the face table: no ElectrodeConfig is built and
+validate_geometry is not called. Counting calls rather than timing keeps
+this deterministic.
 """
 
 import sys
@@ -99,10 +102,13 @@ def kernel_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def resolve_calls(monkeypatch) -> list:
-    # a face is resolved from its profile (_resolve_face) or, in the sweeps
-    # and the optimizer, from the arc's own numbers (_resolve_at_arc)
-    calls = count_calls(monkeypatch, "_resolve_face", [])
-    return count_calls(monkeypatch, "_resolve_at_arc", calls)
+    # a face is resolved from its profile (_resolve_face) or, in the sweeps,
+    # the optimizer and a per-point call's cell, from checked numbers
+    # (_resolve_at_arc, _resolve_flat)
+    calls: list = []
+    for name in ("_resolve_face", "_resolve_at_arc", "_resolve_flat"):
+        count_calls(monkeypatch, name, calls)
+    return calls
 
 
 @pytest.fixture
@@ -241,7 +247,7 @@ def test_fd_sensitivity_stencil(kernel_calls, resolve_calls, side_tests, variant
     config = ElectrodeConfig.for_variant(variant, ArcProfile(STD_R, STD_PHI, STD_H))
     mech, drive = MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0, feedback)
     fd_sensitivity(config, STD_GAP, STD_GAP, mech, drive, 0.0)
-    assert len(resolve_calls) == 2
+    assert len(resolve_calls) == len(set(SIDE_KINDS[variant]))
     assert len(kernel_calls) == 8 + REST_CALLS_PER_CELL[feedback]
     rest_gaps = [(1, STD_GAP), (2, STD_GAP)] if feedback is FeedbackMode.NOMINAL else []
     assert [(side, gap) for _, side, gap in side_tests] == rest_gaps
@@ -249,17 +255,20 @@ def test_fd_sensitivity_stencil(kernel_calls, resolve_calls, side_tests, variant
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
 @pytest.mark.parametrize("point", [gain_at_side_nominals, sensitivity_at_side_nominals])
-def test_per_point_path(kernel_calls, side_tests, point, feedback):
-    # the travel check tests each displaced gap once and each side is
-    # evaluated once; nominal feedback adds the rest pair, side-tested, off
-    # rest only: at rest its C_fb is C1 + C2, as under matched-sum feedback
-    config = ElectrodeConfig.for_variant(Variant.PLANO_CONCAVE, ArcProfile(STD_R, STD_PHI, STD_H))
-    d1, d2 = side_nominal_gaps(config, STD_GAP, GapAnchor.FACE_PLANE)
+def test_per_point_path(kernel_calls, resolve_calls, side_tests, point, feedback):
+    # the cell resolves each distinct face kind once; the travel check tests
+    # each displaced gap once and each side is evaluated once; nominal
+    # feedback adds the rest pair, side-tested, off rest only: at rest its
+    # C_fb is C1 + C2, as under matched-sum feedback
     mech, drive = MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0, feedback)
-    for accel in (0.0, -0.0, 9.8, -50.0):
-        kernel_calls.clear()
-        side_tests.clear()
-        point(config, d1, d2, mech, drive, accel)
-        rest = 0 if accel == 0.0 else REST_CALLS_PER_CELL[feedback]
-        assert len(kernel_calls) == 2 + rest
-        assert [(side, gap) for _, side, gap in side_tests] == [(1, d1), (2, d2)][:rest]
+    for variant in (Variant.PLANAR, Variant.BICONVEX, Variant.PLANO_CONCAVE):
+        config = ElectrodeConfig.for_variant(variant, ArcProfile(STD_R, STD_PHI, STD_H))
+        d1, d2 = side_nominal_gaps(config, STD_GAP, GapAnchor.FACE_PLANE)
+        for accel in (0.0, -0.0, 9.8, -50.0):
+            for calls in (kernel_calls, resolve_calls, side_tests):
+                calls.clear()
+            point(config, d1, d2, mech, drive, accel)
+            assert len(resolve_calls) == len(set(SIDE_KINDS[variant]))
+            rest = 0 if accel == 0.0 else REST_CALLS_PER_CELL[feedback]
+            assert len(kernel_calls) == 2 + rest
+            assert [(side, gap) for _, side, gap in side_tests] == [(1, d1), (2, d2)][:rest]

@@ -22,6 +22,7 @@ HOT_PATHS = [
     (capacitance, "_concave"),
     (capacitance, "_resolve_face"),
     (capacitance, "_resolve_at_arc"),
+    (capacitance, "_resolve_flat"),
     (capacitance, "_out_of_domain"),
     (model, "displacement"),
     (model, "side_nominal_gaps"),
@@ -36,7 +37,9 @@ HOT_PATHS = [
     (transduction, "_displacement_interval"),
     (transduction, "_check_range"),
     (transduction, "_over_range"),
+    (transduction, "_checked_point"),
     (transduction, "_operating_point"),
+    (transduction, "_gain_point"),
     (transduction, "_gain"),
     (transduction, "_readout"),
     (transduction, "_sensitivity"),

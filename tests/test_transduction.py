@@ -315,6 +315,62 @@ class TestRangeAndDomain:
             )
 
 
+def per_point_calls(config, mech, drive) -> dict:
+    """Each public per-point call: its numeric arguments' names, and the
+    call taking them."""
+    return {
+        "gain": (("gap_nominal_m", "accel_m_s2"),
+                 lambda g, a: gain(config, g, mech, drive, a)),
+        "gain_at_side_nominals": (("d1", "d2", "accel_m_s2"),
+                                  lambda d1, d2, a: gain_at_side_nominals(
+                                      config, d1, d2, mech, drive, a)),
+        "sensitivity": (("gap_nominal_m", "accel_m_s2"),
+                        lambda g, a: sensitivity(config, g, mech, drive, a)),
+        "sensitivity_at_side_nominals": (("d1", "d2", "accel_m_s2"),
+                                         lambda d1, d2, a: sensitivity_at_side_nominals(
+                                             config, d1, d2, mech, drive, a)),
+        "fd_sensitivity": (("d1", "d2", "accel_m_s2"),
+                           lambda d1, d2, a: fd_sensitivity(config, d1, d2, mech, drive, a)),
+        "bridge_at_side_nominals": (("d1", "d2", "delta_m"),
+                                    lambda d1, d2, x: bridge_at_side_nominals(
+                                        config, d1, d2, x, drive)),
+    }
+
+
+PER_POINT = list(per_point_calls(None, None, None))
+
+
+class TestPerPointInputs:
+    # these raised TypeError, took a bool as 0 or 1, or reported a NaN as
+    # over range, naming a first invalid acceleration it had nothing to do with
+    @pytest.mark.parametrize("feedback", list(FeedbackMode))
+    @pytest.mark.parametrize("variant", [Variant.PLANAR, Variant.PLANO_CONCAVE])
+    @pytest.mark.parametrize("call", PER_POINT)
+    def test_a_non_number_or_nan_is_refused_by_name(self, call, variant, feedback, profile, mech):
+        config = ElectrodeConfig.for_variant(variant, profile)
+        names, evaluate = per_point_calls(config, mech, DriveModel(1.0, feedback))[call]
+        valid = [STD_GAP] * (len(names) - 1) + [1e-9 if names[-1] == "delta_m" else 9.8]
+        evaluate(*valid)
+        for i, name in enumerate(names):
+            for bad in ("2e-6", None, 1j, True, False, math.nan):
+                args = valid[:i] + [bad] + valid[i + 1:]
+                if isinstance(bad, float):
+                    message = f"{name} = nan is outside the model's real range [-inf, inf]"
+                else:
+                    message = f"{name} must be a real number, got {bad!r}"
+                with pytest.raises(ValueError) as err:
+                    evaluate(*args)
+                assert (type(err.value), str(err.value)) == (ValueError, message)
+
+    @pytest.mark.parametrize("accel", [math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [c for c in PER_POINT if not c.startswith("bridge")])
+    def test_an_infinite_acceleration_stays_over_range(self, call, accel, profile, mech, drive):
+        config = ElectrodeConfig.for_variant(Variant.BICONVEX, profile)
+        names, evaluate = per_point_calls(config, mech, drive)[call]
+        with pytest.raises(OverRangeError, match="first invalid acceleration"):
+            evaluate(*[STD_GAP] * (len(names) - 1), accel)
+
+
 class TestAnchorInteraction:
     def test_face_plane_gaps_feed_transduction(self, profile, mech, drive):
         # chord-referenced placement: biconvex formula gaps shrink by the
