@@ -1,0 +1,247 @@
+"""Every public per-point call and a set of CLI lines against a stored corpus.
+
+tests/data/behaviour.json holds, for each public per-point function of
+transduction and each pairing, the sha256 of the reprs of its outcomes
+over a fixed grid: two profiles, three gaps, both anchors and feedback
+modes, accelerations (or bridge displacements) at and off rest, over
+range, infinite, NaN, bool and str, and bad gaps in each gap argument.
+An error counts as its (type name, message). A repr keeps every bit of
+a float, so any change to a result, an error or its wording fails.
+allowed_displacement_interval is fed only real-number gaps here; its
+refusal of a bool, non-number or NaN gap is pinned in
+test_transduction.py's TestPerPointInputs.
+
+The corpus also holds the stdout, stderr and exit code of CLI lines run
+in process, each in its own empty directory, and the sha256 of every
+file a line writes. They cover all five subcommands, both feedback modes
+and anchors, a config file, --verify, --csv, --svg, validate --json and
+exits 1, 2 and 3.
+
+Bits are compared only on the interpreter version and C library that
+wrote the corpus, as another libm may round a transcendental function
+differently. Regenerate the corpus only for an intended change of
+behaviour:
+
+    PYTHONPATH=src python tests/test_behaviour.py
+"""
+
+import hashlib
+import json
+import math
+import os
+import platform
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from curvedcomb import (
+    ArcProfile,
+    DriveModel,
+    ElectrodeConfig,
+    FeedbackMode,
+    GapAnchor,
+    GapState,
+    MechanicalModel,
+    Variant,
+    allowed_displacement_interval,
+    bridge_at_side_nominals,
+    bridge_capacitances,
+    fd_sensitivity,
+    gain,
+    gain_at_side_nominals,
+    net_sensitivity,
+    sensitivity,
+    sensitivity_at_side_nominals,
+    side_nominal_gaps,
+)
+from curvedcomb.cli import main
+
+CORPUS = Path(__file__).parent / "data" / "behaviour.json"
+
+# the reference cell's profile and one whose convex bow (4.3 um) is
+# deeper than the two smaller gaps under the face-plane anchor
+PROFILES = (ArcProfile(100e-6, 0.2, 2e-6), ArcProfile(40e-6, 0.9, 3e-6))
+GAPS = (0.6e-6, 2e-6, 7e-6)
+MECH = MechanicalModel(2.6e-10, 1.0, 21)
+# 9.8 m/s^2 moves the mass 2.5 nm; 1e4 m/s^2 (2.6 um) is over range
+ACCELS = (0.0, -0.0, 1e-12, -1e-12, 9.8, -50.0, 1e4, -1e4,
+          math.inf, -math.inf, math.nan, True, "1")
+DELTAS = (0.0, -0.0, 1e-21, -1e-21, 2.5e-9, -1.3e-8, 3e-6, -3e-6,
+          math.inf, -math.inf, math.nan, True, "1e-9")
+BAD_GAPS = (math.inf, -1e-6, 0.0, 1e-15, math.nan, True, False, "2e-6", None)
+REAL_BAD_GAPS = BAD_GAPS[:4]
+
+
+def _outcome(call, *args) -> str:
+    try:
+        return repr(call(*args))
+    except Exception as err:  # an error is an outcome like a result
+        return repr((type(err).__name__, str(err)))
+
+
+def per_point_outcomes():
+    """(key, outcome) of every call of the grid, in a fixed order."""
+    for prof in PROFILES:
+        for variant in Variant:
+            config = ElectrodeConfig.for_variant(variant, prof)
+            for feedback in FeedbackMode:
+                drive = DriveModel(1.0, feedback)
+                for g in GAPS:
+                    yield from _plain_forms(config, g, drive)
+                    for anchor in GapAnchor:
+                        d1, d2 = side_nominal_gaps(config, g, anchor)
+                        yield from _side_forms(config, d1, d2, drive)
+    for s in ACCELS:
+        yield "net_sensitivity", _outcome(net_sensitivity, s, MECH)
+
+
+def _plain_forms(config, g, drive):
+    key = f"/{config.variant.value}"
+    for a in ACCELS:
+        yield "gain" + key, _outcome(gain, config, g, MECH, drive, a)
+        yield "sensitivity" + key, _outcome(sensitivity, config, g, MECH, drive, a)
+    for x in DELTAS:
+        yield "bridge_capacitances" + key, _outcome(
+            lambda: bridge_capacitances(config, GapState(g, x), drive))
+    for b in BAD_GAPS:
+        yield "gain" + key, _outcome(gain, config, b, MECH, drive, 9.8)
+        yield "sensitivity" + key, _outcome(sensitivity, config, b, MECH, drive, 9.8)
+
+
+def _side_forms(config, d1, d2, drive):
+    key = f"/{config.variant.value}"
+    twins = (
+        ("gain_at_side_nominals", gain_at_side_nominals),
+        ("sensitivity_at_side_nominals", sensitivity_at_side_nominals),
+        ("fd_sensitivity", fd_sensitivity),
+    )
+    gap_pairs = [(b, d2) for b in BAD_GAPS] + [(d1, b) for b in BAD_GAPS]
+    for name, call in twins:
+        for a in ACCELS:
+            yield name + key, _outcome(call, config, d1, d2, MECH, drive, a)
+        for b1, b2 in gap_pairs:
+            yield name + key, _outcome(call, config, b1, b2, MECH, drive, 9.8)
+    for x in DELTAS:
+        yield "bridge_at_side_nominals" + key, _outcome(
+            bridge_at_side_nominals, config, d1, d2, x, drive)
+    for b1, b2 in gap_pairs:
+        yield "bridge_at_side_nominals" + key, _outcome(
+            bridge_at_side_nominals, config, b1, b2, 1e-9, drive)
+    yield "allowed_displacement_interval" + key, _outcome(
+        allowed_displacement_interval, config, d1, d2)
+    for b in REAL_BAD_GAPS:
+        yield "allowed_displacement_interval" + key, _outcome(
+            allowed_displacement_interval, config, b, d2)
+        yield "allowed_displacement_interval" + key, _outcome(
+            allowed_displacement_interval, config, d1, b)
+
+
+def per_point_digests() -> dict:
+    """{key: [call count, sha256 of its outcomes, one per line]}."""
+    hashes: dict = {}
+    for key, outcome in per_point_outcomes():
+        entry = hashes.setdefault(key, [0, hashlib.sha256()])
+        entry[0] += 1
+        entry[1].update(outcome.encode() + b"\n")
+    return {key: [n, h.hexdigest()] for key, (n, h) in hashes.items()}
+
+
+CONFIG_FILE = {"geometry": {"r_um": 150.0, "arc_um": 30.0}, "drive": {"feedback_mode": "nominal"}}
+
+CLI_LINES = [
+    "capacitance --kind convex",
+    "capacitance --kind concave --verify",
+    "capacitance --kind flat --b-um 15 --verify --gap-anchor apex",
+    # 7e-15 m above the concave edge-contact bound: the oracle cannot converge
+    "capacitance --kind concave --r-um 100 --phi 0.2 --gap-um 0.49958348 --verify",
+    "gain-curve --csv curve.csv --svg curve.svg --accel-points 9",
+    "gain-curve --csv curve.csv --feedback nominal --gap-anchor apex"
+    " --accel-min-g -900 --accel-max-g 900 --accel-points 7",
+    "gain-curve --accel-points 5",
+    "sensitivity-sweep --csv sweep.csv --verify --arc-points 6",
+    "sensitivity-sweep --csv sweep.csv --svg sweep.svg --feedback nominal"
+    " --gap-anchor apex --arc-points 8 --arc-max-um 120",
+    "sensitivity-sweep --csv sweep.csv --verify --feedback nominal --arc-points 4"
+    " --arc-mode vary-r-fixed-arc --phi 0.3",
+    "compare",
+    "compare --feedback nominal --gap-anchor apex --csv rank.csv",
+    "compare --config cfg.json --variants planar,biconcave,planoconvex",
+    "compare --phi 0.9 --gap-um 1",
+    "compare --gap-um 0.01 --phi 1.5 --variants biconvex",
+    "compare --r-um -1",
+    "compare --variants nope",
+    "compare --bogus 1",
+    "validate --points 10",
+    "validate --points 10 --json --feedback nominal",
+    "validate --points 0",
+    "validate --phi 0.9 --gap-um 1",
+]
+
+
+def run_cli_line(line: str, work: Path) -> dict:
+    """Exit code, stdout, stderr and written files of one CLI line, run in
+    process in work, an empty directory, beside a config file cfg.json."""
+    Path(work, "cfg.json").write_text(json.dumps(CONFIG_FILE))
+    out, err = StringIO(), StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(line.split())
+    finally:
+        os.chdir(cwd)
+    files = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(Path(work).iterdir())
+        if p.name != "cfg.json"
+    }
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+
+
+def platform_tag() -> dict:
+    return {"python": sys.version, "libc": list(platform.libc_ver())}
+
+
+def compute() -> dict:
+    cli = {}
+    for line in CLI_LINES:
+        with tempfile.TemporaryDirectory() as work:
+            cli[line] = run_cli_line(line, Path(work))
+    return {"platform": platform_tag(), "per_point": per_point_digests(), "cli": cli}
+
+
+def _libm_key(tag: dict) -> tuple:
+    # the interpreter's minor version and the C library
+    return tag["python"].split(".")[:2], tag["libc"]
+
+
+@pytest.fixture(scope="module")
+def corpus() -> dict:
+    stored = json.loads(CORPUS.read_text())
+    if _libm_key(stored["platform"]) != _libm_key(platform_tag()):
+        pytest.skip(f"corpus written on {stored['platform']}: regenerate it here")
+    return stored
+
+
+def test_per_point_calls_match_the_corpus(corpus):
+    got, want = per_point_digests(), corpus["per_point"]
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_cli_line_matches_the_corpus(corpus, line, tmp_path):
+    assert run_cli_line(line, tmp_path) == corpus["cli"][line]
+
+
+def test_cli_lines_cover_every_exit_code(corpus):
+    assert {entry["exit"] for entry in corpus["cli"].values()} == {0, 1, 2, 3}
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
