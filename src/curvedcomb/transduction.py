@@ -18,18 +18,21 @@ resolved into its kind's (C, dC/dd) kernel, permittivity and gap
 interval, and their two nominal gaps. Each public call, fd_sensitivity
 included, builds its cell once, in one pass (_cell): each distinct face
 kind is resolved once, with no type re-checked, as ElectrodeConfig has
-checked the profiles and DriveModel the permittivity. The call's gaps
-and acceleration (or displacement) cost a valid call one bool test; once
-the travel or domain test fails, or the arithmetic raises TypeError, a
-bool, non-number or NaN among them is refused by name with ValueError,
-and only an infinite acceleration stays over range. Each displaced gap
-is tested once, by the travel check or by the bridge's side-naming
-domain test; _evaluate then makes one kernel call per side. Nominal
-feedback's rest C_fb is read off rest only, after that test, and once
-per fd_sensitivity call: at rest C_fb = C1 + C2 under either mode. _gain
-and _sensitivity (over _readout's constants) are the one G and S
-formula; the sweeps call them from their face tables, and a curve's
-over-range points take _over_range's message, as _check_range does.
+checked the profiles and DriveModel the permittivity. A bool, non-number
+or NaN gap, acceleration or displacement is refused by name with
+ValueError. The plain forms, the bridge and the interval check up front.
+_point, the one frame of the twins and fd_sensitivity, checks lazily, as
+the oracle checks call it per point: a valid call pays one bool test,
+and the numbers are diagnosed only once the travel check fails or the
+arithmetic raises TypeError (an infinite acceleration stays over range).
+Each displaced gap is tested once, by the travel check or by the
+bridge's side-naming domain test; _evaluate then makes one kernel call
+per side. Nominal feedback's rest C_fb is read off rest only, after that
+test, and once per fd_sensitivity call, a symmetric pairing's one rest
+face once: at rest C_fb = C1 + C2 under either mode. _gain and
+_sensitivity (over _readout's constants) are the one G and S formula;
+the sweeps call them from their face tables, and a curve's over-range
+points take _over_range's message, as _check_range does.
 """
 
 from __future__ import annotations
@@ -107,8 +110,6 @@ _Cell = tuple
 _Evaluation = tuple[float, float, float, float, float]
 
 _new = tuple.__new__  # what a NamedTuple's own __new__ calls, from a Python frame
-# the names of (d1, d2, accel) in each form's refusals
-_SIDES, _ONE_GAP = ("d1", "d2", "accel_m_s2"), ("gap_nominal_m", "gap_nominal_m", "accel_m_s2")
 
 
 def _cell(config: ElectrodeConfig, d1: float, d2: float, eps: float) -> _Cell:
@@ -149,7 +150,8 @@ def _face(face: tuple, side: int, gap_m: float) -> tuple[float, float]:
 def _rest_feedback(cell: _Cell) -> float:
     # rest capacitance 2*C0, with C0 the mean of the two undisplaced sides
     _, f1, f2, d1, d2 = cell
-    return _face(f1, 1, d1)[0] + _face(f2, 2, d2)[0]
+    c1 = _face(f1, 1, d1)[0]
+    return c1 + (c1 if f2 is f1 and d2 == d1 else _face(f2, 2, d2)[0])
 
 
 def _evaluate(cell: _Cell, delta_m: float, c_fb: float | None) -> _Evaluation:
@@ -170,6 +172,7 @@ def allowed_displacement_interval(
     d1 and d2 are the per-side closed-form nominal gaps; side 1 sees
     d1 - delta and side 2 sees d2 + delta.
     """
+    _refuse_non_numbers(("d1", "d2"), d1, d2)
     # the gap intervals do not depend on the permittivity
     return _displacement_interval(_cell(config, d1, d2, VACUUM_PERMITTIVITY))
 
@@ -218,15 +221,9 @@ def bridge_at_side_nominals(
     drive: DriveModel,
 ) -> BridgeState:
     """Bridge capacitances with independently placed sides."""
+    _refuse_non_numbers(("d1", "d2", "delta_m"), d1, d2, delta_m)
     cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
-    names = ("d1", "d2", "delta_m")  # refused as in _checked_point
-    try:
-        c1, c2 = _face(cell[1], 1, d1 - delta_m)[0], _face(cell[2], 2, d2 + delta_m)[0]
-    except (TypeError, GeometryDomainError):
-        _refuse_non_numbers(names, d1, d2, delta_m)
-        raise
-    if type(d1) is bool or type(d2) is bool or type(delta_m) is bool:
-        _refuse_non_numbers(names, d1, d2, delta_m)
+    c1, c2 = _face(cell[1], 1, d1 - delta_m)[0], _face(cell[2], 2, d2 + delta_m)[0]
     rest_fb = delta_m and drive.feedback_mode is not _MATCHED_SUM  # at rest: C1 + C2
     return _new(BridgeState, (c1, c2, _rest_feedback(cell) if rest_fb else c1 + c2))
 
@@ -245,32 +242,24 @@ def bridge_capacitances(
     )
 
 
-def _checked_point(config, d1, d2, mech, drive, accel, names) -> tuple[_Cell, float]:
-    """The cell of one public call and the displacement at accel, which the
-    call's one travel check has passed. d1, d2 and accel, named by names,
-    are refused if a bool, not a real number or NaN: on a TypeError from
-    the arithmetic or a failed check, before it propagates (so only an
-    infinite acceleration stays over range), and for a bool, which the
-    arithmetic takes as 0 or 1, by the one test a valid call pays."""
+def _point(config, d1, d2, mech, drive, accel) -> tuple[_Cell, float, float | None]:
+    """_evaluate's arguments at one call's operating point: the cell, the
+    displacement at accel, which the one travel check has passed, and off
+    rest nominal feedback's rest C_fb, else None. d1, d2 and accel are
+    refused if a bool, not a real number or NaN: on a TypeError from the
+    arithmetic or a failed check, before it propagates, and for a bool,
+    which the arithmetic takes as 0 or 1, by the one test a valid call pays."""
     cell = _cell(config, d1, d2, drive.permittivity_f_per_m)
     try:
         delta = displacement(mech, accel)
         _check_range(cell, mech, delta, accel)
     except (TypeError, OverRangeError):
-        _refuse_non_numbers(names, d1, d2, accel)
+        _refuse_non_numbers(("d1", "d2", "accel_m_s2"), d1, d2, accel)
         raise
     if type(d1) is bool or type(d2) is bool or type(accel) is bool:
-        _refuse_non_numbers(names, d1, d2, accel)
-    return cell, delta
-
-
-def _operating_point(config, d1, d2, mech, drive, accel, names) -> tuple[float, _Evaluation]:
-    """Displacement and bridge evaluation of one public gain or sensitivity
-    call, after _checked_point; off rest, nominal feedback reads
-    _rest_feedback (at rest it equals C1 + C2)."""
-    cell, delta = _checked_point(config, d1, d2, mech, drive, accel, names)
+        _refuse_non_numbers(("d1", "d2", "accel_m_s2"), d1, d2, accel)
     rest_fb = delta and drive.feedback_mode is not _MATCHED_SUM
-    return delta, _evaluate(cell, delta, _rest_feedback(cell) if rest_fb else None)
+    return cell, delta, _rest_feedback(cell) if rest_fb else None
 
 
 def _gain(ev: _Evaluation) -> float:
@@ -305,13 +294,10 @@ def gain_at_side_nominals(
     accel_m_s2: float,
 ) -> TransductionPoint:
     """Gain evaluation with independently placed sides."""
-    return _gain_point(config, d1, d2, mech, drive, accel_m_s2, _SIDES)
-
-
-def _gain_point(config, d1, d2, mech, drive, accel, names) -> TransductionPoint:
-    delta, ev = _operating_point(config, d1, d2, mech, drive, accel, names)
+    cell, delta, c_fb = _point(config, d1, d2, mech, drive, accel_m_s2)
+    ev = _evaluate(cell, delta, c_fb)
     g, bridge = _gain(ev), _new(BridgeState, (ev[0], ev[2], ev[4]))
-    return _new(TransductionPoint, (accel, delta, bridge, g, drive.v_in_volts * g))
+    return _new(TransductionPoint, (accel_m_s2, delta, bridge, g, drive.v_in_volts * g))
 
 
 def gain(
@@ -330,7 +316,8 @@ def gain(
         OverRangeError: if the proof-mass travel leaves the valid gap
             interval; the error names the first invalid acceleration.
     """
-    return _gain_point(config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2, _ONE_GAP)
+    _require_in_envelope("gap_nominal_m", gap_nominal_m, "real")
+    return gain_at_side_nominals(config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2)
 
 
 def sensitivity_at_side_nominals(
@@ -342,7 +329,7 @@ def sensitivity_at_side_nominals(
     accel_m_s2: float = 0.0,
 ) -> float:
     """Analytic sensitivity with independently placed sides (V per g)."""
-    _, ev = _operating_point(config, d1, d2, mech, drive, accel_m_s2, _SIDES)
+    ev = _evaluate(*_point(config, d1, d2, mech, drive, accel_m_s2))
     return _sensitivity(ev, *_readout(mech, drive))
 
 
@@ -359,10 +346,10 @@ def sensitivity(
     quotient rule over (C1, C2) and the closed-form dC/dd. Presentation
     layers report this in mV/g.
     """
-    _, ev = _operating_point(
-        config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2, _ONE_GAP
+    _require_in_envelope("gap_nominal_m", gap_nominal_m, "real")
+    return sensitivity_at_side_nominals(
+        config, gap_nominal_m, gap_nominal_m, mech, drive, accel_m_s2
     )
-    return _sensitivity(ev, *_readout(mech, drive))
 
 
 def net_sensitivity(s_volts_per_g: float, mech: MechanicalModel) -> float:
@@ -393,12 +380,12 @@ def fd_sensitivity(
     The step is a small fraction of the distance to contact so the
     stencil stays inside the valid travel range.
     """
-    cell, delta = _checked_point(config, d1, d2, mech, drive, accel_m_s2, _SIDES)
+    cell, delta, c_fb = _point(config, d1, d2, mech, drive, accel_m_s2)
+    if c_fb is None and drive.feedback_mode is not _MATCHED_SUM:  # at rest
+        c_fb = _rest_feedback(cell)
     lo, hi = _displacement_interval(cell)
     a_margin = min(hi - delta, delta - lo) * mech.spring_n_per_m / mech.mass_kg
     rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)
-
-    c_fb = None if drive.feedback_mode is _MATCHED_SUM else _rest_feedback(cell)
 
     def gain_of_accel(a: float) -> float:
         delta = displacement(mech, a)

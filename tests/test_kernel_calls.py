@@ -19,13 +19,15 @@ only its two bound steps. A public gain or sensitivity resolves each
 distinct face kind of its pairing once (1 resolve for a symmetric
 pairing, 2 for a mixed one, where resolving each side made 2) and
 evaluates each side once, on gaps the travel check has tested: 2 kernel
-calls, plus, off rest under nominal feedback, the rest pair (4), whose
-gaps alone take the side-naming domain test; at rest C_fb = c1 + c2
-under either mode, where evaluating the rest pair again made 4.
-fd_sensitivity resolves its faces once, in the same way, and each of its
-four stencil gains evaluates both sides: 1 or 2 resolves and 8 kernel
-calls, plus the nominal rest pair once per call (10), where routing each
-gain through the public gain made 10 resolves and 8 or 16 kernel calls.
+calls, plus, off rest under nominal feedback, each distinct rest face
+(one face at one gap for a symmetric pairing, 3 calls in all; 4 for a
+mixed one), whose gaps alone take the side-naming domain test; at rest
+C_fb = c1 + c2 under either mode, where evaluating the rest pair again
+made 4. fd_sensitivity resolves its faces once, in the same way, and
+each of its four stencil gains evaluates both sides: 1 or 2 resolves and
+8 kernel calls, plus the nominal rest faces once per call (0, 1 or 2),
+where routing each gain through the public gain made 10 resolves and 8
+or 16 kernel calls.
 Skipped cells and over-range points cost no call of their own, and their
 reasons are read off the face table: no ElectrodeConfig is built and
 validate_geometry is not called. Counting calls rather than timing keeps
@@ -62,7 +64,12 @@ from curvedcomb import (
 from curvedcomb.model import SIDE_KINDS
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
-REST_CALLS_PER_CELL = {FeedbackMode.MATCHED_SUM: 0, FeedbackMode.NOMINAL: 2}
+
+def rest_calls(variant: Variant, feedback: FeedbackMode) -> int:
+    """Kernel calls of a rest C_fb: none under matched-sum feedback, else one
+    per distinct rest face, as a symmetric pairing places its two sides at
+    one gap."""
+    return 0 if feedback is FeedbackMode.MATCHED_SUM else len(set(SIDE_KINDS[variant]))
 
 
 # ids of the call lists that have a counted call in progress
@@ -248,9 +255,9 @@ def test_fd_sensitivity_stencil(kernel_calls, resolve_calls, side_tests, variant
     mech, drive = MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0, feedback)
     fd_sensitivity(config, STD_GAP, STD_GAP, mech, drive, 0.0)
     assert len(resolve_calls) == len(set(SIDE_KINDS[variant]))
-    assert len(kernel_calls) == 8 + REST_CALLS_PER_CELL[feedback]
-    rest_gaps = [(1, STD_GAP), (2, STD_GAP)] if feedback is FeedbackMode.NOMINAL else []
-    assert [(side, gap) for _, side, gap in side_tests] == rest_gaps
+    rest = rest_calls(variant, feedback)
+    assert len(kernel_calls) == 8 + rest
+    assert [(side, gap) for _, side, gap in side_tests] == [(1, STD_GAP), (2, STD_GAP)][:rest]
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
@@ -258,8 +265,8 @@ def test_fd_sensitivity_stencil(kernel_calls, resolve_calls, side_tests, variant
 def test_per_point_path(kernel_calls, resolve_calls, side_tests, point, feedback):
     # the cell resolves each distinct face kind once; the travel check tests
     # each displaced gap once and each side is evaluated once; nominal
-    # feedback adds the rest pair, side-tested, off rest only: at rest its
-    # C_fb is C1 + C2, as under matched-sum feedback
+    # feedback adds each distinct rest face, side-tested, off rest only: at
+    # rest its C_fb is C1 + C2, as under matched-sum feedback
     mech, drive = MechanicalModel(2.6e-10, 1.0, 21), DriveModel(1.0, feedback)
     for variant in (Variant.PLANAR, Variant.BICONVEX, Variant.PLANO_CONCAVE):
         config = ElectrodeConfig.for_variant(variant, ArcProfile(STD_R, STD_PHI, STD_H))
@@ -269,6 +276,6 @@ def test_per_point_path(kernel_calls, resolve_calls, side_tests, point, feedback
                 calls.clear()
             point(config, d1, d2, mech, drive, accel)
             assert len(resolve_calls) == len(set(SIDE_KINDS[variant]))
-            rest = 0 if accel == 0.0 else REST_CALLS_PER_CELL[feedback]
+            rest = 0 if accel == 0.0 else rest_calls(variant, feedback)
             assert len(kernel_calls) == 2 + rest
             assert [(side, gap) for _, side, gap in side_tests] == [(1, d1), (2, d2)][:rest]

@@ -37,9 +37,7 @@ HOT_PATHS = [
     (transduction, "_displacement_interval"),
     (transduction, "_check_range"),
     (transduction, "_over_range"),
-    (transduction, "_checked_point"),
-    (transduction, "_operating_point"),
-    (transduction, "_gain_point"),
+    (transduction, "_point"),
     (transduction, "_gain"),
     (transduction, "_readout"),
     (transduction, "_sensitivity"),
