@@ -443,7 +443,7 @@ def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> in
         if not report.ok:
             notes.append(
                 f"{variant.value}: skipped ("
-                + "; ".join(v.rule for v in report.violations)
+                + "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
                 + ")"
             )
             continue
@@ -514,7 +514,9 @@ def _suite_quadrature(rng: random.Random, points: int) -> float:
 
 
 _CURVED_VARIANTS = tuple(v for v in Variant if v is not Variant.PLANAR)
-# the fixed mechanics and drive of the derivative and symmetry suites
+# the fixed mechanics of the derivative and symmetry suites, and the
+# symmetry suite's drive: its planar identity G = delta/d holds only under
+# matched-sum feedback, while the derivative suite takes --feedback
 _SUITE_MECH = MechanicalModel(2.6e-10, 1.0, 21)
 _SUITE_DRIVE = DriveModel(1.0)
 
@@ -526,9 +528,9 @@ def _random_cell(rng: random.Random) -> tuple[ArcProfile, float]:
     return prof, rng.uniform(0.8e-6, 8e-6)
 
 
-def _suite_derivative(rng: random.Random, points: int) -> float:
+def _suite_derivative(rng: random.Random, points: int, feedback: FeedbackMode) -> float:
     worst = 0.0
-    mech, drive = _SUITE_MECH, _SUITE_DRIVE
+    mech, drive = _SUITE_MECH, DriveModel(1.0, feedback)
     for variant in _CURVED_VARIANTS:
         for _ in range(points):
             while True:  # redraw until the rest state is valid for variant
@@ -584,7 +586,8 @@ def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> i
     n = max(10, args.points)
     suites = [
         ("quadrature vs closed forms", _suite_quadrature(rng, n), _QUAD_TOL),
-        ("finite differences vs sensitivity", _suite_derivative(rng, max(5, n // 6)), _FD_TOL),
+        ("finite differences vs sensitivity",
+         _suite_derivative(rng, max(5, n // 6), plan.drive.feedback_mode), _FD_TOL),
         ("symmetry and polarity identities", _suite_symmetry(rng, n), _SYM_TOL),
     ]
     all_ok = True

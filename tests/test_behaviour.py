@@ -23,8 +23,13 @@ differently. Regenerate the corpus only for an intended change of
 behaviour:
 
     PYTHONPATH=src python tests/test_behaviour.py
+
+Before it rewrites the corpus, that prints each per-point key whose hash
+moved and each CLI line whose outcome moved, with a line diff of its
+stdout and stderr.
 """
 
+import difflib
 import hashlib
 import json
 import math
@@ -214,6 +219,38 @@ def compute() -> dict:
     return {"platform": platform_tag(), "per_point": per_point_digests(), "cli": cli}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """What differs between two corpora, one printable line each: the
+    platform, per-point keys whose hash moved, then CLI lines whose exit, output or files
+    moved, with a line diff of each moved stream."""
+    report = []
+    if old.get("platform") != new.get("platform"):
+        report.append(f"platform: {old.get('platform')} -> {new.get('platform')}")
+    old_pp, new_pp = old.get("per_point", {}), new.get("per_point", {})
+    for key in sorted(old_pp.keys() | new_pp.keys()):
+        if old_pp.get(key) != new_pp.get(key):
+            report.append(f"per-point {key}: {old_pp.get(key)} -> {new_pp.get(key)}")
+    old_cli, new_cli = old.get("cli", {}), new.get("cli", {})
+    for line in [*new_cli, *(k for k in old_cli if k not in new_cli)]:
+        was, now = old_cli.get(line), new_cli.get(line)
+        if was == now:
+            continue
+        report.append(f"cli `{line}`")
+        was, now = was or {}, now or {}
+        for field in ("exit", "files"):
+            if was.get(field) != now.get(field):
+                report.append(f"  {field}: {was.get(field)} -> {now.get(field)}")
+        for stream in ("stdout", "stderr"):
+            report.extend(
+                "  " + diff_line
+                for diff_line in difflib.unified_diff(
+                    was.get(stream, "").splitlines(), now.get(stream, "").splitlines(),
+                    f"{stream} before", f"{stream} after", n=0, lineterm="",
+                )
+            )
+    return report
+
+
 def _libm_key(tag: dict) -> tuple:
     # the interpreter's minor version and the C library
     return tag["python"].split(".")[:2], tag["libc"]
@@ -242,6 +279,29 @@ def test_cli_lines_cover_every_exit_code(corpus):
     assert {entry["exit"] for entry in corpus["cli"].values()} == {0, 1, 2, 3}
 
 
+def test_moved_names_each_moved_key_and_diffs_each_moved_stream():
+    old = {"per_point": {"gain/a": [1, "x"], "gain/b": [1, "y"]},
+           "cli": {"l1": {"exit": 0, "stdout": "s\nq 1\n", "stderr": "", "files": {}},
+                   "l2": {"exit": 0, "stdout": "same\n", "stderr": "", "files": {}}}}
+    new = {"per_point": {"gain/a": [1, "x"], "gain/b": [1, "z"]},
+           "cli": {"l1": {"exit": 3, "stdout": "s\nq 2\n", "stderr": "", "files": {}},
+                   "l2": {"exit": 0, "stdout": "same\n", "stderr": "", "files": {}}}}
+    assert moved(old, new) == [
+        "per-point gain/b: [1, 'y'] -> [1, 'z']",
+        "cli `l1`",
+        "  exit: 0 -> 3",
+        "  --- stdout before",
+        "  +++ stdout after",
+        "  @@ -2 +2 @@",
+        "  -q 1",
+        "  +q 2",
+    ]
+    assert moved(new, new) == []
+
+
 if __name__ == "__main__":
+    fresh = compute()
+    stored = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
+    print("\n".join(moved(stored, fresh)) or "nothing moved")
     CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    CORPUS.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")

@@ -350,6 +350,16 @@ class TestCompareCommand:
             "Biconcave"
         )
 
+    def test_skip_note_names_each_side_as_validate_does(self, capsys):
+        # both Biconvex sides fail the same rule: only the side tells them apart
+        code, out, _ = run(capsys, "compare", "--phi", "0.9", "--gap-um", "1")
+        assert code == 0
+        assert (
+            "Biconvex: skipped (side 1: gap not positive; side 2: gap not positive)"
+        ) in out.splitlines()
+        code, _, err = run(capsys, "validate", "--phi", "0.9", "--gap-um", "1")
+        assert code == 2 and "Biconvex: side 1: gap not positive" in err
+
 
 class TestModelEnvelope:
     """Input outside the model envelope exits 2 with the envelope's message
@@ -466,6 +476,22 @@ class TestValidateCommand:
         assert "verification failure" in err
         failed = [s for s in json.loads(out)["suites"] if not s["pass"]]
         assert len(failed) == 1 and math.isnan(failed[0]["max_rel_err"])
+
+    @pytest.mark.parametrize("mode", ["matched-sum", "nominal"])
+    def test_derivative_suite_runs_under_the_selected_feedback(self, capsys, monkeypatch, mode):
+        # the symmetry suite stays on matched-sum: its G = delta/d holds only there
+        seen = {"fd_sensitivity": set(), "gain": set()}
+        for name, modes in seen.items():
+            original = getattr(cli, name)
+
+            def recording(*args, original=original, modes=modes):
+                modes.add(args[-2].feedback_mode.value)  # (..., drive, accel)
+                return original(*args)
+
+            monkeypatch.setattr(cli, name, recording)
+        code, out, _ = run(capsys, "validate", "--points", "10", "--json", "--feedback", mode)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert seen == {"fd_sensitivity": {mode}, "gain": {"matched-sum"}}
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_points_below_one_is_usage_error(self, capsys, points):

@@ -18,6 +18,7 @@ from curvedcomb import (
     integrate_adaptive,
     quad_capacitance,
 )
+from curvedcomb import oracles
 from conftest import STD_GAP, STD_H
 
 CBRT_EPS = (2.0**-52) ** (1.0 / 3.0)
@@ -68,7 +69,7 @@ class TestAdaptiveQuadrature:
             (lambda x: 1.0 / math.sqrt(x + 1e-8), 0.0, 1.0),  # subdivides
         ],
     )
-    def test_each_panel_evaluates_15_points(self, f, a, b):
+    def test_each_panel_evaluates_21_points(self, f, a, b):
         calls = []
 
         def counted(x):
@@ -77,7 +78,7 @@ class TestAdaptiveQuadrature:
 
         res = integrate_adaptive(counted, a, b)
         # the first panel, then two new panels per subdivision
-        assert len(calls) == 15 * (1 + 2 * res.subdivisions)
+        assert len(calls) == 21 * (1 + 2 * res.subdivisions)
 
     def test_deterministic_replay(self):
         f = lambda x: math.sin(37.0 * x) / (1.0 + x * x)
@@ -88,37 +89,50 @@ class TestAdaptiveQuadrature:
 
 
 # The panel and the adaptive loop in their loop form, as they stood before
-# the panel was unrolled: the unrolled code must agree with them bit for bit.
+# the panel was unrolled (the table is now the 10/21 rule's): the unrolled
+# code must agree with them bit for bit. The loop has no exact-sum stop
+# checks; on the inputs compared here they never change the result.
 _XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
+    0.9956571630258081,
+    0.9739065285171717,
+    0.9301574913557082,
+    0.8650633666889845,
+    0.7808177265864169,
+    0.6794095682990244,
+    0.5627571346686047,
+    0.4333953941292472,
+    0.2943928627014602,
+    0.14887433898163122,
     0.0,
 )
 _WGK = (
-    0.0229353220105292,
-    0.0630920926299786,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-    0.2094821410847278,
+    0.011694638867371874,
+    0.032558162307964725,
+    0.054755896574351995,
+    0.07503967481091996,
+    0.0931254545836976,
+    0.10938715880229764,
+    0.12349197626206584,
+    0.13470921731147334,
+    0.14277593857706009,
+    0.14773910490133849,
+    0.1494455540029169,
 )
-_WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189, 0.4179591836734694)
+_WG = (
+    0.06667134430868814,
+    0.1494513491505806,
+    0.21908636251598204,
+    0.26926671930999635,
+    0.29552422471475287,
+)
 
 
-def loop_gk15(f, a, b):
+def loop_gk21(f, a, b):
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    f_center = f(center)
-    resk = _WGK[7] * f_center
-    resg = _WG[3] * f_center
-    for i in range(7):
+    resk = _WGK[10] * f(center)
+    resg = 0.0  # the 10-point Gauss rule has no centre node
+    for i in range(10):
         dx = half * _XGK[i]
         fsum = f(center - dx) + f(center + dx)
         resk += _WGK[i] * fsum
@@ -130,7 +144,7 @@ def loop_gk15(f, a, b):
 def loop_integrate(f, a, b):
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    val, err = loop_gk15(f, a, b)
+    val, err = loop_gk21(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     seq = 1
     total_val, total_err = val, err
@@ -139,8 +153,8 @@ def loop_integrate(f, a, b):
         assert splits < 2000, "the reference did not converge"
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = loop_gk15(f, lo, mid)
-        v2, e2 = loop_gk15(f, mid, hi)
+        v1, e1 = loop_gk21(f, lo, mid)
+        v2, e2 = loop_gk21(f, mid, hi)
         total_val += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
@@ -220,6 +234,84 @@ class TestUnrolledPanel:
                 folded_total += folded
                 whole_total += whole
         assert folded_total <= 0.6 * whole_total, (folded_total, whole_total)
+
+
+def derived_gk21(mp):
+    """The 10/21 Gauss-Kronrod rule derived at mp's precision: (Kronrod nodes,
+    outermost first with the centre last; their weights; the Gauss weights
+    of the odd-indexed nodes). Nodes are the roots of P10 and of the
+    Stieltjes polynomial E11; weights match the moments of x^(2j)."""
+    moment = lambda k: mp.mpf(0) if k % 2 else mp.mpf(2) / (k + 1)
+    p0, p10 = [mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]  # ascending coefficients
+    for k in range(1, 10):  # Bonnet: (k+1) P(k+1) = (2k+1) x P(k) - k P(k-1)
+        nxt = [mp.mpf(0)] + [(2 * k + 1) * c / (k + 1) for c in p10]
+        for i, c in enumerate(p0):
+            nxt[i] -= k * c / (k + 1)
+        p0, p10 = p10, nxt
+    # E11 = x Q(x^2) with Q monic of degree 5, orthogonal to x^k P10 for
+    # odd k < 10 (even k vanish by parity)
+    inner = lambda m: sum(c * moment(i + m) for i, c in enumerate(p10))
+    rows = [[inner(2 * j + 1 + k) for j in range(5)] for k in (1, 3, 5, 7, 9)]
+    q = mp.lu_solve(mp.matrix(rows), mp.matrix([-inner(11 + k) for k in (1, 3, 5, 7, 9)]))
+    roots = lambda coeffs: [mp.re(r) for r in mp.polyroots(coeffs, maxsteps=200, extraprec=200)]
+    stieltjes = [mp.sqrt(y) for y in roots([1] + [q[j] for j in range(4, -1, -1)])]
+    gauss = sorted((x for x in roots(p10[::-1]) if x > 0), reverse=True)
+    nodes = sorted(stieltjes + gauss, reverse=True) + [mp.mpf(0)]
+
+    def weights(xs, half_count):
+        # symmetric: each of the first half_count nodes stands for a pair
+        rows = [[(2 if i < half_count else 1) * x ** (2 * j) for i, x in enumerate(xs)]
+                for j in range(len(xs))]
+        w = mp.lu_solve(mp.matrix(rows), mp.matrix([moment(2 * j) for j in range(len(xs))]))
+        return [w[i] for i in range(len(xs))]
+
+    return nodes, weights(nodes, 10), weights(gauss, 5)
+
+
+class TestPanelTable:
+    """The 10/21 table in oracles is certified against its derivation."""
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            yield mpmath
+
+    @pytest.fixture(scope="class")
+    def rule(self, mp):
+        return derived_gk21(mp)
+
+    def test_each_float_is_within_one_ulp_of_its_derived_value(self, mp, rule):
+        nodes, kronrod, gauss = rule
+        table = [(getattr(oracles, f"_X{i}"), nodes[i]) for i in range(10)]
+        table += [(getattr(oracles, f"_K{i}"), kronrod[i]) for i in range(11)]
+        table += [(getattr(oracles, f"_G{2 * i + 1}"), gauss[i]) for i in range(5)]
+        for got, want in table:
+            assert abs(mp.mpf(got) - want) <= math.ulp(got), (got, want)
+        # the loop form below reads the same floats
+        assert _XGK == tuple(x for x, _ in table[:10]) + (0.0,)
+        assert _WGK == tuple(w for w, _ in table[10:21])
+        assert _WG == tuple(w for w, _ in table[21:])
+
+    def test_kronrod_is_exact_to_degree_31_and_gauss_to_19(self, mp, rule):
+        nodes, kronrod, gauss = rule
+        gauss_nodes = nodes[1:10:2]
+
+        def k21(k):
+            pairs = sum(w * (x**k + (-x) ** k) for x, w in zip(nodes[:10], kronrod))
+            return pairs + (kronrod[10] if k == 0 else 0)
+
+        def g10(k):
+            return sum(w * (x**k + (-x) ** k) for x, w in zip(gauss_nodes, gauss))
+
+        moment = lambda k: mp.mpf(0) if k % 2 else mp.mpf(2) / (k + 1)
+        for k in range(32):
+            assert abs(k21(k) - moment(k)) < mp.mpf(10) ** -35, k
+        for k in range(20):
+            assert abs(g10(k) - moment(k)) < mp.mpf(10) ** -35, k
+        # and no further: the degrees are exact, not lower bounds
+        assert abs(k21(32) - moment(32)) > 1e-20
+        assert abs(g10(20) - moment(20)) > 1e-20
 
 
 class TestQuadCapacitance:
