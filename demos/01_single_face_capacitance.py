@@ -34,7 +34,8 @@ print("away from it, so concave > flat > convex at the same apex gap.\n")
 
 # Every closed form is cross-checked against adaptive Gauss-Kronrod
 # quadrature (10/21-point panels, bisected largest error first until the
-# error is within 1e-12 relative) of the parallel-plate integrand; the
+# error is within 1e-12 relative, a concave face's starting from a mesh
+# graded toward its edge) of the parallel-plate integrand; the
 # library's validate command does this over a randomized grid, here is
 # one point of it.
 print("closed form vs quadrature")

@@ -8,7 +8,9 @@ largest-error-first with a fixed tie-break, so a given input always
 produces bit-identical output on a given platform. A quadrature check
 spends its time in the panel and the integrand, so the panel is QUADPACK's
 10/21-point rule, unrolled (it needs about half the subdivisions of a 7/15
-panel), and the integrands hoist their constants and cover half of each face.
+panel), and the integrands hoist their constants and cover half of each face;
+a concave face's refinement starts from a mesh graded toward its edge, where
+the integrand nearly blows up, and stops on the same error test.
 """
 
 from __future__ import annotations
@@ -127,6 +129,7 @@ def integrate_adaptive(
     Each interval carries an embedded low/high order rule pair; the
     interval with the largest error estimate is bisected first, with
     insertion order breaking ties, so refinement is reproducible.
+    subdivisions counts the cuts in the final partition (its panels less 1).
 
     Raises:
         ValueError: if a or b is not finite.
@@ -139,12 +142,18 @@ def integrate_adaptive(
             raise ValueError(f"integration bound {name} must be finite, got {end}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    val, err = _gk21(f, a, b)
-    # heap entries: (-error, insertion_seq, a, b, value, error)
-    heap = [(-err, 0, a, b, val, err)]
-    seq = 1
-    total_val, total_err = val, err
-    splits = 0
+    return _refine(f, [a, b])
+
+
+def _refine(f: Callable[[float], float], mesh: list[float]) -> QuadratureResult:
+    """integrate_adaptive from one panel per mesh interval; cuts are subdivisions."""
+    # heap entries: (-error, insertion_seq, a, b, value, error), mesh order
+    heap = []
+    for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
+        val, err = _gk21(f, lo, hi)
+        heapq.heappush(heap, (-err, seq, lo, hi, val, err))
+        total_val, total_err = (total_val + val, total_err + err) if seq else (val, err)
+    seq, splits = len(heap), len(heap) - 1
     while True:
         tol = max(_ABS_TOL, _REL_TOL * abs(total_val))
         # the running totals cancel when one panel dominates, and can then
@@ -191,6 +200,9 @@ def quad_capacitance(
     for a concave face (R*(1 - cos(theta)) would lose the gap's digits when
     gap << R); the flat face integrates eps*h/gap along half its length,
     likewise doubled. The domain is the closed forms' one, side_gap_bounds.
+    A concave half face starts from cuts at phi/2 - w, w = phi/4, phi/8, ...
+    down to the first w <= 2 ell, where the edge gap doubles within ell, so
+    bisection starts near the edge; subdivisions counts the mesh's cuts too.
 
     Raises:
         ValueError: if the profile does not fit the kind, the permittivity
@@ -221,8 +233,15 @@ def quad_capacitance(
             return num / (gap_m + r2 * s * s)
 
         extent = profile.angular_extent_rad
+    mesh = [0.0, half := 0.5 * extent]
+    if kind is FaceKind.CONCAVE:
+        s = sin(0.25 * extent)
+        ell, w = (gap_m + r2 * s * s) / (r * sin(half)), half
+        while w > 2.0 * ell:
+            w *= 0.5
+            mesh.insert(-1, half - w)
     try:  # doubling is exact in binary: the half meets the same tolerance
-        value, error, splits = integrate_adaptive(integrand, 0.0, 0.5 * extent)
+        value, error, splits = _refine(integrand, mesh)
     except QuadratureNonConvergence as err:
         err.args = (f"{kind.value} face at gap {gap_m} m: {err}",)
         raise
@@ -269,7 +288,6 @@ def fd_derivative(
     if not 0.0 < rel_step < math.inf:
         raise ValueError(f"rel_step must be positive and finite, got {rel_step}")
     h = rel_step * max(abs(x), 1.0)
-    why = f" after {_MAX_SHRINKS} shrinks"
     for shrinks in range(_MAX_SHRINKS):
         if x + 0.5 * h == x:
             why = f": the stencil stopped resolving in floating point after {shrinks} shrinks"
@@ -281,4 +299,6 @@ def fd_derivative(
             value = (4.0 * d_half - d_full) / 3.0
             return FDResult(value, abs(d_half - d_full) / 3.0, h)
         h *= 0.5
+    else:
+        why = f" after {_MAX_SHRINKS} shrinks"
     raise ValueError(f"no admissible finite-difference step at x={x}{why}")

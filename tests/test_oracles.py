@@ -89,9 +89,10 @@ class TestAdaptiveQuadrature:
 
 
 # The panel and the adaptive loop in their loop form, as they stood before
-# the panel was unrolled (the table is now the 10/21 rule's): the unrolled
-# code must agree with them bit for bit. The loop has no exact-sum stop
-# checks; on the inputs compared here they never change the result.
+# the panel was unrolled (the table is now the 10/21 rule's, and the loop
+# starts from a mesh): the unrolled code must agree with them bit for bit.
+# The loop has no exact-sum stop checks; on the inputs compared here they
+# never change the result.
 _XGK = (
     0.9956571630258081,
     0.9739065285171717,
@@ -141,14 +142,22 @@ def loop_gk21(f, a, b):
     return resk * half, abs((resk - resg) * half)
 
 
-def loop_integrate(f, a, b):
-    if a == b:
+def loop_integrate(f, *mesh):
+    """The refinement over the breakpoints mesh = (a, ..., b), from one panel
+    per interval; the mesh's cuts count as subdivisions."""
+    if mesh[0] == mesh[-1]:
         return QuadratureResult(0.0, 0.0, 0)
-    val, err = loop_gk21(f, a, b)
-    heap = [(-err, 0, a, b, val, err)]
-    seq = 1
-    total_val, total_err = val, err
-    splits = 0
+    heap = []
+    for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
+        val, err = loop_gk21(f, lo, hi)
+        if seq == 0:
+            total_val, total_err = val, err
+        else:
+            total_val += val
+            total_err += err
+        heapq.heappush(heap, (-err, seq, lo, hi, val, err))
+    seq = len(heap)
+    splits = len(heap) - 1
     while total_err > max(1e-30, 1e-12 * abs(total_val)):
         assert splits < 2000, "the reference did not converge"
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
@@ -164,10 +173,25 @@ def loop_integrate(f, a, b):
     return QuadratureResult(total_val, total_err, splits)
 
 
-def loop_folded(f, half_extent):
-    """loop_integrate over [0, half_extent], value and error doubled."""
-    value, error, splits = loop_integrate(f, 0.0, half_extent)
+def loop_folded(f, mesh):
+    """loop_integrate over the half-face mesh, value and error doubled."""
+    value, error, splits = loop_integrate(f, *mesh)
     return QuadratureResult(2.0 * value, 2.0 * error, splits)
+
+
+def graded_mesh(kind, prof, gap):
+    """The half face's mesh, (0, phi/2) but for a concave face, which is cut
+    at phi/2 - phi/2**(k + 1) for k = 0, 1, ... while phi/2**k is more than
+    twice the angle over which the edge's gap doubles."""
+    half = 0.5 * prof.angular_extent_rad
+    if kind is not FaceKind.CONCAVE:
+        return (0.0, half)
+    r, s = prof.radius_m, math.sin(0.25 * prof.angular_extent_rad)
+    doubling = (gap - 2.0 * r * s * s) / (r * math.sin(half))
+    cuts = []
+    while half / 2 ** len(cuts) > 2.0 * doubling:
+        cuts.append(half - half / 2 ** (len(cuts) + 1))
+    return (0.0, *cuts, half)
 
 
 def raw_integrand(kind, face, gap):
@@ -209,16 +233,16 @@ class TestUnrolledPanel:
 
     def test_capacitance_integrands_match_the_loop_form(self):
         # quad_capacitance integrates half of each face and doubles it
+        # from the graded mesh, which for a concave face has cuts
         for prof, d, g in seeded_arc_cells():
-            half_phi = 0.5 * prof.angular_extent_rad
             for kind, gap in ((FaceKind.CONVEX, d), (FaceKind.CONCAVE, g)):
                 assert quad_capacitance(kind, prof, gap) == loop_folded(
-                    raw_integrand(kind, prof, gap), half_phi
+                    raw_integrand(kind, prof, gap), graded_mesh(kind, prof, gap)
                 )
             face = PlanarProfile(prof.arc_length(), prof.thickness_m)
             f = raw_integrand(FaceKind.FLAT, face, d)
             quad = quad_capacitance(FaceKind.FLAT, face, d)
-            assert quad == loop_folded(f, 0.5 * face.length_m)
+            assert quad == loop_folded(f, (0.0, 0.5 * face.length_m))
             # doubling is exact: the flat face keeps the whole face's bits
             assert quad == loop_integrate(f, 0.0, face.length_m)
 
@@ -234,6 +258,94 @@ class TestUnrolledPanel:
                 folded_total += folded
                 whole_total += whole
         assert folded_total <= 0.6 * whole_total, (folded_total, whole_total)
+
+
+# concave edge gaps from 1e-1 down to 1e-3 of the sagitta, four a decade
+EDGE_LADDER = tuple(10.0 ** -(1.0 + k / 4.0) for k in range(9))
+
+
+def concave_ladder():
+    """(profile, concave gap) over seeded_arc_cells()' profiles and EDGE_LADDER."""
+    for prof, _, _ in seeded_arc_cells():
+        sag = prof.sagitta()
+        for rel in EDGE_LADDER:
+            yield prof, sag + sag * rel
+
+
+@pytest.fixture
+def panels(monkeypatch):
+    """The (a, b) of every 10/21 panel evaluated, in order."""
+    seen = []
+    panel = oracles._gk21
+
+    def recorded(f, a, b):
+        seen.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(oracles, "_gk21", recorded)
+    return seen
+
+
+def final_partition(seen):
+    """The panels of seen that were never bisected, in ascending order."""
+    evaluated = set(seen)
+    return sorted(p for p in evaluated if (p[0], 0.5 * (p[0] + p[1])) not in evaluated)
+
+
+class TestGradedMesh:
+    def test_grading_saves_panels_and_never_costs_one(self, panels):
+        graded_total = plain_total = 0
+        for prof, gap in concave_ladder():
+            assert len(graded_mesh(FaceKind.CONCAVE, prof, gap)) > 2
+            panels.clear()
+            quad_capacitance(FaceKind.CONCAVE, prof, gap)
+            graded = len(panels)
+            panels.clear()
+            f = raw_integrand(FaceKind.CONCAVE, prof, gap)
+            integrate_adaptive(f, 0.0, 0.5 * prof.angular_extent_rad)
+            assert graded <= len(panels), (prof, gap, graded, len(panels))
+            graded_total += graded
+            plain_total += len(panels)
+        assert graded_total <= 0.65 * plain_total, (graded_total, plain_total)
+
+    def test_graded_values_match_50_digits(self):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(50):
+            for prof, gap in concave_ladder():
+                # C = 4 eps h R / sqrt(g m) * atanh(tan(phi/4) sqrt(m/g)), m = 2R - g
+                r, g = mp.mpf(prof.radius_m), mp.mpf(gap)
+                m, t = 2 * r - g, mp.tan(mp.mpf(prof.angular_extent_rad) / 4)
+                lead = 4 * mp.mpf(VACUUM_PERMITTIVITY) * mp.mpf(prof.thickness_m) * r
+                exact = lead / mp.sqrt(g * m) * mp.atanh(t * mp.sqrt(m / g))
+                quad = quad_capacitance(FaceKind.CONCAVE, prof, gap)
+                assert abs(quad.value / exact - 1) <= 1e-13, (prof, gap)
+
+    def test_subdivisions_count_the_final_partitions_cuts(self, panels):
+        faces = [(FaceKind.CONCAVE, prof, gap, prof.angular_extent_rad)
+                 for prof, gap in concave_ladder()]
+        for prof, d, _ in seeded_arc_cells():
+            flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
+            faces += [(FaceKind.CONVEX, prof, d, prof.angular_extent_rad),
+                      (FaceKind.FLAT, flat, d, flat.length_m)]
+        for kind, face, gap, extent in faces:
+            panels.clear()
+            res = quad_capacitance(kind, face, gap)
+            leaves = final_partition(panels)
+            assert res.subdivisions == len(leaves) - 1
+            # the leaves tile the half face
+            assert (leaves[0][0], leaves[-1][1]) == (0.0, 0.5 * extent)
+            assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+
+    def test_the_mesh_cuts_count_against_the_budget(self, panels):
+        # the edge gap is 7e-15 m: the integrand's own rounding outruns 1e-12
+        prof = ArcProfile(100e-6, 0.2, 2e-6)
+        with pytest.raises(QuadratureNonConvergence) as err:
+            quad_capacitance(FaceKind.CONCAVE, prof, 0.49958348e-6)
+        assert str(err.value).startswith(
+            "concave face at gap 4.9958348e-07 m: no convergence after 2000 subdivisions (value "
+        )
+        assert len(graded_mesh(FaceKind.CONCAVE, prof, 0.49958348e-6)) > 20
+        assert len(final_partition(panels)) == 2001
 
 
 def derived_gk21(mp):
