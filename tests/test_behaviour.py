@@ -5,6 +5,8 @@ transduction and each pairing, the sha256 of the reprs of its outcomes
 over a fixed grid: two profiles, three gaps, both anchors and feedback
 modes, accelerations (or bridge displacements) at and off rest, over
 range, infinite, NaN, bool and str, and bad gaps in each gap argument.
+It also holds validate_geometry's verdict, (ok, violations), for each
+pairing, gap and anchor at the same displacements and at contact.
 An error counts as its (type name, message). A repr keeps every bit of
 a float, so any change to a result, an error or its wording fails.
 allowed_displacement_interval is fed only real-number gaps here; its
@@ -51,6 +53,7 @@ from curvedcomb import (
     GapAnchor,
     GapState,
     MechanicalModel,
+    validate_geometry,
     Variant,
     allowed_displacement_interval,
     bridge_at_side_nominals,
@@ -97,6 +100,8 @@ def per_point_outcomes():
                 drive = DriveModel(1.0, feedback)
                 for g in GAPS:
                     yield from _plain_forms(config, g, drive)
+                    if feedback is FeedbackMode.MATCHED_SUM:
+                        yield from _verdicts(config, g)
                     for anchor in GapAnchor:
                         d1, d2 = side_nominal_gaps(config, g, anchor)
                         yield from _side_forms(config, d1, d2, drive)
@@ -115,6 +120,17 @@ def _plain_forms(config, g, drive):
     for b in BAD_GAPS:
         yield "gain" + key, _outcome(gain, config, b, MECH, drive, 9.8)
         yield "sensitivity" + key, _outcome(sensitivity, config, b, MECH, drive, 9.8)
+
+
+def _verdicts(config, g):
+    key = f"validate_geometry/{config.variant.value}"
+    for anchor in GapAnchor:
+        for x in (*DELTAS, g, -g):  # +-g: side 1 or 2 at contact
+            yield key, _outcome(lambda: _verdict(validate_geometry(config, GapState(g, x), anchor)))
+
+
+def _verdict(report):
+    return report.ok, report.violations
 
 
 def _side_forms(config, d1, d2, drive):
