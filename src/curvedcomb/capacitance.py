@@ -12,8 +12,8 @@ Every face is built by _resolve_at_arc (an arc face, or a flat face cut
 to the arc) or _resolve_flat, from numbers the caller has checked. A
 kernel is straight-line code returning C and dC/dd together, sharing one
 square root and atan/atanh term; callers test the gap first. The public
-functions (cap_* through face_capacitance, and dcap_dgap) check their
-permittivity against the model envelope, resolve, check and evaluate;
+functions (cap_* through face_capacitance, and dcap_dgap) and the
+quadrature oracle check their inputs in _checked_face, then evaluate;
 the bridge and the sweeps resolve each distinct face once per cell or
 arc. The derivatives are hand-differentiated from the closed forms,
 cross-checked against Richardson finite differences in the test suite,
@@ -197,16 +197,27 @@ def face_capacitance(
 
     Raises:
         ValueError: if the profile type does not fit the kind (FLAT takes
-            a PlanarProfile, CONVEX and CONCAVE an ArcProfile), or if the
-            permittivity is outside the model envelope.
+            a PlanarProfile, CONVEX and CONCAVE an ArcProfile), if the
+            permittivity is outside the model envelope, or if gap_m is not
+            a real number.
         GeometryDomainError: if gap_m is outside side_gap_bounds.
     """
     return _checked_eval(kind, profile, gap_m, permittivity)[0]
 
 
 def _checked_eval(kind: FaceKind, profile, gap_m: float, eps: float) -> tuple[float, float]:
+    face = _checked_face(kind, profile, gap_m, eps)
+    return face[0](face, gap_m)
+
+
+def _checked_face(kind: FaceKind, profile, gap_m: float, eps: float) -> tuple:
+    """The resolved face of a face-level call, after its checks in order:
+    the permittivity in the model envelope, the profile type for the kind,
+    then a real-number gap inside side_gap_bounds (GeometryDomainError)."""
     _require_in_envelope("permittivity", eps, "permittivity")
     face = _resolve_face(kind, profile, eps)
+    if not isinstance(gap_m, float):  # a float, NaN too, goes straight to the domain test
+        _require_in_envelope("gap_m", gap_m, "real")
     if not face[1] < gap_m < face[2]:
         raise _out_of_domain(face, gap_m)
-    return face[0](face, gap_m)
+    return face

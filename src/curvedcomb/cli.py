@@ -232,7 +232,10 @@ def _config_from_file(path: str) -> dict:
     of their field are rejected with their full path.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("config file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     overrides: dict = {}

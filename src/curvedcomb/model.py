@@ -31,7 +31,6 @@ __all__ = [
     "GapState",
     "MechanicalModel",
     "PlanarProfile",
-    "SideReport",
     "ValidityReport",
     "Variant",
     "Violation",
@@ -239,10 +238,6 @@ class ArcProfile(_Record):
         """Bow depth R * (1 - cos(phi/2)) (m)."""
         return _sagitta(self.radius_m, self.angular_extent_rad)
 
-    def half_tan(self) -> float:
-        """tan(phi/4), the T of the closed forms."""
-        return math.tan(self.angular_extent_rad / 4.0)
-
 
 def _sagitta(radius_m: float, angular_extent_rad: float) -> float:
     return radius_m * (1.0 - math.cos(angular_extent_rad / 2.0))
@@ -404,20 +399,9 @@ class Violation(NamedTuple):
     margin_m: float  # how far past the limit, as a length where meaningful
 
 
-class SideReport(NamedTuple):
-    """Per-side diagnostics from validate_geometry."""
-
-    side: int
-    kind: FaceKind
-    closed_form_gap_m: float
-    min_physical_gap_m: float
-    atanh_argument: float | None  # concave faces only
-
-
 class ValidityReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
-    sides: tuple[SideReport, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -488,9 +472,7 @@ def validate_geometry(
     both closed forms evaluate at the displaced gaps.
 
     Raises ValueError only for an argument of the wrong type; otherwise
-    returns a structured report with per-side minimum physical gaps and,
-    for valid concave sides, the atanh argument whose approach to 1
-    signals edge contact.
+    returns the verdict and the violations, side 1's first.
 
     Args:
         config: electrode pairing under test.
@@ -502,21 +484,9 @@ def validate_geometry(
     d1, d2 = side_nominal_gaps(config, gap.gap_m, anchor)
     gaps = (d1 - gap.displacement_m, d2 + gap.displacement_m)
     violations: list[Violation] = []
-    sides: list[SideReport] = []
-    prof = config.profile
     for side, (kind, g) in enumerate(zip(config.side_kinds(), gaps), start=1):
-        lo, hi = side_gap_bounds(kind, prof)
-        valid = lo < g < hi
-        if not valid:
+        lo, hi = side_gap_bounds(kind, config.profile)
+        if not lo < g < hi:
             above = g >= hi
-            margin = g - hi if above else lo - g
-            violations.append(Violation(side, _RULES[kind][above], margin))
-        arg = None
-        if kind is _CONCAVE:
-            min_gap = g - prof.sagitta()  # edge gap
-            if valid:
-                arg = prof.half_tan() * math.sqrt((hi - g) / g)
-        else:
-            min_gap = g  # apex (convex) or uniform (flat) gap
-        sides.append(SideReport(side, kind, g, min_gap, arg))
-    return ValidityReport(not violations, tuple(violations), tuple(sides))
+            violations.append(Violation(side, _RULES[kind][above], g - hi if above else lo - g))
+    return ValidityReport(not violations, tuple(violations))

@@ -1,8 +1,9 @@
 """Independent numerical ground truth for the closed forms.
 
 Two oracles live here: adaptive quadrature of the raw capacitance
-integrands (never the closed forms), and finite-difference
-differentiation for checking analytic derivatives and sensitivities.
+integrands (never the closed forms, whose input check it shares), and
+finite-difference differentiation for checking analytic derivatives and
+sensitivities.
 Both are deterministic: the quadrature refines intervals
 largest-error-first with a fixed tie-break, so a given input always
 produces bit-identical output on a given platform. A quadrature check
@@ -19,15 +20,8 @@ import heapq
 import math
 from typing import Callable, NamedTuple
 
-from .model import (
-    VACUUM_PERMITTIVITY,
-    ArcProfile,
-    FaceKind,
-    PlanarProfile,
-    _check_profile,
-    _require_in_envelope,
-    side_gap_bounds,
-)
+from .capacitance import _checked_face
+from .model import VACUUM_PERMITTIVITY, ArcProfile, FaceKind, PlanarProfile
 
 __all__ = [
     "QuadratureResult",
@@ -199,22 +193,20 @@ def quad_capacitance(
     gap + 2R*sin(theta/2)**2 for a convex face and gap - 2R*sin(theta/2)**2
     for a concave face (R*(1 - cos(theta)) would lose the gap's digits when
     gap << R); the flat face integrates eps*h/gap along half its length,
-    likewise doubled. The domain is the closed forms' one, side_gap_bounds.
+    likewise doubled. The inputs pass the closed forms' own check, so the
+    domain is theirs, side_gap_bounds, and so is every error.
     A concave half face starts from cuts at phi/2 - w, w = phi/4, phi/8, ...
     down to the first w <= 2 ell, where the edge gap doubles within ell, so
     bisection starts near the edge; subdivisions counts the mesh's cuts too.
 
     Raises:
-        ValueError: if the profile does not fit the kind, the permittivity
-            leaves the model envelope, or gap_m is outside side_gap_bounds.
+        ValueError: if the permittivity leaves the model envelope, the
+            profile does not fit the kind, or gap_m is not a real number.
+        GeometryDomainError: if gap_m is outside side_gap_bounds.
         QuadratureNonConvergence: as integrate_adaptive, for the half face;
             the message names the face kind and the gap.
     """
-    _check_profile(kind, profile)
-    _require_in_envelope("permittivity", permittivity, "permittivity")
-    lo, hi = side_gap_bounds(kind, profile)
-    if not lo < gap_m < hi:
-        raise ValueError(f"{kind.value} face needs a gap in ({lo}, {hi}) m, got {gap_m} m")
+    _checked_face(kind, profile, gap_m, permittivity)
     h = profile.thickness_m
     if kind is FaceKind.FLAT:
 

@@ -87,7 +87,7 @@ class ArcMode(Enum):
     VARY_R_FIXED_ARC = "vary-r-fixed-arc"
 
 
-# Default optimization interval for maximize_sensitivity (m).
+# Default arc-length range of a SweepPlan, its arc_range_m (m).
 DEFAULT_ARC_BOUNDS_M = (5e-6, 60e-6)
 
 _VARIANT_ORDER = {v: i for i, v in enumerate(Variant)}

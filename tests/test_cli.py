@@ -155,6 +155,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "compare", "--config", str(cfg))
         assert code == 2
 
+    def test_deeply_nested_json_is_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        code, _, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == 2
+        assert err == "error: config file nests too deeply\n"
+
     @pytest.mark.parametrize(
         "doc, path",
         [

@@ -289,6 +289,28 @@ class TestNanIsRejected:
         assert type(err.value) is ValueError
 
 
+FACE_LEVEL = {
+    "cap_convex": lambda prof, flat, g: cap_convex(prof, g),
+    "cap_concave": lambda prof, flat, g: cap_concave(prof, g),
+    "cap_planar": lambda prof, flat, g: cap_planar(flat, g),
+    "face_capacitance": lambda prof, flat, g: face_capacitance(FaceKind.CONVEX, prof, g),
+    "dcap_dgap": lambda prof, flat, g: dcap_dgap(FaceKind.FLAT, flat, g),
+    "quad_capacitance": lambda prof, flat, g: quad_capacitance(FaceKind.CONCAVE, prof, g),
+}
+
+
+@pytest.mark.parametrize("gap_m", [True, False, "a", None, 1j], ids=repr)
+@pytest.mark.parametrize("name", FACE_LEVEL)
+def test_a_face_level_gap_that_is_not_a_real_number_is_refused_by_name(name, gap_m, profile):
+    # a bool was read as a 0 or 1 m gap, and a str, None or complex raised
+    # a bare TypeError from the comparison with the gap bounds
+    flat = PlanarProfile(profile.arc_length(), profile.thickness_m)
+    with pytest.raises(ValueError) as err:
+        FACE_LEVEL[name](profile, flat, gap_m)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"gap_m must be a real number, got {gap_m!r}"
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_profile_whose_capacitance_underflows_is_refused(variant, mech, drive):
     # an arc of radius 1e-300 m made C underflow to 0, and the bridge, the

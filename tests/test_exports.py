@@ -43,7 +43,6 @@ PUBLIC = [
     "QuadratureNonConvergence",
     "QuadratureResult",
     "STANDARD_GRAVITY",
-    "SideReport",
     "SweepPlan",
     "SweepResult",
     "SweepRow",

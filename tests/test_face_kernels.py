@@ -6,8 +6,9 @@ and of the resolver that fed it, kept as the reference: a resolved face
 now carries its kernel and the kernel's hoisted constants, and every
 (C, dC/dd) must come out bit for bit as before, over a seeded grid of
 kinds, profiles, gaps and permittivities spanning the model envelope.
-Outside a face's gap interval the public functions must raise the same
-GeometryDomainError, with the same text, kind and gap. The cell a
+Outside a face's gap interval the public functions, and the quadrature
+oracle, must raise the same GeometryDomainError, with the same text,
+kind and gap. The cell a
 per-point call builds in one pass must hold, on each side, exactly the
 face _resolve_face builds from that side's profile.
 """
@@ -26,6 +27,7 @@ from curvedcomb import (
     capacitance,
     dcap_dgap,
     face_capacitance,
+    quad_capacitance,
     transduction,
 )
 from curvedcomb.capacitance import GeometryDomainError
@@ -41,7 +43,7 @@ def _resolve_face(kind: FaceKind, profile: ArcProfile | PlanarProfile) -> _Face:
     does not fit the kind (PlanarProfile for FLAT, ArcProfile otherwise)."""
     _check_profile(kind, profile)
     lo, hi = side_gap_bounds(kind, profile)
-    t = None if kind is FaceKind.FLAT else profile.half_tan()
+    t = None if kind is FaceKind.FLAT else math.tan(profile.angular_extent_rad / 4.0)
     return kind, profile, lo, hi, t
 
 
@@ -166,7 +168,7 @@ def test_flat_face_cut_to_an_arc_matches_its_planar_profile(seed):
                 assert at_arc[0](at_arc, gap) == ref
 
 
-@pytest.mark.parametrize("public", [face_capacitance, dcap_dgap])
+@pytest.mark.parametrize("public", [face_capacitance, dcap_dgap, quad_capacitance])
 def test_out_of_domain_gaps_raise_the_same_error(public):
     cases = 0
     for kind, profile, eps, (lo, hi) in _cases(5):

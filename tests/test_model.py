@@ -43,7 +43,6 @@ class TestArcProfile:
         assert p.sagitta() == pytest.approx(
             2 * 100e-6 * math.sin(0.05) ** 2, rel=1e-12
         )
-        assert p.half_tan() == pytest.approx(math.tan(0.05), rel=1e-15)
 
     @pytest.mark.parametrize(
         "r, phi, h",
@@ -176,13 +175,6 @@ class TestValidateGeometry:
         config = ElectrodeConfig.for_variant(variant, profile)
         report = validate_geometry(config, gap, anchor)
         assert report.ok, report.violations
-        assert len(report.sides) == 2
-        for side in report.sides:
-            # closest physical approach: the full gap for flat and convex
-            # faces, the edge gap (gap - sagitta) for concave ones
-            assert 0 < side.min_physical_gap_m <= side.closed_form_gap_m
-            if side.kind is FaceKind.CONCAVE:
-                assert side.min_physical_gap_m < side.closed_form_gap_m
 
     def test_concave_contact_reported_not_raised(self, profile):
         config = ElectrodeConfig.for_variant(Variant.BICONCAVE, profile)
@@ -191,14 +183,6 @@ class TestValidateGeometry:
         assert {v.side for v in report.violations} == {1, 2}
         # margin_m records how far past the limit the gap sits
         assert all(v.margin_m > 0 for v in report.violations)
-
-    def test_atanh_argument_approaches_one_at_contact(self, profile):
-        config = ElectrodeConfig.for_variant(Variant.BICONCAVE, profile)
-        near = validate_geometry(config, GapState(profile.sagitta() * (1 + 1e-6)))
-        far = validate_geometry(config, GapState(4 * profile.sagitta()))
-        assert near.ok
-        assert near.sides[0].atanh_argument > 0.999
-        assert far.sides[0].atanh_argument < near.sides[0].atanh_argument
 
     def test_face_plane_convex_needs_gap_beyond_sagitta(self):
         # deep convex bulge: sagitta exceeds the rest gap, faces touch

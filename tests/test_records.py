@@ -16,7 +16,7 @@ import copy
 import inspect
 import math
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 
@@ -24,7 +24,6 @@ import curvedcomb as cc
 from curvedcomb import cli
 from curvedcomb.model import (
     VACUUM_PERMITTIVITY,
-    FaceKind,
     FeedbackMode,
     GapAnchor,
     Variant,
@@ -84,19 +83,9 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class SideReport:
-    side: int
-    kind: FaceKind
-    closed_form_gap_m: float
-    min_physical_gap_m: float
-    atanh_argument: float | None
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     ok: bool
     violations: tuple
-    sides: tuple = field(default=())
 
 
 @dataclass(frozen=True)
@@ -183,7 +172,6 @@ MECH = cc.MechanicalModel(2.6e-10, 1.0, 21)
 DRIVE = cc.DriveModel(1.0)
 BRIDGE = cc.BridgeState(1.6e-14, 1.5e-14, 3.1e-14)
 VIOLATION = cc.Violation(1, "gap not positive", 1e-7)
-SIDE = cc.SideReport(2, FaceKind.CONCAVE, 2.5e-6, 2.4e-6, 0.31)
 ROW = SweepRow(Variant.PLANAR, *[float(i) for i in range(1, 12)])
 
 # (new type, its twin, sample constructor arguments as (args, kwargs))
@@ -201,10 +189,8 @@ CASES = [
                                  ((2.0,), {"permittivity_f_per_m": 1e-11})]),
     (cc.Violation, Violation, [((1, "gap not positive", 1e-7), {}),
                                ((), {"side": 2, "rule": "r", "margin_m": 0.5})]),
-    (cc.SideReport, SideReport, [((2, FaceKind.CONCAVE, 2.5e-6, 2.4e-6, 0.31), {}),
-                                 ((1, FaceKind.FLAT, 2e-6, 2e-6, None), {})]),
-    (cc.ValidityReport, ValidityReport, [((True, ()), {}), ((True, (), ()), {}),
-                                         ((False, (VIOLATION,), (SIDE, SIDE)), {})]),
+    (cc.ValidityReport, ValidityReport, [((True, ()), {}),
+                                         ((False, (VIOLATION,)), {})]),
     (cc.BridgeState, BridgeState, [((1.6e-14, 1.5e-14, 3.1e-14), {}),
                                    ((math.nan, 1.0, 2.0), {})]),
     (cc.TransductionPoint, TransductionPoint, [((9.8, 2.5e-9, BRIDGE, 1e-3, 1e-3), {}),
@@ -221,7 +207,7 @@ CASES = [
 IDS = [new.__name__ for new, _, _ in CASES]
 VALIDATING = {cc.ArcProfile, cc.PlanarProfile, cc.GapState, cc.ElectrodeConfig,
               cc.MechanicalModel, cc.DriveModel, cc.SweepPlan}
-RESULTS = {cc.Violation, cc.SideReport, cc.ValidityReport, cc.BridgeState,
+RESULTS = {cc.Violation, cc.ValidityReport, cc.BridgeState,
            cc.TransductionPoint, cc.QuadratureResult, cc.FDResult, cc.SweepResult}
 
 
@@ -238,7 +224,7 @@ def test_every_value_type_is_covered():
     public = {t for t in vars(cc).values()
               if isinstance(t, type) and (issubclass(t, _Record) or is_named_tuple(t))}
     assert (public - {SweepRow}) | {cli.RunConfig} == covered
-    assert len(covered) == 16
+    assert len(covered) == 15
     # results are named tuples; checked inputs, and RunConfig, are records
     assert {t for t in covered if is_named_tuple(t)} == RESULTS
     assert {t for t in covered if issubclass(t, _Record)} == VALIDATING | {cli.RunConfig}
@@ -246,7 +232,7 @@ def test_every_value_type_is_covered():
 
 def test_a_validity_report_is_truthy_exactly_when_ok():
     assert cc.ValidityReport(True, ())
-    assert not cc.ValidityReport(False, (VIOLATION,), (SIDE, SIDE))
+    assert not cc.ValidityReport(False, (VIOLATION,))
 
 
 @pytest.mark.parametrize("new, twin, samples", CASES, ids=IDS)
