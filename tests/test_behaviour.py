@@ -6,7 +6,11 @@ over a fixed grid: two profiles, three gaps, both anchors and feedback
 modes, accelerations (or bridge displacements) at and off rest, over
 range, infinite, NaN, bool and str, and bad gaps in each gap argument.
 It also holds validate_geometry's verdict, (ok, violations), for each
-pairing, gap and anchor at the same displacements and at contact.
+pairing, gap and anchor at the same displacements and at contact, and
+the results of sensitivity_sweep, gain_curve and maximize_sensitivity
+(all seven pairings) over a grid of plans that crosses both anchors, arc
+modes and feedback modes with skipped and unrealizable arcs, invalid
+curve cells, over-range points and plans with no valid point.
 An error counts as its (type name, message). A repr keeps every bit of
 a float, so any change to a result, an error or its wording fails.
 allowed_displacement_interval is fed only real-number gaps here; its
@@ -53,6 +57,7 @@ from curvedcomb import (
     GapAnchor,
     GapState,
     MechanicalModel,
+    SweepPlan,
     validate_geometry,
     Variant,
     allowed_displacement_interval,
@@ -61,12 +66,16 @@ from curvedcomb import (
     fd_sensitivity,
     gain,
     gain_at_side_nominals,
+    gain_curve,
+    maximize_sensitivity,
     net_sensitivity,
     sensitivity,
     sensitivity_at_side_nominals,
+    sensitivity_sweep,
     side_nominal_gaps,
 )
 from curvedcomb.cli import main
+from curvedcomb.sweep import ArcMode
 
 CORPUS = Path(__file__).parent / "data" / "behaviour.json"
 
@@ -161,10 +170,48 @@ def _side_forms(config, d1, d2, drive):
             allowed_displacement_interval, config, d1, b)
 
 
-def per_point_digests() -> dict:
+# the sweep plans' cells: (R, phi, h, gap, variants). At R = 15 um the
+# phi grid passes pi (unrealizable arcs) and on the face plane the convex
+# bow leaves no gap (skipped arcs, invalid curve cells); +-700 g passes
+# the travel limit (over-range points). The variants come unordered and
+# one twice; the last cell's Biconvex has no valid point on the face plane.
+SWEEP_CELLS = (
+    (100e-6, 0.2, 2e-6, 2e-6, (*reversed(Variant), Variant.BICONVEX)),
+    (15e-6, 0.9, 3e-6, 1e-6, tuple(Variant)),
+    (15e-6, 0.9, 3e-6, 0.1e-6, (Variant.BICONVEX,)),
+)
+# the optimizer's bounds: the whole arc grid, a narrow span and one point
+ARC_BOUNDS = ((5e-6, 60e-6), (6e-6, 12e-6), (8e-6, 8e-6))
+
+
+def sweep_plans():
+    for r, phi, h, g, variants in SWEEP_CELLS:
+        for anchor in GapAnchor:
+            for mode in ArcMode:
+                for feedback in FeedbackMode:
+                    yield SweepPlan(
+                        variants, ArcProfile(r, phi, h), GapState(g), MECH,
+                        DriveModel(1.0, feedback), mode, anchor,
+                        arc_range_m=ARC_BOUNDS[0], arc_points=8,
+                        accel_range_g=(-700.0, 700.0), accel_points=7,
+                    )
+
+
+def sweep_outcomes():
+    """(key, outcome) of every sweep, curve and solve of the plan grid."""
+    for plan in sweep_plans():
+        yield "sensitivity_sweep", _outcome(sensitivity_sweep, plan)
+        yield "gain_curve", _outcome(gain_curve, plan)
+        for variant in Variant:
+            for bounds in ARC_BOUNDS:
+                yield f"maximize_sensitivity/{variant.value}", _outcome(
+                    maximize_sensitivity, variant, bounds, plan)
+
+
+def digests(outcomes) -> dict:
     """{key: [call count, sha256 of its outcomes, one per line]}."""
     hashes: dict = {}
-    for key, outcome in per_point_outcomes():
+    for key, outcome in outcomes:
         entry = hashes.setdefault(key, [0, hashlib.sha256()])
         entry[0] += 1
         entry[1].update(outcome.encode() + b"\n")
@@ -195,6 +242,7 @@ CLI_LINES = [
     "compare --gap-um 0.01 --phi 1.5 --variants biconvex",
     "compare --r-um -1",
     "compare --variants nope",
+    "compare --variants planoconcave,biconvex,planar,biconvex --gap-anchor apex --csv rank.csv",
     "compare --bogus 1",
     "validate --points 10",
     "validate --points 10 --json --feedback nominal",
@@ -232,20 +280,26 @@ def compute() -> dict:
     for line in CLI_LINES:
         with tempfile.TemporaryDirectory() as work:
             cli[line] = run_cli_line(line, Path(work))
-    return {"platform": platform_tag(), "per_point": per_point_digests(), "cli": cli}
+    return {
+        "platform": platform_tag(),
+        "per_point": digests(per_point_outcomes()),
+        "sweeps": digests(sweep_outcomes()),
+        "cli": cli,
+    }
 
 
 def moved(old: dict, new: dict) -> list[str]:
     """What differs between two corpora, one printable line each: the
-    platform, per-point keys whose hash moved, then CLI lines whose exit, output or files
-    moved, with a line diff of each moved stream."""
+    platform, per-point and sweep keys whose hash moved, then CLI lines whose exit, output
+    or files moved, with a line diff of each moved stream."""
     report = []
     if old.get("platform") != new.get("platform"):
         report.append(f"platform: {old.get('platform')} -> {new.get('platform')}")
-    old_pp, new_pp = old.get("per_point", {}), new.get("per_point", {})
-    for key in sorted(old_pp.keys() | new_pp.keys()):
-        if old_pp.get(key) != new_pp.get(key):
-            report.append(f"per-point {key}: {old_pp.get(key)} -> {new_pp.get(key)}")
+    for section, label in (("per_point", "per-point"), ("sweeps", "sweep")):
+        was, now = old.get(section, {}), new.get(section, {})
+        for key in sorted(was.keys() | now.keys()):
+            if was.get(key) != now.get(key):
+                report.append(f"{label} {key}: {was.get(key)} -> {now.get(key)}")
     old_cli, new_cli = old.get("cli", {}), new.get("cli", {})
     for line in [*new_cli, *(k for k in old_cli if k not in new_cli)]:
         was, now = old_cli.get(line), new_cli.get(line)
@@ -281,9 +335,35 @@ def corpus() -> dict:
 
 
 def test_per_point_calls_match_the_corpus(corpus):
-    got, want = per_point_digests(), corpus["per_point"]
+    got, want = digests(per_point_outcomes()), corpus["per_point"]
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
+
+
+def test_sweeps_match_the_corpus(corpus):
+    got, want = digests(sweep_outcomes()), corpus["sweeps"]
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+def test_the_sweep_plans_reach_every_branch():
+    reasons, curve_points = set(), set()
+    for plan in sweep_plans():
+        try:
+            skipped = sensitivity_sweep(plan).metadata["skipped"]
+            reasons |= {e["reason"].split(" ", 1)[0] for e in skipped}
+        except ValueError:
+            reasons.add("no valid point")
+        try:
+            over_range = gain_curve(plan).metadata["over_range"]
+            curve_points |= {e["accel_g"] is None for e in over_range}
+        except ValueError:
+            curve_points.add("no valid point")
+    # "side" names a face that does not admit its gap; "angular_extent_rad"
+    # an arc no profile realizes; True an invalid curve cell, False an
+    # over-range point
+    assert reasons == {"side", "angular_extent_rad", "no valid point"}
+    assert curve_points == {True, False, "no valid point"}
 
 
 @pytest.mark.parametrize("line", CLI_LINES)
