@@ -13,7 +13,8 @@ module is imported. The parser is built once per process: every
 subcommand inherits one parent parser that holds the shared flags. Each
 run resolves its RunConfig once into a checked SweepPlan before the
 subcommand starts, so every subcommand checks every shared flag, also
-those it does not read.
+those it does not read, such as the flat face length. compare ranks the
+rows of the sweep's rest path (sweep._rest_sweep) on the plan's profile.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure, including a quadrature oracle that does not
@@ -56,6 +57,7 @@ from .sweep import (
     ArcMode,
     SweepPlan,
     SweepResult,
+    _rest_sweep,
     gain_curve,
     sensitivity_sweep,
 )
@@ -63,9 +65,7 @@ from .transduction import (
     OverRangeError,
     fd_sensitivity,
     gain,
-    net_sensitivity,
     sensitivity,
-    sensitivity_at_side_nominals,
 )
 
 UM = 1e-6
@@ -199,7 +199,7 @@ class RunConfig(_Record):
                     + ", ".join(v.value for v in Variant)
                 )
             variants.append(_VARIANT_BY_NAME[key])
-        return SweepPlan(
+        plan = SweepPlan(
             variants=tuple(variants),
             profile=ArcProfile(self.r_um * UM, self.resolved_phi(), self.h_um * UM),
             gap=GapState(self.gap_um * UM),
@@ -212,6 +212,8 @@ class RunConfig(_Record):
             accel_range_g=(self.accel_min_g, self.accel_max_g),
             accel_points=self.accel_points,
         )
+        self.planar_face(plan.profile)  # b_um, which only capacitance --kind flat reads
+        return plan
 
 
 def _json_matches(value, hint) -> bool:
@@ -438,43 +440,27 @@ def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: argparse.Namesp
 
 
 def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
-    ranked = []
-    notes = []
-    for variant in plan.variants:
-        config = ElectrodeConfig.for_variant(variant, plan.profile)
-        report = validate_geometry(config, plan.gap, plan.gap_anchor)
-        if not report.ok:
-            notes.append(
-                f"{variant.value}: skipped ("
-                + "; ".join(f"side {v.side}: {v.rule}" for v in report.violations)
-                + ")"
-            )
-            continue
-        d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
-        s = sensitivity_at_side_nominals(config, d1, d2, plan.mech, plan.drive, 0.0)
-        ranked.append((variant, s))
-    if not ranked:
+    prof = plan.profile  # itself: phi rebuilt as (R*phi)/R can be an ulp off
+    rows, skipped = _rest_sweep(plan, list(plan.variants), [prof.arc_length()], [prof])
+    if not rows:
         raise GeometryDomainError(
             "no variant is valid at the given parameters",
             kind=FaceKind.FLAT,
             gap_m=plan.gap.gap_m,
         )
-    ranked.sort(key=lambda pair: -abs(pair[1]))
     print(f"{'rank':>4}  {'variant':16s} {'S [mV/g]':>12} {'S_net [mV/g]':>14}")
-    rows = []
-    for i, (variant, s) in enumerate(ranked, start=1):
-        s_mv = s * 1e3
-        s_net_mv = net_sensitivity(s, plan.mech) * 1e3
-        print(f"{i:>4}  {variant.value:16s} {s_mv:>12.6f} {s_net_mv:>14.6f}")
-        rows.append([str(i), variant.value, _sci(s_mv), _sci(s_net_mv)])
-    for note in notes:
-        print(note)
+    header, ranking = ["rank", "variant", "s_mv_per_g", "s_net_mv_per_g"], []
+    for i, r in enumerate(sorted(rows, key=lambda r: -abs(r.s_mv_per_g)), start=1):
+        print(f"{i:>4}  {r.variant.value:16s} {r.s_mv_per_g:>12.6f} {r.s_net_mv_per_g:>14.6f}")
+        ranking.append([str(i), *_cells(r, header[1:])])
+    for entry in skipped:
+        print(f"{entry['variant']}: skipped ({entry['reason']})")
     print(
-        f"(arc {plan.profile.arc_length() / UM:g} um, gap {cfg.gap_um:g} um, "
+        f"(arc {prof.arc_length() / UM:g} um, gap {cfg.gap_um:g} um, "
         f"{plan.gap_anchor.value} anchor, N = {plan.mech.comb_count})"
     )
     if cfg.csv:
-        _write_csv(cfg.csv, ["rank", "variant", "s_mv_per_g", "s_net_mv_per_g"], rows)
+        _write_csv(cfg.csv, header, ranking)
         print(f"wrote ranking to {cfg.csv}")
     return 0
 

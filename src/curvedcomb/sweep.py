@@ -16,7 +16,8 @@ extent (a similarity family whose bow stays proportional to arc length).
 
 At one profile every variant reads one face table: each distinct kind
 resolved once at its rest gap (a flat face cut to the arc), built per arc
-by sensitivity_sweep and once per curve by gain_curve, which takes its
+by _rest_sweep, for sensitivity_sweep and, on the plan's own profile,
+for the CLI's compare, and once per curve by gain_curve, which takes its
 variants in output order and evaluates each (side, kind) face at most
 once per acceleration, on first use; an invalid cell's reason is read
 off the table (model._RULES). An optimizer step reads S the same way, at
@@ -273,29 +274,17 @@ def _row_builder(plan: SweepPlan):
     return row
 
 
-def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
-    """Per-comb and net sensitivity at rest over the arc-length grid.
-
-    Grid points whose geometry is invalid for a variant are skipped, with
-    the reason recorded in metadata["skipped"]; a plan with no valid
-    point at all is rejected. Rows are sorted by (variant, arc length)
-    and the evaluation is deterministic, so identical plans serialize to
-    byte-identical CSV downstream.
-    """
-    _require_member("plan", plan, SweepPlan)
-    arcs = _linspace(*plan.arc_range_m, plan.arc_points)
-    variants = _ordered_variants(plan.variants)
+def _rest_sweep(plan: SweepPlan, variants: list, arcs: list, profiles: list) -> tuple:
+    """(rows, skipped) at rest for variants, in their order, over arcs and
+    their profiles, where an unrealizable arc's profile is its error string."""
     kinds, sides = _kinds_of(variants)
     row = _row_builder(plan)
-    # per arc: R, phi, the face table and each kind's (C, dC/dd) at its rest
-    # gap, or None where the face does not admit it; or, for an
-    # unrealizable arc, the reason every variant skips it
+    # per arc: R, phi, the face table and each kind's (C, dC/dd) at its rest gap
+    # (None where the face does not admit it), or an unrealizable arc's reason
     cells: list = []
-    for arc in arcs:
-        try:
-            prof = _profile_at(plan, arc)
-        except ValueError as err:
-            cells.append(str(err))
+    for prof in profiles:
+        if isinstance(prof, str):
+            cells.append(prof)
             continue
         faces = _rest_faces(plan, prof, kinds)
         evals = [face[0](face, d) if ok else None for face, d, ok in faces]
@@ -314,6 +303,27 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
                     continue
                 reason = _skip_reason(faces[i1], faces[i2])
             skipped.append({"variant": variant.value, "arc_length_m": arc, "reason": reason})
+    return rows, skipped
+
+
+def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
+    """Per-comb and net sensitivity at rest over the arc-length grid.
+
+    Grid points whose geometry is invalid for a variant are skipped, with
+    the reason recorded in metadata["skipped"]; a plan with no valid
+    point at all is rejected. Rows are sorted by (variant, arc length)
+    and the evaluation is deterministic, so identical plans serialize to
+    byte-identical CSV downstream.
+    """
+    _require_member("plan", plan, SweepPlan)
+    arcs = _linspace(*plan.arc_range_m, plan.arc_points)
+    profiles: list = []
+    for arc in arcs:
+        try:
+            profiles.append(_profile_at(plan, arc))
+        except ValueError as err:
+            profiles.append(str(err))
+    rows, skipped = _rest_sweep(plan, _ordered_variants(plan.variants), arcs, profiles)
     if not rows:
         raise ValueError(
             "no valid grid points in the sweep plan; first reason: "

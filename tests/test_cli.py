@@ -513,6 +513,16 @@ class TestValidateCommand:
         assert "domain error" in err
 
 
+# each subcommand, with its outputs and checks switched on
+SUBCOMMANDS = [
+    ["capacitance", "--kind", "convex", "--verify"],
+    ["gain-curve", "--csv", "out.csv", "--svg", "out.svg"],
+    ["sensitivity-sweep", "--csv", "out.csv", "--svg", "out.svg", "--verify"],
+    ["compare", "--csv", "out.csv"],
+    ["validate", "--points", "10"],
+]
+
+
 class TestOneParser:
     """One parser per process, shared by every subcommand, and one plan
     resolved before any subcommand runs."""
@@ -547,15 +557,7 @@ class TestOneParser:
         "bad", [["--m-kg", "nan"], ["--accel-min-g", "nan"], ["--arc-points", "1"],
                 ["--variants", "bogus"]], ids=lambda bad: bad[0]
     )
-    @pytest.mark.parametrize(
-        "command",
-        [["capacitance", "--kind", "convex", "--verify"],
-         ["gain-curve", "--csv", "out.csv", "--svg", "out.svg"],
-         ["sensitivity-sweep", "--csv", "out.csv", "--svg", "out.svg", "--verify"],
-         ["compare", "--csv", "out.csv"],
-         ["validate", "--points", "10"]],
-        ids=lambda command: command[0],
-    )
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda command: command[0])
     def test_every_subcommand_checks_every_shared_flag(
         self, tmp_path, monkeypatch, capsys, command, bad
     ):
@@ -567,6 +569,26 @@ class TestOneParser:
         assert err.startswith("error: ")
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "bad", [["--b-um", "nan"], ["--b-um", "-1"], {"geometry": {"b_um": 0}}],
+        ids=["flag-nan", "flag-negative", "config-zero"],
+    )
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda command: command[0])
+    def test_every_subcommand_checks_the_flat_face_length(
+        self, tmp_path, monkeypatch, capsys, command, bad
+    ):
+        # only capacitance --kind flat reads b_um, and every other run once
+        # exited 0 whatever its value
+        monkeypatch.chdir(tmp_path)
+        if isinstance(bad, dict):
+            Path("cfg.json").write_text(json.dumps(bad))
+            bad = ["--config", "cfg.json"]
+        code, out, err = run(capsys, *command, *bad)
+        assert code == 2, err
+        assert err.startswith("error: ") and "length_m must be positive and finite" in err
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir() if p.name != "cfg.json"] == []
 
     def test_importing_the_cli_leaves_the_chart_writer_unloaded(self):
         probe = "import sys, curvedcomb.cli; print('curvedcomb._svg' in sys.modules)"

@@ -30,10 +30,17 @@ where routing each gain through the public gain made 10 resolves and 8
 or 16 kernel calls.
 Skipped cells and over-range points cost no call of their own, and their
 reasons are read off the face table: no ElectrodeConfig is built and
-validate_geometry is not called. Counting calls rather than timing keeps
-this deterministic.
+validate_geometry is not called. The compare subcommand reads S at rest
+off the sweep's face table on the plan's own profile: its seven default
+pairings resolve and evaluate each of their three face kinds once (3
+resolves, at most 3 kernel calls), and it builds no ElectrodeConfig and
+calls neither validate_geometry nor any per-point function, where placing
+each pairing through the per-point path made 7 configs, 11 resolves and
+14 kernel calls. Counting calls rather than timing keeps this
+deterministic.
 """
 
+import inspect
 import sys
 
 import pytest
@@ -61,6 +68,7 @@ from curvedcomb import (
     sweep,
     transduction,
 )
+from curvedcomb.cli import main
 from curvedcomb.model import SIDE_KINDS
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
 
@@ -124,17 +132,27 @@ def side_tests(monkeypatch) -> list:
     return count_calls(monkeypatch, "_face", [], owner=transduction)
 
 
-@pytest.fixture
-def planar_builds(monkeypatch) -> list:
+def count_builds(monkeypatch, cls) -> list:
+    """Records in the returned list every instance of cls built."""
     builds: list = []
-    init = PlanarProfile.__init__
+    init = cls.__init__
 
     def counted(self, *args):
         builds.append(self)
         init(self, *args)
 
-    monkeypatch.setattr(PlanarProfile, "__init__", counted)
+    monkeypatch.setattr(cls, "__init__", counted)
     return builds
+
+
+@pytest.fixture
+def planar_builds(monkeypatch) -> list:
+    return count_builds(monkeypatch, PlanarProfile)
+
+
+@pytest.fixture
+def config_builds(monkeypatch) -> list:
+    return count_builds(monkeypatch, ElectrodeConfig)
 
 
 def make_plan(feedback: FeedbackMode, phi: float = STD_PHI) -> SweepPlan:
@@ -187,17 +205,9 @@ def test_gain_curve_point(kernel_calls, feedback):
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
-def test_skipped_cells_build_no_config(monkeypatch, feedback):
+def test_skipped_cells_build_no_config(config_builds, monkeypatch, feedback):
     # the reason of a skipped cell, an invalid curve cell and an invalid
     # optimizer bound is read off the face table, not from validate_geometry
-    builds: list = []
-    init = ElectrodeConfig.__init__
-
-    def counted(self, *args):
-        builds.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(ElectrodeConfig, "__init__", counted)
     validations = count_calls(monkeypatch, "validate_geometry", [], owner=model)
     plan = make_plan(feedback)
     assert sensitivity_sweep(plan).metadata["skipped"]
@@ -206,7 +216,24 @@ def test_skipped_cells_build_no_config(monkeypatch, feedback):
     assert any(o["accel_g"] is None for o in over_range)
     with pytest.raises(ValueError, match="invalid geometry"):
         maximize_sensitivity(Variant.BICONVEX, (5e-6, 60e-6), plan)
-    assert (builds, validations) == ([], [])
+    assert (config_builds, validations) == ([], [])
+
+
+def test_compare_reads_the_rest_face_table(
+    kernel_calls, resolve_calls, config_builds, monkeypatch, capsys
+):
+    # the per-point path: validate_geometry, the gap placement, each public
+    # function of transduction and the cell that every one of them builds
+    per_point = count_calls(monkeypatch, "validate_geometry", [], owner=model)
+    count_calls(monkeypatch, "side_nominal_gaps", per_point, owner=model)
+    for name in ("_cell", *transduction.__all__):
+        if inspect.isfunction(getattr(transduction, name)):
+            count_calls(monkeypatch, name, per_point, owner=transduction)
+    assert main(["compare"]) == 0
+    assert "Biconvex" in capsys.readouterr().out
+    assert sorted(call[0].value for call in resolve_calls) == ["concave", "convex", "flat"]
+    assert 0 < len(kernel_calls) <= 3
+    assert (config_builds, per_point) == ([], [])
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))

@@ -53,6 +53,7 @@ HOT_PATHS = [
     (sweep, "_rest_faces"),
     (sweep, "_skip_reason"),
     (sweep, "_row_builder"),
+    (sweep, "_rest_sweep"),  # the sweep's and compare's arc and variant loops
     (sweep, "gain_curve"),  # the curve's variant and acceleration loops
     (sweep, "_least_squares_slope"),
     (sweep, "_sensitivity_at_arc"),
