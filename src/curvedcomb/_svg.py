@@ -127,7 +127,7 @@ def line_chart(
     )
     for i, (label, data) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in data)
+        coords = " ".join(["%.2f,%.2f" % (sx(x), sy(y)) for x, y in data])
         if coords:
             out.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '

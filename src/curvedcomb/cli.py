@@ -18,14 +18,16 @@ rows of the sweep's rest path (sweep._rest_sweep) on the plan's profile.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure, including a quadrature oracle that does not
-converge. CSV output uses '.' decimals, 17-significant-digit scientific
-notation, LF line endings, and a fixed row order, so identical
-configurations produce byte-identical files.
+converge. CSV output writes each row with one printf format, every value
+as '%.16e' (17 significant digits, '.' decimals), with LF line endings
+and a fixed row order, so identical configurations produce byte-identical
+files. Only the runs that read a config file or print validate --json
+import json, as only --svg runs import the chart writer.
 """
 
 import argparse
 import collections
-import json
+import operator
 import random
 import sys
 import typing
@@ -233,6 +235,8 @@ def _config_from_file(path: str) -> dict:
     Unknown keys and leaves whose JSON type does not fit the _Param type
     of their field are rejected with their full path.
     """
+    import json  # only the runs that read a config file load the decoder
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -291,11 +295,9 @@ def _sci(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,19 +357,21 @@ def _require_csv(cfg: RunConfig) -> str:
     return cfg.csv
 
 
-def _cells(row, header: list[str]) -> list[str]:
-    """The CSV cells of a sweep row: its variant, then the field that each
-    later header name names."""
-    return [row.variant.value, *(_sci(getattr(row, name)) for name in header[1:])]
+def _lines(rows, header: list[str]) -> list[str]:
+    """The CSV lines of sweep rows: the variant, then the field that each
+    later header name names, as %.16e (the bytes of _sci), one format per row."""
+    fields = operator.attrgetter("variant.value", *header[1:])
+    fmt = "%s" + ",%.16e" * (len(header) - 1)
+    return [fmt % fields(r) for r in rows]
 
 
 def cmd_gain_curve(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
     path = _require_csv(cfg)
     result = gain_curve(plan)
     header = ["variant", "accel_g", "displacement_m", "c1_f", "c2_f", "gain", "v_out_v"]
-    rows = [_cells(r, header) for r in result.rows]
-    _write_csv(path, header, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    lines = _lines(result.rows, header)
+    _write_csv(path, header, lines)
+    print(f"wrote {len(lines)} rows to {path}")
     _report_incidents(result, "over_range")
     print("fitted slope per variant (least squares, mV/g):")
     for name, slope in result.metadata["fitted_slope_mv_per_g"].items():
@@ -409,23 +413,26 @@ def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: argparse.Namesp
         "s_mv_per_g",
         "s_net_mv_per_g",
     ]
-    rows = [_cells(r, header) for r in result.rows]
+    lines = _lines(result.rows, header)
     verify_failures: list[str] = []
     if args.verify:
         header.append("fd_s_mv_per_g")
-        for r, row in zip(result.rows, rows):
-            prof = ArcProfile(r.radius_m, r.phi_rad, plan.profile.thickness_m)
-            config = ElectrodeConfig.for_variant(r.variant, prof)
+        profiles = {}  # one per arc: every variant's row there has its R and phi
+        for i, r in enumerate(result.rows):
+            key = (r.radius_m, r.phi_rad)
+            if key not in profiles:
+                profiles[key] = ArcProfile(*key, plan.profile.thickness_m)
+            config = ElectrodeConfig.for_variant(r.variant, profiles[key])
             d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
             fd = fd_sensitivity(config, d1, d2, plan.mech, plan.drive, 0.0) * 1e3
-            row.append(_sci(fd))
+            lines[i] += ",%.16e" % fd
             rel = abs(fd - r.s_mv_per_g) / max(abs(r.s_mv_per_g), 1e-300)
             if not rel < _FD_TOL:
                 verify_failures.append(
                     f"{r.variant.value} at arc {r.arc_length_m:.3e} m: rel diff {rel:.3e}"
                 )
-    _write_csv(path, header, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    _write_csv(path, header, lines)
+    print(f"wrote {len(lines)} rows to {path}")
     _report_incidents(result, "skipped")
     if cfg.svg:
         _write_chart(cfg.svg, result, lambda r: (r.arc_length_m / UM, r.s_mv_per_g),
@@ -449,10 +456,9 @@ def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> in
             gap_m=plan.gap.gap_m,
         )
     print(f"{'rank':>4}  {'variant':16s} {'S [mV/g]':>12} {'S_net [mV/g]':>14}")
-    header, ranking = ["rank", "variant", "s_mv_per_g", "s_net_mv_per_g"], []
-    for i, r in enumerate(sorted(rows, key=lambda r: -abs(r.s_mv_per_g)), start=1):
+    rows = sorted(rows, key=lambda r: -abs(r.s_mv_per_g))
+    for i, r in enumerate(rows, start=1):
         print(f"{i:>4}  {r.variant.value:16s} {r.s_mv_per_g:>12.6f} {r.s_net_mv_per_g:>14.6f}")
-        ranking.append([str(i), *_cells(r, header[1:])])
     for entry in skipped:
         print(f"{entry['variant']}: skipped ({entry['reason']})")
     print(
@@ -460,7 +466,9 @@ def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> in
         f"{plan.gap_anchor.value} anchor, N = {plan.mech.comb_count})"
     )
     if cfg.csv:
-        _write_csv(cfg.csv, header, ranking)
+        header = ["rank", "variant", "s_mv_per_g", "s_net_mv_per_g"]
+        lines = _lines(rows, header[1:])
+        _write_csv(cfg.csv, header, [f"{i},{line}" for i, line in enumerate(lines, start=1)])
         print(f"wrote ranking to {cfg.csv}")
     return 0
 
@@ -586,6 +594,8 @@ def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> i
         all_ok = all_ok and ok
         summary.append({"suite": name, "max_rel_err": err, "tolerance": tol, "pass": ok})
     if args.json:
+        import json
+
         print(json.dumps({"pass": all_ok, "suites": summary}, indent=2))
     else:
         for item in summary:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curvedcomb import QuadratureResult, TransductionPoint, cli
+from curvedcomb import QuadratureResult, SweepRow, TransductionPoint, Variant, cli
 from curvedcomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -598,6 +598,18 @@ class TestOneParser:
         )
         assert proc.stdout.strip() == "False"
 
+    def test_importing_the_cli_leaves_the_json_module_unloaded(self):
+        # only a config file and validate --json read JSON
+        probe = (
+            "import sys; b = 'json' in sys.modules; import curvedcomb.cli; "
+            "print(b or 'json' not in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.stdout.strip() == "True"
+
 
 class TestDeterminism:
     def test_sweep_csv_is_byte_stable(self, tmp_path, capsys):
@@ -612,6 +624,42 @@ class TestDeterminism:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# Every CSV header the CLI writes, past the rank column of compare's ranking.
+CSV_HEADERS = [
+    ["variant", "accel_g", "displacement_m", "c1_f", "c2_f", "gain", "v_out_v"],
+    ["variant", "arc_length_m", "radius_m", "phi_rad", "s_mv_per_g", "s_net_mv_per_g"],
+    ["variant", "s_mv_per_g", "s_net_mv_per_g"],
+]
+# nan, +-inf, +-0.0, subnormals and +-max, and ints such as a config file's
+# "accel_max_g": 5
+CELLS = st.one_of(st.floats(), st.integers(-(2**53), 2**53))
+SWEEP_ROWS = st.builds(
+    lambda variant, values: SweepRow(variant, *values),
+    st.sampled_from(list(Variant)),
+    st.lists(CELLS, min_size=11, max_size=11),
+)
+
+
+class TestWriterBytes:
+    """One format operation per CSV row and SVG point writes the bytes of one
+    f"{x:.16e}" (or f"{x:.2f}") per value."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows=st.lists(SWEEP_ROWS, max_size=4), header=st.sampled_from(CSV_HEADERS), fd=CELLS)
+    def test_csv_lines_match_one_cell_per_value(self, rows, header, fd):
+        expected = [
+            ",".join([row.variant.value, *(f"{getattr(row, n):.16e}" for n in header[1:])])
+            for row in rows
+        ]
+        assert cli._lines(rows, header) == expected
+        assert ",%.16e" % fd == "," + f"{fd:.16e}"  # the --verify column
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(x=CELLS, y=CELLS)
+    def test_svg_point_matches_one_format_per_coordinate(self, x, y):
+        assert "%.2f,%.2f" % (x, y) == f"{x:.2f},{y:.2f}"
 
 
 # Property test: whatever the config document and shared flags, main()

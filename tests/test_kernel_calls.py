@@ -36,8 +36,11 @@ pairings resolve and evaluate each of their three face kinds once (3
 resolves, at most 3 kernel calls), and it builds no ElectrodeConfig and
 calls neither validate_geometry nor any per-point function, where placing
 each pairing through the per-point path made 7 configs, 11 resolves and
-14 kernel calls. Counting calls rather than timing keeps this
-deterministic.
+14 kernel calls. The finite-difference column of sensitivity-sweep
+--verify builds one ArcProfile per arc of the grid, which every variant's
+row there shares, not one per row: a run builds at most 1 + arc_points of
+them, the plan's own included. Counting calls rather than timing keeps
+this deterministic.
 """
 
 import inspect
@@ -68,6 +71,7 @@ from curvedcomb import (
     sweep,
     transduction,
 )
+from curvedcomb import cli
 from curvedcomb.cli import main
 from curvedcomb.model import SIDE_KINDS
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
@@ -234,6 +238,20 @@ def test_compare_reads_the_rest_face_table(
     assert sorted(call[0].value for call in resolve_calls) == ["concave", "convex", "flat"]
     assert 0 < len(kernel_calls) <= 3
     assert (config_builds, per_point) == ([], [])
+
+
+def test_sweep_verify_builds_one_profile_per_arc(monkeypatch, tmp_path, capsys):
+    builds: list = []
+
+    def counted(*args):
+        builds.append(args)
+        return ArcProfile(*args)
+
+    monkeypatch.setattr(cli, "ArcProfile", counted)
+    assert main(["sensitivity-sweep", "--verify", "--csv", str(tmp_path / "s.csv")]) == 0
+    assert "agreed" in capsys.readouterr().out
+    rows = len((tmp_path / "s.csv").read_text().splitlines()) - 1
+    assert 1 < len(builds) <= 1 + cli.RunConfig().arc_points < rows
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
