@@ -17,8 +17,8 @@ those it does not read, such as the flat face length. compare ranks the
 rows of the sweep's rest path (sweep._rest_sweep) on the plan's profile.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
-3 verification failure, including a quadrature oracle that does not
-converge. CSV output writes each row with one printf format, every value
+3 verification failure, including a quadrature oracle whose error
+estimate exceeds its tolerance. CSV output writes each row with one printf format, every value
 as '%.16e' (17 significant digits, '.' decimals), with LF line endings
 and a fixed row order, so identical configurations produce byte-identical
 files. Only the runs that read a config file or print validate --json

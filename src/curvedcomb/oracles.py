@@ -1,17 +1,15 @@
 """Independent numerical ground truth for the closed forms.
 
-Two oracles live here: adaptive quadrature of the raw capacitance
-integrands (never the closed forms, whose input check it shares), and
+Two oracles live here: quadrature of the raw capacitance integrands
+(never the closed forms, whose input check it shares), and
 finite-difference differentiation for checking analytic derivatives and
-sensitivities.
-Both are deterministic: the quadrature refines intervals
-largest-error-first with a fixed tie-break, so a given input always
-produces bit-identical output on a given platform. A quadrature check
-spends its time in the panel and the integrand, so the panel is QUADPACK's
-10/21-point rule, unrolled (it needs about half the subdivisions of a 7/15
-panel), and the integrands hoist their constants and cover half of each face;
-a concave face's refinement starts from a mesh graded toward its edge, where
-the integrand nearly blows up, and stops on the same error test.
+sensitivities. Both are deterministic, so a given input always produces
+bit-identical output on a given platform. quad_capacitance integrates
+half of each face on a mesh fixed before any evaluation, graded toward
+the zero of the local gap, one 10-point Gauss-Legendre panel per
+interval, and returns a proved error bound; integrate_adaptive refines a
+general integrand with QUADPACK's 10/21-point Gauss-Kronrod panel,
+largest error first with a fixed tie-break.
 """
 
 from __future__ import annotations
@@ -82,7 +80,8 @@ class QuadratureResult(NamedTuple):
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """The refinement budget ran out before reaching the tolerance."""
+    """The error estimate exceeds the tolerance: integrate_adaptive's
+    budget ran out, or a face's proved bound is above it."""
 
     def __init__(self, message: str, value: float, error_estimate: float):
         super().__init__(message)
@@ -136,18 +135,10 @@ def integrate_adaptive(
             raise ValueError(f"integration bound {name} must be finite, got {end}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    return _refine(f, [a, b])
-
-
-def _refine(f: Callable[[float], float], mesh: list[float]) -> QuadratureResult:
-    """integrate_adaptive from one panel per mesh interval; cuts are subdivisions."""
-    # heap entries: (-error, insertion_seq, a, b, value, error), mesh order
-    heap = []
-    for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
-        val, err = _gk21(f, lo, hi)
-        heapq.heappush(heap, (-err, seq, lo, hi, val, err))
-        total_val, total_err = (total_val + val, total_err + err) if seq else (val, err)
-    seq, splits = len(heap), len(heap) - 1
+    # heap entries: (-error, insertion_seq, a, b, value, error)
+    total_val, total_err = _gk21(f, a, b)
+    heap = [(-total_err, 0, a, b, total_val, total_err)]
+    seq, splits = 1, 0
     while True:
         tol = max(_ABS_TOL, _REL_TOL * abs(total_val))
         # the running totals cancel when one panel dominates, and can then
@@ -180,6 +171,52 @@ def _refine(f: Callable[[float], float], mesh: list[float]) -> QuadratureResult:
     return QuadratureResult(total_val, total_err, splits)
 
 
+def _gauss10(f: Callable[[float], float], a: float, b: float) -> float:
+    """One 10-point Gauss-Legendre panel: the Gauss half of _gk21's table."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * (_G1 * (f(center - (dx := half * _X1)) + f(center + dx))
+                   + _G3 * (f(center - (dx := half * _X3)) + f(center + dx))
+                   + _G5 * (f(center - (dx := half * _X5)) + f(center + dx))
+                   + _G7 * (f(center - (dx := half * _X7)) + f(center + dx))
+                   + _G9 * (f(center - (dx := half * _X9)) + f(center + dx)))
+
+
+# A panel's Bernstein ellipse E (rho = 9/2, foci at the panel's ends) reaches
+# 49/72 of the panel's width before its start and 121/72 past it; for [p, 2p]
+# it spans x in [23p/72, 193p/72], with |y| < 2x. If |f| <= M on E, a 10-point
+# Gauss panel of half-width w errs by at most _GAUSS_BOUND * M * w (Trefethen,
+# ATAP Thm 19.3). Every decimal constant is its exact value rounded outward.
+_GAUSS_BOUND = 1.912e-14  # (64/15) rho**-20 / (rho**2 - 1)
+_U = 2.0**-53
+
+
+def _mesh(kind: FaceKind, r: float, half: float, gap_m: float, e: float) -> list:
+    """The half face's panels as (a, b, (b - a)/L, 1/m): [0, w], then [p, 2p]
+    up to half, w = half/2**k the largest whose E keeps |gap| >= d/2
+    (convex) or e/4 (concave). L is a proved lower bound of |gap| on the
+    panel's E, m one of the concave gap on the panel (1/m is 0 on a convex
+    face); the README's "The quadrature oracle" proves both."""
+    convex, w = kind is FaceKind.CONVEX, half
+    if convex:  # the zeros sit at +-i*y0
+        y0 = 2.0 * math.asinh(math.sqrt(gap_m / (2.0 * r)))
+        while 1.681 * w > 0.7071 * y0:
+            w *= 0.5
+        panels = [(0.0, w, w / (gap_m * (1.0 - (1.681 * w / y0) ** 2)), 0.0)]
+    else:  # u < 0 from the edge: cos(phi/2 - u) > 0 while -u <= room, as math.pi < pi
+        s, k, room = math.sin(half), (gap_m - e) / half, 0.5 * math.pi - half
+        while 0.681 * w > room or r * (t := 0.681 * w) * (s + 0.5 * t) > 0.75 * e:
+            w *= 0.5
+        panels = [(0.0, w, w / (e - r * t * (s + 0.5 * t)), 1.0 / e)]
+    while w < half:  # [w, 2w]: sin(23w/144) >= 0.159w, as 23w/144 < 0.13
+        if convex:
+            panels.append((w, w + w, w / (0.7071 * gap_m + 0.03575 * r * w * w), 0.0))
+        else:
+            panels.append((w, w + w, w / (e + 0.3194 * k * w), 1.0 / (e + k * w)))
+        w += w
+    return panels
+
+
 def quad_capacitance(
     kind: FaceKind,
     profile: ArcProfile | PlanarProfile,
@@ -188,56 +225,72 @@ def quad_capacitance(
 ) -> QuadratureResult:
     """Capacitance of one face by direct integration of its gap profile.
 
-    Integrates eps*h*R / d(theta) over theta in [0, phi/2] and doubles the
-    value and its error estimate, where d(theta), even in theta, is
-    gap + 2R*sin(theta/2)**2 for a convex face and gap - 2R*sin(theta/2)**2
-    for a concave face (R*(1 - cos(theta)) would lose the gap's digits when
-    gap << R); the flat face integrates eps*h/gap along half its length,
-    likewise doubled. The inputs pass the closed forms' own check, so the
-    domain is theirs, side_gap_bounds, and so is every error.
-    A concave half face starts from cuts at phi/2 - w, w = phi/4, phi/8, ...
-    down to the first w <= 2 ell, where the edge gap doubles within ell, so
-    bisection starts near the edge; subdivisions counts the mesh's cuts too.
+    Integrates eps*h*R / gap over half of the face and doubles the value
+    and its error estimate: for a convex face gap = d + 2R*sin(theta/2)**2
+    over theta in [0, phi/2]; for a concave face gap = e + 2R*sin(u/2)*
+    sin(phi/2 - u/2) over u = phi/2 - theta in [0, phi/2], with the edge
+    gap e = d - 2R*sin(phi/4)**2 computed here; along a flat face eps*h / d.
+    The inputs pass the closed forms' own check, so the domain is theirs,
+    side_gap_bounds, and so is every error. The half face is cut at
+    (phi/2)/2**k, graded toward the zero of the gap (_mesh), with one
+    10-point Gauss-Legendre panel per interval: subdivisions counts the
+    cuts. error_estimate is twice the panels' proved bounds plus a rounding
+    term, 64 ulp of the value and e's own rounding (8 ulp of d) times the
+    half face's |dC/de|.
 
     Raises:
         ValueError: if the permittivity leaves the model envelope, the
             profile does not fit the kind, or gap_m is not a real number.
         GeometryDomainError: if gap_m is outside side_gap_bounds.
-        QuadratureNonConvergence: as integrate_adaptive, for the half face;
-            the message names the face kind and the gap.
+        QuadratureNonConvergence: if error_estimate exceeds 1e-12 of the
+            value (or 1e-30 F), as on a concave face once d/e passes about
+            6000; the message names the face kind and the gap.
     """
     _checked_face(kind, profile, gap_m, permittivity)
-    h = profile.thickness_m
+    h, e, sin = profile.thickness_m, gap_m, math.sin
+    # each panel runs in half the angle, v = theta/2 or u/2: the value is
+    # then a quarter of the face's, and each integrand call halves nothing
     if kind is FaceKind.FLAT:
+        num, half = permittivity * h, 0.5 * profile.length_m
+        panels = [(0.0, half, half / gap_m, 0.0)]
 
-        def integrand(_x: float) -> float:
-            return permittivity * h / gap_m
+        def integrand(_v: float) -> float:
+            return num / gap_m
 
-        extent = profile.length_m
     else:
-        r = profile.radius_m
-        num = permittivity * h * r  # a * b * c / d is (a * b * c) / d: same bits
-        # +-2R: gap + (-x) and gap - x are the same float
-        r2, sin = (-2.0 if kind is FaceKind.CONCAVE else 2.0) * r, math.sin
+        r, half = profile.radius_m, 0.5 * profile.angular_extent_rad
+        num, r2 = permittivity * h * r, 2.0 * r
+        if kind is FaceKind.CONVEX:
 
-        def integrand(theta: float) -> float:
-            s = sin(0.5 * theta)
-            return num / (gap_m + r2 * s * s)
+            def integrand(v: float) -> float:
+                s = sin(v)
+                return num / (gap_m + r2 * s * s)
 
-        extent = profile.angular_extent_rad
-    mesh = [0.0, half := 0.5 * extent]
-    if kind is FaceKind.CONCAVE:
-        s = sin(0.25 * extent)
-        ell, w = (gap_m + r2 * s * s) / (r * sin(half)), half
-        while w > 2.0 * ell:
-            w *= 0.5
-            mesh.insert(-1, half - w)
-    try:  # doubling is exact in binary: the half meets the same tolerance
-        value, error, splits = _refine(integrand, mesh)
-    except QuadratureNonConvergence as err:
-        err.args = (f"{kind.value} face at gap {gap_m} m: {err}",)
-        raise
-    return QuadratureResult(2.0 * value, 2.0 * error, splits)
+        else:
+            s = sin(0.5 * half)
+            e = gap_m - r2 * s * s
+
+            def integrand(v: float) -> float:
+                return num / (e + r2 * sin(v) * sin(half - v))
+
+        panels = _mesh(kind, r, half, gap_m, e)
+    value = widths = near = 0.0
+    for a, b, width, inv_m in panels:
+        v = _gauss10(integrand, 0.5 * a, 0.5 * b)
+        value += v
+        widths += width
+        near += v * inv_m
+    # near is the half face's |dC/de| over 2 (F/m), inv_m 0 but on a concave face
+    error = _GAUSS_BOUND * num * widths + 256.0 * _U * value + 32.0 * _U * gap_m * near
+    value *= 4.0
+    if error > (tol := max(_ABS_TOL, _REL_TOL * value)):
+        raise QuadratureNonConvergence(
+            f"{kind.value} face at gap {gap_m} m: error estimate {error} "
+            f"exceeds the tolerance {tol} (value {value})",
+            value,
+            error,
+        )
+    return QuadratureResult(value, error, len(panels) - 1)
 
 
 class FDResult(NamedTuple):

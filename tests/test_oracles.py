@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from fractions import Fraction as Q
 
 import pytest
 
@@ -173,27 +174,6 @@ def loop_integrate(f, *mesh):
     return QuadratureResult(total_val, total_err, splits)
 
 
-def loop_folded(f, mesh):
-    """loop_integrate over the half-face mesh, value and error doubled."""
-    value, error, splits = loop_integrate(f, *mesh)
-    return QuadratureResult(2.0 * value, 2.0 * error, splits)
-
-
-def graded_mesh(kind, prof, gap):
-    """The half face's mesh, (0, phi/2) but for a concave face, which is cut
-    at phi/2 - phi/2**(k + 1) for k = 0, 1, ... while phi/2**k is more than
-    twice the angle over which the edge's gap doubles."""
-    half = 0.5 * prof.angular_extent_rad
-    if kind is not FaceKind.CONCAVE:
-        return (0.0, half)
-    r, s = prof.radius_m, math.sin(0.25 * prof.angular_extent_rad)
-    doubling = (gap - 2.0 * r * s * s) / (r * math.sin(half))
-    cuts = []
-    while half / 2 ** len(cuts) > 2.0 * doubling:
-        cuts.append(half - half / 2 ** (len(cuts) + 1))
-    return (0.0, *cuts, half)
-
-
 def raw_integrand(kind, face, gap):
     """The face integrand as written before its constants were hoisted, in
     the sin^2 form that keeps the gap's digits."""
@@ -232,32 +212,48 @@ class TestUnrolledPanel:
                 assert integrate_adaptive(f, a, b) == loop_integrate(f, a, b)
 
     def test_capacitance_integrands_match_the_loop_form(self):
-        # quad_capacitance integrates half of each face and doubles it
-        # from the graded mesh, which for a concave face has cuts
+        # quad_capacitance sums one Gauss panel per _mesh interval in half
+        # the angle, v = theta/2 (u/2 on a concave face), and quadruples it
         for prof, d, g in seeded_arc_cells():
-            for kind, gap in ((FaceKind.CONVEX, d), (FaceKind.CONCAVE, g)):
-                assert quad_capacitance(kind, prof, gap) == loop_folded(
-                    raw_integrand(kind, prof, gap), graded_mesh(kind, prof, gap)
-                )
+            r, half = prof.radius_m, 0.5 * prof.angular_extent_rad
+            s = math.sin(0.5 * half)
+            e = g - 2.0 * r * s * s
+            eps_h_r, sin = VACUUM_PERMITTIVITY * prof.thickness_m * r, math.sin
+            convex = raw_integrand(FaceKind.CONVEX, prof, d)
+            faces = (
+                (FaceKind.CONVEX, d, d, lambda v: convex(2.0 * v)),
+                (FaceKind.CONCAVE, g, e, lambda v: eps_h_r / (e + 2.0 * r * sin(v) * sin(half - v))),
+            )
+            for kind, gap, edge, f in faces:
+                mesh = oracles._mesh(kind, r, half, gap, edge)
+                quad = quad_capacitance(kind, prof, gap)
+                assert quad.value == 4.0 * loop_sum(f, mesh), (kind, prof, gap)
+                assert quad.subdivisions == len(mesh) - 1
             face = PlanarProfile(prof.arc_length(), prof.thickness_m)
             f = raw_integrand(FaceKind.FLAT, face, d)
             quad = quad_capacitance(FaceKind.FLAT, face, d)
-            assert quad == loop_folded(f, (0.0, 0.5 * face.length_m))
-            # doubling is exact: the flat face keeps the whole face's bits
-            assert quad == loop_integrate(f, 0.0, face.length_m)
+            assert quad.value == 4.0 * loop_gauss10(f, 0.0, 0.25 * face.length_m)
+            # quadrupling is exact: the flat face keeps the whole face's bits
+            assert quad.value == loop_gauss10(f, 0.0, face.length_m)
 
-    def test_folding_halves_the_subdivisions(self):
-        folded_total = whole_total = 0
-        for prof, d, g in seeded_arc_cells():
-            half_phi = 0.5 * prof.angular_extent_rad
-            for kind, gap in ((FaceKind.CONVEX, d), (FaceKind.CONCAVE, g)):
-                folded = quad_capacitance(kind, prof, gap).subdivisions
-                f = raw_integrand(kind, prof, gap)
-                whole = loop_integrate(f, -half_phi, half_phi).subdivisions
-                assert folded <= whole, (kind, prof.radius_m, prof.angular_extent_rad, gap)
-                folded_total += folded
-                whole_total += whole
-        assert folded_total <= 0.6 * whole_total, (folded_total, whole_total)
+
+def loop_gauss10(f, a, b):
+    """The Gauss half of loop_gk21, as a loop."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    res = 0.0
+    for i in range(1, 10, 2):
+        dx = half * _XGK[i]
+        res += _WG[i // 2] * (f(center - dx) + f(center + dx))
+    return half * res
+
+
+def loop_sum(f, mesh):
+    """loop_gauss10 summed over the (a, b, ...) panels of mesh, in half the angle."""
+    total = 0.0
+    for a, b, *_ in mesh:
+        total += loop_gauss10(f, 0.5 * a, 0.5 * b)
+    return total
 
 
 # concave edge gaps from 1e-1 down to 1e-3 of the sagitta, four a decade
@@ -274,40 +270,19 @@ def concave_ladder():
 
 @pytest.fixture
 def panels(monkeypatch):
-    """The (a, b) of every 10/21 panel evaluated, in order."""
+    """The (a, b) of every Gauss-Legendre panel evaluated, in order."""
     seen = []
-    panel = oracles._gk21
+    panel = oracles._gauss10
 
     def recorded(f, a, b):
         seen.append((a, b))
         return panel(f, a, b)
 
-    monkeypatch.setattr(oracles, "_gk21", recorded)
+    monkeypatch.setattr(oracles, "_gauss10", recorded)
     return seen
 
 
-def final_partition(seen):
-    """The panels of seen that were never bisected, in ascending order."""
-    evaluated = set(seen)
-    return sorted(p for p in evaluated if (p[0], 0.5 * (p[0] + p[1])) not in evaluated)
-
-
 class TestGradedMesh:
-    def test_grading_saves_panels_and_never_costs_one(self, panels):
-        graded_total = plain_total = 0
-        for prof, gap in concave_ladder():
-            assert len(graded_mesh(FaceKind.CONCAVE, prof, gap)) > 2
-            panels.clear()
-            quad_capacitance(FaceKind.CONCAVE, prof, gap)
-            graded = len(panels)
-            panels.clear()
-            f = raw_integrand(FaceKind.CONCAVE, prof, gap)
-            integrate_adaptive(f, 0.0, 0.5 * prof.angular_extent_rad)
-            assert graded <= len(panels), (prof, gap, graded, len(panels))
-            graded_total += graded
-            plain_total += len(panels)
-        assert graded_total <= 0.65 * plain_total, (graded_total, plain_total)
-
     def test_graded_values_match_50_digits(self):
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(50):
@@ -320,32 +295,181 @@ class TestGradedMesh:
                 quad = quad_capacitance(FaceKind.CONCAVE, prof, gap)
                 assert abs(quad.value / exact - 1) <= 1e-13, (prof, gap)
 
-    def test_subdivisions_count_the_final_partitions_cuts(self, panels):
-        faces = [(FaceKind.CONCAVE, prof, gap, prof.angular_extent_rad)
-                 for prof, gap in concave_ladder()]
+    def test_grading_saves_panels_and_never_costs_one(self, panels):
+        # integrand calls: 10 a panel on the graded mesh, against 21 a panel
+        # for integrate_adaptive's 10/21 refinement of the plain half face
+        graded_total = plain_total = 0
+        for prof, gap in concave_ladder():
+            panels.clear()
+            quad_capacitance(FaceKind.CONCAVE, prof, gap)
+            graded = 10 * len(panels)
+            assert len(panels) > 2
+            calls = 0
+            f = raw_integrand(FaceKind.CONCAVE, prof, gap)
+
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+
+            integrate_adaptive(counted, 0.0, 0.5 * prof.angular_extent_rad)
+            assert graded <= calls, (prof, gap, graded, calls)
+            graded_total += graded
+            plain_total += calls
+        assert graded_total <= 0.35 * plain_total, (graded_total, plain_total)
+
+    @staticmethod
+    def exact(mp, kind, prof, gap):
+        """The face's C at 50 digits, from the closed form in mpmath."""
+        r, g = mp.mpf(prof.radius_m), mp.mpf(gap)
+        t = mp.tan(mp.mpf(prof.angular_extent_rad) / 4)
+        lead = 4 * mp.mpf(VACUUM_PERMITTIVITY) * mp.mpf(prof.thickness_m) * r
+        if kind is FaceKind.CONCAVE:
+            return lead / mp.sqrt(g * (2 * r - g)) * mp.atanh(t * mp.sqrt((2 * r - g) / g))
+        return lead / mp.sqrt(g * (2 * r + g)) * mp.atan(t * mp.sqrt((2 * r + g) / g))
+
+    def test_the_error_estimate_bounds_the_50_digit_error(self):
+        mp = pytest.importorskip("mpmath").mp
+        cells = [(FaceKind.CONVEX, prof, d) for prof, d, _ in seeded_arc_cells()]
+        cells += [(FaceKind.CONCAVE, prof, gap) for prof, gap in concave_ladder()]
+        # two rungs below the ladder, d/e about 3200 and 5600, where the edge
+        # gap's own rounding outweighs the panels' bounds
+        for prof, _, _ in seeded_arc_cells():
+            sag = prof.sagitta()
+            cells += [(FaceKind.CONCAVE, prof, sag + sag * 10.0**-k) for k in (3.5, 3.75)]
+        with mp.workdps(50):
+            for kind, prof, gap in cells:
+                quad = quad_capacitance(kind, prof, gap)
+                exact = self.exact(mp, kind, prof, gap)
+                assert abs(quad.value - exact) <= quad.error_estimate, (kind, prof, gap)
+                assert quad.error_estimate <= 1e-12 * quad.value
+
+    def test_each_panels_ellipse_clears_the_zero(self):
+        # every L that _mesh returns is positive and at most |gap| on its
+        # panel's Bernstein ellipse, checked in rational arithmetic
+        assert Q(oracles._GAUSS_BOUND) >= Q(64, 15) * RHO**-20 / (RHO**2 - 1)
+        # the ellipse of [p, 2p] (p = 72, centre (108, 0)) meets y = 2x at no
+        # real x, so it lies where |y| < 2x, as its centre does
+        c, a, b = 108, 72 * ELLIPSE_A / 2, 72 * ELLIPSE_B / 2
+        qa, qb, qc = 1 / a**2 + 4 / b**2, -2 * c / a**2, c * c / a**2 - 1
+        assert qb * qb < 4 * qa * qc
+        cells = [(FaceKind.CONVEX, prof, d) for prof, d, _ in seeded_arc_cells()]
+        cells += [(FaceKind.CONCAVE, prof, gap) for prof, gap in concave_ladder()]
+        cells += EXTREME_CELLS
+        for kind, prof, gap in cells:
+            r, half = prof.radius_m, 0.5 * prof.angular_extent_rad
+            s = math.sin(0.5 * half)
+            e = gap - 2.0 * r * s * s
+            for lo, hi, width, inv_m in oracles._mesh(kind, r, half, gap, e):
+                low = Q(hi - lo) / Q(width)  # the code's L, to the rounding of width
+                if kind is FaceKind.CONVEX:
+                    proved = convex_min_gap(Q(r), Q(gap), Q(lo), Q(hi))
+                    assert inv_m == 0.0
+                else:
+                    # E spans x in [c - a, c + a]; m bounds gap on the panel
+                    args = Q(r), Q(half), Q(e)
+                    c, a = Q(lo + hi) / 2, ELLIPSE_A * Q(hi - lo) / 2
+                    proved = concave_min_gap(*args, c - a, c + a)
+                    m = concave_min_gap(*args, Q(lo), Q(hi)) * (1 + Q(1, 2**50))
+                    assert 0.0 < inv_m and 1 / Q(inv_m) <= m
+                assert 0 < low * (1 + Q(1, 2**50)) <= proved, (kind, prof, gap, lo, hi)
+
+    def test_subdivisions_count_the_panels_evaluated(self, panels):
+        faces = [(FaceKind.CONCAVE, prof, gap) for prof, gap in concave_ladder()]
         for prof, d, _ in seeded_arc_cells():
             flat = PlanarProfile(prof.arc_length(), prof.thickness_m)
-            faces += [(FaceKind.CONVEX, prof, d, prof.angular_extent_rad),
-                      (FaceKind.FLAT, flat, d, flat.length_m)]
-        for kind, face, gap, extent in faces:
+            faces += [(FaceKind.CONVEX, prof, d), (FaceKind.FLAT, flat, d)]
+        for kind, face, gap in faces + EXTREME_CELLS:
             panels.clear()
             res = quad_capacitance(kind, face, gap)
-            leaves = final_partition(panels)
-            assert res.subdivisions == len(leaves) - 1
-            # the leaves tile the half face
-            assert (leaves[0][0], leaves[-1][1]) == (0.0, 0.5 * extent)
-            assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+            assert res.subdivisions == len(panels) - 1
+            # each panel once, tiling [0, extent/4] (the half face in half the angle)
+            extent = face.length_m if kind is FaceKind.FLAT else face.angular_extent_rad
+            assert len(set(panels)) == len(panels)
+            assert (panels[0][0], panels[-1][1]) == (0.0, 0.25 * extent)
+            assert all(p[1] == q[0] for p, q in zip(panels, panels[1:]))
 
-    def test_the_mesh_cuts_count_against_the_budget(self, panels):
-        # the edge gap is 7e-15 m: the integrand's own rounding outruns 1e-12
+    def test_rounding_of_the_edge_gap_refuses_near_contact(self):
+        # the edge gap is 7e-15 m, d/e = 7e7: e's own rounding is 1e-9 of C
         prof = ArcProfile(100e-6, 0.2, 2e-6)
         with pytest.raises(QuadratureNonConvergence) as err:
             quad_capacitance(FaceKind.CONCAVE, prof, 0.49958348e-6)
-        assert str(err.value).startswith(
-            "concave face at gap 4.9958348e-07 m: no convergence after 2000 subdivisions (value "
-        )
-        assert len(graded_mesh(FaceKind.CONCAVE, prof, 0.49958348e-6)) > 20
-        assert len(final_partition(panels)) == 2001
+        assert str(err.value).startswith("concave face at gap 4.9958348e-07 m: error estimate ")
+        assert err.value.error_estimate > 1e-12 * err.value.value > 0.0
+
+
+# rho = 9/2: E of a panel of half-width w has semi-axes ELLIPSE_A w and ELLIPSE_B w
+RHO = Q(9, 2)
+ELLIPSE_A, ELLIPSE_B = (RHO + 1 / RHO) / 2, (RHO - 1 / RHO) / 2
+PI_LO, PI_HI = Q("3.14159265358979323846"), Q("3.14159265358979323847")
+# faces far from the seeded ones: phi near pi, a concave gap near 2R (the
+# domain test's phi = 2.5 face), a convex gap at 1e-30 m and one above R
+EXTREME_CELLS = [
+    (FaceKind.CONCAVE, ArcProfile(50e-6, 2.5, 2e-6), 99.99e-6),
+    (FaceKind.CONCAVE, ArcProfile(50e-6, 3.1, 2e-6), 60e-6),
+    (FaceKind.CONCAVE, ArcProfile(50e-6, math.pi - 1e-6, 2e-6), 99e-6),
+    (FaceKind.CONVEX, ArcProfile(50e-6, 3.1, 2e-6), 1e-9),
+    (FaceKind.CONVEX, ArcProfile(50e-6, 3.1, 2e-6), 1e-3),
+    (FaceKind.CONVEX, ArcProfile(100e-6, 0.2, 2e-6), 1e-30),
+]
+
+
+def taylor(x: Q, odd: bool, sign: int) -> tuple[Q, Q]:
+    """The Taylor sum of sin (odd, sign -1), cos (sign -1) or sinh (odd, sign
+    1) at x, and a bound of its error: the first omitted term, which bounds
+    the tail of sin and cos (Lagrange; of sinh times cosh(x)), plus 2**20
+    units of 2**-160 for the sum's truncations. Each truncation errs by
+    under one unit, and an error carried from term to term grows by at
+    most cosh(x) < 2**6 over the at most 60 terms used at |x| < 4."""
+    one = 1 << 160
+    x2 = (x.numerator**2 << 160) // x.denominator**2
+    assert abs(x) < 4
+    n, term, total = (1, (x.numerator << 160) // x.denominator, 0) if odd else (0, one, 0)
+    while abs(term) > 1 << 60:
+        total += term
+        term = sign * term * x2 // ((n + 1) * (n + 2) << 160)
+        n += 2
+    return Q(total, one), Q(abs(term) + (1 << 20), one)
+
+
+def sin_lo(x: Q) -> Q:
+    total, tail = taylor(x, True, -1)
+    return total - tail
+
+
+def cos_lo(x: Q) -> Q:
+    total, tail = taylor(x, False, -1)
+    return total - tail
+
+
+def cos_hi(x: Q) -> Q:
+    total, tail = taylor(x, False, -1)
+    return total + tail
+
+
+def sinh_hi(x: Q) -> Q:
+    total, tail = taylor(x, True, 1)
+    return total + tail * 3 ** math.ceil(x)  # cosh(x) <= e**x < 3**x
+
+
+def convex_min_gap(r: Q, d: Q, lo: Q, hi: Q) -> Q:
+    """A lower bound of |d + 2R sin(z/2)**2| on the ellipse E of [lo, hi]:
+    E lies in |z| <= 121 hi/72 for lo = 0, where |sin(z/2)| <= sinh(|z|/2);
+    for hi = 2 lo, E has 0 < x < pi and |y| < 2x, where |gap| >= (d + 2R
+    sin(x/2)**2)/sqrt(2) (README, "The quadrature oracle")."""
+    if lo == 0:
+        return d - 2 * r * sinh_hi((1 + ELLIPSE_A) * hi / 4) ** 2
+    assert hi == 2 * lo and (3 + ELLIPSE_A) * lo / 2 < PI_LO
+    bound = d + 2 * r * sin_lo((3 - ELLIPSE_A) * lo / 4) ** 2
+    return bound * Q(7071067811865475, 10**16)  # < 1/sqrt(2)
+
+
+def concave_min_gap(r: Q, half: Q, e: Q, lo: Q, hi: Q) -> Q:
+    """A lower bound of |e + R(cos(half - z) - cos(half))| for z = x + iy
+    with x in [lo, hi]: while cos(half - x) >= 0 there, the real part is at
+    least gap(x), concave in x, so its least value on [lo, hi] is at an end."""
+    assert half - lo <= PI_LO / 2 and hi - half <= PI_LO / 2
+    return min(e + r * (cos_lo(half - x) - cos_hi(half)) for x in (lo, hi))
 
 
 def derived_gk21(mp):
