@@ -15,6 +15,10 @@ run resolves its RunConfig once into a checked SweepPlan before the
 subcommand starts, so every subcommand checks every shared flag, also
 those it does not read, such as the flat face length. compare ranks the
 rows of the sweep's rest path (sweep._rest_sweep) on the plan's profile.
+sensitivity-sweep --verify runs fd_sensitivity's stencil on each row's
+rest cell, read off the sweep's own face table (sweep._rest_points): its
+column checks dC/dd and the chain rule, and shares the sweep's placement,
+which tests pin to the public side_nominal_gaps path.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure, including a quadrature oracle whose error
@@ -51,7 +55,6 @@ from .model import (
     PlanarProfile,
     Variant,
     _Record,
-    side_nominal_gaps,
     validate_geometry,
 )
 from .oracles import QuadratureNonConvergence, quad_capacitance
@@ -59,12 +62,14 @@ from .sweep import (
     ArcMode,
     SweepPlan,
     SweepResult,
+    _rest_points,
     _rest_sweep,
     gain_curve,
     sensitivity_sweep,
 )
 from .transduction import (
     OverRangeError,
+    _fd_stencil,
     fd_sensitivity,
     gain,
     sensitivity,
@@ -360,7 +365,7 @@ def _require_csv(cfg: RunConfig) -> str:
 def _lines(rows, header: list[str]) -> list[str]:
     """The CSV lines of sweep rows: the variant, then the field that each
     later header name names, as %.16e (the bytes of _sci), one format per row."""
-    fields = operator.attrgetter("variant.value", *header[1:])
+    fields = operator.attrgetter("variant._value_", *header[1:])  # .value: a Python call per row
     fmt = "%s" + ",%.16e" * (len(header) - 1)
     return [fmt % fields(r) for r in rows]
 
@@ -388,7 +393,7 @@ def _write_chart(path: str, result: SweepResult, point, *labels: str) -> None:
 
     series: dict[str, list] = {}
     for r in result.rows:
-        series.setdefault(r.variant.value, []).append(point(r))
+        series.setdefault(r.variant._value_, []).append(point(r))
     chart = _svg.line_chart(list(series.items()), *labels)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(chart)
@@ -405,26 +410,13 @@ def _report_incidents(result: SweepResult, key: str) -> None:
 def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
     path = _require_csv(cfg)
     result = sensitivity_sweep(plan)
-    header = [
-        "variant",
-        "arc_length_m",
-        "radius_m",
-        "phi_rad",
-        "s_mv_per_g",
-        "s_net_mv_per_g",
-    ]
+    header = ["variant", "arc_length_m", "radius_m", "phi_rad", "s_mv_per_g", "s_net_mv_per_g"]
     lines = _lines(result.rows, header)
     verify_failures: list[str] = []
     if args.verify:
         header.append("fd_s_mv_per_g")
-        profiles = {}  # one per arc: every variant's row there has its R and phi
-        for i, r in enumerate(result.rows):
-            key = (r.radius_m, r.phi_rad)
-            if key not in profiles:
-                profiles[key] = ArcProfile(*key, plan.profile.thickness_m)
-            config = ElectrodeConfig.for_variant(r.variant, profiles[key])
-            d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
-            fd = fd_sensitivity(config, d1, d2, plan.mech, plan.drive, 0.0) * 1e3
+        for i, (r, point) in enumerate(zip(result.rows, _rest_points(plan, result.rows))):
+            fd = _fd_stencil(*point, plan.mech, plan.drive, 0.0) * 1e3
             lines[i] += ",%.16e" % fd
             rel = abs(fd - r.s_mv_per_g) / max(abs(r.s_mv_per_g), 1e-300)
             if not rel < _FD_TOL:

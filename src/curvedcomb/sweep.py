@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .capacitance import _resolve_at_arc
@@ -304,6 +304,20 @@ def _rest_sweep(plan: SweepPlan, variants: list, arcs: list, profiles: list) -> 
                 reason = _skip_reason(faces[i1], faces[i2])
             skipped.append({"variant": variant.value, "arc_length_m": arc, "reason": reason})
     return rows, skipped
+
+
+def _rest_points(plan: SweepPlan, rows: Iterable[SweepRow]) -> Iterator[tuple]:
+    """Each rest row's transduction._point (cell, delta 0.0, C_fb): its cell off
+    the face table of its (R, phi), built once per arc as _rest_sweep builds
+    it, and nominal feedback's rest C_fb, the row's c1 + c2 (else None)."""
+    kinds, sides = _kinds_of(plan.variants)
+    sides_of, tables = dict(zip(plan.variants, sides)), {}
+    nominal = plan.drive.feedback_mode is not _MATCHED_SUM
+    for r in rows:
+        if (key := (r.radius_m, r.phi_rad)) not in tables:
+            tables[key] = _rest_faces(plan, ArcProfile(*key, plan.profile.thickness_m), kinds)
+        (f1, d1, _), (f2, d2, _) = (tables[key][i] for i in sides_of[r.variant])
+        yield (r.variant, f1, f2, d1, d2), 0.0, r.c1_f + r.c2_f if nominal else None
 
 
 def sensitivity_sweep(plan: SweepPlan) -> SweepResult:

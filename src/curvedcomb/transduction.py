@@ -383,6 +383,12 @@ def fd_sensitivity(
     cell, delta, c_fb = _point(config, d1, d2, mech, drive, accel_m_s2)
     if c_fb is None and drive.feedback_mode is not _MATCHED_SUM:  # at rest
         c_fb = _rest_feedback(cell)
+    return _fd_stencil(cell, delta, c_fb, mech, drive, accel_m_s2)
+
+
+def _fd_stencil(cell: _Cell, delta, c_fb, mech, drive, accel_m_s2) -> float:
+    """fd_sensitivity on a resolved cell: _point's cell and delta, and the
+    rest C_fb under nominal feedback (None under matched-sum)."""
     lo, hi = _displacement_interval(cell)
     a_margin = min(hi - delta, delta - lo) * mech.spring_n_per_m / mech.mass_kg
     rel_step = 1e-3 * a_margin / max(abs(accel_m_s2), 1.0)

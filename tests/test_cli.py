@@ -10,7 +10,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curvedcomb import QuadratureResult, SweepRow, TransductionPoint, Variant, cli
+from curvedcomb import (
+    ArcProfile,
+    ElectrodeConfig,
+    QuadratureResult,
+    SweepRow,
+    TransductionPoint,
+    Variant,
+    cli,
+    fd_sensitivity,
+    sensitivity_sweep,
+    side_nominal_gaps,
+)
 from curvedcomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,6 +223,26 @@ class TestConfigFile:
         assert "not both" in err
 
 
+# the behaviour corpus's sweep plans as flags: at R = 15 um the phi grid
+# passes pi (unrealizable arcs) and on the face plane the convex bow leaves
+# no gap (skipped arcs); the last cell's Biconvex has no valid point on the
+# face plane. The variants of the first come unordered and one twice.
+VERIFY_CELLS = (
+    ("--r-um", "100", "--phi", "0.2", "--h-um", "2", "--gap-um", "2",
+     "--variants", ",".join([v.value for v in reversed(Variant)] + ["Biconvex"])),
+    ("--r-um", "15", "--phi", "0.9", "--h-um", "3", "--gap-um", "1"),
+    ("--r-um", "15", "--phi", "0.9", "--h-um", "3", "--gap-um", "0.1", "--variants", "Biconvex"),
+)
+VERIFY_PLANS = [
+    (*cell, "--gap-anchor", anchor, "--arc-mode", mode, "--feedback", feedback,
+     "--arc-points", "8")
+    for cell in VERIFY_CELLS
+    for anchor in ("face-plane", "apex")
+    for mode in ("vary-phi-fixed-r", "vary-r-fixed-arc")
+    for feedback in ("matched-sum", "nominal")
+]
+
+
 class TestSensitivitySweepCommand:
     def test_csv_layout(self, tmp_path, capsys):
         out_csv = tmp_path / "s.csv"
@@ -232,7 +263,7 @@ class TestSensitivitySweepCommand:
         assert "e-" in first[1]  # 17-significant-digit scientific notation
 
     def test_nan_oracle_is_verification_failure(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "fd_sensitivity", lambda *args: math.nan)
+        monkeypatch.setattr(cli, "_fd_stencil", lambda *args: math.nan)
         code, _, err = run(
             capsys, "sensitivity-sweep", "--verify", "--csv", str(tmp_path / "s.csv"),
             "--arc-points", "3", "--variants", "Planar",
@@ -260,6 +291,31 @@ class TestSensitivitySweepCommand:
         header = out_csv.read_text().splitlines()[0]
         assert header.endswith(",fd_s_mv_per_g")
         assert "agreed" in out
+
+    # ids: R, gap, anchor, arc mode, feedback
+    @pytest.mark.parametrize(
+        "argv", VERIFY_PLANS, ids=lambda a: "/".join((a[1], a[7], *a[-7:-1:2]))
+    )
+    def test_verify_column_is_the_public_oracle(self, tmp_path, capsys, argv):
+        # the column reads each row's cell off the sweep's rest face table;
+        # bit for bit it is fd_sensitivity on the row's own config and gaps
+        out_csv = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sensitivity-sweep", "--verify", "--csv", str(out_csv), *argv)
+        plan = cli.resolve_config(cli._PARSER.parse_args(["sensitivity-sweep", *argv])).plan()
+        try:
+            rows = sensitivity_sweep(plan).rows
+        except ValueError:  # no valid point: the run writes nothing
+            assert (code, out_csv.exists()) == (2, False)
+            return
+        assert code == 0
+        column = [float(line.rsplit(",", 1)[1]) for line in out_csv.read_text().splitlines()[1:]]
+        oracle = []
+        for r in rows:
+            profile = ArcProfile(r.radius_m, r.phi_rad, plan.profile.thickness_m)
+            config = ElectrodeConfig.for_variant(r.variant, profile)
+            d1, d2 = side_nominal_gaps(config, plan.gap.gap_m, plan.gap_anchor)
+            oracle.append(fd_sensitivity(config, d1, d2, plan.mech, plan.drive, 0.0) * 1e3)
+        assert column == oracle
 
     def test_svg_written(self, tmp_path, capsys):
         out_csv = tmp_path / "s.csv"

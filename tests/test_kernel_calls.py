@@ -37,10 +37,15 @@ resolves, at most 3 kernel calls), and it builds no ElectrodeConfig and
 calls neither validate_geometry nor any per-point function, where placing
 each pairing through the per-point path made 7 configs, 11 resolves and
 14 kernel calls. The finite-difference column of sensitivity-sweep
---verify builds one ArcProfile per arc of the grid, which every variant's
-row there shares, not one per row: a run builds at most 1 + arc_points of
-them, the plan's own included. Counting calls rather than timing keeps
-this deterministic.
+--verify runs fd_sensitivity's stencil on each row's rest cell, read off
+the sweep's own face table, which sweep._rest_points builds once per arc
+of the grid on one ArcProfile (at most 1 + arc_points of them): per row
+exactly the stencil's 8 kernel calls under either feedback mode, nominal
+feedback's rest C_fb taken from the row's c1 + c2, and no ElectrodeConfig,
+PlanarProfile or side_nominal_gaps call, where placing each row through
+the per-point path built a config and placed its sides per row, and
+nominal feedback evaluated the rest faces again (9 or 10 kernel calls).
+Counting calls rather than timing keeps this deterministic.
 """
 
 import inspect
@@ -241,17 +246,47 @@ def test_compare_reads_the_rest_face_table(
 
 
 def test_sweep_verify_builds_one_profile_per_arc(monkeypatch, tmp_path, capsys):
+    # the fd column's cells come off one rest face table per arc, each
+    # table built on one profile, in sweep._rest_points
     builds: list = []
+    rest_points = sweep._rest_points
 
     def counted(*args):
         builds.append(args)
         return ArcProfile(*args)
 
-    monkeypatch.setattr(cli, "ArcProfile", counted)
+    def points(*args):
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "ArcProfile", counted)
+            return list(rest_points(*args))
+
+    monkeypatch.setattr(cli, "_rest_points", points)
     assert main(["sensitivity-sweep", "--verify", "--csv", str(tmp_path / "s.csv")]) == 0
     assert "agreed" in capsys.readouterr().out
     rows = len((tmp_path / "s.csv").read_text().splitlines()) - 1
     assert 1 < len(builds) <= 1 + cli.RunConfig().arc_points < rows
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_sweep_verify_runs_only_the_stencil(
+    kernel_calls, config_builds, planar_builds, monkeypatch, tmp_path, feedback
+):
+    # each row's fd value is the stencil's four gains, two kernel calls
+    # each, on the row's rest cell: no per-row config, flat face or gap
+    # placement, and nominal feedback's rest C_fb is the row's c1 + c2
+    placements = count_calls(monkeypatch, "side_nominal_gaps", [], owner=model)
+    csv = tmp_path / "s.csv"
+    kernels = []
+    for verify in ([], ["--verify"]):
+        for calls in (kernel_calls, config_builds, planar_builds, placements):
+            calls.clear()
+        argv = ["sensitivity-sweep", *verify, "--csv", str(csv), "--feedback", feedback.value]
+        assert main(argv) == 0
+        kernels.append(len(kernel_calls))
+        # the one flat face is RunConfig.plan's check of the flat face length
+        assert (len(config_builds), len(planar_builds), placements) == (0, 1, [])
+    rows = len(csv.read_text().splitlines()) - 1
+    assert kernels[1] - kernels[0] == 8 * rows
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))

@@ -44,7 +44,8 @@ HOT_PATHS = [
     (transduction, "bridge_at_side_nominals"),
     (transduction, "gain_at_side_nominals"),
     (transduction, "sensitivity_at_side_nominals"),
-    (transduction, "fd_sensitivity"),  # its stencil's gain included
+    (transduction, "fd_sensitivity"),
+    (transduction, "_fd_stencil"),  # its gain included
     (sweep, "_linspace"),
     (sweep, "_ordered_variants"),
     (sweep, "_kinds_of"),
@@ -54,6 +55,7 @@ HOT_PATHS = [
     (sweep, "_skip_reason"),
     (sweep, "_row_builder"),
     (sweep, "_rest_sweep"),  # the sweep's and compare's arc and variant loops
+    (sweep, "_rest_points"),  # the fd column of sensitivity-sweep --verify
     (sweep, "gain_curve"),  # the curve's variant and acceleration loops
     (sweep, "_least_squares_slope"),
     (sweep, "_sensitivity_at_arc"),
