@@ -33,6 +33,7 @@ import argparse
 import collections
 import operator
 import random
+import re
 import sys
 import typing
 
@@ -306,6 +307,12 @@ def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads "-1e-3" as an option: a negative
+        # number in exponent form is a value too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
         raise UsageError(message)
 

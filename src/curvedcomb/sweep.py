@@ -20,9 +20,9 @@ by _rest_sweep, for sensitivity_sweep and, on the plan's own profile,
 for the CLI's compare, and once per curve by gain_curve, which takes its
 variants in output order and evaluates each (side, kind) face at most
 once per acceleration, on first use; an invalid cell's reason is read
-off the table (model._RULES). An optimizer step reads S the same way, at
-rest with C_fb = c1 + c2, unrolled over its pairing's kinds (a table
-made solves 1.56x slower).
+off the table (model._RULES). An optimizer bound reads S the same way, at
+rest with C_fb = c1 + c2, unrolled over its pairing's kinds (reading a
+table made solves slower: ROADMAP item 13).
 
 S against arc length (README: each step): at rest a face of local gap
 L(theta) has C = eps*h*R*int 1/L and dC/dd = -eps*h*R*int 1/L**2, so a
@@ -36,13 +36,14 @@ interior maximum. Lengthening the arc moves w = W/D (faces at D -+ W)
 as a flow dw = t(w), t >= 0 growing with w. Under it the mixed pair's
 |S| rises under either feedback mode, and a plano pairing's (u = D/L on
 the curved face) rises where u >= 1; where u <= 1 it falls under
-matched-sum and turns only at minima under nominal feedback. Only the
-unproved case (PlanoConcave, FACE_PLANE, phi growing, nominal) searches.
+matched-sum and turns only at minima under nominal feedback (for
+PlanoConcave on the face plane with phi growing, by a computer-assisted
+proof in (z, s) = (r(1 - cos s), phi/2): tests/test_plano_concave_certificate.py).
+So a solve compares its two bounds.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -57,7 +58,6 @@ from .model import (
     GapState,
     MechanicalModel,
     Variant,
-    _CONCAVE,
     _FACE_PLANE,
     _FLAT,
     _MATCHED_SUM,
@@ -66,7 +66,6 @@ from .model import (
     _bowed_gap,
     _require_in_envelope,
     _require_member,
-    _sagitta,
     displacement,
 )
 from .transduction import _gain, _over_range, _readout, _sensitivity
@@ -414,11 +413,7 @@ def _least_squares_slope(xs: list[float], ys: list[float]) -> float | None:
     return sxy / sxx if sxx else None
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_ARC_TOL_M = 1e-10
-
-
-# unrolled over the pairing's kinds: reading S off _rest_faces made solves 1.56x slower
+# unrolled over the pairing's kinds: reading S off _rest_faces made solves slower
 def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
     """One solve, resolved once: the plan, the variant, its side kinds (k2
     None when both are k1), whether faces bow (FACE_PLANE), eps, gap, _readout."""
@@ -428,14 +423,11 @@ def _solve_of(plan: SweepPlan, variant: Variant) -> tuple:
     return plan, variant, k1, k2, bowed, eps, plan.gap.gap_m, *_readout(plan.mech, plan.drive)
 
 
-def _sensitivity_at_arc(solve: tuple, arc_length_m: float, checked: bool = True) -> float:
-    # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode; an
-    # unchecked arc lies between two checked ones, so builds no ArcProfile
+def _sensitivity_at_arc(solve: tuple, arc_length_m: float) -> float:
+    # as a sweep row: at rest C_fb = c1 + c2 under either feedback mode
     plan, variant, k1, k2, bowed, eps, gap, v_m_per_k, matched_sum = solve
-    if checked:
-        _profile_at(plan, arc_length_m)  # raises the profile's ValueError
-    r, phi = _arc_shape(plan, arc_length_m)
-    h, sag = plan.profile.thickness_m, _sagitta(r, phi)
+    prof = _profile_at(plan, arc_length_m)  # raises the profile's ValueError
+    r, phi, h, sag = prof.radius_m, prof.angular_extent_rad, prof.thickness_m, prof.sagitta()
     bow = sag if bowed else 0.0
     f1, d1 = _resolve_at_arc(k1, r, phi, h, eps, sag), _bowed_gap(k1, gap, bow)
     f2, d2 = f1, d1
@@ -458,14 +450,11 @@ def maximize_sensitivity(
 ) -> tuple[float, float]:
     """Arc length maximizing |S| for one variant, with the S it achieves.
 
-    Both bounds are evaluated first, each checked. Where |S(arc)| has no
-    interior local maximum (module docstring: every case but one) the
-    better bound is the answer, the lower one for Planar, whose S does
-    not vary. The unproved case, PlanoConcave under the FACE_PLANE anchor
-    with VARY_PHI_FIXED_R and nominal feedback, keeps a golden-section
-    search on |S| to an absolute argument tolerance of 1e-10 m, sharing
-    the plan's geometry mode, anchor and readout parameters (not its
-    grids), and returns the best point evaluated.
+    |S(arc)| has no interior local maximum in any case (module
+    docstring), so the answer is the better of the two bounds, each
+    evaluated once and checked, with the plan's geometry mode, anchor and
+    readout parameters (not its grids): the lower one for Planar, whose S
+    does not vary.
 
     Args:
         variant: electrode pairing to optimize.
@@ -489,36 +478,10 @@ def maximize_sensitivity(
     if not lo <= hi:
         raise ValueError(f"bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     solve = _solve_of(plan, variant)
-    s_lo = _sensitivity_at_arc(solve, lo)  # checked: raises ValueError on an invalid bound
+    s_lo = _sensitivity_at_arc(solve, lo)  # raises ValueError on an invalid bound
     if hi == lo:
         return lo, s_lo
     s_hi = _sensitivity_at_arc(solve, hi)
-    # no interior maximum (module docstring) but in PlanoConcave's open case
-    _, _, k1, k2, bowed, *_, matched_sum = solve
-    if not (k1 is _CONCAVE and k2 is _FLAT and bowed and not matched_sum
-            and plan.arc_mode is _VARY_PHI_FIXED_R):
-        if k1 is not _FLAT and abs(s_hi) > abs(s_lo):
-            return hi, s_hi
-        return lo, s_lo
-    evals = {lo: s_lo, hi: s_hi}
-
-    def f(arc: float) -> float:
-        evals[arc] = s = _sensitivity_at_arc(solve, arc, False)
-        return abs(s)
-
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    # arcs are at most 1 m, where floats lie far closer than the tolerance
-    while (b - a) > _ARC_TOL_M:
-        if f1 > f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    best_arc = max(evals, key=lambda arc: abs(evals[arc]))
-    return best_arc, evals[best_arc]
+    if solve[2] is not _FLAT and abs(s_hi) > abs(s_lo):  # side 1 is flat for Planar only
+        return hi, s_hi
+    return lo, s_lo

@@ -394,3 +394,87 @@ def test_mixed_pair_generators():
         (w3 - w1) * (2 * (b3 - b2) + b1) + 2 * (w3 - w2) * (b2 - b1)
         + Q(3, 2) * a(w3, w2, b3, b2) + (w3 - w2) * (b2 + b3) / 2
     ))
+
+
+# --- PlanoConcave on the face plane, phi growing, nominal: the (z, s) reduction ---
+
+# rational (tan(A/2), tan(B/2)) with A >= B: s = A + B and theta = A - B
+_HALF_ANGLES = [(Q(1, 2), Q(1, 3)), (Q(2, 3), Q(1, 7)), (Q(1, 5), Q(1, 5)), (Q(3, 4), Q(1, 9))]
+
+
+def _sin(t):
+    return 2 * t / (1 + t * t)
+
+
+def test_reduction_q_and_k():
+    for ta, tb in _HALF_ANGLES:
+        sa, ca, sb, cb = _sin(ta), _cos(ta), _sin(tb), _cos(tb)
+        cos_s, cos_theta = ca * cb - sa * sb, ca * cb + sa * sb
+        sin_s, sin_theta = sa * cb + ca * sb, sa * cb - ca * sb
+        # q = sin(A) sin(B)/sin(s/2)**2 = (cos(theta) - cos(s))/(1 - cos(s)) <= 1
+        q = (cos_theta - cos_s) / (1 - cos_s)
+        assert sa * sb / ((1 - cos_s) / 2) == q and 0 <= q <= 1
+        # k = sin(s) - tau sin(theta) = 2 cos(A) sin(B) + (1 - tau) sin(theta)
+        for tau in (Q(0), Q(1, 3), Q(1)):
+            assert sin_s - tau * sin_theta == 2 * ca * sb + (1 - tau) * sin_theta
+        # r(cos(theta) - cos(s)) = z q with z = r(1 - cos(s))
+        for r in (Q(1, 2), Q(3), Q(10**9)):
+            assert r * (cos_theta - cos_s) == r * (1 - cos_s) * q
+
+
+def test_reduction_path_and_lemma_t():
+    for t, big_t, r in product([Q(1, 5), Q(1, 2), Q(4, 5)], [Q(1, 3), Q(9, 10)], [Q(2), Q(50)]):
+        # dz/ds = r sin(s) = z cot(s/2), with T = tan(s/2)
+        assert r * _sin(big_t) == r * (1 - _cos(big_t)) / big_t
+        # u = 1/(1 + r(cos(theta) - cos(s))): du/dtheta = r sin(theta) u**2 and
+        # du/ds = -r sin(s) u**2, through dtheta/dt = 2/(1 + t**2)
+        u = lambda t, big_t: 1 / (1 + r * (_cos(t) - _cos(big_t)))
+        u0 = u(t, big_t)
+        assert u(Dual(t, 1), big_t).dx / _dtheta_dt(t) == r * _sin(t) * u0 * u0
+        assert u(t, Dual(big_t, 1)).dx / _dtheta_dt(big_t) == -r * _sin(big_t) * u0 * u0
+    # so at fixed tau, d u(s tau, s)/ds = tau du/dtheta + du/ds = -r k u**2 with
+    # k = sin(s) - tau sin(s tau): a' = -r<k u**2>, b' = -2r<k u**3>, and
+    # N' = (b'(1 + a) - (1 + b)a')/(1 + a)**2 = r<k u**2>/(1 + a) (N - 2<k u**3>/<k u**2>)
+    assert same(
+        lambda a, b, p, q, r: (-2 * r * q * (1 + a) + (1 + b) * r * p) / (1 + a) ** 2,
+        lambda a, b, p, q, r: r * p / (1 + a) * ((1 + b) / (1 + a) - 2 * q / p), 5, 2,
+    )
+
+
+def test_reduction_z_at_most_one():
+    # N < 1 and 2 ubar >= 2/(1 + z) leave F < 1 - 2/(1 + z) = (z - 1)/(z + 1)
+    assert same(lambda z: 1 - 2 / (1 + z), lambda z: (z - 1) / (z + 1), 1, 2)
+
+
+def _plano_concave_f(zq, ps, ws):
+    """F = N - 2Q/P for the law sum p_i delta at (zq_i, w_i), u = 1/(1 + zq)."""
+    us = [1 / (1 + x) for x in zq]
+    mean = lambda f: sum(p * f(u, w) for u, w, p in zip(us, ws, ps))
+    n = (1 + mean(lambda u, w: u * u)) / (1 + mean(lambda u, w: u))
+    return n - 2 * mean(lambda u, w: w * u * u * u) / mean(lambda u, w: w * u * u)
+
+
+def test_reduction_g_centred():
+    # G = (z d/dz + tan(s/2) d/ds)F moves zq by zq(1 + eps) and w by w eta, and
+    # equals -<v(1 + eps)(2u - N)>/(1 + a) + 2<w u**2 (1 - u)(1 + eps)(3u - 2ubar)>/P
+    # - 2<w eta u**2 (u - ubar)>/P with v = u(1 - u)
+    ps = [Q(1, 4), Q(1, 2), Q(1, 4)]
+    for zq, ws, eps, eta in (
+        ([Q(1, 3), Q(2), Q(7)], [Q(1), Q(1, 2), Q(1, 5)], [Q(-1, 9), Q(-1, 5), Q(0)], [Q(-1, 3), Q(0), Q(-1, 7)]),
+        ([Q(0), Q(1, 2), Q(40)], [Q(1, 10), Q(3, 2), Q(2)], [Q(0), Q(-1, 2), Q(-1, 3)], [Q(-2), Q(-1, 9), Q(0)]),
+    ):
+        moved = _plano_concave_f(
+            [Dual(x, x * (1 + e)) for x, e in zip(zq, eps)], ps,
+            [Dual(w, w * h) for w, h in zip(ws, eta)],
+        )
+        us = [1 / (1 + x) for x in zq]
+        mean = lambda f: sum(p * f(u, w, e, h) for u, w, e, h, p in zip(us, ws, eps, eta, ps))
+        a, p_ = mean(lambda u, w, e, h: u), mean(lambda u, w, e, h: w * u * u)
+        n = (1 + mean(lambda u, w, e, h: u * u)) / (1 + a)
+        ubar = mean(lambda u, w, e, h: w * u**3) / p_
+        g = (
+            -mean(lambda u, w, e, h: u * (1 - u) * (1 + e) * (2 * u - n)) / (1 + a)
+            + 2 * mean(lambda u, w, e, h: w * u * u * (1 - u) * (1 + e) * (3 * u - 2 * ubar)) / p_
+            - 2 * mean(lambda u, w, e, h: w * h * u * u * (u - ubar)) / p_
+        )
+        assert moved.x == n - 2 * ubar and moved.dx == g

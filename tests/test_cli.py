@@ -128,6 +128,19 @@ class TestUsageErrors:
         assert code == 2
         assert "Triconvex" in err
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-5E2", "-.5e1", "-1"])
+    def test_a_negative_number_is_a_value_in_every_form(self, tmp_path, capsys, value):
+        # "--flag value" reads as "--flag=value", exponent forms included
+        results = []
+        for i, flag in enumerate((["--accel-min-g", value], [f"--accel-min-g={value}"])):
+            out_csv = tmp_path / f"{i}.csv"
+            code, out, err = run(
+                capsys, "gain-curve", "--csv", str(out_csv), *flag, "--accel-max-g", "1e-3",
+                "--variants", "Planar",
+            )
+            results.append((code, out.replace(str(out_csv), ""), err, out_csv.read_bytes()))
+        assert results[0] == results[1] and results[0][0] == 0
+
 
 class TestConfigFile:
     def test_unknown_key_rejected_with_path(self, tmp_path, capsys):

@@ -1,15 +1,14 @@
-"""Where |S(arc)| has no interior local maximum, maximize_sensitivity
+"""|S(arc)| has no interior local maximum, so maximize_sensitivity
 compares the two bounds instead of searching.
 
-The sweep module docstring derives the covered cases: every pairing
-under every anchor, arc mode and feedback mode, but for one case of
-PlanoConcave (face plane, phi growing, nominal feedback), which the
-README's table leaves unproved and which still searches. The
-golden-section search the optimizer ran for every case is kept here as
-the oracle. With |S| evaluated in 50-digit arithmetic
-(bench/reference.py), no point of the search may beat the bound the
-comparison picks by more than the library's own errors in S at the two
-bounds, which the comparison reads.
+The sweep module docstring derives every case: every pairing under every
+anchor, arc mode and feedback mode, with PlanoConcave on the face plane
+under nominal feedback and phi growing proved by computation
+(test_plano_concave_certificate.py). The golden-section search the
+optimizer once ran is kept here as the oracle. With |S| evaluated in
+50-digit arithmetic (bench/reference.py), no point of the search may beat
+the bound the comparison picks by more than the library's own errors in
+S at the two bounds, which the comparison reads.
 """
 
 import math
@@ -35,9 +34,7 @@ from curvedcomb import (
 )
 from curvedcomb import sweep
 from curvedcomb.model import _ENVELOPE
-from curvedcomb.sweep import (
-    _ARC_TOL_M, _INV_PHI, _arc_shape, _sensitivity_at_arc, _solve_of,
-)
+from curvedcomb.sweep import _arc_shape, _sensitivity_at_arc, _solve_of
 from conftest import STD_H
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,20 +56,14 @@ reference = _bench_module("reference")
 # a rounding of S: where each evaluation is good to a few ulps, no point
 # of the search beats the better bound by more
 ROUNDING = 1e-12
-
-
-def unproved(variant: Variant, feedback: FeedbackMode, mode: ArcMode, anchor: GapAnchor) -> bool:
-    """The README table's one case left unproved, which still searches:
-    PlanoConcave on the face plane, phi growing, under nominal feedback."""
-    return (
-        variant is Variant.PLANO_CONCAVE and anchor is GapAnchor.FACE_PLANE
-        and mode is ArcMode.VARY_PHI_FIXED_R and feedback is FeedbackMode.NOMINAL
-    )
+# the search's golden ratio step and its absolute arc tolerance (m)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ARC_TOL_M = 1e-10
 
 
 def golden_section(plan: SweepPlan, variant: Variant, lo: float, hi: float) -> tuple:
-    """The search maximize_sensitivity ran for every case: both bounds,
-    then golden-section steps to a 1e-10 m bracket; the best |S| of all
+    """The search maximize_sensitivity once ran: both bounds, then
+    golden-section steps to a 1e-10 m bracket; the best |S| of all
     evaluations, the first on a tie. Returns (arc, S, evaluations)."""
     solve = _solve_of(plan, variant)
     evals: dict[float, float] = {}
@@ -143,7 +134,6 @@ CASES = st.sampled_from([
     (variant, feedback, mode, anchor)
     for feedback in FeedbackMode for variant in Variant
     for mode in ArcMode for anchor in GapAnchor
-    if not unproved(variant, feedback, mode, anchor)
 ])
 LOG = log_uniform("length")
 MECH = MechanicalModel(2.6e-10, 1.0, 21)
@@ -151,7 +141,7 @@ MECH = MechanicalModel(2.6e-10, 1.0, 21)
 
 @st.composite
 def covered_solves(draw):
-    """A covered (variant, plan, bounds) of the model envelope, with bounds
+    """A (variant, plan, bounds) of the model envelope, with bounds
     anywhere in the variant's valid arcs, up to its validity limits."""
     variant, feedback, mode, anchor = draw(CASES)
     r = draw(LOG)
@@ -201,29 +191,51 @@ def test_bound_comparison_matches_the_golden_section_search(case):
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
 @pytest.mark.parametrize("mode", list(ArcMode))
 @pytest.mark.parametrize("anchor", list(GapAnchor))
-def test_plano_concave_searches_only_its_unproved_case(monkeypatch, anchor, mode, feedback):
-    """PlanoConcave compares its two bounds in the seven cases the README
-    proves, and searches in the open one."""
-    evaluations = []
-
-    def counted(*args):
-        evaluations.append(args)
-        return _sensitivity_at_arc(*args)
-
-    monkeypatch.setattr(sweep, "_sensitivity_at_arc", counted)
+def test_plano_concave_compares_its_bounds_in_every_case(monkeypatch, anchor, mode, feedback):
+    """PlanoConcave compares its two bounds in all eight of its cases, the
+    one proved by computation among them."""
+    evaluations = _count_evaluations(monkeypatch)
     plan = SweepPlan(
         (Variant.PLANO_CONCAVE,), ArcProfile(100e-6, 0.2, STD_H), GapState(2e-6), MECH,
         DriveModel(1.0, feedback), mode, anchor,
     )
     maximize_sensitivity(Variant.PLANO_CONCAVE, (5e-6, 30e-6), plan)
-    if unproved(Variant.PLANO_CONCAVE, feedback, mode, anchor):
-        assert len(evaluations) > 10
-    else:
-        assert len(evaluations) == 2
+    assert evaluations == [1, 1]
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """The ArcProfile count of each S evaluation maximize_sensitivity makes,
+    in order."""
+    evaluations = []
+
+    def profile_at(*args):
+        evaluations[-1] += 1
+        return profile_at_(*args)
+
+    def counted(*args):
+        evaluations.append(0)
+        return _sensitivity_at_arc(*args)
+
+    profile_at_ = sweep._profile_at
+    monkeypatch.setattr(sweep, "_profile_at", profile_at)
+    monkeypatch.setattr(sweep, "_sensitivity_at_arc", counted)
+    return evaluations
 
 
 def _design_pool(seed: int, tmp_path):
     return _bench_module("design").Workload(seed, str(tmp_path)).cells
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_design_pool_solves_evaluate_each_bound_once(seed, tmp_path, monkeypatch):
+    """Every solve of the benchmark's design pools evaluates S at its two
+    bounds (one when they are equal), each through one checked ArcProfile."""
+    evaluations = _count_evaluations(monkeypatch)
+    for cell in _design_pool(seed, tmp_path):
+        for variant, (lo, hi) in cell.bounds.items():
+            evaluations.clear()
+            maximize_sensitivity(variant, (lo, hi), cell.plan)
+            assert evaluations == [1] * (1 if lo == hi else 2), variant
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
