@@ -45,7 +45,10 @@ for a_g in (-2.0, -1.0, 0.0, 1.0, 2.0):
         f"  a = {a_g:+.0f} g   delta = {gv.displacement_m * 1e9:+7.3f} nm"
         f"   G_biconvex = {gv.gain:+.6e}   G_planar = {gf.gain:+.6e}"
     )
-print("the planar gain is exactly delta/d; the biconvex one runs steeper.")
+print(
+    "the planar gain is exactly delta/d; the biconvex one runs shallower,\n"
+    "as d is its apex gap and its faces curve away from the mass past the apexes."
+)
 
 # swapping which side is concave flips the output sign: G_cc(a) = -G_vc(-a)
 cc = ElectrodeConfig.for_variant(Variant.CONCAVO_CONVEX, prof)

@@ -2,9 +2,10 @@
 
 Closed-form capacitance, bridge gain, and sensitivity for a one-axis
 accelerometer cell whose fixed electrodes may be convex, concave, or
-flat circular-arc profiles, plus numeric oracles (adaptive quadrature,
-finite differences) that cross-check every closed form, and sweep /
-optimization drivers over arc length.
+flat circular-arc profiles, plus numeric oracles that cross-check every
+closed form (Gauss-Legendre quadrature on a graded mesh fixed in
+advance, with a proved error bound per panel, and finite differences),
+and sweep / optimization drivers over arc length.
 
 Each public name is declared once, in the __all__ of the module that
 defines it; the package re-exports the union of those lists.

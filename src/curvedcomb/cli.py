@@ -9,11 +9,14 @@ Each shared parameter is declared once, as one _Param of the _PARAMS
 table that states its name, type, default, config-file section, help
 text, flag and choices; the RunConfig fields, the config-file keys, the
 shared flags and resolve_config are derived from that table when this
-module is imported. The parser is built once per process: every
-subcommand inherits one parent parser that holds the shared flags. Each
-run resolves its RunConfig once into a checked SweepPlan before the
-subcommand starts, so every subcommand checks every shared flag, also
-those it does not read, such as the flat face length. compare ranks the
+module is imported. main reads the command line off that table and
+_COMMANDS: the first token names the subcommand, and a flag takes the
+text after its "=", or else the next token whatever it starts with
+("-inf" too), as its value; no flag is abbreviated. Only help, an empty
+command line and an unknown subcommand load argparse, through
+build_parser(). Each run resolves its RunConfig once into a checked
+SweepPlan before the subcommand starts, so every subcommand checks every
+shared flag, also those it does not read, such as the flat face length. compare ranks the
 rows of the sweep's rest path (sweep._rest_sweep) on the plan's profile.
 sensitivity-sweep --verify runs fd_sensitivity's stencil on each row's
 rest cell, read off the sweep's own face table (sweep._rest_points): its
@@ -29,13 +32,12 @@ files. Only the runs that read a config file or print validate --json
 import json, as only --svg runs import the chart writer.
 """
 
-import argparse
 import collections
 import operator
 import random
-import re
 import sys
 import typing
+from types import SimpleNamespace
 
 from .capacitance import (
     GeometryDomainError,
@@ -280,8 +282,9 @@ def _one_angle(overrides: dict) -> dict:
     return overrides
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Apply precedence: flags > config file > built-in defaults."""
+def resolve_config(args) -> RunConfig:
+    """Apply precedence: flags > config file > built-in defaults, to the
+    command line as main's reader or build_parser().parse_args read it."""
     values: dict = {}
     path = getattr(args, "config", None)
     if path:
@@ -306,20 +309,31 @@ def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
         fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # argparse's own pattern reads "-1e-3" as an option: a negative
-        # number in exponent form is a value too
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-
-    def error(self, message: str):  # usage problems exit 1, not argparse's 2
-        raise UsageError(message)
-
-
 def _names(text: str) -> tuple[str, ...]:
     """A comma-separated --variants value as a tuple of names."""
     return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _flag(p: _Param) -> tuple[str, dict]:
+    """The flag of a _PARAMS entry and its argparse add_argument keywords."""
+    flag = p.flag or p.name.replace("_", "-")
+    kwargs = {"dest": p.name, "help": p.help}
+    if p.choices:
+        kwargs["choices"] = sorted(m.value for m in p.choices)
+    else:
+        kwargs["metavar"] = flag.replace("-", "_").upper()
+        if typing.get_origin(p.type) is tuple:
+            kwargs["type"] = _names
+        else:  # T or T | None
+            kwargs["type"] = (typing.get_args(p.type) or (p.type,))[0]
+    return "--" + flag, kwargs
+
+
+# flag -> add_argument keywords of each shared flag: --config, then _PARAMS
+_FLAGS = {
+    "--config": {"dest": "config", "help": "JSON config file (flags override it)"},
+    **dict(map(_flag, _PARAMS)),
+}
 
 
 # argparse group of each config-file section ("" is the top level)
@@ -333,7 +347,7 @@ _GROUP_OF_SECTION = {
 }
 
 
-def cmd_capacitance(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
+def cmd_capacitance(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     kind = FaceKind(args.kind)
     eps = plan.drive.permittivity_f_per_m
     gap = plan.gap.gap_m
@@ -377,7 +391,7 @@ def _lines(rows, header: list[str]) -> list[str]:
     return [fmt % fields(r) for r in rows]
 
 
-def cmd_gain_curve(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
+def cmd_gain_curve(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     path = _require_csv(cfg)
     result = gain_curve(plan)
     header = ["variant", "accel_g", "displacement_m", "c1_f", "c2_f", "gain", "v_out_v"]
@@ -414,7 +428,7 @@ def _report_incidents(result: SweepResult, key: str) -> None:
         print(f"  {items[0]['reason']}")
 
 
-def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
+def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     path = _require_csv(cfg)
     result = sensitivity_sweep(plan)
     header = ["variant", "arc_length_m", "radius_m", "phi_rad", "s_mv_per_g", "s_net_mv_per_g"]
@@ -445,7 +459,7 @@ def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: argparse.Namesp
     return 0
 
 
-def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
+def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     prof = plan.profile  # itself: phi rebuilt as (R*phi)/R can be an ulp off
     rows, skipped = _rest_sweep(plan, list(plan.variants), [prof.arc_length()], [prof])
     if not rows:
@@ -574,7 +588,7 @@ def _suite_symmetry(rng: random.Random, points: int) -> float:
     return worst
 
 
-def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: argparse.Namespace) -> int:
+def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
     _validate_config_geometry(plan)
@@ -642,24 +656,22 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
-    """The curvedcomb parser: each subcommand inherits one shared parent
-    that holds --config and a flag per _PARAMS entry, then adds its own."""
+def build_parser():
+    """The command line as an argparse parser, which prints --help: each
+    subcommand inherits one shared parent that holds --config and a flag
+    per _PARAMS entry, then adds its own."""
+    import argparse  # only the runs that end here load argparse and gettext
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # usage problems exit 1, not argparse's 2
+            raise UsageError(message)
+
     shared = _Parser(add_help=False)
-    shared.add_argument("--config", help="JSON config file (flags override it)")
+    shared.add_argument("--config", **_FLAGS["--config"])
     groups = {t: shared.add_argument_group(t) for t in _GROUP_OF_SECTION.values()}
     for p in _PARAMS:
-        flag = p.flag or p.name.replace("_", "-")
-        kwargs = {"dest": p.name, "help": p.help}
-        if p.choices:
-            kwargs["choices"] = sorted(m.value for m in p.choices)
-        else:
-            kwargs["metavar"] = flag.replace("-", "_").upper()
-            if typing.get_origin(p.type) is tuple:
-                kwargs["type"] = _names
-            else:  # T or T | None
-                kwargs["type"] = (typing.get_args(p.type) or (p.type,))[0]
-        groups[_GROUP_OF_SECTION[p.section]].add_argument("--" + flag, **kwargs)
+        flag, kwargs = _flag(p)
+        groups[_GROUP_OF_SECTION[p.section]].add_argument(flag, **kwargs)
     parser = _Parser(
         prog="curvedcomb",
         description="Curved-electrode capacitive accelerometer model",
@@ -672,13 +684,51 @@ def build_parser() -> _Parser:
     return parser
 
 
-# built once per process; main parses every command line with it
-_PARSER = build_parser()
+def _read_args(argv: list[str]) -> SimpleNamespace:
+    """The command line as build_parser().parse_args reads it, with its
+    usage messages, except that each flag takes the next token as its value
+    whatever that token starts with, and a flag is never abbreviated.
+    Help, an empty command line and an unknown subcommand go to argparse."""
+    if not argv or argv[0] not in _COMMANDS or "-h" in argv or "--help" in argv:
+        return build_parser().parse_args(argv)
+    spec = {**_FLAGS, **{f: {"dest": f[2:], **kw} for f, kw in _COMMANDS[argv[0]][2]}}
+    args = {kw["dest"]: kw.get("default", False if "action" in kw else None)
+            for kw in spec.values()}
+    tokens, extras = iter(argv[1:]), []
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kw = spec.get(flag)
+        if kw is None:
+            extras.append(token)
+        elif "action" in kw:  # a store_true switch
+            if eq:
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            args[kw["dest"]] = True
+        elif not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"argument {flag}: expected one argument")
+        else:
+            convert = kw.get("type", str)
+            try:
+                value = convert(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+            if "choices" in kw and value not in kw["choices"]:
+                choices = ", ".join(map(repr, kw["choices"]))
+                raise UsageError(
+                    f"argument {flag}: invalid choice: {value!r} (choose from {choices})"
+                )
+            args[kw["dest"]] = value
+    missing = [f for f, kw in spec.items() if kw.get("required") and args[kw["dest"]] is None]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _read_args(sys.argv[1:] if argv is None else argv)
         cfg = resolve_config(args)
         return _COMMANDS[args.command][1](cfg, cfg.plan(), args)
     except UsageError as err:

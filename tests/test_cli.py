@@ -128,9 +128,10 @@ class TestUsageErrors:
         assert code == 2
         assert "Triconvex" in err
 
-    @pytest.mark.parametrize("value", ["-1e-3", "-5E2", "-.5e1", "-1"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-5E2", "-.5e1", "-1", "-inf", "-nan"])
     def test_a_negative_number_is_a_value_in_every_form(self, tmp_path, capsys, value):
-        # "--flag value" reads as "--flag=value", exponent forms included
+        # "--flag value" reads as "--flag=value", exponent forms included;
+        # -inf and -nan reach the envelope check, not a usage error
         results = []
         for i, flag in enumerate((["--accel-min-g", value], [f"--accel-min-g={value}"])):
             out_csv = tmp_path / f"{i}.csv"
@@ -138,8 +139,18 @@ class TestUsageErrors:
                 capsys, "gain-curve", "--csv", str(out_csv), *flag, "--accel-max-g", "1e-3",
                 "--variants", "Planar",
             )
-            results.append((code, out.replace(str(out_csv), ""), err, out_csv.read_bytes()))
-        assert results[0] == results[1] and results[0][0] == 0
+            written = out_csv.read_bytes() if out_csv.exists() else None
+            results.append((code, out.replace(str(out_csv), ""), err, written))
+        assert results[0] == results[1]
+        code, out, err, written = results[0]
+        if math.isfinite(float(value)):
+            assert code == 0
+        else:
+            assert (code, out, written) == (2, "", None)
+            assert err == (
+                f"error: accel_range_g min = {float(value)} is outside the model's "
+                "accel_g range [-1000000.0, 1000000.0]\n"
+            )
 
 
 class TestConfigFile:
@@ -314,7 +325,7 @@ class TestSensitivitySweepCommand:
         # bit for bit it is fd_sensitivity on the row's own config and gaps
         out_csv = tmp_path / "s.csv"
         code, _, _ = run(capsys, "sensitivity-sweep", "--verify", "--csv", str(out_csv), *argv)
-        plan = cli.resolve_config(cli._PARSER.parse_args(["sensitivity-sweep", *argv])).plan()
+        plan = cli.resolve_config(cli._read_args(["sensitivity-sweep", *argv])).plan()
         try:
             rows = sensitivity_sweep(plan).rows
         except ValueError:  # no valid point: the run writes nothing
@@ -593,19 +604,24 @@ SUBCOMMANDS = [
 
 
 class TestOneParser:
-    """One parser per process, shared by every subcommand, and one plan
+    """One argument reader, read off the flag table with no set-up per call
+    and shared by every subcommand; argparse only for help; and one plan
     resolved before any subcommand runs."""
 
-    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
-        def rebuild():
-            raise AssertionError("main rebuilt the parser")
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda command: command[0])
+    def test_main_never_builds_the_argparse_parser(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def build():
+            raise AssertionError("main built the argparse parser")
 
-        monkeypatch.setattr(cli, "build_parser", rebuild)
-        code, out, _ = run(capsys, "compare")
-        assert code == 0 and "Biconvex" in out
+        monkeypatch.setattr(cli, "build_parser", build)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *command)
+        assert code == 0, err
 
     def test_each_shared_flag_is_one_action_of_every_subcommand(self):
-        subparsers = cli._PARSER._subparsers._group_actions[0].choices
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
         assert sorted(subparsers) == sorted(cli._COMMANDS)
         for param in cli._PARAMS:
             actions = {
@@ -666,6 +682,20 @@ class TestOneParser:
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert proc.stdout.strip() == "False"
+
+    def test_neither_import_nor_a_run_loads_argparse(self):
+        # argparse and the gettext it imports load only for --help and for
+        # the lines main leaves to build_parser
+        probe = (
+            "import sys, curvedcomb.cli; late = {'argparse', 'gettext'}; "
+            "print(sorted(late & set(sys.modules)), curvedcomb.cli.main(['compare']), "
+            "sorted(late & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.stdout.splitlines()[-1] == "[] 0 []"
 
     def test_importing_the_cli_leaves_the_json_module_unloaded(self):
         # only a config file and validate --json read JSON
