@@ -9,19 +9,19 @@ Each shared parameter is declared once, as one _Param of the _PARAMS
 table that states its name, type, default, config-file section, help
 text, flag and choices; the RunConfig fields, the config-file keys, the
 shared flags and resolve_config are derived from that table when this
-module is imported. main reads the command line off that table and
+module is imported. main reads a valid command line off that table and
 _COMMANDS: the first token names the subcommand, and a flag takes the
 text after its "=", or else the next token whatever it starts with
-("-inf" too), as its value; no flag is abbreviated. Only help, an empty
-command line and an unknown subcommand load argparse, through
-build_parser(). Each run resolves its RunConfig once into a checked
-SweepPlan before the subcommand starts, so every subcommand checks every
-shared flag, also those it does not read, such as the flat face length. compare ranks the
-rows of the sweep's rest path (sweep._rest_sweep) on the plan's profile.
-sensitivity-sweep --verify runs fd_sensitivity's stencil on each row's
-rest cell, read off the sweep's own face table (sweep._rest_points): its
-column checks dC/dd and the chain rule, and shares the sweep's placement,
-which tests pin to the public side_nominal_gaps path.
+("-inf" too), as its value. Help and any line with a usage error go to
+the argparse parser of build_parser(), which words every usage error;
+neither path abbreviates a flag. Each run resolves its RunConfig once into
+a checked SweepPlan, so every subcommand checks every shared flag, also
+those it does not read, such as the flat face length. compare ranks, and
+validate gates its suites on, the sweep's rest rows (sweep._rest_sweep)
+at the plan's own cell; both name every failing side of a variant invalid
+there. sensitivity-sweep --verify runs fd_sensitivity's stencil on each
+row's rest cell off the sweep's own face table (sweep._rest_points), so
+its column checks dC/dd and the chain rule at the sweep's placement.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure, including a quadrature oracle whose error
@@ -46,6 +46,7 @@ from .capacitance import (
     face_capacitance,
 )
 from .model import (
+    SIDE_KINDS,
     STANDARD_GRAVITY,
     ArcProfile,
     DriveModel,
@@ -459,9 +460,14 @@ def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace
     return 0
 
 
-def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
+def _rest_cell(plan: SweepPlan) -> tuple:
+    """The sweep's rest (rows, skipped) at the plan's own cell: compare's and validate's."""
     prof = plan.profile  # itself: phi rebuilt as (R*phi)/R can be an ulp off
-    rows, skipped = _rest_sweep(plan, list(plan.variants), [prof.arc_length()], [prof])
+    return _rest_sweep(plan, list(plan.variants), [prof.arc_length()], [prof])
+
+
+def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
+    rows, skipped = _rest_cell(plan)
     if not rows:
         raise GeometryDomainError(
             "no variant is valid at the given parameters",
@@ -475,7 +481,7 @@ def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     for entry in skipped:
         print(f"{entry['variant']}: skipped ({entry['reason']})")
     print(
-        f"(arc {prof.arc_length() / UM:g} um, gap {cfg.gap_um:g} um, "
+        f"(arc {plan.profile.arc_length() / UM:g} um, gap {cfg.gap_um:g} um, "
         f"{plan.gap_anchor.value} anchor, N = {plan.mech.comb_count})"
     )
     if cfg.csv:
@@ -484,20 +490,6 @@ def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
         _write_csv(cfg.csv, header, [f"{i},{line}" for i, line in enumerate(lines, start=1)])
         print(f"wrote ranking to {cfg.csv}")
     return 0
-
-
-def _validate_config_geometry(plan: SweepPlan) -> None:
-    """Domain-gate the configured geometry before any suite runs."""
-    for variant in plan.variants:
-        config = ElectrodeConfig.for_variant(variant, plan.profile)
-        report = validate_geometry(config, plan.gap, plan.gap_anchor)
-        if not report.ok:
-            first = report.violations[0]
-            raise GeometryDomainError(
-                f"{variant.value}: side {first.side}: {first.rule}",
-                kind=config.side_kinds()[first.side - 1],
-                gap_m=plan.gap.gap_m,
-            )
 
 
 def _worse(worst: float, rel: float) -> float:
@@ -591,7 +583,14 @@ def _suite_symmetry(rng: random.Random, points: int) -> float:
 def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
-    _validate_config_geometry(plan)
+    _, skipped = _rest_cell(plan)
+    if skipped:  # the first variant invalid at rest, with each side that fails
+        variant, reason = Variant(skipped[0]["variant"]), skipped[0]["reason"]
+        raise GeometryDomainError(
+            f"{variant.value}: {reason}",
+            kind=SIDE_KINDS[variant][reason.startswith("side 2")],  # the first failing side's
+            gap_m=plan.gap.gap_m,
+        )
     rng = random.Random(20260816)
     n = max(10, args.points)
     suites = [
@@ -666,63 +665,52 @@ def build_parser():
         def error(self, message: str):  # usage problems exit 1, not argparse's 2
             raise UsageError(message)
 
-    shared = _Parser(add_help=False)
+    shared = _Parser(add_help=False, allow_abbrev=False)
     shared.add_argument("--config", **_FLAGS["--config"])
     groups = {t: shared.add_argument_group(t) for t in _GROUP_OF_SECTION.values()}
     for p in _PARAMS:
         flag, kwargs = _flag(p)
         groups[_GROUP_OF_SECTION[p.section]].add_argument(flag, **kwargs)
-    parser = _Parser(
-        prog="curvedcomb",
-        description="Curved-electrode capacitive accelerometer model",
-    )
+    parser = _Parser(prog="curvedcomb", allow_abbrev=False,
+                     description="Curved-electrode capacitive accelerometer model")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, own_flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, parents=[shared])
+        p = sub.add_parser(name, help=help_text, parents=[shared], allow_abbrev=False)
         for flag, kwargs in own_flags:
             p.add_argument(flag, **kwargs)
     return parser
 
 
-def _read_args(argv: list[str]) -> SimpleNamespace:
-    """The command line as build_parser().parse_args reads it, with its
-    usage messages, except that each flag takes the next token as its value
-    whatever that token starts with, and a flag is never abbreviated.
-    Help, an empty command line and an unknown subcommand go to argparse."""
+def _read_args(argv: list[str]):
+    """A valid command line as build_parser().parse_args reads it, except that a flag
+    takes the next token as its value whatever it starts with. Any other line goes to
+    that parse_args, which words every usage error, each value joined to its flag by "="
+    ("-1e-3" after a space is a flag there), but "--" apart ("--r-um=--" is no value)."""
     if not argv or argv[0] not in _COMMANDS or "-h" in argv or "--help" in argv:
         return build_parser().parse_args(argv)
     spec = {**_FLAGS, **{f: {"dest": f[2:], **kw} for f, kw in _COMMANDS[argv[0]][2]}}
     args = {kw["dest"]: kw.get("default", False if "action" in kw else None)
             for kw in spec.values()}
-    tokens, extras = iter(argv[1:]), []
+    tokens, read, valid = iter(argv[1:]), argv[:1], True
     for token in tokens:
         flag, eq, value = token.partition("=")
-        kw = spec.get(flag)
-        if kw is None:
-            extras.append(token)
-        elif "action" in kw:  # a store_true switch
-            if eq:
-                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+        kw, given = spec.get(flag, {}), [token]
+        if "action" in kw and not eq:  # a store_true switch
             args[kw["dest"]] = True
-        elif not eq and (value := next(tokens, None)) is None:
-            raise UsageError(f"argument {flag}: expected one argument")
+        elif not kw or "action" in kw or not eq and (value := next(tokens, None)) is None:
+            valid = False  # an unknown token, a switch given a value or a flag given none
         else:
-            convert = kw.get("type", str)
+            given = [flag, value] if value == "--" else [f"{flag}={value}"]
             try:
-                value = convert(value)
+                value = kw.get("type", str)(value)
             except ValueError:
-                raise UsageError(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+                valid = False
             if "choices" in kw and value not in kw["choices"]:
-                choices = ", ".join(map(repr, kw["choices"]))
-                raise UsageError(
-                    f"argument {flag}: invalid choice: {value!r} (choose from {choices})"
-                )
+                valid = False
             args[kw["dest"]] = value
-    missing = [f for f, kw in spec.items() if kw.get("required") and args[kw["dest"]] is None]
-    if missing:
-        raise UsageError("the following arguments are required: " + ", ".join(missing))
-    if extras:
-        raise UsageError("unrecognized arguments: " + " ".join(extras))
+        read += given
+    if not valid or any(kw.get("required") and args[kw["dest"]] is None for kw in spec.values()):
+        return build_parser().parse_args(read)
     return SimpleNamespace(command=argv[0], **args)
 
 

@@ -445,7 +445,8 @@ class TestCompareCommand:
             "Biconvex: skipped (side 1: gap not positive; side 2: gap not positive)"
         ) in out.splitlines()
         code, _, err = run(capsys, "validate", "--phi", "0.9", "--gap-um", "1")
-        assert code == 2 and "Biconvex: side 1: gap not positive" in err
+        assert code == 2
+        assert err == "domain error: Biconvex: side 1: gap not positive; side 2: gap not positive\n"
 
 
 class TestModelEnvelope:
@@ -605,8 +606,8 @@ SUBCOMMANDS = [
 
 class TestOneParser:
     """One argument reader, read off the flag table with no set-up per call
-    and shared by every subcommand; argparse only for help; and one plan
-    resolved before any subcommand runs."""
+    and shared by every subcommand; argparse only for help and usage
+    errors; and one plan resolved before any subcommand runs."""
 
     @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda command: command[0])
     def test_main_never_builds_the_argparse_parser(
