@@ -246,6 +246,8 @@ CLI_LINES = [
     "compare --bogus 1",
     "validate --points 10",
     "validate --points 10 --json --feedback nominal",
+    "validate --json",
+    "validate --json --points 61 --feedback nominal",
     "validate --points 0",
     "validate --phi 0.9 --gap-um 1",
 ]
