@@ -19,9 +19,12 @@ a checked SweepPlan, so every subcommand checks every shared flag, also
 those it does not read, such as the flat face length. compare ranks, and
 validate gates its suites on, the sweep's rest rows (sweep._rest_sweep)
 at the plan's own cell; both name every failing side of a variant invalid
-there. sensitivity-sweep --verify runs fd_sensitivity's stencil on each
-row's rest cell off the sweep's own face table (sweep._rest_points), so
-its column checks dC/dd and the chain rule at the sweep's placement.
+there. validate's suites live in _validate, which only validate imports;
+each evaluates one resolved cell per random draw, checked bit for bit
+against the public functions by a replay test. sensitivity-sweep --verify
+runs fd_sensitivity's stencil on each row's rest cell, off the face table
+that the sweep itself built for the row's arc, so its column checks dC/dd
+and the chain rule at the sweep's placement.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure, including a quadrature oracle whose error
@@ -34,23 +37,15 @@ import json, as only --svg runs import the chart writer.
 
 import collections
 import operator
-import random
 import sys
 import typing
 from types import SimpleNamespace
 
-from .capacitance import (
-    GeometryDomainError,
-    cap_concave,
-    cap_convex,
-    face_capacitance,
-)
+from .capacitance import GeometryDomainError, face_capacitance
 from .model import (
     SIDE_KINDS,
-    STANDARD_GRAVITY,
     ArcProfile,
     DriveModel,
-    ElectrodeConfig,
     FaceKind,
     FeedbackMode,
     GapAnchor,
@@ -58,26 +53,12 @@ from .model import (
     MechanicalModel,
     PlanarProfile,
     Variant,
+    _MATCHED_SUM,
     _Record,
-    validate_geometry,
 )
 from .oracles import QuadratureNonConvergence, quad_capacitance
-from .sweep import (
-    ArcMode,
-    SweepPlan,
-    SweepResult,
-    _rest_points,
-    _rest_sweep,
-    gain_curve,
-    sensitivity_sweep,
-)
-from .transduction import (
-    OverRangeError,
-    _fd_stencil,
-    fd_sensitivity,
-    gain,
-    sensitivity,
-)
+from .sweep import ArcMode, SweepPlan, SweepResult, _rest_sweep, gain_curve, sensitivity_sweep
+from .transduction import OverRangeError, _fd_stencil
 
 UM = 1e-6
 
@@ -431,14 +412,18 @@ def _report_incidents(result: SweepResult, key: str) -> None:
 
 def cmd_sensitivity_sweep(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     path = _require_csv(cfg)
-    result = sensitivity_sweep(plan)
+    tables = {} if args.verify else None  # each row's rest cell, off the sweep's face table
+    result = sensitivity_sweep(plan, _tables=tables)
     header = ["variant", "arc_length_m", "radius_m", "phi_rad", "s_mv_per_g", "s_net_mv_per_g"]
     lines = _lines(result.rows, header)
     verify_failures: list[str] = []
     if args.verify:
         header.append("fd_s_mv_per_g")
-        for i, (r, point) in enumerate(zip(result.rows, _rest_points(plan, result.rows))):
-            fd = _fd_stencil(*point, plan.mech, plan.drive, 0.0) * 1e3
+        nominal = plan.drive.feedback_mode is not _MATCHED_SUM  # rest C_fb: the row's c1 + c2
+        for i, r in enumerate(result.rows):
+            cell = tables[r.radius_m, r.phi_rad][r.variant]
+            c_fb = r.c1_f + r.c2_f if nominal else None
+            fd = _fd_stencil(cell, 0.0, c_fb, plan.mech, plan.drive, 0.0) * 1e3
             lines[i] += ",%.16e" % fd
             rel = abs(fd - r.s_mv_per_g) / max(abs(r.s_mv_per_g), 1e-300)
             if not rel < _FD_TOL:
@@ -492,94 +477,6 @@ def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     return 0
 
 
-def _worse(worst: float, rel: float) -> float:
-    """max(worst, rel), except that a NaN in either is kept (and fails)."""
-    return rel if rel > worst or rel != rel else worst
-
-
-def _suite_quadrature(rng: random.Random, points: int) -> float:
-    """Max rel diff between closed forms and quadrature on random geometry."""
-    worst = 0.0
-    for _ in range(points):
-        r = rng.uniform(10e-6, 1000e-6)
-        phi = rng.uniform(1e-3, 1.0)
-        d = rng.uniform(0.5e-6, 10e-6)
-        prof = ArcProfile(r, phi, 2e-6)
-        convex = cap_convex(prof, d)
-        oracle = quad_capacitance(FaceKind.CONVEX, prof, d)
-        worst = _worse(worst, abs(convex - oracle.value) / abs(oracle.value))
-        if d - prof.sagitta() > 1e-3 * d:  # keep clear of the edge divergence
-            concave = cap_concave(prof, d)
-            oracle = quad_capacitance(FaceKind.CONCAVE, prof, d)
-            worst = _worse(worst, abs(concave - oracle.value) / abs(oracle.value))
-    return worst
-
-
-_CURVED_VARIANTS = tuple(v for v in Variant if v is not Variant.PLANAR)
-# the fixed mechanics of the derivative and symmetry suites, and the
-# symmetry suite's drive: its planar identity G = delta/d holds only under
-# matched-sum feedback, while the derivative suite takes --feedback
-_SUITE_MECH = MechanicalModel(2.6e-10, 1.0, 21)
-_SUITE_DRIVE = DriveModel(1.0)
-
-
-def _random_cell(rng: random.Random) -> tuple[ArcProfile, float]:
-    """A random (profile, gap) of the derivative and symmetry suites,
-    drawn as R, phi, then the gap."""
-    prof = ArcProfile(rng.uniform(30e-6, 500e-6), rng.uniform(0.02, 0.8), 2e-6)
-    return prof, rng.uniform(0.8e-6, 8e-6)
-
-
-def _suite_derivative(rng: random.Random, points: int, feedback: FeedbackMode) -> float:
-    worst = 0.0
-    mech, drive = _SUITE_MECH, DriveModel(1.0, feedback)
-    for variant in _CURVED_VARIANTS:
-        for _ in range(points):
-            while True:  # redraw until the rest state is valid for variant
-                prof, d = _random_cell(rng)
-                config = ElectrodeConfig.for_variant(variant, prof)
-                if validate_geometry(config, GapState(d)).ok:
-                    break
-            accel = rng.uniform(-2.0, 2.0) * STANDARD_GRAVITY
-            s = sensitivity(config, d, mech, drive, accel)
-            fd = fd_sensitivity(config, d, d, mech, drive, accel)
-            worst = _worse(worst, abs(fd - s) / abs(s))
-    return worst
-
-
-def _suite_symmetry(rng: random.Random, points: int) -> float:
-    worst = 0.0
-    mech, drive = _SUITE_MECH, _SUITE_DRIVE
-    for _ in range(points):
-        prof, d = _random_cell(rng)
-        accel = rng.uniform(0.1, 2.0) * STANDARD_GRAVITY
-        for variant in (Variant.PLANAR, Variant.BICONVEX, Variant.BICONCAVE):
-            config = ElectrodeConfig.for_variant(variant, prof)
-            if not validate_geometry(config, GapState(d)).ok:
-                continue
-            plus = gain(config, d, mech, drive, accel).gain
-            minus = gain(config, d, mech, drive, -accel).gain
-            worst = _worse(worst, abs(plus + minus) / max(abs(plus), 1e-300))
-        cc = ElectrodeConfig.for_variant(Variant.CONCAVO_CONVEX, prof)
-        vc = ElectrodeConfig.for_variant(Variant.CONVEXO_CONCAVE, prof)
-        if validate_geometry(cc, GapState(d)).ok:
-            g_cc = gain(cc, d, mech, drive, accel).gain
-            g_vc = gain(vc, d, mech, drive, -accel).gain
-            worst = _worse(worst, abs(g_cc + g_vc) / max(abs(g_cc), 1e-300))
-        planar = ElectrodeConfig.for_variant(Variant.PLANAR, prof)
-        # delta/d = 1/4 so the c2 - c1 cancellation stays below the tolerance
-        accel_p = 0.25 * d * mech.spring_n_per_m / mech.mass_kg
-        point = gain(planar, d, mech, drive, accel_p)
-        exact = point.displacement_m / d
-        worst = _worse(worst, abs(point.gain - exact) / abs(exact))
-        s = sensitivity(planar, d, mech, drive, 0.0)
-        s_exact = drive.v_in_volts * mech.mass_kg * STANDARD_GRAVITY / (
-            mech.spring_n_per_m * d
-        )
-        worst = _worse(worst, abs(s - s_exact) / abs(s_exact))
-    return worst
-
-
 def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
@@ -591,17 +488,14 @@ def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
             kind=SIDE_KINDS[variant][reason.startswith("side 2")],  # the first failing side's
             gap_m=plan.gap.gap_m,
         )
-    rng = random.Random(20260816)
-    n = max(10, args.points)
-    suites = [
-        ("quadrature vs closed forms", _suite_quadrature(rng, n), _QUAD_TOL),
-        ("finite differences vs sensitivity",
-         _suite_derivative(rng, max(5, n // 6), plan.drive.feedback_mode), _FD_TOL),
-        ("symmetry and polarity identities", _suite_symmetry(rng, n), _SYM_TOL),
-    ]
+    from . import _validate  # only validate compiles the suites
+
+    errs = _validate.max_rel_errs(args.points, plan.drive.feedback_mode)
+    names = ("quadrature vs closed forms", "finite differences vs sensitivity",
+             "symmetry and polarity identities")
     all_ok = True
     summary = []
-    for name, err, tol in suites:
+    for name, err, tol in zip(names, errs, (_QUAD_TOL, _FD_TOL, _SYM_TOL)):
         ok = err < tol
         all_ok = all_ok and ok
         summary.append({"suite": name, "max_rel_err": err, "tolerance": tol, "pass": ok})

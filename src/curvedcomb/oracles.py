@@ -14,7 +14,6 @@ largest error first with a fixed tie-break.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable, NamedTuple
 
@@ -135,6 +134,8 @@ def integrate_adaptive(
             raise ValueError(f"integration bound {name} must be finite, got {end}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
+    import heapq  # no other oracle needs it, so only this one loads it
+
     # heap entries: (-error, insertion_seq, a, b, value, error)
     total_val, total_err = _gk21(f, a, b)
     heap = [(-total_err, 0, a, b, total_val, total_err)]

@@ -16,8 +16,9 @@ extent (a similarity family whose bow stays proportional to arc length).
 
 At one profile every variant reads one face table: each distinct kind
 resolved once at its rest gap (a flat face cut to the arc), built per arc
-by _rest_sweep, for sensitivity_sweep and, on the plan's own profile,
-for the CLI's compare, and once per curve by gain_curve, which takes its
+by _rest_sweep, for sensitivity_sweep (and the cells of the CLI's
+sensitivity-sweep --verify) and, on the plan's own profile, for the CLI's
+compare and validate, and once per curve by gain_curve, which takes its
 variants in output order and evaluates each (side, kind) face at most
 once per acceleration, on first use; an invalid cell's reason is read
 off the table (model._RULES). An optimizer bound reads S the same way, at
@@ -45,7 +46,7 @@ So a solve compares its two bounds.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .capacitance import _resolve_at_arc
@@ -273,9 +274,12 @@ def _row_builder(plan: SweepPlan):
     return row
 
 
-def _rest_sweep(plan: SweepPlan, variants: list, arcs: list, profiles: list) -> tuple:
+def _rest_sweep(plan: SweepPlan, variants: list, arcs: list, profiles: list,
+                tables: dict | None = None) -> tuple:
     """(rows, skipped) at rest for variants, in their order, over arcs and
-    their profiles, where an unrealizable arc's profile is its error string."""
+    their profiles, where an unrealizable arc's profile is its error string.
+    tables, if given, maps each realizable arc's (R, phi) to each variant's
+    rest cell there, transduction's (variant, face 1, face 2, d1, d2)."""
     kinds, sides = _kinds_of(variants)
     row = _row_builder(plan)
     # per arc: R, phi, the face table and each kind's (C, dC/dd) at its rest gap
@@ -286,6 +290,11 @@ def _rest_sweep(plan: SweepPlan, variants: list, arcs: list, profiles: list) -> 
             cells.append(prof)
             continue
         faces = _rest_faces(plan, prof, kinds)
+        if tables is not None:  # the cells of sensitivity-sweep --verify's stencil
+            tables[prof.radius_m, prof.angular_extent_rad] = {
+                v: (v, faces[i1][0], faces[i2][0], faces[i1][1], faces[i2][1])
+                for v, (i1, i2) in zip(variants, sides)
+            }
         evals = [face[0](face, d) if ok else None for face, d, ok in faces]
         cells.append((prof.radius_m, prof.angular_extent_rad, faces, evals))
     rows: list[SweepRow] = []
@@ -305,28 +314,15 @@ def _rest_sweep(plan: SweepPlan, variants: list, arcs: list, profiles: list) -> 
     return rows, skipped
 
 
-def _rest_points(plan: SweepPlan, rows: Iterable[SweepRow]) -> Iterator[tuple]:
-    """Each rest row's transduction._point (cell, delta 0.0, C_fb): its cell off
-    the face table of its (R, phi), built once per arc as _rest_sweep builds
-    it, and nominal feedback's rest C_fb, the row's c1 + c2 (else None)."""
-    kinds, sides = _kinds_of(plan.variants)
-    sides_of, tables = dict(zip(plan.variants, sides)), {}
-    nominal = plan.drive.feedback_mode is not _MATCHED_SUM
-    for r in rows:
-        if (key := (r.radius_m, r.phi_rad)) not in tables:
-            tables[key] = _rest_faces(plan, ArcProfile(*key, plan.profile.thickness_m), kinds)
-        (f1, d1, _), (f2, d2, _) = (tables[key][i] for i in sides_of[r.variant])
-        yield (r.variant, f1, f2, d1, d2), 0.0, r.c1_f + r.c2_f if nominal else None
-
-
-def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
+def sensitivity_sweep(plan: SweepPlan, *, _tables: dict | None = None) -> SweepResult:
     """Per-comb and net sensitivity at rest over the arc-length grid.
 
     Grid points whose geometry is invalid for a variant are skipped, with
     the reason recorded in metadata["skipped"]; a plan with no valid
     point at all is rejected. Rows are sorted by (variant, arc length)
     and the evaluation is deterministic, so identical plans serialize to
-    byte-identical CSV downstream.
+    byte-identical CSV downstream. _tables is _rest_sweep's tables, for
+    the CLI's --verify column.
     """
     _require_member("plan", plan, SweepPlan)
     arcs = _linspace(*plan.arc_range_m, plan.arc_points)
@@ -336,7 +332,7 @@ def sensitivity_sweep(plan: SweepPlan) -> SweepResult:
             profiles.append(_profile_at(plan, arc))
         except ValueError as err:
             profiles.append(str(err))
-    rows, skipped = _rest_sweep(plan, _ordered_variants(plan.variants), arcs, profiles)
+    rows, skipped = _rest_sweep(plan, _ordered_variants(plan.variants), arcs, profiles, _tables)
     if not rows:
         raise ValueError(
             "no valid grid points in the sweep plan; first reason: "

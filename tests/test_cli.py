@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,16 +12,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curvedcomb import (
+    STANDARD_GRAVITY,
     ArcProfile,
+    DriveModel,
     ElectrodeConfig,
+    FeedbackMode,
+    GapState,
     QuadratureResult,
     SweepRow,
-    TransductionPoint,
     Variant,
+    _validate,
     cli,
     fd_sensitivity,
+    gain,
+    sensitivity,
     sensitivity_sweep,
     side_nominal_gaps,
+    validate_geometry,
 )
 from curvedcomb.cli import main
 
@@ -512,15 +520,99 @@ class TestModelEnvelope:
         assert "wrote 1 rows" in out
         assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
 
-    def test_worse_keeps_a_nan(self):
-        nan = math.nan
-        assert cli._worse(0.0, 1e-3) == 1e-3 and cli._worse(1e-3, 0.0) == 1e-3
-        assert math.isnan(cli._worse(0.0, nan))
-        assert math.isnan(cli._worse(nan, 1e-3))
-        assert math.isnan(cli._worse(nan, nan))
+
+def public_derivative(rng, points: int, feedback: FeedbackMode) -> tuple[list, list]:
+    """The derivative suite's draws through the public functions: each
+    draw's (variant, validate_geometry verdict) and each point's rel diff."""
+    verdicts, rels = [], []
+    mech, drive = _validate._SUITE_MECH, DriveModel(1.0, feedback)
+    for variant in _validate._CURVED_VARIANTS:
+        for _ in range(points):
+            while True:  # R, phi, then the gap; redrawn until valid at rest
+                prof = ArcProfile(rng.uniform(30e-6, 500e-6), rng.uniform(0.02, 0.8), 2e-6)
+                d = rng.uniform(0.8e-6, 8e-6)
+                config = ElectrodeConfig.for_variant(variant, prof)
+                verdicts.append((variant, validate_geometry(config, GapState(d)).ok))
+                if verdicts[-1][1]:
+                    break
+            accel = rng.uniform(-2.0, 2.0) * STANDARD_GRAVITY
+            s = sensitivity(config, d, mech, drive, accel)
+            fd = fd_sensitivity(config, d, d, mech, drive, accel)
+            rels.append(abs(fd - s) / abs(s))
+    return verdicts, rels
+
+
+def public_symmetry(rng, points: int) -> tuple[list, list]:
+    """The symmetry suite's draws through the public functions: the
+    (variant, validate_geometry verdict) of each pairing it places, in
+    order, and each identity's rel error."""
+    verdicts, rels = [], []
+    mech, drive = _validate._SUITE_MECH, _validate._SUITE_DRIVE
+    for _ in range(points):
+        prof = ArcProfile(rng.uniform(30e-6, 500e-6), rng.uniform(0.02, 0.8), 2e-6)
+        d = rng.uniform(0.8e-6, 8e-6)
+        accel = rng.uniform(0.1, 2.0) * STANDARD_GRAVITY
+
+        def placed(variant):
+            config = ElectrodeConfig.for_variant(variant, prof)
+            verdicts.append((variant, validate_geometry(config, GapState(d)).ok))
+            return config if verdicts[-1][1] else None
+
+        for variant in (Variant.PLANAR, Variant.BICONVEX, Variant.BICONCAVE):
+            if config := placed(variant):
+                plus = gain(config, d, mech, drive, accel).gain
+                minus = gain(config, d, mech, drive, -accel).gain
+                rels.append(abs(plus + minus) / max(abs(plus), 1e-300))
+        if cc := placed(Variant.CONCAVO_CONVEX):
+            g_cc = gain(cc, d, mech, drive, accel).gain
+            g_vc = gain(placed(Variant.CONVEXO_CONCAVE), d, mech, drive, -accel).gain
+            rels.append(abs(g_cc + g_vc) / max(abs(g_cc), 1e-300))
+        planar = placed(Variant.PLANAR)
+        point = gain(planar, d, mech, drive, 0.25 * d * mech.spring_n_per_m / mech.mass_kg)
+        exact = point.displacement_m / d
+        rels.append(abs(point.gain - exact) / abs(exact))
+        s = sensitivity(planar, d, mech, drive, 0.0)
+        s_exact = drive.v_in_volts * mech.mass_kg * STANDARD_GRAVITY / (mech.spring_n_per_m * d)
+        rels.append(abs(s - s_exact) / abs(s_exact))
+    return verdicts, rels
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("feedback", list(FeedbackMode), ids=lambda f: f.value)
+    @pytest.mark.parametrize("points", [10, 61, 250])
+    def test_suites_replay_on_the_public_functions(self, monkeypatch, capsys, points, feedback):
+        # the suites evaluate resolved cells; drawn from the same seeded
+        # stream, the public path makes every accept or redraw and every
+        # per-point value the same, bit for bit
+        seen = {"_suite_derivative": ([], []), "_suite_symmetry": ([], [])}
+        cell_of, worse = _validate._cell_of, _validate._worse
+
+        def recorded_cell(variant, faces, d):
+            cell = cell_of(variant, faces, d)
+            seen[sys._getframe(1).f_code.co_name][0].append((variant, cell is not None))
+            return cell
+
+        def recorded_worse(worst, rel):
+            suite = sys._getframe(1).f_code.co_name
+            if suite in seen:
+                seen[suite][1].append(rel)
+            return worse(worst, rel)
+
+        monkeypatch.setattr(_validate, "_cell_of", recorded_cell)
+        monkeypatch.setattr(_validate, "_worse", recorded_worse)
+        code, out, _ = run(capsys, "validate", "--json", "--points", str(points),
+                           "--feedback", feedback.value)
+        assert code == 0
+        worst = [s["max_rel_err"] for s in json.loads(out)["suites"]]
+        # the suites' one stream: quadrature, derivative, then symmetry
+        rng, n = random.Random(20260816), max(10, points)
+        _validate._suite_quadrature(rng, n)
+        derivative = public_derivative(rng, max(5, n // 6), feedback)
+        symmetry = public_symmetry(rng, n)
+        assert seen == {"_suite_derivative": derivative, "_suite_symmetry": symmetry}
+        assert worst[1:] == [max(derivative[1]), max(symmetry[1])]
+        assert not all(ok for _, ok in derivative[0] + symmetry[0])  # both decisions occur
+
     def test_all_suites_pass(self, capsys):
         code, out, _ = run(capsys, "validate", "--points", "25", "--json")
         assert code == 0
@@ -530,35 +622,38 @@ class TestValidateCommand:
         assert all(s["max_rel_err"] < s["tolerance"] for s in doc["suites"])
 
     def test_injected_fault_is_caught(self, capsys, monkeypatch):
-        exact = cli.cap_convex
-        monkeypatch.setattr(cli, "cap_convex", lambda p, d: exact(p, d) * (1.0 + 1e-6))
+        exact = _validate.cap_convex
+        monkeypatch.setattr(_validate, "cap_convex", lambda p, d: exact(p, d) * (1.0 + 1e-6))
         code, out, err = run(capsys, "validate", "--points", "15")
         assert code == 3
         assert "verification failure" in err
 
+    def test_worse_keeps_a_nan(self):
+        nan, worse = math.nan, _validate._worse
+        assert worse(0.0, 1e-3) == 1e-3 and worse(1e-3, 0.0) == 1e-3
+        assert math.isnan(worse(0.0, nan))
+        assert math.isnan(worse(nan, 1e-3))
+        assert math.isnan(worse(nan, nan))
+
+    # the first call of each suite's own oracle or identity: the quadrature
+    # suite's closed form, the derivative suite's stencil, the symmetry
+    # suite's gain
     @pytest.mark.parametrize(
-        "suite, nan_of",
-        [
-            ("cap_convex", lambda c: math.nan),
-            ("fd_sensitivity", lambda s: math.nan),
-            ("gain", lambda p: TransductionPoint(
-                p.accel_m_s2, p.displacement_m, p.bridge, math.nan, p.v_out_volts
-            )),
-        ],
+        "suite", ["cap_convex", "_fd_stencil", "_gain"],
         ids=["quadrature", "derivative", "symmetry"],
     )
-    def test_nan_in_a_suite_is_caught(self, capsys, monkeypatch, suite, nan_of):
+    def test_nan_in_a_suite_is_caught(self, capsys, monkeypatch, suite):
         # only the first call is NaN: the finite relative differences after
         # it must not replace it as the suite's worst
-        original = getattr(cli, suite)
+        original = getattr(_validate, suite)
         calls = []
 
         def first_nan(*args):
             calls.append(args)
             out = original(*args)
-            return nan_of(out) if len(calls) == 1 else out
+            return math.nan if len(calls) == 1 else out
 
-        monkeypatch.setattr(cli, suite, first_nan)
+        monkeypatch.setattr(_validate, suite, first_nan)
         code, out, err = run(capsys, "validate", "--points", "15", "--json")
         assert code == 3
         assert "verification failure" in err
@@ -567,19 +662,32 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("mode", ["matched-sum", "nominal"])
     def test_derivative_suite_runs_under_the_selected_feedback(self, capsys, monkeypatch, mode):
-        # the symmetry suite stays on matched-sum: its G = delta/d holds only there
-        seen = {"fd_sensitivity": set(), "gain": set()}
-        for name, modes in seen.items():
-            original = getattr(cli, name)
+        # the symmetry suite stays on matched-sum: its G = delta/d holds only
+        # there; each (suite, feedback mode) of an evaluation and a stencil,
+        # with whether the stencil was given nominal feedback's rest C_fb
+        seen = set()
+        for name in ("_operating_point", "_fd_stencil"):
+            original = getattr(_validate, name)
 
-            def recording(*args, original=original, modes=modes):
-                modes.add(args[-2].feedback_mode.value)  # (..., drive, accel)
-                return original(*args)
+            def recording(cell, *args, original=original, name=name):
+                drive = args[1] if name == "_operating_point" else args[3]
+                frame = sys._getframe(1)
+                while not frame.f_code.co_name.startswith("_suite_"):  # gain's caller
+                    frame = frame.f_back
+                suite = frame.f_code.co_name
+                if name == "_fd_stencil":
+                    name = (name, args[1] is not None)  # (cell, delta, c_fb, mech, drive, a)
+                seen.add((name, suite, drive.feedback_mode.value))
+                return original(cell, *args)
 
-            monkeypatch.setattr(cli, name, recording)
+            monkeypatch.setattr(_validate, name, recording)
         code, out, _ = run(capsys, "validate", "--points", "10", "--json", "--feedback", mode)
         assert code == 0 and json.loads(out)["pass"] is True
-        assert seen == {"fd_sensitivity": {mode}, "gain": {"matched-sum"}}
+        assert seen == {
+            ("_operating_point", "_suite_derivative", mode),
+            (("_fd_stencil", mode == "nominal"), "_suite_derivative", mode),
+            ("_operating_point", "_suite_symmetry", "matched-sum"),
+        }
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_points_below_one_is_usage_error(self, capsys, points):
@@ -697,6 +805,21 @@ class TestOneParser:
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert proc.stdout.splitlines()[-1] == "[] 0 []"
+
+    def test_import_and_compare_leave_heapq_and_the_suites_unloaded(self):
+        # heapq serves only oracles.integrate_adaptive, and curvedcomb._validate
+        # only the validate subcommand, so neither loads before it is used
+        probe = (
+            "import sys, curvedcomb.cli; late = {'heapq', 'curvedcomb._validate'}; "
+            "print(sorted(late & set(sys.modules)), curvedcomb.cli.main(['compare']), "
+            "sorted(late & set(sys.modules)), curvedcomb.cli.main(['validate', '--points', '10']), "
+            "sorted(late & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.stdout.splitlines()[-1] == "[] 0 [] 0 ['curvedcomb._validate']"
 
     def test_importing_the_cli_leaves_the_json_module_unloaded(self):
         # only a config file and validate --json read JSON

@@ -38,17 +38,24 @@ calls neither validate_geometry nor any per-point function, where placing
 each pairing through the per-point path made 7 configs, 11 resolves and
 14 kernel calls. The finite-difference column of sensitivity-sweep
 --verify runs fd_sensitivity's stencil on each row's rest cell, read off
-the sweep's own face table, which sweep._rest_points builds once per arc
-of the grid on one ArcProfile (at most 1 + arc_points of them): per row
+the face table that the sweep built for the row's arc, so the run builds
+one ArcProfile per arc and the plan's own, as without --verify (where a
+second walk once built each arc's profile and table again): per row
 exactly the stencil's 8 kernel calls under either feedback mode, nominal
 feedback's rest C_fb taken from the row's c1 + c2, and no ElectrodeConfig,
 PlanarProfile or side_nominal_gaps call, where placing each row through
 the per-point path built a config and placed its sides per row, and
 nominal feedback evaluated the rest faces again (9 or 10 kernel calls).
+validate's derivative and symmetry suites resolve each draw's distinct
+face kinds once and build no ElectrodeConfig or GapState: a derivative
+point makes one bridge evaluation and one stencil, 10 kernel calls plus
+nominal feedback's rest faces, where the public sensitivity and
+fd_sensitivity built the cell twice and validate_geometry placed it again.
 Counting calls rather than timing keeps this deterministic.
 """
 
 import inspect
+import random
 import sys
 
 import pytest
@@ -76,7 +83,7 @@ from curvedcomb import (
     sweep,
     transduction,
 )
-from curvedcomb import cli
+from curvedcomb import _validate, cli
 from curvedcomb.cli import main
 from curvedcomb.model import SIDE_KINDS
 from conftest import STD_GAP, STD_H, STD_PHI, STD_R
@@ -245,26 +252,54 @@ def test_compare_reads_the_rest_face_table(
     assert (config_builds, per_point) == ([], [])
 
 
-def test_sweep_verify_builds_one_profile_per_arc(monkeypatch, tmp_path, capsys):
-    # the fd column's cells come off one rest face table per arc, each
-    # table built on one profile, in sweep._rest_points
-    builds: list = []
-    rest_points = sweep._rest_points
-
-    def counted(*args):
-        builds.append(args)
-        return ArcProfile(*args)
-
-    def points(*args):
-        with monkeypatch.context() as m:
-            m.setattr(sweep, "ArcProfile", counted)
-            return list(rest_points(*args))
-
-    monkeypatch.setattr(cli, "_rest_points", points)
-    assert main(["sensitivity-sweep", "--verify", "--csv", str(tmp_path / "s.csv")]) == 0
-    assert "agreed" in capsys.readouterr().out
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+def test_sweep_verify_builds_one_profile_per_arc(monkeypatch, tmp_path, capsys, verify):
+    # the fd column's cells come off the rest face tables that the sweep
+    # built, one profile per arc: the run builds the plan's profile and one
+    # per arc, with --verify as without it
+    builds = count_builds(monkeypatch, ArcProfile)
+    assert main(["sensitivity-sweep", *verify, "--csv", str(tmp_path / "s.csv")]) == 0
+    assert ("agreed" in capsys.readouterr().out) == bool(verify)
     rows = len((tmp_path / "s.csv").read_text().splitlines()) - 1
-    assert 1 < len(builds) <= 1 + cli.RunConfig().arc_points < rows
+    assert len(builds) == 1 + cli.RunConfig().arc_points < rows
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_validate_evaluates_one_resolved_cell_per_draw(
+    kernel_calls, resolve_calls, config_builds, monkeypatch, capsys, feedback
+):
+    # validate's derivative and symmetry suites resolve each draw's faces
+    # once and evaluate them on transduction's private frame: no config or
+    # gap state, no validate_geometry and no public per-point call
+    gap_builds = count_builds(monkeypatch, GapState)
+    per_point = count_calls(monkeypatch, "validate_geometry", [], owner=model)
+    for name in ("_cell", "_point", *transduction.__all__):
+        if inspect.isfunction(getattr(transduction, name)):
+            count_calls(monkeypatch, name, per_point, owner=transduction)
+    argv = ["validate", "--points", "10", "--feedback", feedback.value]
+    assert main(argv) == 0 and "FAIL" not in capsys.readouterr().out
+    # the one GapState is RunConfig.plan's
+    assert (config_builds, len(gap_builds), per_point) == ([], 1, [])
+
+
+@pytest.mark.parametrize("feedback", list(FeedbackMode))
+def test_validate_derivative_point(kernel_calls, resolve_calls, monkeypatch, feedback):
+    # each point: one bridge evaluation (2 kernel calls, plus nominal
+    # feedback's rest faces off rest) for S and one stencil (8) for the fd
+    # value; each draw resolves its pairing's distinct face kinds once
+    calls: dict = {}
+    for name in ("_evaluate", "_fd_stencil", "_random_cell"):  # the suite module's calls only
+        made, original = calls.setdefault(name, []), getattr(_validate, name)
+        monkeypatch.setattr(_validate, name, lambda *a, made=made, f=original: made.append(a) or f(*a))
+    points = 4
+    _validate._suite_derivative(random.Random(7), points, feedback)
+    kinds = [len(set(call[2])) for call in calls["_random_cell"]]
+    assert len(calls["_random_cell"]) > points * len(_validate._CURVED_VARIANTS)  # redraws
+    assert len(resolve_calls) == sum(kinds)
+    assert len(calls["_evaluate"]) == len(calls["_fd_stencil"]) == points * 6
+    assert len(kernel_calls) == points * sum(
+        10 + rest_calls(v, feedback) for v in _validate._CURVED_VARIANTS
+    )
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))

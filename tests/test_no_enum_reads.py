@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from curvedcomb import FaceKind, capacitance, model, sweep, transduction
+from curvedcomb import FaceKind, _validate, capacitance, cli, model, sweep, transduction
 
 HOT_PATHS = [
     (capacitance, "_flat"),
@@ -55,10 +55,15 @@ HOT_PATHS = [
     (sweep, "_skip_reason"),
     (sweep, "_row_builder"),
     (sweep, "_rest_sweep"),  # the sweep's and compare's arc and variant loops
-    (sweep, "_rest_points"),  # the fd column of sensitivity-sweep --verify
     (sweep, "gain_curve"),  # the curve's variant and acceleration loops
     (sweep, "_least_squares_slope"),
     (sweep, "_sensitivity_at_arc"),
+    (cli, "cmd_sensitivity_sweep"),  # the fd column of --verify, a stencil per row
+    (_validate, "_random_cell"),
+    (_validate, "_cell_of"),
+    (_validate, "_operating_point"),
+    (_validate, "_suite_derivative"),
+    (_validate, "_suite_symmetry"),
 ]
 
 
