@@ -252,16 +252,17 @@ def test_compare_reads_the_rest_face_table(
     assert (config_builds, per_point) == ([], [])
 
 
-@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
-def test_sweep_verify_builds_one_profile_per_arc(monkeypatch, tmp_path, capsys, verify):
+def test_sweep_verify_builds_one_profile_per_arc(monkeypatch, tmp_path, capsys):
     # the fd column's cells come off the rest face tables that the sweep
     # built, one profile per arc: the run builds the plan's profile and one
     # per arc, with --verify as without it
     builds = count_builds(monkeypatch, ArcProfile)
-    assert main(["sensitivity-sweep", *verify, "--csv", str(tmp_path / "s.csv")]) == 0
-    assert ("agreed" in capsys.readouterr().out) == bool(verify)
-    rows = len((tmp_path / "s.csv").read_text().splitlines()) - 1
-    assert len(builds) == 1 + cli.RunConfig().arc_points < rows
+    for verify in ([], ["--verify"]):
+        builds.clear()
+        assert main(["sensitivity-sweep", *verify, "--csv", str(tmp_path / "s.csv")]) == 0
+        assert ("agreed" in capsys.readouterr().out) == bool(verify)
+        rows = len((tmp_path / "s.csv").read_text().splitlines()) - 1
+        assert len(builds) == 1 + cli.RunConfig().arc_points < rows
 
 
 @pytest.mark.parametrize("feedback", list(FeedbackMode))
