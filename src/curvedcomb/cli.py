@@ -53,6 +53,7 @@ from .model import (
     MechanicalModel,
     PlanarProfile,
     Variant,
+    _ENVELOPE,
     _MATCHED_SUM,
     _Record,
 )
@@ -480,6 +481,8 @@ def cmd_compare(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
 def cmd_validate(cfg: RunConfig, plan: SweepPlan, args: SimpleNamespace) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
+    if args.points > (ceiling := _ENVELOPE["points"][1]):
+        raise UsageError(f"--points must be <= {ceiling}, got {args.points}")
     _, skipped = _rest_cell(plan)
     if skipped:  # the first variant invalid at rest, with each side that fails
         variant, reason = Variant(skipped[0]["variant"]), skipped[0]["reason"]

@@ -696,6 +696,15 @@ class TestValidateCommand:
         assert "--points" in err
         assert out == ""
 
+    @pytest.mark.parametrize("points", ["1000001", str(10**400)])
+    def test_points_above_the_grid_ceiling_is_usage_error(self, monkeypatch, capsys, points):
+        # refused before the rest-cell gate, so before any suite runs
+        gated = []
+        monkeypatch.setattr(cli, "_rest_cell", lambda plan: gated.append(plan))
+        code, out, err = run(capsys, "validate", "--points", points)
+        assert (code, out, gated) == (1, "", [])
+        assert err == f"usage error: --points must be <= 1000000, got {points}\n"
+
     def test_contact_config_rejected_before_suites(self, capsys):
         code, _, err = run(capsys, "validate", "--arc-um", "60", "--gap-um", "0.4")
         assert code == 2

@@ -21,6 +21,7 @@ from curvedcomb import (
 )
 from curvedcomb import oracles
 from conftest import STD_GAP, STD_H
+from _enclose import _add, _div, _dn, _mul, _pmul, _pt, _sin, _sinh, _sub, _times, _up
 
 CBRT_EPS = (2.0**-52) ** (1.0 / 3.0)
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -346,7 +347,8 @@ class TestGradedMesh:
 
     def test_each_panels_ellipse_clears_the_zero(self):
         # every L that _mesh returns is positive and at most |gap| on its
-        # panel's Bernstein ellipse, checked in rational arithmetic
+        # panel's Bernstein ellipse, checked in outward-rounded float
+        # intervals from tests/_enclose.py
         assert Q(oracles._GAUSS_BOUND) >= Q(64, 15) * RHO**-20 / (RHO**2 - 1)
         # the ellipse of [p, 2p] (p = 72, centre (108, 0)) meets y = 2x at no
         # real x, so it lies where |y| < 2x, as its centre does
@@ -361,18 +363,18 @@ class TestGradedMesh:
             s = math.sin(0.5 * half)
             e = gap - 2.0 * r * s * s
             for lo, hi, width, inv_m in oracles._mesh(kind, r, half, gap, e):
-                low = Q(hi - lo) / Q(width)  # the code's L, to the rounding of width
+                span = _sub(_pt(hi), _pt(lo))
+                low = _times(ROUNDING, _div(span, _pt(width)))
                 if kind is FaceKind.CONVEX:
-                    proved = convex_min_gap(Q(r), Q(gap), Q(lo), Q(hi))
+                    proved = convex_min_gap(r, gap, lo, hi)
                     assert inv_m == 0.0
                 else:
                     # E spans x in [c - a, c + a]; m bounds gap on the panel
-                    args = Q(r), Q(half), Q(e)
-                    c, a = Q(lo + hi) / 2, ELLIPSE_A * Q(hi - lo) / 2
-                    proved = concave_min_gap(*args, c - a, c + a)
-                    m = concave_min_gap(*args, Q(lo), Q(hi)) * (1 + Q(1, 2**50))
-                    assert 0.0 < inv_m and 1 / Q(inv_m) <= m
-                assert 0 < low * (1 + Q(1, 2**50)) <= proved, (kind, prof, gap, lo, hi)
+                    c, a = _times(0.5, _add(_pt(lo), _pt(hi))), _pmul(_times(0.5, span), ENCLOSED_A)
+                    proved = concave_min_gap(r, half, e, _sub(c, a), _add(c, a))
+                    m = _times(ROUNDING, _pt(concave_min_gap(r, half, e, _pt(lo), _pt(hi))))
+                    assert 0.0 < inv_m and _div((1.0, 1.0), _pt(inv_m))[1] <= m[0]
+                assert 0.0 < low[0] and low[1] <= proved, (kind, prof, gap, lo, hi)
 
     def test_subdivisions_count_the_panels_evaluated(self, panels):
         faces = [(FaceKind.CONCAVE, prof, gap) for prof, gap in concave_ladder()]
@@ -401,7 +403,8 @@ class TestGradedMesh:
 # rho = 9/2: E of a panel of half-width w has semi-axes ELLIPSE_A w and ELLIPSE_B w
 RHO = Q(9, 2)
 ELLIPSE_A, ELLIPSE_B = (RHO + 1 / RHO) / 2, (RHO - 1 / RHO) / 2
-PI_LO, PI_HI = Q("3.14159265358979323846"), Q("3.14159265358979323847")
+ENCLOSED_A = _dn(float(ELLIPSE_A)), _up(float(ELLIPSE_A))
+ROUNDING = 1.0 + 2.0**-50  # the code's L and m, to the rounding of width and 1/m
 # faces far from the seeded ones: phi near pi, a concave gap near 2R (the
 # domain test's phi = 2.5 face), a convex gap at 1e-30 m and one above R
 EXTREME_CELLS = [
@@ -414,62 +417,38 @@ EXTREME_CELLS = [
 ]
 
 
-def taylor(x: Q, odd: bool, sign: int) -> tuple[Q, Q]:
-    """The Taylor sum of sin (odd, sign -1), cos (sign -1) or sinh (odd, sign
-    1) at x, and a bound of its error: the first omitted term, which bounds
-    the tail of sin and cos (Lagrange; of sinh times cosh(x)), plus 2**20
-    units of 2**-160 for the sum's truncations. Each truncation errs by
-    under one unit, and an error carried from term to term grows by at
-    most cosh(x) < 2**6 over the at most 60 terms used at |x| < 4."""
-    one = 1 << 160
-    x2 = (x.numerator**2 << 160) // x.denominator**2
-    assert abs(x) < 4
-    n, term, total = (1, (x.numerator << 160) // x.denominator, 0) if odd else (0, one, 0)
-    while abs(term) > 1 << 60:
-        total += term
-        term = sign * term * x2 // ((n + 1) * (n + 2) << 160)
-        n += 2
-    return Q(total, one), Q(abs(term) + (1 << 20), one)
+def sin_over(a: tuple) -> tuple:
+    """sin over a within [-pi/2, pi/2], where it rises and is odd."""
+    assert -math.pi / 2 <= a[0] and a[1] <= math.pi / 2
+    lo = -_sin(-a[0])[1] if a[0] < 0.0 else _sin(a[0])[0]
+    hi = -_sin(-a[1])[0] if a[1] < 0.0 else _sin(a[1])[1]
+    return lo, hi
 
 
-def sin_lo(x: Q) -> Q:
-    total, tail = taylor(x, True, -1)
-    return total - tail
-
-
-def cos_lo(x: Q) -> Q:
-    total, tail = taylor(x, False, -1)
-    return total - tail
-
-
-def cos_hi(x: Q) -> Q:
-    total, tail = taylor(x, False, -1)
-    return total + tail
-
-
-def sinh_hi(x: Q) -> Q:
-    total, tail = taylor(x, True, 1)
-    return total + tail * 3 ** math.ceil(x)  # cosh(x) <= e**x < 3**x
-
-
-def convex_min_gap(r: Q, d: Q, lo: Q, hi: Q) -> Q:
+def convex_min_gap(r: float, d: float, lo: float, hi: float) -> float:
     """A lower bound of |d + 2R sin(z/2)**2| on the ellipse E of [lo, hi]:
     E lies in |z| <= 121 hi/72 for lo = 0, where |sin(z/2)| <= sinh(|z|/2);
     for hi = 2 lo, E has 0 < x < pi and |y| < 2x, where |gap| >= (d + 2R
     sin(x/2)**2)/sqrt(2) (README, "The quadrature oracle")."""
-    if lo == 0:
-        return d - 2 * r * sinh_hi((1 + ELLIPSE_A) * hi / 4) ** 2
-    assert hi == 2 * lo and (3 + ELLIPSE_A) * lo / 2 < PI_LO
-    bound = d + 2 * r * sin_lo((3 - ELLIPSE_A) * lo / 4) ** 2
-    return bound * Q(7071067811865475, 10**16)  # < 1/sqrt(2)
+    if lo == 0.0:
+        sinh = _sinh(_times(0.25 * hi, _add((1.0, 1.0), ENCLOSED_A))[1])
+        return _sub(_pt(d), _times(2.0 * r, _pmul(sinh, sinh)))[0]
+    assert hi == 2.0 * lo and _times(0.5 * lo, _add((3.0, 3.0), ENCLOSED_A))[1] < math.pi
+    sin = sin_over(_times(0.25 * lo, _sub((3.0, 3.0), ENCLOSED_A)))
+    bound = _add(_pt(d), _times(2.0 * r, _pmul(sin, sin)))
+    return _times(_dn(math.sqrt(0.5)), bound)[0]  # below 1/sqrt(2)
 
 
-def concave_min_gap(r: Q, half: Q, e: Q, lo: Q, hi: Q) -> Q:
-    """A lower bound of |e + R(cos(half - z) - cos(half))| for z = x + iy
-    with x in [lo, hi]: while cos(half - x) >= 0 there, the real part is at
-    least gap(x), concave in x, so its least value on [lo, hi] is at an end."""
-    assert half - lo <= PI_LO / 2 and hi - half <= PI_LO / 2
-    return min(e + r * (cos_lo(half - x) - cos_hi(half)) for x in (lo, hi))
+def concave_min_gap(r: float, half: float, e: float, lo: tuple, hi: tuple) -> float:
+    """A lower bound of |e + R(cos(half - z) - cos(half))| for z = x + iy,
+    x between ends that lo and hi enclose: while cos(half - x) >= 0 there, the
+    real part is at least gap(x) = e + 2R sin(half - x/2) sin(x/2) (a product,
+    as a difference would cancel), concave in x, so least at an end."""
+    assert _sub(_pt(half), lo)[1] <= math.pi / 2 and _sub(hi, _pt(half))[1] <= math.pi / 2
+    return min(
+        _add(_pt(e), _times(2.0 * r, _mul(sin_over(_sub(_pt(half), x2)), sin_over(x2))))[0]
+        for x2 in (_times(0.5, lo), _times(0.5, hi))
+    )
 
 
 def derived_gk21(mp):

@@ -19,12 +19,10 @@ N falls, then may rise.
   0 <= s <= S_MAX: _cover splits this region into boxes and proves on each
   box that F < 0, F > 0 or G > 0.
 
-Every enclosure is in float interval arithmetic rounded outward: each
-operation's result is moved one ulp down or up with math.nextafter, so the
-exact value lies inside. sin, cos, sinc = sin(y)/y and c = (sinc y - cos y)/y**2
-come from their alternating Taylor series, summed the same way, with the
-first omitted term as the tail bound. Each is monotone on [0, pi/2], so an
-enclosure over an interval of arguments reads the enclosures at its ends.
+Every enclosure is in the interval arithmetic of tests/_enclose.py, with
+c = (sinc y - cos y)/y**2 from its series too. sinc, cos and c fall on
+[0, pi/2] and sin rises, so an enclosure over an interval of arguments
+reads the enclosures at its ends.
 
 The integrals over x run over a mesh whose steps are powers of two, graded
 toward the edge x = 0, so every cell's midpoint m is exact. On a cell of
@@ -43,6 +41,7 @@ G's integrals are enclosed cell by cell from the ranges of their integrands
 """
 
 import math
+import random
 import sys
 import time
 from fractions import Fraction as Fr
@@ -56,62 +55,20 @@ from curvedcomb import (
 )
 from curvedcomb.model import STANDARD_GRAVITY
 from curvedcomb.sweep import _sensitivity_at_arc, _solve_of
+from _enclose import (
+    _INF, _add, _alternating, _cos, _div, _dn, _falling, _mul, _one_minus, _pmul, _pt,
+    _scale, _sin, _sinc, _sinh, _sub, _times, _up,
+)
 
-_NX, _INF = math.nextafter, math.inf
 # the float below pi/2, above every s = phi/2 of the envelope (phi < pi)
 S_MAX = math.pi / 2
 Z_MAX = 2.0**30  # above r's envelope bound of 1e9
-
-
-def _dn(v: float) -> float:
-    return _NX(v, -_INF)
-
-
-def _up(v: float) -> float:
-    return _NX(v, _INF)
-
-
-# --- point enclosures of the elementary functions on [0, 2] ------------------
-
-
-def _alternating(y: float, t0: tuple, den) -> tuple:
-    """[lo, hi] around sum_k (-1)**k t_k with t_(k+1) = t_k*y**2/den(k), for
-    terms that fall from k = 1 on: the sum to k, widened by t_(k+1)."""
-    y2lo, y2hi = _dn(y * y), _up(y * y)
-    (tlo, thi), slo, shi, k = t0, 0.0, 0.0, 0
-    while k < 3 or thi > 1e-25:
-        if k % 2:
-            slo, shi = _dn(slo - thi), _up(shi - tlo)
-        else:
-            slo, shi = _dn(slo + tlo), _up(shi + thi)
-        tlo, thi = _dn(_dn(tlo * y2lo) / den(k)), _up(_up(thi * y2hi) / den(k))
-        k += 1
-    return _dn(slo - thi), _up(shi + thi)
-
-
-@lru_cache(maxsize=None)
-def _sinc(y: float) -> tuple:
-    return _alternating(y, (1.0, 1.0), lambda k: (2 * k + 2) * (2 * k + 3))
-
-
-@lru_cache(maxsize=None)
-def _cos(y: float) -> tuple:
-    return _alternating(y, (1.0, 1.0), lambda k: (2 * k + 1) * (2 * k + 2))
 
 
 @lru_cache(maxsize=None)
 def _c(y: float) -> tuple:
     """(sinc y - cos y)/y**2 = sum_k (-1)**k 2(k + 1) y**(2k)/(2k + 3)!"""
     return _alternating(y, (_dn(1 / 3), _up(1 / 3)), lambda k: (2 * k + 2) * (2 * k + 5))
-
-
-def _sin(y: float) -> tuple:
-    lo, hi = _sinc(y)
-    return _dn(y * lo), _up(y * hi)
-
-
-def _falling(f, a: tuple) -> tuple:
-    return f(a[1])[0], f(a[0])[1]
 
 
 def _cos_over(a: tuple) -> tuple:
@@ -122,53 +79,6 @@ def _cos_over(a: tuple) -> tuple:
 def _sin_over(a: tuple) -> tuple:
     # sin rises up to pi/2, where it reaches 1
     return _sin(a[0])[0], 1.0 if a[1] >= S_MAX else _sin(a[1])[1]
-
-
-# --- interval arithmetic --------------------------------------------------------
-
-
-def _add(a, b):
-    return _dn(a[0] + b[0]), _up(a[1] + b[1])
-
-
-def _sub(a, b):
-    return _dn(a[0] - b[1]), _up(a[1] - b[0])
-
-
-def _mul(a, b):
-    ps = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
-    return _dn(min(ps)), _up(max(ps))
-
-
-def _pmul(a, b):
-    """The product of two quantities >= 0, whose low ends are >= 0: a low end
-    is rounded down no further than 0."""
-    lo = a[0] * b[0]
-    return _dn(lo) if lo > 0.0 else 0.0, _up(a[1] * b[1])
-
-
-def _div(a, b):
-    if not b[0] > 0.0:
-        raise ZeroDivisionError(f"divisor {b} may vanish")
-    qs = a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]
-    return _dn(min(qs)), _up(max(qs))
-
-
-def _scale(c: float, a):  # c >= 0 and a >= 0
-    return _pmul((c, c), a)
-
-
-def _times(c: float, a):  # c >= 0
-    return _dn(c * a[0]), _up(c * a[1])
-
-
-def _pt(x: float) -> tuple:
-    return x, x
-
-
-def _one_minus(a):
-    """1 - a for a quantity in [0, 1]."""
-    return max(0.0, _dn(1.0 - a[1])), _up(1.0 - a[0])
 
 
 # --- the face's functions ---------------------------------------------------------
@@ -374,10 +284,39 @@ def test_elementary_enclosures_hold_at_50_digits():
             _cos: mp.cos(y),
             _c: (mp.sin(y) / y - mp.cos(y)) / y**2 if y else mp.mpf(1) / 3,
             _sin: mp.sin(y),
+            _sinh: mp.sinh(y),
         }
         for f, value in exact.items():
             lo, hi = f(y)
             assert lo <= value <= hi and hi - lo < 1e-14, (f.__name__, y)
+
+
+def test_operations_hold_the_exact_results_at_their_ends():
+    # each operation's interval holds the exact result at every pair of its
+    # operands' ends, so none rounds inward; signs mix but where an operand
+    # must be >= 0 or a divisor > 0
+    rng = random.Random(20261022)
+
+    def draw(low: float) -> tuple:
+        return tuple(sorted(rng.uniform(low, 1.0) * 2.0 ** rng.randint(-30, 30) for _ in "ab"))
+
+    for _ in range(200):
+        a, b, p, q = draw(-1.0), draw(-1.0), draw(0.0), draw(0.0)
+        c = p[1]
+        for result, x, y, exact in [
+            (_add(a, b), a, b, lambda u, v: u + v),
+            (_sub(a, b), a, b, lambda u, v: u - v),
+            (_mul(a, b), a, b, lambda u, v: u * v),
+            (_pmul(p, q), p, q, lambda u, v: u * v),
+            (_div(a, q), a, q, lambda u, v: u / v),
+            (_scale(c, p), (c,), p, lambda u, v: u * v),
+            (_times(c, a), (c,), a, lambda u, v: u * v),
+        ]:
+            for u, v in product(x, y):
+                assert result[0] <= exact(Fr(u), Fr(v)) <= result[1], (x, y, result)
+    for divisor in [(0.0, 1.0), (-1.0, 1.0), (-2.0, -1.0)]:
+        with pytest.raises(ZeroDivisionError):
+            _div((1.0, 2.0), divisor)
 
 
 def test_monotone_in_s_and_tau():
